@@ -1,13 +1,13 @@
 //! Ablation benchmarks for the design choices called out in DESIGN.md §5:
 //! struct-projection pushdown, row-group size, combination enumeration,
-//! and the RDataFrame merge-lock contention model.
+//! and zone-map pruning.
 
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use engine_rdf::{ContentionModel, Options, RDataFrame};
+use engine_rdf::{Options, RDataFrame};
 use nf2_columnar::{Projection, PushdownCapability};
 use physics::HistSpec;
 
@@ -113,46 +113,11 @@ fn ablation_combinations(c: &mut Criterion) {
     group.finish();
 }
 
-/// The contention model behind the RDataFrame scalability cliff.
-fn ablation_contention(c: &mut Criterion) {
-    let (_, t) = dataset(512);
-    let mut group = c.benchmark_group("ablation/contention");
-    group.sample_size(10);
-    for (label, contention) in [
-        ("fixed", ContentionModel::Fixed),
-        (
-            "rootv622_merge64",
-            ContentionModel::RootV622 { merge_every: 64 },
-        ),
-        (
-            "rootv622_merge8",
-            ContentionModel::RootV622 { merge_every: 8 },
-        ),
-    ] {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let df = RDataFrame::new(
-                    t.clone(),
-                    Options {
-                        n_threads: 0,
-                        contention,
-                        ..Options::default()
-                    },
-                )
-                .histo1d(HistSpec::new(100, 0.0, 200.0), "MET_pt");
-                black_box(df.run().unwrap().histogram.total())
-            })
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     ablation_pushdown,
     ablation_rowgroup,
     ablation_combinations,
-    ablation_contention,
     ablation_zonemap
 );
 criterion_main!(benches);

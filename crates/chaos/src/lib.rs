@@ -1003,11 +1003,7 @@ fn run_recovery_case(
         transient_attempts: schedule.transient_attempts,
         ..FaultConfig::only(schedule.class, schedule.p, seed ^ steal_seed)
     });
-    let faults = nf2_columnar::ScanFaults {
-        injector: &injector,
-        table_name: table.name(),
-        table_fingerprint: table.fingerprint(),
-    };
+    let faults = nf2_columnar::ScanFaults::new(&injector, table);
     let opts = exec_par::ParOptions {
         workers,
         steal_seed,

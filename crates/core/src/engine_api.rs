@@ -473,6 +473,7 @@ mod tests {
         let engine = SqlQueryEngine::new(System::Presto, t);
         let env = ExecEnv {
             trace: obs::TraceCtx::enabled(),
+            // Pinned for sequential child spans (span-sum ≤ wall), not for determinism.
             intra_query_threads: Some(1),
             ..ExecEnv::seed()
         };

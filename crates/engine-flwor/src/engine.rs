@@ -1,6 +1,5 @@
 //! The public Rumble-like engine: register tables, execute modules.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -9,7 +8,6 @@ use nf2_columnar::{
     ChunkCache, ExecStats, FaultInjector, Projection, PushdownCapability, ScalarPredicate,
     ScanCache, ScanFaults, Schema, SelCmp, SelValue, Table,
 };
-use parking_lot::Mutex;
 
 use crate::ast::{Clause, CmpOp, Expr, Module};
 use crate::error::FlworError;
@@ -229,18 +227,6 @@ impl FlworEngine {
         };
 
         let partitionable = compiled.is_none() && is_partitionable(&module);
-        let n_groups = table.row_groups().len();
-        let hw = std::thread::available_parallelism().map_or(4, |n| n.get());
-        let n_threads = if partitionable {
-            let n = if self.options.n_threads == 0 {
-                hw
-            } else {
-                self.options.n_threads
-            };
-            n.max(1).min(n_groups.max(1))
-        } else {
-            1
-        };
         plan_span.finish();
 
         // Rumble pushes no projections: the scan reads every leaf column.
@@ -253,16 +239,10 @@ impl FlworEngine {
         // (fingerprint, group, leaf) coordinates per morsel) and the
         // billing pre-pass here stays fault-free, so ScanStats are
         // byte-identical under injected faults.
+        let injector = self.fault_injector.as_deref();
+        let mk_faults = || injector.map(|i| ScanFaults::new(i, &table));
         let faults_at_morsels = self.options.morsel_recovery && compiled.is_some();
-        let scan_faults = if faults_at_morsels {
-            None
-        } else {
-            self.fault_injector.as_deref().map(|injector| ScanFaults {
-                injector,
-                table_name: table.name(),
-                table_fingerprint: table.fingerprint(),
-            })
-        };
+        let scan_faults = if faults_at_morsels { None } else { mk_faults() };
         let projection = Projection::all();
         let run = nf2_columnar::ScanRequest::new(&table, &projection)
             .capability(PushdownCapability::None)
@@ -276,10 +256,30 @@ impl FlworEngine {
         let skip = run.skip.expect("prune() was supplied");
         let leaves: Vec<_> = table.schema().leaves().iter().collect();
 
-        let cpu = Mutex::new(0.0f64);
-        let mut threads_used = n_threads;
-        let mut morsel_rec = nf2_columnar::MorselRecovery::default();
-        let items = if let Some(plan) = &compiled {
+        // Only map-like FLWORs fan out over row groups; everything else
+        // needs the whole table in one evaluation.
+        let n_threads = if partitionable {
+            exec_par::resolve_threads(self.options.n_threads, &skip)
+        } else {
+            1
+        };
+        // Evaluates the module over materialized rows, charging the
+        // simulated per-record overhead for `n_scanned` of them. Freeing
+        // the rows is charged to the aggregate span: it is real work
+        // proportional to the input.
+        let eval_rows = |rows: Vec<Value>, n_scanned: usize, agg_span: obs::SpanGuard| {
+            self.busy_overhead(n_scanned);
+            let source = TableSource {
+                rows: &rows,
+                name: table.name(),
+            };
+            let out = Interp::new(&module, &source)?.eval_body(&module, &Env::new());
+            drop(rows);
+            agg_span.finish();
+            out
+        };
+        let no_recovery = nf2_columnar::MorselRecovery::default();
+        let (items, cpu_seconds, threads_used, recovery) = if let Some(plan) = &compiled {
             // Fused batch kernels over decoded column chunks: no row
             // materialization, no per-record interpretation (and hence no
             // simulated per-record overhead — the modeled JVM record cost
@@ -287,48 +287,18 @@ impl FlworEngine {
             // one bin index per selected event, in event order — the same
             // sequence the interpreter produces for the template.
             let t0 = Instant::now();
-            let workers = self.options.parallel_workers;
-            let recovering = self.options.morsel_recovery;
-            let bins = if workers > 1 || recovering {
-                let opts = exec_par::ParOptions {
-                    recovery: recovering.then(exec_par::RecoveryOptions::default),
-                    ..exec_par::ParOptions::new(workers.max(1))
-                };
-                let morsel_faults = recovering
-                    .then(|| {
-                        self.fault_injector.as_deref().map(|injector| ScanFaults {
-                            injector,
-                            table_name: table.name(),
-                            table_fingerprint: table.fingerprint(),
-                        })
-                    })
-                    .flatten();
-                exec_par::execute_with_faults(
-                    plan,
-                    &table,
-                    Some(&skip),
-                    &self.trace,
-                    &self.cancel,
-                    None,
-                    &opts,
-                    morsel_faults,
-                )
-                .map(|(bins, stats)| {
-                    threads_used = stats.workers;
-                    morsel_rec = stats.recovery;
-                    bins
-                })
-            } else {
-                physical_ir::execute(plan, &table, Some(&skip), &self.trace, &self.cancel)
-            }
-            .map_err(|e| match e {
-                physical_ir::PirError::Columnar(c) => FlworError::from(c),
-                physical_ir::PirError::Cancelled(c) => FlworError::Cancelled(c),
-                e @ physical_ir::PirError::MorselPanic { .. } => FlworError::Dynamic(e.to_string()),
-            })?;
+            let (bins, workers, recovery) = exec_par::execute_compiled(
+                plan,
+                &table,
+                &skip,
+                &self.trace,
+                &self.cancel,
+                self.options.parallel_workers,
+                self.options.morsel_recovery,
+                mk_faults(),
+            )?;
             let out: Seq = bins.into_iter().map(Value::Int).collect();
-            *cpu.lock() += t0.elapsed().as_secs_f64();
-            out
+            (out, t0.elapsed().as_secs_f64(), workers, recovery)
         } else if n_threads <= 1 {
             let t0 = Instant::now();
             let mut rows = Vec::with_capacity(table.n_rows());
@@ -348,113 +318,44 @@ impl FlworEngine {
                 )?);
                 rows_done += g.n_rows() as u64;
             }
-            let agg_span = self.trace.span(obs::Stage::Aggregate);
             // Overhead models per-record cost of everything the simulated
             // engine *scans*, so it is charged for all scanned rows
             // regardless of how many the pre-filter admits — but not for
             // rows in pruned groups, which are never read at all.
-            self.busy_overhead(scan.rows as usize);
-            let source = TableSource {
-                rows: &rows,
-                name: table.name(),
-            };
-            let interp = Interp::new(&module, &source)?;
-            let out = interp.eval_body(&module, &Env::new())?;
-            // Freeing the materialized rows is charged to the aggregate
-            // span: it is real work proportional to the input.
-            drop(interp);
-            drop(rows);
-            agg_span.finish();
-            *cpu.lock() += t0.elapsed().as_secs_f64();
-            out
+            let agg_span = self.trace.span(obs::Stage::Aggregate);
+            let out = eval_rows(rows, scan.rows as usize, agg_span)?;
+            (out, t0.elapsed().as_secs_f64(), 1, no_recovery)
         } else {
             // Partition-parallel: evaluate the module per row group and
             // concatenate in group order (sound for map-like FLWORs).
-            let next = AtomicUsize::new(0);
-            let results: Mutex<Vec<(usize, Seq)>> = Mutex::new(Vec::new());
-            let first_err: Mutex<Option<FlworError>> = Mutex::new(None);
-            let rows_done = std::sync::atomic::AtomicU64::new(0);
-            let worker = || {
-                let t0 = Instant::now();
-                loop {
-                    let g = next.fetch_add(1, Ordering::Relaxed);
-                    if g >= n_groups {
-                        break;
-                    }
-                    if skip[g] {
-                        continue;
-                    }
-                    if let Err(c) = self
-                        .cancel
-                        .check(obs::Stage::Materialize, rows_done.load(Ordering::Relaxed))
-                    {
-                        first_err.lock().get_or_insert(FlworError::Cancelled(c));
-                        break;
-                    }
-                    let r = (|| -> Result<Seq, FlworError> {
-                        let group = &table.row_groups()[g];
-                        let rows = materialize_group(
-                            group,
-                            g,
-                            table.schema(),
-                            &leaves,
-                            preds,
-                            &self.trace,
-                        )?;
-                        let agg_span = self
-                            .trace
-                            .span_with(obs::Stage::Aggregate, || format!("group {g}"));
-                        self.busy_overhead(group.n_rows());
-                        let source = TableSource {
-                            rows: &rows,
-                            name: table.name(),
-                        };
-                        let interp = Interp::new(&module, &source)?;
-                        let out = interp.eval_body(&module, &Env::new());
-                        drop(interp);
-                        drop(rows);
-                        agg_span.finish();
-                        out
-                    })();
-                    match r {
-                        Ok(seq) => {
-                            rows_done.fetch_add(
-                                table.row_groups()[g].n_rows() as u64,
-                                Ordering::Relaxed,
-                            );
-                            results.lock().push((g, seq));
-                        }
-                        Err(e) => {
-                            first_err.lock().get_or_insert(e);
-                            break;
-                        }
-                    }
-                }
-                *cpu.lock() += t0.elapsed().as_secs_f64();
-            };
-            crossbeam::thread::scope(|s| {
-                for _ in 0..n_threads {
-                    s.spawn(|_| worker());
-                }
-            })
-            .expect("scope");
-            if let Some(e) = first_err.into_inner() {
-                return Err(e);
-            }
-            let mut parts = results.into_inner();
-            parts.sort_by_key(|(g, _)| *g);
-            parts.into_iter().flat_map(|(_, s)| s).collect()
+            let out = exec_par::for_each_group_ordered(
+                table.row_groups(),
+                n_threads,
+                &skip,
+                &self.cancel,
+                obs::Stage::Materialize,
+                |g, group| -> Result<Seq, FlworError> {
+                    let rows =
+                        materialize_group(group, g, table.schema(), &leaves, preds, &self.trace)?;
+                    let agg_span = self
+                        .trace
+                        .span_with(obs::Stage::Aggregate, || format!("group {g}"));
+                    eval_rows(rows, group.n_rows(), agg_span)
+                },
+            )?;
+            let items = out.partials.into_iter().flatten().collect();
+            (items, out.cpu_seconds, out.threads_used, no_recovery)
         };
 
         Ok(FlworOutput {
             items,
             stats: ExecStats {
                 wall_seconds: start.elapsed().as_secs_f64(),
-                cpu_seconds: cpu.into_inner(),
+                cpu_seconds,
                 threads_used,
                 row_groups_skipped: scan.groups_pruned,
                 scan,
-                recovery: morsel_rec,
+                recovery,
             },
         })
     }

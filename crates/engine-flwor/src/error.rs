@@ -78,3 +78,13 @@ impl From<obs::Cancelled> for FlworError {
         FlworError::Cancelled(c)
     }
 }
+
+impl From<physical_ir::PirError> for FlworError {
+    fn from(e: physical_ir::PirError) -> Self {
+        match e {
+            physical_ir::PirError::Columnar(c) => FlworError::from(c),
+            physical_ir::PirError::Cancelled(c) => FlworError::Cancelled(c),
+            e @ physical_ir::PirError::MorselPanic { .. } => FlworError::Dynamic(e.to_string()),
+        }
+    }
+}

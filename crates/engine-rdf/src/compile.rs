@@ -6,24 +6,17 @@
 //! targets a base column of the table. Anything else returns `None` and
 //! runs on the interpreter — fallback is always sound because the IR is
 //! only used when it provably computes the same fills.
-//!
-//! The contended merge model ([`ContentionModel::RootV622`]) also
-//! disqualifies a graph: its simulated lock cadence is defined per
-//! interpreted event, which is exactly the behaviour the study measures.
 
 use nf2_columnar::ScalarPredicate;
 use physical_ir::{ComputeNode, FilterNode, PhysPlan};
 
 use crate::dataframe::{Node, RDataFrame};
-use crate::exec::{resolve_column, ContentionModel};
+use crate::exec::resolve_column;
 
 /// Lowers a dataframe graph to a physical plan, or `None` when any part
 /// of it is opaque to the engine. `scalar_preds` are the run's already
 /// resolved declarative cuts, in node order.
 pub(crate) fn lower(df: &RDataFrame, scalar_preds: &[ScalarPredicate]) -> Option<PhysPlan> {
-    if df.options.contention != ContentionModel::Fixed {
-        return None;
-    }
     if df.bookings.len() != 1 {
         return None;
     }
@@ -119,17 +112,7 @@ mod tests {
     }
 
     #[test]
-    fn contended_model_and_multi_booking_fall_back() {
-        let contended = RDataFrame::new(
-            table(),
-            Options {
-                contention: ContentionModel::RootV622 { merge_every: 64 },
-                ..Options::default()
-            },
-        )
-        .histo1d(HistSpec::new(100, 0.0, 200.0), "MET_pt")
-        .df;
-        assert!(lower(&contended, &[]).is_none());
+    fn multi_booking_falls_back() {
         let multi = RDataFrame::new(table(), Options::default())
             .also_histo1d(HistSpec::new(100, 0.0, 200.0), "MET_pt")
             .also_histo1d(HistSpec::new(100, 0.0, 2000.0), "MET_sumet");

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use nf2_columnar::{SelCmp, SelValue, Table};
 use physics::HistSpec;
 
-use crate::exec::{self, ContentionModel, RunOutput};
+use crate::exec::{self, RunOutput};
 use crate::view::{ColValue, ColumnRegistry, EventView};
 
 /// Errors from graph construction or execution.
@@ -70,32 +70,35 @@ impl From<nf2_columnar::ColumnarError> for RdfError {
     }
 }
 
+impl From<physical_ir::PirError> for RdfError {
+    fn from(e: physical_ir::PirError) -> Self {
+        match e {
+            physical_ir::PirError::Columnar(c) => RdfError::from(c),
+            physical_ir::PirError::Cancelled(c) => RdfError::from(c),
+            e @ physical_ir::PirError::MorselPanic { .. } => RdfError::Exec(e.to_string()),
+        }
+    }
+}
+
 /// Execution options.
 #[derive(Clone, Copy, Debug)]
 pub struct Options {
     /// Worker threads (row-group granularity). 0 ⇒ all available cores.
     pub n_threads: usize,
-    /// Result-merging behaviour; see [`ContentionModel`].
-    pub contention: ContentionModel,
     /// Evaluate [`RDataFrame::filter_scalar`] cuts with vectorized kernels
     /// before the event loop (late materialization). Purely an
     /// execution-speed knob: scan accounting is defined by the declared
-    /// columns, and results are bit-identical either way. Ignored (falls
-    /// back to per-event evaluation) under [`ContentionModel::RootV622`],
-    /// whose simulated lock cadence is defined per *processed* event.
+    /// columns, and results are bit-identical either way.
     pub vectorized_filter: bool,
     /// Zone-map row-group pruning: [`RDataFrame::filter_scalar`] cuts are
     /// also evaluated against per-chunk min/max statistics at scan time,
     /// skipping row groups that provably contain no passing events
     /// (billed separately as `bytes_pruned`). Results are bin-identical
-    /// either way; applies to interpreted and compiled execution alike
-    /// and, unlike `vectorized_filter`, also under
-    /// [`ContentionModel::RootV622`] — a pruned group is never read, so
-    /// its events never reach the simulated lock in any model.
+    /// either way; applies to interpreted and compiled execution alike.
     pub zone_map_pruning: bool,
     /// Compiled execution: graphs recognized by the lowering pass (all
-    /// nodes declarative, one booking on a base column, contention-free
-    /// merging) run as fused batch kernels over the shared physical IR.
+    /// nodes declarative, one booking on a base column) run as fused
+    /// batch kernels over the shared physical IR.
     /// Unrecognized graphs always fall back to the interpreter, so this
     /// is purely an execution-speed knob — results are bin-identical.
     pub compile: bool,
@@ -120,7 +123,6 @@ impl Default for Options {
     fn default() -> Self {
         Options {
             n_threads: 0,
-            contention: ContentionModel::Fixed,
             vectorized_filter: true,
             zone_map_pruning: true,
             compile: true,

@@ -1,6 +1,5 @@
 //! The parallel event loop.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -9,34 +8,10 @@ use nf2_columnar::{
     ColumnChunk, ExecStats, Projection, PushdownCapability, RowGroup, ScalarPredicate,
     SelectionVector, Table,
 };
-use parking_lot::Mutex;
 use physics::Histogram;
 
 use crate::dataframe::{Node, RDataFrame, RdfError};
 use crate::view::{BaseColumn, ColValue, ColumnId, EventView};
-
-/// How workers publish partial results.
-///
-/// The paper reports that ROOT 6.22's RDataFrame loses performance beyond a
-/// certain core count due to lock contention (\[4\], \[28\], §4.1). We model the
-/// two ends of that spectrum:
-///
-/// * [`ContentionModel::Fixed`] — each worker merges its partial histograms
-///   once per row group (what a contention-free design does).
-/// * [`ContentionModel::RootV622`] — each worker merges into one global
-///   mutex-protected accumulator every `merge_every` events, serializing
-///   all workers on a single lock exactly like the v6.22 fill path.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ContentionModel {
-    /// Contention-free merging (the "fixed development version").
-    Fixed,
-    /// ROOT 6.22-like frequent global merging.
-    RootV622 {
-        /// Events between global merges; ROOT's effective batching was
-        /// small — 64 reproduces the reported cliff at high core counts.
-        merge_every: usize,
-    },
-}
 
 /// Result of one event loop.
 pub struct RunOutput {
@@ -70,12 +45,8 @@ fn widen(chunk: &ColumnChunk) -> Vec<f64> {
         .collect()
 }
 
-/// Materializes the base columns of one row group (shared with the
-/// low-level event loop).
-pub(crate) fn materialize_base(
-    group: &RowGroup,
-    paths: &[Path],
-) -> Result<Vec<BaseColumn>, RdfError> {
+/// Materializes the base columns of one row group.
+fn materialize_base(group: &RowGroup, paths: &[Path]) -> Result<Vec<BaseColumn>, RdfError> {
     paths
         .iter()
         .map(|p| {
@@ -87,6 +58,21 @@ pub(crate) fn materialize_base(
             })
         })
         .collect()
+}
+
+/// What user callbacks see of event `row`.
+fn view<'a>(
+    df: &'a RDataFrame,
+    base: &'a [BaseColumn],
+    row: usize,
+    defined: &'a [Option<ColValue>],
+) -> EventView<'a> {
+    EventView {
+        registry: &df.registry,
+        base,
+        row,
+        defined,
+    }
 }
 
 /// Executes the dataframe's event loop.
@@ -110,15 +96,8 @@ pub(crate) fn run(df: &RDataFrame) -> Result<RunOutput, RdfError> {
             cache,
             table_fingerprint: table.fingerprint(),
         });
-    let mk_faults = || {
-        df.fault_injector
-            .as_deref()
-            .map(|injector| nf2_columnar::ScanFaults {
-                injector,
-                table_name: table.name(),
-                table_fingerprint: table.fingerprint(),
-            })
-    };
+    let injector = df.fault_injector.as_deref();
+    let mk_faults = || injector.map(|i| nf2_columnar::ScanFaults::new(i, table));
     // Resolve booking targets.
     let booking_cols: Vec<ColumnId> = df
         .bookings
@@ -148,11 +127,8 @@ pub(crate) fn run(df: &RDataFrame) -> Result<RunOutput, RdfError> {
     // Hoisting every scalar cut to scan time is sound because cuts are
     // pure conjuncts: the surviving event set is order-independent, and
     // moving a cut *earlier* only strengthens the protection it gives
-    // later defines. Under the contended model the simulated lock cadence
-    // is defined per processed event, so cuts stay in the event loop.
-    let hoist = df.options.vectorized_filter
-        && df.options.contention == ContentionModel::Fixed
-        && !scalar_preds.is_empty();
+    // later defines.
+    let hoist = df.options.vectorized_filter && !scalar_preds.is_empty();
 
     // Fully-declarative graphs lower to the shared physical IR and run
     // as fused batch kernels; anything opaque stays on the interpreter.
@@ -162,15 +138,6 @@ pub(crate) fn run(df: &RDataFrame) -> Result<RunOutput, RdfError> {
         None
     };
 
-    let n_groups = table.row_groups().len();
-    let hw = std::thread::available_parallelism().map_or(4, |n| n.get());
-    let n_threads = if df.options.n_threads == 0 {
-        hw
-    } else {
-        df.options.n_threads
-    }
-    .max(1)
-    .min(n_groups.max(1));
     plan_span.finish();
 
     // Zone-map pruning reuses the resolved scalar cuts: they are pure
@@ -202,34 +169,16 @@ pub(crate) fn run(df: &RDataFrame) -> Result<RunOutput, RdfError> {
 
     if let Some(plan) = &compiled {
         let t0 = Instant::now();
-        let workers = df.options.parallel_workers;
-        let recovering = df.options.morsel_recovery;
-        let (bins, compiled_threads, morsel_rec) = if workers > 1 || recovering {
-            let opts = exec_par::ParOptions {
-                recovery: recovering.then(exec_par::RecoveryOptions::default),
-                ..exec_par::ParOptions::new(workers.max(1))
-            };
-            let morsel_faults = if recovering { mk_faults() } else { None };
-            exec_par::execute_with_faults(
-                plan,
-                table,
-                Some(&skip),
-                &df.trace,
-                &df.cancel,
-                None,
-                &opts,
-                morsel_faults,
-            )
-            .map(|(bins, stats)| (bins, stats.workers, stats.recovery))
-        } else {
-            physical_ir::execute(plan, table, Some(&skip), &df.trace, &df.cancel)
-                .map(|bins| (bins, 1, nf2_columnar::MorselRecovery::default()))
-        }
-        .map_err(|e| match e {
-            physical_ir::PirError::Columnar(c) => RdfError::from(c),
-            physical_ir::PirError::Cancelled(c) => RdfError::from(c),
-            e @ physical_ir::PirError::MorselPanic { .. } => RdfError::Exec(e.to_string()),
-        })?;
+        let (bins, compiled_threads, morsel_rec) = exec_par::execute_compiled(
+            plan,
+            table,
+            &skip,
+            &df.trace,
+            &df.cancel,
+            df.options.parallel_workers,
+            df.options.morsel_recovery,
+            mk_faults(),
+        )?;
         let mut h = Histogram::new(df.bookings[0].spec);
         for b in bins {
             h.add_bin_count(b, 1);
@@ -250,23 +199,22 @@ pub(crate) fn run(df: &RDataFrame) -> Result<RunOutput, RdfError> {
     let fresh =
         || -> Vec<Histogram> { df.bookings.iter().map(|b| Histogram::new(b.spec)).collect() };
 
-    let global: Mutex<Vec<Histogram>> = Mutex::new(fresh());
-    let next_group = AtomicUsize::new(0);
-    let cpu_seconds = Mutex::new(0.0f64);
-    // Rows of fully processed groups, for cancellation progress reports.
-    let rows_done = std::sync::atomic::AtomicU64::new(0);
+    // The event loop is one stage: per-group spans are its children, and
+    // the fan-out's scheduling and the merge are charged to it.
+    let loop_span = df
+        .trace
+        .span_with(obs::Stage::Aggregate, || "event loop".to_string());
+    let trace = loop_span.ctx();
 
-    let process_group = |group: &RowGroup,
-                         group_idx: usize,
-                         partial: &mut Vec<Histogram>,
-                         events_since_merge: &mut usize|
-     -> Result<(), RdfError> {
+    // One partial per row group, at every thread count: merged in group
+    // order below, the f64 moments are a function of the table alone.
+    let process_group = |group_idx: usize, group: &RowGroup| -> Result<Vec<Histogram>, RdfError> {
+        let mut partial = fresh();
         // Vectorized pre-pass: surviving rows are computed from the raw
         // typed chunks before the event loop sees anything.
         let sel: Option<SelectionVector> = if hoist {
-            let mut filter_span = df
-                .trace
-                .span_with(obs::Stage::Filter, || format!("group {group_idx}"));
+            let mut filter_span =
+                trace.span_with(obs::Stage::Filter, || format!("group {group_idx}"));
             let s = nf2_columnar::apply_predicates(group, &scalar_preds)?;
             if filter_span.is_enabled() {
                 filter_span.add_rows_in(s.n_rows() as u64);
@@ -274,20 +222,16 @@ pub(crate) fn run(df: &RDataFrame) -> Result<RunOutput, RdfError> {
             }
             filter_span.finish();
             if s.is_empty() {
-                return Ok(());
+                return Ok(partial);
             }
             Some(s)
         } else {
             None
         };
-        let decode_span = df
-            .trace
-            .span_with(obs::Stage::Decode, || format!("group {group_idx}"));
+        let decode_span = trace.span_with(obs::Stage::Decode, || format!("group {group_idx}"));
         let base = materialize_base(group, &base_paths)?;
         decode_span.finish();
-        let agg_span = df
-            .trace
-            .span_with(obs::Stage::Aggregate, || format!("group {group_idx}"));
+        let agg_span = trace.span_with(obs::Stage::Aggregate, || format!("group {group_idx}"));
         // Raw chunks for per-event scalar-cut evaluation when not hoisted.
         let sf_chunks: Vec<&ColumnChunk> = if hoist {
             Vec::new()
@@ -310,25 +254,11 @@ pub(crate) fn run(df: &RDataFrame) -> Result<RunOutput, RdfError> {
             for node in &df.nodes {
                 match node {
                     Node::Define { slot, func } => {
-                        let v = {
-                            let view = EventView {
-                                registry: &df.registry,
-                                base: &base,
-                                row,
-                                defined: &defined,
-                            };
-                            func(&view)
-                        };
+                        let v = func(&view(df, &base, row, &defined));
                         defined[*slot] = Some(v);
                     }
                     Node::Filter { func } => {
-                        let view = EventView {
-                            registry: &df.registry,
-                            base: &base,
-                            row,
-                            defined: &defined,
-                        };
-                        if !func(&view) {
+                        if !func(&view(df, &base, row, &defined)) {
                             passed = false;
                             break;
                         }
@@ -345,12 +275,7 @@ pub(crate) fn run(df: &RDataFrame) -> Result<RunOutput, RdfError> {
                 }
             }
             if passed {
-                let view = EventView {
-                    registry: &df.registry,
-                    base: &base,
-                    row,
-                    defined: &defined,
-                };
+                let view = view(df, &base, row, &defined);
                 for ((b, col), booking) in partial.iter_mut().zip(&booking_cols).zip(&df.bookings) {
                     match col {
                         ColumnId::Base(i) => match &base[*i] {
@@ -372,18 +297,6 @@ pub(crate) fn run(df: &RDataFrame) -> Result<RunOutput, RdfError> {
                     }
                 }
             }
-            // Contention model: frequent global merges under one lock.
-            if let ContentionModel::RootV622 { merge_every } = df.options.contention {
-                *events_since_merge += 1;
-                if *events_since_merge >= merge_every {
-                    let mut g = global.lock();
-                    for (dst, src) in g.iter_mut().zip(partial.iter()) {
-                        dst.merge(src);
-                    }
-                    *partial = fresh();
-                    *events_since_merge = 0;
-                }
-            }
         }
         // Freeing the decoded base columns is per-group work; charge it
         // to the aggregate span rather than the gap between spans.
@@ -391,60 +304,30 @@ pub(crate) fn run(df: &RDataFrame) -> Result<RunOutput, RdfError> {
         drop(sf_chunks);
         drop(base);
         agg_span.finish();
-        Ok(())
+        Ok(partial)
     };
 
-    let worker = || -> Result<(), RdfError> {
-        let t0 = Instant::now();
-        let mut partial = fresh();
-        let mut since_merge = 0usize;
-        loop {
-            let g = next_group.fetch_add(1, Ordering::Relaxed);
-            if g >= n_groups {
-                break;
-            }
-            if skip[g] {
-                continue;
-            }
-            let group = &table.row_groups()[g];
-            df.cancel
-                .check(obs::Stage::Aggregate, rows_done.load(Ordering::Relaxed))?;
-            process_group(group, g, &mut partial, &mut since_merge)?;
-            rows_done.fetch_add(group.n_rows() as u64, Ordering::Relaxed);
+    let out = exec_par::for_each_group_ordered(
+        table.row_groups(),
+        df.options.n_threads,
+        &skip,
+        &df.cancel,
+        obs::Stage::Aggregate,
+        process_group,
+    )?;
+    let mut histograms = fresh();
+    for partial in &out.partials {
+        for (dst, src) in histograms.iter_mut().zip(partial) {
+            dst.merge(src);
         }
-        {
-            let mut global = global.lock();
-            for (dst, src) in global.iter_mut().zip(partial.iter()) {
-                dst.merge(src);
-            }
-        }
-        *cpu_seconds.lock() += t0.elapsed().as_secs_f64();
-        Ok(())
-    };
-
-    if n_threads <= 1 {
-        worker()?;
-    } else {
-        crossbeam::thread::scope(|s| -> Result<(), RdfError> {
-            let mut handles = Vec::new();
-            for _ in 0..n_threads {
-                handles.push(s.spawn(|_| worker()));
-            }
-            for h in handles {
-                h.join().expect("worker panicked")?;
-            }
-            Ok(())
-        })
-        .expect("scope")?;
     }
-
-    let histograms = global.into_inner();
+    loop_span.finish();
     Ok(RunOutput {
         histograms,
         stats: ExecStats {
             wall_seconds: start.elapsed().as_secs_f64(),
-            cpu_seconds: cpu_seconds.into_inner(),
-            threads_used: n_threads,
+            cpu_seconds: out.cpu_seconds,
+            threads_used: out.threads_used,
             row_groups_skipped: scan.groups_pruned,
             scan,
             recovery: Default::default(),
@@ -654,24 +537,12 @@ mod tests {
     }
 
     #[test]
-    fn contention_model_produces_same_results() {
+    fn unknown_column_is_a_typed_error() {
         let (_, t) = test_table();
-        let mk = |contention| {
-            RDataFrame::new(
-                t.clone(),
-                Options {
-                    n_threads: 4,
-                    contention,
-                    ..Options::default()
-                },
-            )
-            .histo1d(HistSpec::new(100, 0.0, 200.0), "MET_pt")
-            .run()
-            .unwrap()
-        };
-        let fixed = mk(ContentionModel::Fixed);
-        let contended = mk(ContentionModel::RootV622 { merge_every: 16 });
-        assert!(fixed.histogram.counts_equal(&contended.histogram));
+        let out = RDataFrame::new(t, Options::default())
+            .histo1d(HistSpec::new(10, 0.0, 1.0), "Nope_pt")
+            .run();
+        assert!(matches!(out, Err(RdfError::UnknownColumn(c)) if c == "Nope_pt"));
     }
 
     #[test]
@@ -694,7 +565,7 @@ mod tests {
                 t.clone(),
                 Options {
                     n_threads: n,
-                    contention: ContentionModel::Fixed,
+                    compile: false,
                     ..Options::default()
                 },
             )
@@ -703,10 +574,10 @@ mod tests {
             .unwrap()
             .histogram
         };
+        // Full equality — bins and the f64 moments: partials are merged
+        // in row-group order, never in completion order.
         let h1 = run_with(1);
-        let h4 = run_with(4);
-        let h16 = run_with(16);
-        assert!(h1.counts_equal(&h4));
-        assert!(h1.counts_equal(&h16));
+        assert_eq!(h1, run_with(4));
+        assert_eq!(h1, run_with(16));
     }
 }

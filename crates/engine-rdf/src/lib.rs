@@ -31,28 +31,28 @@
 //! ## Execution model
 //!
 //! Booked actions execute in a single pass over the table, parallelized
-//! **across row groups** with `crossbeam` scoped threads (implicit
-//! multithreading, like `ROOT::EnableImplicitMT`). Defines are evaluated
-//! lazily per event and cached; filters cut the event short.
+//! **across row groups** (implicit multithreading, like
+//! `ROOT::EnableImplicitMT`) by the workspace's shared fan-out,
+//! `exec_par::for_each_group_ordered`. Defines are evaluated lazily per
+//! event and cached; filters cut the event short. Every row group fills
+//! its own partial histograms and the partials are merged in row-group
+//! order, so a result — bins and the `f64` moments alike — is a function
+//! of the table alone, at any thread count.
 //!
-//! ## The contention model
+//! ## The v6.22 scaling cliff
 //!
 //! The paper observes (§4.1, \[4\], \[28\]) that RDataFrame *degrades* beyond a
-//! certain core count due to lock contention on large multi-core machines.
-//! [`ContentionModel`] reproduces this as a documented simulation: in
-//! `RootV622` mode every worker merges its partial result into a shared
-//! mutex-protected accumulator every few events (as ROOT's histogram fill
-//! path did); in `Fixed` mode workers merge once per row group. The
-//! `ablation_contention` bench regenerates the scalability cliff.
+//! certain core count due to lock contention on its shared fill path. This
+//! engine has no such lock to contend on; the cliff is modelled where the
+//! figures take it from, the κ of
+//! `cloud_sim::perf::SelfManagedProfile::rdataframe_v622()`.
 
 mod compile;
 pub mod dataframe;
-pub mod eventloop;
 pub mod exec;
 pub mod view;
 
 pub use dataframe::{BookedHisto, Options, RDataFrame, RdfError};
-pub use eventloop::EventLoop;
-pub use exec::{ContentionModel, RunOutput};
+pub use exec::RunOutput;
 pub use nf2_columnar::{SelCmp, SelValue};
 pub use view::{ColValue, EventView};

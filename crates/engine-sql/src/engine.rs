@@ -2,7 +2,6 @@
 
 use std::collections::HashMap;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -11,7 +10,6 @@ use nf2_columnar::{
     ChunkCache, ExecStats, FaultInjector, Projection, RowGroup, ScalarPredicate, ScanCache,
     ScanFaults, ScanStats, Table,
 };
-use parking_lot::Mutex;
 
 use crate::ast::Script;
 use crate::dialect::Dialect;
@@ -218,7 +216,7 @@ impl SqlEngine {
 
         let mut scan = ScanStats::default();
         let mut table_projs: HashMap<String, Projection> = HashMap::new();
-        // Keep-masks over row groups (zone-map pruning); execution loops
+        // Skip-masks over row groups (zone-map pruning); execution loops
         // skip exactly the groups the scan accounting skipped.
         let mut masks: HashMap<String, Vec<bool>> = HashMap::new();
         for (name, table) in &self.tables {
@@ -252,11 +250,7 @@ impl SqlEngine {
             let scan_faults = if faults_at_morsels {
                 None
             } else {
-                self.fault_injector.as_deref().map(|injector| ScanFaults {
-                    injector,
-                    table_name: table.name(),
-                    table_fingerprint: table.fingerprint(),
-                })
+                self.scan_faults(table)
             };
             let preds = prune_preds.get(name).map_or(&[][..], |v| v.as_slice());
             let run = nf2_columnar::ScanRequest::new(table, &proj)
@@ -268,113 +262,85 @@ impl SqlEngine {
                 .prune(preds)
                 .run()?;
             scan.merge(&run.stats);
-            let keep = run
-                .skip
-                .map(|skip| skip.iter().map(|s| !s).collect())
-                .unwrap_or_else(|| vec![true; table.row_groups().len()]);
-            masks.insert(name.clone(), keep);
+            masks.insert(name.clone(), run.skip.expect("prune() was supplied"));
             table_projs.insert(name.clone(), proj);
         }
         let skipped_groups = scan.groups_pruned;
 
-        let cpu = Mutex::new(0.0f64);
         // Compiled execution binds to the template's base table; the
-        // zone-map keep-mask still applies (pruned groups are skipped by
+        // zone-map skip-mask still applies (pruned groups are skipped by
         // the executor exactly as the interpreter skips them).
         let compiled_exec = compiled.as_ref().and_then(|p| {
             let table = self.tables.get("events")?;
-            let mask = masks.get("events")?;
-            Some((p, table, mask))
+            let skip = masks.get("events")?;
+            Some((p, table, skip))
         });
-        let (relation, threads_used, morsel_rec) = if let Some((cplan, table, mask)) = compiled_exec
-        {
-            let t0 = Instant::now();
-            let skip: Vec<bool> = mask.iter().map(|keep| !keep).collect();
-            let workers = self.options.parallel_workers;
-            let recovering = self.options.morsel_recovery;
-            // Recovery runs through the pool even at one worker so a
-            // serial compiled query still gets the retry/quarantine path.
-            let (bins, compiled_threads, recovery) = if workers > 1 || recovering {
-                let opts = exec_par::ParOptions {
-                    recovery: recovering.then(exec_par::RecoveryOptions::default),
-                    ..exec_par::ParOptions::new(workers.max(1))
-                };
-                let morsel_faults = recovering
-                    .then(|| {
-                        self.fault_injector.as_deref().map(|injector| ScanFaults {
-                            injector,
-                            table_name: table.name(),
-                            table_fingerprint: table.fingerprint(),
-                        })
-                    })
-                    .flatten();
-                exec_par::execute_with_faults(
+        let (relation, cpu_seconds, threads_used, morsel_rec) =
+            if let Some((cplan, table, skip)) = compiled_exec {
+                let t0 = Instant::now();
+                let (bins, compiled_threads, recovery) = exec_par::execute_compiled(
                     cplan,
                     table,
-                    Some(&skip),
+                    skip,
                     &self.trace,
                     &self.cancel,
-                    None,
-                    &opts,
-                    morsel_faults,
-                )
-                .map(|(bins, stats)| (bins, stats.workers, stats.recovery))
+                    self.options.parallel_workers,
+                    self.options.morsel_recovery,
+                    self.scan_faults(table),
+                )?;
+                // The trivial final count, matching the binning tail's output
+                // contract: two columns (bin, n), one row per non-empty bin.
+                let mut counts: std::collections::BTreeMap<i64, i64> =
+                    std::collections::BTreeMap::new();
+                for b in bins {
+                    *counts.entry(b).or_insert(0) += 1;
+                }
+                let rel = Relation {
+                    cols: vec!["bin".to_string(), "n".to_string()],
+                    rows: counts
+                        .into_iter()
+                        .map(|(b, n)| vec![Value::Int(b), Value::Int(n)])
+                        .collect(),
+                };
+                (rel, t0.elapsed().as_secs_f64(), compiled_threads, recovery)
             } else {
-                physical_ir::execute(cplan, table, Some(&skip), &self.trace, &self.cancel)
-                    .map(|bins| (bins, 1, nf2_columnar::MorselRecovery::default()))
-            }
-            .map_err(|e| match e {
-                physical_ir::PirError::Columnar(c) => SqlError::from(c),
-                physical_ir::PirError::Cancelled(c) => SqlError::Cancelled(c),
-                e @ physical_ir::PirError::MorselPanic { .. } => SqlError::Eval(e.to_string()),
-            })?;
-            // The trivial final count, matching the binning tail's output
-            // contract: two columns (bin, n), one row per non-empty bin.
-            let mut counts: std::collections::BTreeMap<i64, i64> =
-                std::collections::BTreeMap::new();
-            for b in bins {
-                *counts.entry(b).or_insert(0) += 1;
-            }
-            let rel = Relation {
-                cols: vec!["bin".to_string(), "n".to_string()],
-                rows: counts
-                    .into_iter()
-                    .map(|(b, n)| vec![Value::Int(b), Value::Int(n)])
-                    .collect(),
+                let (rel, cpu_seconds, threads) = match (&merge_spec, table_projs.len()) {
+                    (Some(spec), 1) if self.options.partition_parallel => {
+                        self.run_parallel(&script, &udfs, &table_projs, &masks, filter_preds, spec)?
+                    }
+                    _ => {
+                        let t0 = Instant::now();
+                        let rel =
+                            self.run_serial(&script, &udfs, &table_projs, &masks, filter_preds)?;
+                        (rel, t0.elapsed().as_secs_f64(), 1)
+                    }
+                };
+                (
+                    rel,
+                    cpu_seconds,
+                    threads,
+                    nf2_columnar::MorselRecovery::default(),
+                )
             };
-            *cpu.lock() += t0.elapsed().as_secs_f64();
-            (rel, compiled_threads, recovery)
-        } else {
-            let (rel, threads) = match (&merge_spec, table_projs.len()) {
-                (Some(spec), 1) if self.options.partition_parallel => {
-                    let (name, proj) = table_projs.iter().next().expect("one table");
-                    let table = self.tables.get(name).expect("registered");
-                    let mask = masks.get(name).expect("mask built above");
-                    let preds = filter_preds.get(name).map_or(&[][..], |v| v.as_slice());
-                    self.run_parallel(&script, &udfs, name, table, proj, mask, preds, spec, &cpu)?
-                }
-                _ => {
-                    let t0 = Instant::now();
-                    let rel =
-                        self.run_serial(&script, &udfs, &table_projs, &masks, filter_preds)?;
-                    *cpu.lock() += t0.elapsed().as_secs_f64();
-                    (rel, 1)
-                }
-            };
-            (rel, threads, nf2_columnar::MorselRecovery::default())
-        };
 
         Ok(QueryOutput {
             relation,
             stats: ExecStats {
                 wall_seconds: start.elapsed().as_secs_f64(),
-                cpu_seconds: cpu.into_inner(),
+                cpu_seconds,
                 scan,
                 threads_used,
                 row_groups_skipped: skipped_groups,
                 recovery: morsel_rec,
             },
         })
+    }
+
+    /// The chaos-layer fault surface over `table`, when an injector is
+    /// attached.
+    fn scan_faults<'a>(&'a self, table: &'a Table) -> Option<ScanFaults<'a>> {
+        let injector = self.fault_injector.as_deref()?;
+        Some(ScanFaults::new(injector, table))
     }
 
     fn materialize_group(
@@ -431,12 +397,12 @@ impl SqlEngine {
         let mut relations = HashMap::new();
         for (name, proj) in projs {
             let table = self.tables.get(name).expect("registered");
-            let mask = masks.get(name).expect("mask built");
+            let skip = masks.get(name).expect("mask built");
             let preds = filters.get(name).map_or(&[][..], |v| v.as_slice());
             let mut rows = Vec::with_capacity(table.n_rows());
             let mut rows_done = 0u64;
-            for (idx, (g, keep)) in table.row_groups().iter().zip(mask).enumerate() {
-                if !keep {
+            for (idx, (g, skip)) in table.row_groups().iter().zip(skip).enumerate() {
+                if *skip {
                     continue;
                 }
                 self.cancel.check(obs::Stage::Materialize, rows_done)?;
@@ -458,115 +424,56 @@ impl SqlEngine {
         rel
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Evaluates the query per row group of the one referenced table and
+    /// merges the partial relations in group order: first-encounter order
+    /// decides output row order for grouped results with no ORDER BY, so
+    /// it must not depend on which worker finished first. Returns the
+    /// merged relation, summed worker CPU seconds and threads used.
     fn run_parallel(
         &self,
         script: &Script,
         udfs: &HashMap<String, Udf>,
-        table_name: &str,
-        table: &Arc<Table>,
-        proj: &Projection,
-        mask: &[bool],
-        preds: &[ScalarPredicate],
+        projs: &HashMap<String, Projection>,
+        masks: &HashMap<String, Vec<bool>>,
+        filters: &HashMap<String, Vec<ScalarPredicate>>,
         spec: &[ColMerge],
-        cpu: &Mutex<f64>,
-    ) -> Result<(Relation, usize), SqlError> {
-        let n_groups = table.row_groups().len();
-        let hw = std::thread::available_parallelism().map_or(4, |n| n.get());
-        let n_threads = if self.options.n_threads == 0 {
-            hw
-        } else {
-            self.options.n_threads
-        }
-        .max(1)
-        .min(n_groups.max(1));
-
-        let next = AtomicUsize::new(0);
-        // Partials are tagged with their group index and merged in group
-        // order below: completion order depends on thread scheduling, and
-        // first-encounter order decides output row order for grouped
-        // results with no ORDER BY.
-        let partials: Mutex<Vec<(usize, Relation)>> = Mutex::new(Vec::new());
-        let first_err: Mutex<Option<SqlError>> = Mutex::new(None);
-        // Rows of fully processed groups, shared so a cancellation
-        // observed by any worker reports total progress.
-        let rows_done = std::sync::atomic::AtomicU64::new(0);
-
-        let worker = || {
-            let t0 = Instant::now();
-            loop {
-                let g = next.fetch_add(1, Ordering::Relaxed);
-                if g >= n_groups {
-                    break;
-                }
-                if !mask[g] {
-                    continue;
-                }
-                if let Err(c) = self
-                    .cancel
-                    .check(obs::Stage::Materialize, rows_done.load(Ordering::Relaxed))
-                {
-                    first_err.lock().get_or_insert(SqlError::Cancelled(c));
-                    break;
-                }
-                let result = (|| -> Result<Relation, SqlError> {
-                    let rows =
-                        self.materialize_group(table, &table.row_groups()[g], g, proj, preds)?;
-                    // The aggregate span also covers building and freeing
-                    // the per-group context: releasing the materialized
-                    // rows is real per-group work.
-                    let agg_span = self
-                        .trace
-                        .span_with(obs::Stage::Aggregate, || format!("group {g}"));
-                    let mut relations = HashMap::new();
-                    relations.insert(table_name.to_string(), Rc::new(rows));
-                    let ctx = ExecContext {
-                        relations,
-                        udfs: udfs.clone(),
-                        dialect: self.dialect,
-                    };
-                    let root = Scope::root();
-                    let rel = exec::eval_query(&script.query, &ctx, &root);
-                    drop(ctx);
-                    agg_span.finish();
-                    rel
-                })();
-                match result {
-                    Ok(rel) => {
-                        rows_done
-                            .fetch_add(table.row_groups()[g].n_rows() as u64, Ordering::Relaxed);
-                        partials.lock().push((g, rel));
-                    }
-                    Err(e) => {
-                        first_err.lock().get_or_insert(e);
-                        break;
-                    }
-                }
-            }
-            *cpu.lock() += t0.elapsed().as_secs_f64();
-        };
-
-        if n_threads <= 1 {
-            worker();
-        } else {
-            crossbeam::thread::scope(|s| {
-                for _ in 0..n_threads {
-                    s.spawn(|_| worker());
-                }
-            })
-            .expect("scope");
-        }
-        if let Some(e) = first_err.into_inner() {
-            return Err(e);
-        }
+    ) -> Result<(Relation, f64, usize), SqlError> {
+        let (name, proj) = projs.iter().next().expect("one table");
+        let table = self.tables.get(name).expect("registered");
+        let preds = filters.get(name).map_or(&[][..], |v| v.as_slice());
+        let out = exec_par::for_each_group_ordered(
+            table.row_groups(),
+            self.options.n_threads,
+            masks.get(name).expect("mask built"),
+            &self.cancel,
+            obs::Stage::Materialize,
+            |g, group| -> Result<Relation, SqlError> {
+                let rows = self.materialize_group(table, group, g, proj, preds)?;
+                // The aggregate span also covers building and freeing
+                // the per-group context: releasing the materialized
+                // rows is real per-group work.
+                let agg_span = self
+                    .trace
+                    .span_with(obs::Stage::Aggregate, || format!("group {g}"));
+                let mut relations = HashMap::new();
+                relations.insert(name.clone(), Rc::new(rows));
+                let ctx = ExecContext {
+                    relations,
+                    udfs: udfs.clone(),
+                    dialect: self.dialect,
+                };
+                let root = Scope::root();
+                let rel = exec::eval_query(&script.query, &ctx, &root);
+                drop(ctx);
+                agg_span.finish();
+                rel
+            },
+        )?;
         let merge_span = self
             .trace
             .span_with(obs::Stage::Aggregate, || "merge".to_string());
-        let mut partials = partials.into_inner();
-        partials.sort_by_key(|(g, _)| *g);
-        let merged = merge_partials(partials.into_iter().map(|(_, r)| r).collect(), spec)?;
+        let mut merged = merge_partials(out.partials, spec)?;
         // Re-apply root ORDER BY on the merged result.
-        let mut merged = merged;
         if !script.query.order_by.is_empty() {
             let ctx = ExecContext {
                 relations: HashMap::new(),
@@ -577,7 +484,7 @@ impl SqlEngine {
             exec::sort_relation_pub(&mut merged, &script.query.order_by, &ctx, &root)?;
         }
         merge_span.finish();
-        Ok((merged, n_threads))
+        Ok((merged, out.cpu_seconds, out.threads_used))
     }
 }
 

@@ -79,6 +79,17 @@
 //! [`ScanFaults::probe_group`], whose decisions are pure functions of
 //! `(fingerprint, group, leaf)` — the same schedule the serial pre-pass
 //! would have seen.
+//!
+//! ## The interpreted fan-out
+//!
+//! The interpreters parallelize over the same unit through
+//! [`for_each_group_ordered`], their one claim-a-group loop; its
+//! per-group results come back in group order, so their merges are as
+//! schedule-independent as the exchange's.
+
+mod ordered;
+
+pub use ordered::{for_each_group_ordered, resolve_threads, OrderedPartials};
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -364,6 +375,28 @@ impl Pool<'_> {
         }
     }
 
+    /// Accrues a morsel's result exactly once: global progress, the
+    /// worker span's row counters, and the partial for the exchange.
+    fn accrue(
+        &self,
+        g: usize,
+        bins: Vec<i64>,
+        provenance: Provenance,
+        span: &mut obs::SpanGuard,
+        out: &mut Vec<PartialAgg>,
+    ) {
+        let rows = self.groups[g].n_rows() as u64;
+        self.rows_done.fetch_add(rows, Ordering::Relaxed);
+        span.add_rows_in(rows);
+        span.add_rows_out(bins.len() as u64);
+        out.push(PartialAgg {
+            group: g,
+            bins,
+            rows,
+            provenance,
+        });
+    }
+
     /// The fail-fast claim: front of own deque, else the back of the
     /// first non-empty victim in visit order.
     fn claim(&self, w: usize, order: &[usize]) -> Option<(usize, bool)> {
@@ -478,18 +511,7 @@ impl Pool<'_> {
             let group = &self.groups[g_idx];
             let mut bins = Vec::new();
             match execute_group(self.plan, group, &mut scratch, &mut bins) {
-                Ok(()) => {
-                    let rows = group.n_rows() as u64;
-                    self.rows_done.fetch_add(rows, Ordering::Relaxed);
-                    span.add_rows_in(rows);
-                    span.add_rows_out(bins.len() as u64);
-                    out.push(PartialAgg {
-                        group: g_idx,
-                        bins,
-                        rows,
-                        provenance: Provenance::first(w),
-                    });
-                }
+                Ok(()) => self.accrue(g_idx, bins, Provenance::first(w), &mut span, &mut out),
                 Err(e) => {
                     self.fail(PirError::Columnar(e));
                     break;
@@ -545,20 +567,12 @@ impl Pool<'_> {
                     match self.run_one(g, &mut scratch) {
                         Ok(bins) => {
                             if self.try_win(g) {
-                                let rows = self.groups[g].n_rows() as u64;
-                                self.rows_done.fetch_add(rows, Ordering::Relaxed);
-                                span.add_rows_in(rows);
-                                span.add_rows_out(bins.len() as u64);
-                                out.push(PartialAgg {
-                                    group: g,
-                                    bins,
-                                    rows,
-                                    provenance: Provenance {
-                                        worker: w,
-                                        attempt: 1,
-                                        speculative: true,
-                                    },
-                                });
+                                let provenance = Provenance {
+                                    worker: w,
+                                    attempt: 1,
+                                    speculative: true,
+                                };
+                                self.accrue(g, bins, provenance, &mut span, &mut out);
                             }
                         }
                         // A failing speculation never fails the query —
@@ -604,20 +618,12 @@ impl Pool<'_> {
                             .lock()
                             .push(started.elapsed().as_secs_f64());
                         if self.try_win(g) {
-                            let rows = self.groups[g].n_rows() as u64;
-                            self.rows_done.fetch_add(rows, Ordering::Relaxed);
-                            span.add_rows_in(rows);
-                            span.add_rows_out(bins.len() as u64);
-                            out.push(PartialAgg {
-                                group: g,
-                                bins,
-                                rows,
-                                provenance: Provenance {
-                                    worker: w,
-                                    attempt: attempts,
-                                    speculative: false,
-                                },
-                            });
+                            let provenance = Provenance {
+                                worker: w,
+                                attempt: attempts,
+                                speculative: false,
+                            };
+                            self.accrue(g, bins, provenance, &mut span, &mut out);
                         }
                         continue 'claim;
                     }
@@ -721,20 +727,12 @@ impl Pool<'_> {
                 match self.run_one(g, &mut scratch) {
                     Ok(bins) => {
                         if self.try_win(g) {
-                            let rows = self.groups[g].n_rows() as u64;
-                            self.rows_done.fetch_add(rows, Ordering::Relaxed);
-                            span.add_rows_in(rows);
-                            span.add_rows_out(bins.len() as u64);
-                            out.push(PartialAgg {
-                                group: g,
-                                bins,
-                                rows,
-                                provenance: Provenance {
-                                    worker: 0,
-                                    attempt: attempts,
-                                    speculative: false,
-                                },
-                            });
+                            let provenance = Provenance {
+                                worker: 0,
+                                attempt: attempts,
+                                speculative: false,
+                            };
+                            self.accrue(g, bins, provenance, &mut span, &mut out);
                         }
                         break;
                     }
@@ -801,6 +799,49 @@ pub fn execute_with_faults(
         run_morsels_with_faults(plan, table, skip, trace, cancel, metrics, opts, faults)?;
     let bins = exchange.merge(cancel)?;
     Ok((bins, stats))
+}
+
+/// The engines' compiled-execution entry point: `workers > 1` or
+/// `recovery` runs `plan` on the morsel pool ([`execute_with_faults`] —
+/// recovery goes through the pool even at one worker, so a serial
+/// compiled query still gets the retry/quarantine ladder), anything else
+/// on the serial [`physical_ir::execute`]. Returns the bin-index
+/// sequence, the workers used and the recovery counters.
+///
+/// `faults` is the morsel fault surface and is attached only with
+/// `recovery` on; without it the engines keep the injector on their scan
+/// pre-pass.
+#[allow(clippy::too_many_arguments)]
+pub fn execute_compiled(
+    plan: &PhysPlan,
+    table: &Table,
+    skip: &[bool],
+    trace: &TraceCtx,
+    cancel: &CancelToken,
+    workers: usize,
+    recovery: bool,
+    faults: Option<ScanFaults<'_>>,
+) -> Result<(Vec<i64>, usize, MorselRecovery), PirError> {
+    if workers <= 1 && !recovery {
+        let bins = physical_ir::execute(plan, table, Some(skip), trace, cancel)?;
+        return Ok((bins, 1, MorselRecovery::default()));
+    }
+    let opts = if recovery {
+        ParOptions::recovering(workers.max(1))
+    } else {
+        ParOptions::new(workers)
+    };
+    let (bins, stats) = execute_with_faults(
+        plan,
+        table,
+        Some(skip),
+        trace,
+        cancel,
+        None,
+        &opts,
+        faults.filter(|_| recovery),
+    )?;
+    Ok((bins, stats.workers, stats.recovery))
 }
 
 /// The execution phase of [`execute`]: runs every non-skipped row group
@@ -994,14 +1035,6 @@ mod tests {
             &CancelToken::none(),
         )
         .unwrap()
-    }
-
-    fn faults_for<'f>(injector: &'f FaultInjector, table: &'f Table) -> ScanFaults<'f> {
-        ScanFaults {
-            injector,
-            table_name: "events",
-            table_fingerprint: table.fingerprint(),
-        }
     }
 
     #[test]
@@ -1200,7 +1233,7 @@ mod tests {
                         steal_seed,
                         recovery: Some(recovery_opts()),
                     },
-                    Some(faults_for(&injector, &table)),
+                    Some(ScanFaults::new(&injector, &table)),
                 )
                 .unwrap();
                 assert!(
@@ -1238,7 +1271,7 @@ mod tests {
                 recovery: Some(recovery_opts()),
                 ..ParOptions::new(2)
             },
-            Some(faults_for(&injector, &table)),
+            Some(ScanFaults::new(&injector, &table)),
         )
         .unwrap_err();
         match err {
@@ -1275,7 +1308,7 @@ mod tests {
                     }),
                     ..ParOptions::new(4)
                 },
-                Some(faults_for(&injector, &table)),
+                Some(ScanFaults::new(&injector, &table)),
             )
             .unwrap();
             assert_eq!(bins, want, "panic_budget={panic_budget}");
@@ -1311,7 +1344,7 @@ mod tests {
                 }),
                 ..ParOptions::new(2)
             },
-            Some(faults_for(&injector, &table)),
+            Some(ScanFaults::new(&injector, &table)),
         )
         .unwrap_err();
         match err {
@@ -1351,7 +1384,7 @@ mod tests {
                 }),
                 ..ParOptions::new(2)
             },
-            Some(faults_for(&injector, &table)),
+            Some(ScanFaults::new(&injector, &table)),
         )
         .unwrap();
         assert_eq!(bins, want);
@@ -1399,7 +1432,7 @@ mod tests {
                 }),
                 ..ParOptions::new(2)
             },
-            Some(faults_for(&injector, &table)),
+            Some(ScanFaults::new(&injector, &table)),
         )
         .unwrap();
         assert_eq!(
@@ -1431,7 +1464,7 @@ mod tests {
             &CancelToken::none(),
             None,
             &ParOptions::new(2),
-            Some(faults_for(&injector, &table)),
+            Some(ScanFaults::new(&injector, &table)),
         )
         .unwrap_err();
         assert!(

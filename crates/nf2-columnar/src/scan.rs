@@ -115,7 +115,16 @@ pub struct ScanFaults<'f> {
     pub table_fingerprint: u64,
 }
 
-impl ScanFaults<'_> {
+impl<'f> ScanFaults<'f> {
+    /// Attaches `injector` to scans of `table`.
+    pub fn new(injector: &'f FaultInjector, table: &'f Table) -> ScanFaults<'f> {
+        ScanFaults {
+            injector,
+            table_name: table.name(),
+            table_fingerprint: table.fingerprint(),
+        }
+    }
+
     /// Probes every given leaf chunk of one row group through the
     /// injector — the **morsel-level fault surface**. A parallel executor
     /// re-reading a row group as a morsel calls this with the plan's read

@@ -5,6 +5,11 @@
 //! histograms through the engines, and identical `ScanStats` (scan
 //! accounting is a serial pre-pass, so a stolen or re-queued morsel can
 //! never be double-billed).
+//!
+//! The interpreters honor the same contract through the one ordered
+//! row-group fan-out (`exec_par::for_each_group_ordered`): per-group
+//! partials are merged in group order, so the *whole* histogram — bins
+//! and the `f64` moments — is identical at any `n_threads`.
 
 use std::sync::Arc;
 
@@ -162,6 +167,62 @@ fn flwor_and_rdf_parallel_results_match_serial() {
             q.name()
         );
         assert_eq!(rdf_par.stats.scan, rdf_serial.stats.scan);
+    }
+}
+
+/// The interpreted paths: RDataFrame's event loop, SQL's partition-parallel
+/// aggregation and the FLWOR partition arm all merge per-row-group
+/// partials in group order, so the full histogram (`==`, moments
+/// included) and the scan accounting are independent of `n_threads`.
+#[test]
+fn interpreted_histograms_identical_at_any_thread_count() {
+    let table = table();
+    let env = adapters::ExecEnv::seed();
+    let assert_same = |what: &str, q: QueryId, run: &dyn Fn(usize) -> adapters::EngineRun| {
+        let serial = run(1);
+        for n_threads in [2, 8] {
+            let par = run(n_threads);
+            assert_eq!(
+                par.histogram,
+                serial.histogram,
+                "{what} {}: histogram depends on n_threads={n_threads}",
+                q.name()
+            );
+            assert_eq!(
+                par.stats.scan,
+                serial.stats.scan,
+                "{what} {}: scan accounting depends on n_threads={n_threads}",
+                q.name()
+            );
+        }
+    };
+    for &q in ALL_QUERIES {
+        assert_same("RDataFrame", q, &|n_threads| {
+            let options = hepquery::rdataframe::Options {
+                n_threads,
+                compile: false,
+                ..Default::default()
+            };
+            adapters::run_rdf_env(&table, q, options, &env).unwrap()
+        });
+    }
+    for q in [QueryId::Q1, QueryId::Q4, QueryId::Q5] {
+        assert_same("Presto", q, &|n_threads| {
+            let options = SqlOptions {
+                n_threads,
+                compile: false,
+                ..SqlOptions::default()
+            };
+            adapters::run_sql_env(Dialect::presto(), &table, q, options, &env).unwrap()
+        });
+        assert_same("JSONiq", q, &|n_threads| {
+            let options = hepquery::jsoniq::FlworOptions {
+                n_threads,
+                compile: false,
+                ..Default::default()
+            };
+            adapters::run_jsoniq_env(&table, q, options, &env).unwrap()
+        });
     }
 }
 
