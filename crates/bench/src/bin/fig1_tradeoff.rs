@@ -7,13 +7,13 @@
 //! against the reference); wall times and costs come from the cloud
 //! simulator as described in DESIGN.md.
 
-use hepbench_bench::{dataset, fmt_secs, fmt_usd};
+use hepbench_bench::{dataset, dataset_spec, fmt_secs, fmt_usd};
 use hepbench_core::adapters::ExecEnv;
 use hepbench_core::runner::{run_one, System, ALL_SYSTEMS};
 use hepbench_core::{reference, ALL_QUERIES};
 
 fn main() {
-    let (events, table) = dataset();
+    let (events, table) = dataset(dataset_spec(65_536, None));
     let env = ExecEnv::seed();
     println!("Figure 1 — running time vs cost per query and system");
     for q in ALL_QUERIES {

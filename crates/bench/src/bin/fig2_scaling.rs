@@ -1,97 +1,53 @@
-//! Regenerates **Figure 2** (running time vs data-set size) and the
-//! intra-query **scaling study** over the morsel-parallel compiled
-//! executor (paper Figure 4c: per-core throughput vs core count).
+//! Regenerates **Figure 2** (running time vs data-set size) and gates
+//! the determinism of the morsel-parallel compiled executor.
 //!
 //! Two modes:
 //!
-//! * Default — two studies back to back:
-//!   1. The paper's Figure 2 sweep: power-of-two prefixes of the data
-//!      set through every system's calibrated paper deployment
-//!      (`Table::head` keeps prefixes row-group-aligned, preserving the
-//!      parallelization-granularity plateau).
-//!   2. The scaling study: sharded data sets at ≥3 scales
-//!      ([`SHARD_LADDER`]) × ≥3 worker counts ([`WORKERS`]) over three
-//!      compiled plans (two scan-bound, one compute-bound trijet), each
-//!      point checked **byte-identical** to the serial executor, with
-//!      events/s, per-core events/s, steal counts, and the simulated
-//!      self-managed cost on the smallest m5d instance with enough
-//!      cores. The study is merged as a `"scaling"` section into
-//!      `BENCH_SMOKE_OUT` (default `BENCH_smoke.json`).
+//! * Default — the paper's Figure 2 sweep: power-of-two prefixes of the
+//!   data set through every system's calibrated paper deployment
+//!   (`Table::head` keeps prefixes row-group-aligned, preserving the
+//!   parallelization-granularity plateau).
 //!
-//! * `--check` — the CI gate, watchdog-guarded
-//!   (`HEPQUERY_SCALING_WATCHDOG`, default 600 s). Always enforced:
-//!   byte-identity of every (scale × plan × workers × steal-seed) point
-//!   against serial execution, and an end-to-end engine check that the
-//!   SQL engine at 4 workers reproduces the serial histogram *and*
-//!   `ScanStats` (no double-billed morsels). On hosts with ≥
-//!   [`MIN_CORES_FOR_SPEEDUP_GATES`] cores it additionally requires ≥
-//!   [`MIN_PAR_SPEEDUP`]× speedup at 4 workers on the compute-bound
-//!   trijet plan and near-monotone non-increasing wall times on the
-//!   scan-bound plans; on smaller hosts those two gates are skipped
-//!   loudly (the determinism gates still run).
+//! * `--check` — the CI gate: sharded data sets at three scales
+//!   ([`SHARD_LADDER`]) × four worker counts ([`WORKERS`]) × two
+//!   adversarial steal seeds ([`STEAL_SEEDS`]) over three compiled plans
+//!   (two scan-bound, one compute-bound trijet); every point must be
+//!   **byte-identical** to the serial executor. Parallel *throughput* is
+//!   the `parallel_scaling` workload of `benchmark/`, not this gate.
 //!
-//! Scale knobs: `HEPQUERY_EVENTS` (events **per shard**),
-//! `HEPQUERY_ROW_GROUP`, `HEPQUERY_SEED`, `HEPQUERY_SCALING_WATCHDOG`.
+//! Scale knobs: `HEPQUERY_EVENTS` (events **per shard** under `--check`),
+//! `HEPQUERY_ROW_GROUP`, `HEPQUERY_SEED`, `HEPQUERY_WATCHDOG`.
 
-use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-use engine_sql::{Dialect, SqlOptions};
 use exec_par::ParOptions;
 use hep_model::{build_sharded_table, ShardedSpec};
-use hepbench_bench::{dataset, fmt_secs, fmt_usd};
-use hepbench_core::adapters::{run_sql_env, ExecEnv};
+use hepbench_bench::{dataset, dataset_spec, fmt_secs, run_gate};
+use hepbench_core::adapters::ExecEnv;
 use hepbench_core::runner::{run_one, System};
 use hepbench_core::QueryId;
 use nested_value::Path;
-use nf2_columnar::{ScalarPredicate, SelCmp, SelValue, Table};
+use nf2_columnar::{ScalarPredicate, SelCmp, SelValue};
 use physical_ir::{ComputeNode, FilterNode, PhysPlan, TrijetCompute, TrijetPlot};
 use physics::HistSpec;
 
-/// Shard counts of the scaling ladder (data volume = shards × events
-/// per shard); three scales as in the paper's size sweeps.
+/// Shard counts of the gate's ladder (data volume = shards × events per
+/// shard); three scales as in the paper's size sweeps.
 const SHARD_LADDER: [usize; 3] = [1, 2, 4];
 
-/// Worker counts of each scaling curve.
+/// Worker counts every plan runs at.
 const WORKERS: [usize; 4] = [1, 2, 4, 8];
 
-/// Timed runs per point; the minimum wall time is kept.
-const RUNS: usize = 3;
-
-/// Steal seeds the `--check` byte-identity sweep runs each point under.
+/// Steal seeds every point runs under.
 const STEAL_SEEDS: [u64; 2] = [0x5EED, u64::MAX];
-
-/// The 4-worker speedup the compute-bound plan must reach in `--check`.
-const MIN_PAR_SPEEDUP: f64 = 2.0;
-
-/// Wall times on scan-bound plans may rise by at most this factor per
-/// added-worker step in `--check` (slack for scheduler noise on top of
-/// "monotone non-increasing").
-const MONOTONE_SLACK: f64 = 1.15;
-
-/// Speedup/monotonicity gates only run with at least this many cores;
-/// the container running the gate must actually have the parallelism
-/// the gate asserts.
-const MIN_CORES_FOR_SPEEDUP_GATES: usize = 4;
-
-/// One compiled plan of the scaling study.
-struct ScalePlan {
-    name: &'static str,
-    /// Scan-bound plans gate on monotone wall times; the compute-bound
-    /// trijet plan gates on absolute speedup.
-    scan_bound: bool,
-    plan: PhysPlan,
-}
 
 /// The three studied plans: two scan-bound fills (Q1/Q2-shaped) and the
 /// compute-bound Q6 trijet kernel.
-fn plans() -> Vec<ScalePlan> {
+fn plans() -> Vec<(&'static str, PhysPlan)> {
     vec![
-        ScalePlan {
-            name: "q1-metpt",
-            scan_bound: true,
-            plan: PhysPlan {
+        (
+            "q1-metpt",
+            PhysPlan {
                 filters: vec![FilterNode::Scalar(ScalarPredicate {
                     leaf: Path::parse("MET.pt"),
                     cmp: SelCmp::Gt,
@@ -102,11 +58,10 @@ fn plans() -> Vec<ScalePlan> {
                 },
                 spec: HistSpec::new(100, 0.0, 200.0),
             },
-        },
-        ScalePlan {
-            name: "q2-jetpt",
-            scan_bound: true,
-            plan: PhysPlan {
+        ),
+        (
+            "q2-jetpt",
+            PhysPlan {
                 filters: vec![],
                 compute: ComputeNode::ListFill {
                     leaf: Path::parse("Jet.pt"),
@@ -114,11 +69,10 @@ fn plans() -> Vec<ScalePlan> {
                 },
                 spec: HistSpec::new(100, 15.0, 60.0),
             },
-        },
-        ScalePlan {
-            name: "q6-trijet",
-            scan_bound: false,
-            plan: PhysPlan {
+        ),
+        (
+            "q6-trijet",
+            PhysPlan {
                 filters: vec![FilterNode::ListCount {
                     leaf: Path::parse("Jet.pt"),
                     elem: None,
@@ -136,317 +90,8 @@ fn plans() -> Vec<ScalePlan> {
                 }),
                 spec: HistSpec::new(100, 15.0, 40.0),
             },
-        },
+        ),
     ]
-}
-
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// The sharded base spec: `HEPQUERY_EVENTS` is the per-shard event
-/// count so the ladder scales data volume without changing per-shard
-/// content (shard seeds are shard-count-independent).
-fn sharded_spec(default_events_per_shard: usize) -> ShardedSpec {
-    let events_per_shard = env_usize("HEPQUERY_EVENTS", default_events_per_shard);
-    ShardedSpec {
-        events_per_shard,
-        shards: 1,
-        row_group_size: env_usize("HEPQUERY_ROW_GROUP", (events_per_shard / 32).max(1)),
-        seed: env_usize("HEPQUERY_SEED", 0xAD1B70) as u64,
-    }
-}
-
-/// One measured point of the scaling study.
-struct ScalePoint {
-    query: &'static str,
-    scan_bound: bool,
-    shards: usize,
-    events: usize,
-    workers: usize,
-    effective_workers: usize,
-    wall_seconds: f64,
-    events_per_sec: f64,
-    events_per_sec_per_core: f64,
-    morsels: u64,
-    steals: u64,
-    instance: &'static str,
-    cost_usd: f64,
-}
-
-/// Smallest m5d instance with at least `workers` physical cores (the
-/// self-managed deployment the point's cost is simulated on).
-fn instance_for(workers: usize) -> &'static cloud_sim::InstanceType {
-    cloud_sim::instances::M5D_CATALOG
-        .iter()
-        .find(|i| i.cores >= workers)
-        .unwrap_or_else(|| cloud_sim::instances::M5D_CATALOG.last().expect("catalog"))
-}
-
-/// Runs one (plan × table × workers) point `RUNS` times, asserts every
-/// run's bins are byte-identical to `serial`, and returns the
-/// min-of-runs measurement.
-fn measure_point(
-    sp: &ScalePlan,
-    table: &Arc<Table>,
-    shards: usize,
-    workers: usize,
-    steal_seed: u64,
-    serial: &[i64],
-) -> ScalePoint {
-    let opts = ParOptions {
-        workers,
-        steal_seed,
-        recovery: None,
-    };
-    let mut wall = f64::INFINITY;
-    let mut stats = exec_par::ParStats::default();
-    for _ in 0..RUNS {
-        let t0 = Instant::now();
-        let (bins, s) = exec_par::execute(
-            &sp.plan,
-            table,
-            None,
-            &obs::TraceCtx::disabled(),
-            &obs::CancelToken::none(),
-            None,
-            &opts,
-        )
-        .expect("parallel execution");
-        wall = wall.min(t0.elapsed().as_secs_f64());
-        assert_eq!(
-            bins, serial,
-            "{}: parallel bins diverged from serial at {workers} workers (seed {steal_seed:#x})",
-            sp.name
-        );
-        stats = s;
-    }
-    let events = table.n_rows();
-    let inst = instance_for(workers);
-    ScalePoint {
-        query: sp.name,
-        scan_bound: sp.scan_bound,
-        shards,
-        events,
-        workers,
-        effective_workers: stats.workers,
-        wall_seconds: wall,
-        events_per_sec: events as f64 / wall,
-        events_per_sec_per_core: events as f64 / wall / stats.workers as f64,
-        morsels: stats.morsels,
-        steals: stats.steals,
-        instance: inst.name,
-        cost_usd: cloud_sim::pricing::self_managed_cost_usd(wall, inst),
-    }
-}
-
-/// Runs the full scaling grid (ladder × plans × workers); every point
-/// is byte-identity-checked against serial execution on the way.
-fn run_grid(base: ShardedSpec, steal_seed: u64) -> Vec<ScalePoint> {
-    let mut points = Vec::new();
-    for shards in SHARD_LADDER {
-        let spec = base.with_shards(shards);
-        let table = Arc::new(build_sharded_table(spec));
-        eprintln!(
-            "# scale: {} shards x {} events = {} events, {} row groups",
-            shards,
-            spec.events_per_shard,
-            table.n_rows(),
-            table.row_groups().len()
-        );
-        for sp in plans() {
-            let serial = physical_ir::execute(
-                &sp.plan,
-                &table,
-                None,
-                &obs::TraceCtx::disabled(),
-                &obs::CancelToken::none(),
-            )
-            .expect("serial execution");
-            for workers in WORKERS {
-                let p = measure_point(&sp, &table, shards, workers, steal_seed, &serial);
-                eprintln!(
-                    "  {:10} w={:2} (eff {:2}): {:>10} wall, {:>12.0} ev/s, {:>12.0} ev/s/core, {:3} morsels, {:3} steals, {} {}",
-                    p.query,
-                    p.workers,
-                    p.effective_workers,
-                    fmt_secs(p.wall_seconds),
-                    p.events_per_sec,
-                    p.events_per_sec_per_core,
-                    p.morsels,
-                    p.steals,
-                    p.instance,
-                    fmt_usd(p.cost_usd),
-                );
-                points.push(p);
-            }
-        }
-    }
-    points
-}
-
-/// End-to-end determinism check through the SQL engine: 4 requested
-/// workers must reproduce the serial histogram **and** `ScanStats`
-/// (scan accounting is a serial pre-pass; a stolen morsel must never be
-/// billed twice). Returns failure count.
-fn check_engine_determinism(table: &Arc<Table>) -> usize {
-    let mut failures = 0;
-    for q in [QueryId::Q1, QueryId::Q5, QueryId::Q6a] {
-        let run = |workers: Option<usize>| {
-            run_sql_env(
-                Dialect::presto(),
-                table,
-                q,
-                SqlOptions::default(),
-                &ExecEnv {
-                    parallel_workers: workers,
-                    ..ExecEnv::seed()
-                },
-            )
-            .unwrap_or_else(|e| panic!("{e}"))
-        };
-        let serial = run(None);
-        let par = run(Some(4));
-        if !par.histogram.counts_equal(&serial.histogram) {
-            eprintln!("# FAIL: {} histogram diverged at 4 workers", q.name());
-            failures += 1;
-        }
-        if par.stats.scan != serial.stats.scan {
-            eprintln!(
-                "# FAIL: {} scan accounting perturbed by parallelism (double-billing?)",
-                q.name()
-            );
-            failures += 1;
-        }
-    }
-    if failures == 0 {
-        eprintln!("# engine determinism: histograms and ScanStats identical at 4 workers");
-    }
-    failures
-}
-
-/// The `--check` speedup/monotonicity gates over a measured grid.
-/// Byte-identity was already asserted while measuring.
-fn check_gates(points: &[ScalePoint]) -> usize {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if cores < MIN_CORES_FOR_SPEEDUP_GATES {
-        eprintln!(
-            "# SKIP: host has {cores} core(s) < {MIN_CORES_FOR_SPEEDUP_GATES}; speedup and \
-             monotonicity gates skipped (byte-identity and billing gates still enforced)"
-        );
-        return 0;
-    }
-    let mut failures = 0;
-    let max_shards = *SHARD_LADDER.last().expect("ladder");
-    // Gate 1: the compute-bound trijet plan must reach MIN_PAR_SPEEDUP
-    // at 4 workers on the largest scale.
-    let wall_at = |query: &str, workers: usize| {
-        points
-            .iter()
-            .find(|p| p.query == query && p.shards == max_shards && p.workers == workers)
-            .map(|p| p.wall_seconds)
-            .expect("grid point")
-    };
-    let speedup = wall_at("q6-trijet", 1) / wall_at("q6-trijet", 4);
-    if speedup < MIN_PAR_SPEEDUP {
-        eprintln!(
-            "# FAIL: q6-trijet speedup at 4 workers is {speedup:.2}x < {MIN_PAR_SPEEDUP:.1}x"
-        );
-        failures += 1;
-    } else {
-        eprintln!("# q6-trijet speedup at 4 workers: {speedup:.2}x (gate {MIN_PAR_SPEEDUP:.1}x)");
-    }
-    // Gate 2: scan-bound walls must be (near-)monotone non-increasing
-    // in the worker count at every scale.
-    for sp in plans().iter().filter(|s| s.scan_bound) {
-        for shards in SHARD_LADDER {
-            let walls: Vec<(usize, f64)> = points
-                .iter()
-                .filter(|p| p.query == sp.name && p.shards == shards)
-                .map(|p| (p.workers, p.wall_seconds))
-                .collect();
-            for pair in walls.windows(2) {
-                let (w0, t0) = pair[0];
-                let (w1, t1) = pair[1];
-                if t1 > t0 * MONOTONE_SLACK {
-                    eprintln!(
-                        "# FAIL: {} at {shards} shards: wall rose {} -> {} going {w0} -> {w1} \
-                         workers (> {MONOTONE_SLACK:.2}x slack)",
-                        sp.name,
-                        fmt_secs(t0),
-                        fmt_secs(t1)
-                    );
-                    failures += 1;
-                }
-            }
-        }
-    }
-    if failures == 0 {
-        eprintln!("# scan-bound wall times monotone non-increasing within {MONOTONE_SLACK:.2}x");
-    }
-    failures
-}
-
-/// Merges `payload` under `"key"` into the smoke JSON at `path`,
-/// replacing an existing section of the same key.
-fn merge_section(path: &str, key: &str, payload: &str) {
-    let content = std::fs::read_to_string(path).unwrap_or_else(|_| "{\n}\n".to_string());
-    let marker = format!(",\n  \"{key}\":");
-    let base = if let Some(pos) = content.find(&marker) {
-        content[..pos].to_string()
-    } else {
-        let mut c = content.trim_end().to_string();
-        if c.ends_with('}') {
-            c.pop();
-        }
-        c.trim_end().to_string()
-    };
-    let sep = if base.trim_end().ends_with('{') {
-        ""
-    } else {
-        ","
-    };
-    let json = format!("{base}{sep}\n  \"{key}\": {payload}\n}}\n");
-    std::fs::write(path, &json).expect("write smoke json");
-    eprintln!("# merged {key} section into {path}");
-}
-
-/// Serializes the scaling grid as the `"scaling"` BENCH section.
-fn scaling_json(base: ShardedSpec, points: &[ScalePoint]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&format!(
-        "    \"events_per_shard\": {}, \"row_group_size\": {}, \"seed\": {}, \"runs_per_point\": {RUNS},\n",
-        base.events_per_shard, base.row_group_size, base.seed
-    ));
-    s.push_str("    \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        s.push_str(&format!(
-            "      {{ \"query\": \"{}\", \"scan_bound\": {}, \"shards\": {}, \"events\": {}, \
-             \"intra_query_threads\": {}, \"effective_workers\": {}, \"wall_seconds\": {:.6}, \
-             \"events_per_sec\": {:.1}, \"events_per_sec_per_core\": {:.1}, \"morsels\": {}, \
-             \"steals\": {}, \"instance\": \"{}\", \"cost_usd\": {:.8} }}{}\n",
-            p.query,
-            p.scan_bound,
-            p.shards,
-            p.events,
-            p.workers,
-            p.effective_workers,
-            p.wall_seconds,
-            p.events_per_sec,
-            p.events_per_sec_per_core,
-            p.morsels,
-            p.steals,
-            p.instance,
-            p.cost_usd,
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("    ]\n  }");
-    s
 }
 
 /// The systems of Figure 2, with their best instances (paper §4.2:
@@ -468,7 +113,7 @@ fn systems() -> Vec<(System, Option<&'static cloud_sim::InstanceType>)> {
 /// The paper's Figure 2 table: running time vs data-set size for every
 /// calibrated paper deployment.
 fn figure2_table() {
-    let (_, table) = dataset();
+    let (_, table) = dataset(dataset_spec(65_536, None));
     let env = ExecEnv::seed();
     let queries = [
         QueryId::Q1,
@@ -511,75 +156,79 @@ fn figure2_table() {
     println!("more row groups than cores.");
 }
 
-/// The CI gate body; returns the failure count.
-fn check(base: ShardedSpec) -> usize {
+/// The `--check` body: every (scale × plan × workers × steal seed) point
+/// against serial execution; returns one message per diverging point.
+fn check_identity(base: ShardedSpec) -> Vec<String> {
     eprintln!(
         "# fig2_scaling --check: {} events/shard, shards {:?}, workers {:?}, row group {}",
         base.events_per_shard, SHARD_LADDER, WORKERS, base.row_group_size
     );
-    let mut failures = 0;
-    // Byte-identity under two adversarial steal seeds (asserted inside
-    // the grid runs): the first grid exercises one steal schedule purely
-    // for identity, the second supplies the measured points the
-    // speedup/monotonicity gates run on.
-    run_grid(base, STEAL_SEEDS[0]);
-    let points = run_grid(base, STEAL_SEEDS[1]);
-    failures += check_gates(&points);
-    let table = Arc::new(build_sharded_table(
-        base.with_shards(*SHARD_LADDER.last().expect("ladder")),
-    ));
-    failures += check_engine_determinism(&table);
-    failures
+    let mut violations = Vec::new();
+    for shards in SHARD_LADDER {
+        let table = Arc::new(build_sharded_table(base.with_shards(shards)));
+        eprintln!(
+            "# scale: {shards} shards = {} events, {} row groups",
+            table.n_rows(),
+            table.row_groups().len()
+        );
+        for (name, plan) in plans() {
+            let serial = physical_ir::execute(
+                &plan,
+                &table,
+                None,
+                &obs::TraceCtx::disabled(),
+                &obs::CancelToken::none(),
+            )
+            .expect("serial execution");
+            for workers in WORKERS {
+                for steal_seed in STEAL_SEEDS {
+                    let opts = ParOptions {
+                        workers,
+                        steal_seed,
+                        recovery: None,
+                    };
+                    let (bins, stats) = exec_par::execute(
+                        &plan,
+                        &table,
+                        None,
+                        &obs::TraceCtx::disabled(),
+                        &obs::CancelToken::none(),
+                        None,
+                        &opts,
+                    )
+                    .expect("parallel execution");
+                    eprintln!(
+                        "  {name:10} w={workers} seed {steal_seed:#x}: {} morsels, {} steals",
+                        stats.morsels, stats.steals
+                    );
+                    if bins != serial {
+                        violations.push(format!(
+                            "{name} at {shards} shards: parallel bins diverged from serial at \
+                             {workers} workers (steal seed {steal_seed:#x})"
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    violations
 }
 
 fn main() {
-    let check_mode = std::env::args().any(|a| a == "--check");
-    if check_mode {
-        let base = sharded_spec(2_048);
-        let watchdog = Duration::from_secs(
-            std::env::var("HEPQUERY_SCALING_WATCHDOG")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(600),
-        );
-        let (done_tx, done_rx) = mpsc::channel();
-        let worker = std::thread::spawn(move || {
-            let _ = done_tx.send(check(base));
-        });
-        let failures = match done_rx.recv_timeout(watchdog) {
-            Ok(f) => f,
-            Err(_) => {
-                eprintln!(
-                    "FAIL: fig2_scaling --check did not finish within {}s — hung worker pool?",
-                    watchdog.as_secs()
-                );
-                std::process::exit(1);
-            }
+    if std::env::args().any(|a| a == "--check") {
+        // `HEPQUERY_EVENTS` is the per-shard event count so the ladder
+        // scales data volume without changing per-shard content (shard
+        // seeds are shard-count-independent).
+        let spec = dataset_spec(2_048, Some(64));
+        let base = ShardedSpec {
+            events_per_shard: spec.n_events,
+            shards: 1,
+            row_group_size: spec.row_group_size,
+            seed: spec.seed,
         };
-        worker.join().expect("check worker");
-        if failures > 0 {
-            eprintln!("# FAIL: {failures} scaling gate(s) not met");
-            std::process::exit(1);
-        }
-        eprintln!("# OK: parallel execution deterministic and within the scaling gates");
-        return;
+        std::process::exit(run_gate("fig2_scaling --check", move || {
+            check_identity(base)
+        }));
     }
-    // Default: the scaling study first (it also emits the BENCH
-    // section), then the paper's Figure 2 table.
-    let base = sharded_spec(16_384);
-    eprintln!(
-        "# scaling study: {} events/shard, shards {:?}, workers {:?}, row group {}",
-        base.events_per_shard, SHARD_LADDER, WORKERS, base.row_group_size
-    );
-    let points = run_grid(base, 0x5EED);
-    let table = Arc::new(build_sharded_table(
-        base.with_shards(*SHARD_LADDER.last().expect("ladder")),
-    ));
-    if check_engine_determinism(&table) > 0 {
-        std::process::exit(1);
-    }
-    let out = std::env::var("BENCH_SMOKE_OUT").unwrap_or_else(|_| "BENCH_smoke.json".to_string());
-    merge_section(&out, "scaling", &scaling_json(base, &points));
-    println!();
     figure2_table();
 }

@@ -1,11 +1,11 @@
 //! Regenerates **Figure 3**: the distribution of the number of particles
 //! per event for the three particle types the queries use.
 
-use hepbench_bench::dataset;
+use hepbench_bench::{dataset, dataset_spec};
 use hepbench_core::complexity::multiplicity_distribution;
 
 fn main() {
-    let (events, _) = dataset();
+    let (events, _) = dataset(dataset_spec(65_536, None));
     let max = 40;
     let jets = multiplicity_distribution(&events, |e| e.jets.len(), max);
     let muons = multiplicity_distribution(&events, |e| e.muons.len(), max);

@@ -3,7 +3,7 @@
 //! two "ideal" lines, (c) end-to-end scan throughput per core, and
 //! (d) the per-stage breakdown from each run's span tree.
 
-use hepbench_bench::{dataset, fmt_bytes, fmt_secs};
+use hepbench_bench::{dataset, dataset_spec, fmt_bytes, fmt_secs};
 use hepbench_core::adapters::ExecEnv;
 use hepbench_core::runner::{run_one, System};
 use hepbench_core::ALL_QUERIES;
@@ -29,7 +29,7 @@ fn main() {
         trace: obs::TraceCtx::enabled(),
         ..ExecEnv::seed()
     };
-    let (_, table) = dataset();
+    let (_, table) = dataset(dataset_spec(65_536, None));
     let mut rows = Vec::new();
     for q in ALL_QUERIES {
         if *q == hepbench_core::QueryId::Q6b {

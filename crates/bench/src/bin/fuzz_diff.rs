@@ -1,7 +1,6 @@
 //! Differential query-fuzzing and fault-injection gate.
 //!
-//! Three modes, all deterministic from their seeds and watchdog-guarded
-//! (a hung engine fails the run instead of wedging CI):
+//! Three modes, all deterministic from their seeds:
 //!
 //! * `--check` — generates `HEPQUERY_FUZZ_PLANS` (default 200) seeded
 //!   random plans over the CMS schema and executes every one on all seven
@@ -29,15 +28,14 @@
 //!
 //! Scale knobs: `HEPQUERY_EVENTS`, `HEPQUERY_ROW_GROUP`,
 //! `HEPQUERY_FUZZ_SEED`, `HEPQUERY_FUZZ_PLANS`,
-//! `HEPQUERY_FUZZ_FAULT_PLANS`, `HEPQUERY_FUZZ_WATCHDOG`.
+//! `HEPQUERY_FUZZ_FAULT_PLANS`, `HEPQUERY_WATCHDOG`.
 
-use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
 use chaos::{differential_fuzz, fault_sweep, pruning_differential_fuzz};
-use hep_model::generator::build_dataset;
-use hep_model::{DatasetSpec, Event};
+use hep_model::Event;
+use hepbench_bench::{dataset, dataset_spec, env, run_gate};
 use hepbench_core::adapters::ExecEnv;
 use hepbench_core::runner::{execute_engine, System};
 use hepbench_core::ALL_QUERIES;
@@ -54,31 +52,17 @@ const SYSTEMS: &[System] = &[
     System::RDataFrame,
 ];
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn dataset() -> (Vec<Event>, Arc<Table>) {
-    let (events, table) = build_dataset(DatasetSpec {
-        n_events: env_u64("HEPQUERY_EVENTS", 2_000) as usize,
-        row_group_size: env_u64("HEPQUERY_ROW_GROUP", 256) as usize,
-        seed: env_u64("HEPQUERY_SEED", 0xAD1B70),
-    });
-    (events, Arc::new(table))
+/// The seed every phase derives its plans and fault schedules from.
+fn fuzz_seed() -> u64 {
+    env("HEPQUERY_FUZZ_SEED", 0x5EED)
 }
 
 /// Differential phase: every plan × every engine vs the oracle.
-fn run_diff(events: &[Event], table: &Arc<Table>) -> u32 {
-    let seed = env_u64("HEPQUERY_FUZZ_SEED", 0x5EED);
-    let n_plans = env_u64("HEPQUERY_FUZZ_PLANS", 200) as usize;
+fn run_diff(events: &[Event], table: &Arc<Table>) -> Vec<String> {
+    let seed = fuzz_seed();
+    let n_plans = env("HEPQUERY_FUZZ_PLANS", 200);
     eprintln!("# fuzz_diff --check: {n_plans} plans, seed {seed:#x}");
     let report = differential_fuzz(seed, n_plans, events, table);
-    for d in &report.divergences {
-        eprintln!("FAIL: {d}");
-    }
     eprintln!(
         "  {} plans x {} engines = {} comparisons, {} divergences",
         report.plans,
@@ -86,50 +70,34 @@ fn run_diff(events: &[Event], table: &Arc<Table>) -> u32 {
         report.checks,
         report.divergences.len()
     );
-    if report.passed() {
-        eprintln!("# differential fuzz OK");
-        0
-    } else {
-        report.divergences.len() as u32
-    }
+    report.divergences
 }
 
 /// Pruning arm of the differential phase: every plan × every engine with
 /// zone-map pruning forced off and on — both runs must match the oracle
 /// bin-for-bin, so a zone map that over-prunes cannot hide.
-fn run_pruning_diff(events: &[Event], table: &Arc<Table>) -> u32 {
-    let seed = env_u64("HEPQUERY_FUZZ_SEED", 0x5EED);
-    let n_plans = env_u64("HEPQUERY_FUZZ_PRUNE_PLANS", 60) as usize;
+fn run_pruning_diff(events: &[Event], table: &Arc<Table>) -> Vec<String> {
+    let seed = fuzz_seed();
+    let n_plans = env("HEPQUERY_FUZZ_PRUNE_PLANS", 60);
     eprintln!("# fuzz_diff --check (pruning arm): {n_plans} plans, seed {seed:#x}");
     let report = pruning_differential_fuzz(seed, n_plans, events, table);
-    for d in &report.divergences {
-        eprintln!("FAIL: {d}");
-    }
     eprintln!(
         "  {} plans x {} engines x 2 pruning modes, {} divergences",
         report.plans,
         chaos::ALL_ENGINES.len(),
         report.divergences.len()
     );
-    if report.passed() {
-        eprintln!("# pruning differential fuzz OK");
-        0
-    } else {
-        report.divergences.len() as u32
-    }
+    report.divergences
 }
 
 /// Fault phase 1: adapter-level sweep of every class on every engine.
-fn run_fault_sweep(events: &[Event], table: &Arc<Table>) -> u32 {
-    let seed = env_u64("HEPQUERY_FUZZ_SEED", 0x5EED);
-    let n_plans = env_u64("HEPQUERY_FUZZ_FAULT_PLANS", 6) as usize;
+fn run_fault_sweep(events: &[Event], table: &Arc<Table>) -> Vec<String> {
+    let seed = fuzz_seed();
+    let n_plans = env("HEPQUERY_FUZZ_FAULT_PLANS", 6);
     eprintln!("# fuzz_diff --faults: sweep over {n_plans} plans, seed {seed:#x}");
-    let mut failures = 0;
+    let mut violations = Vec::new();
     let mut injected = 0;
     for report in fault_sweep(seed, n_plans, events, table) {
-        for v in &report.violations {
-            eprintln!("FAIL: {v}");
-        }
         eprintln!(
             "  {:<20} {} runs: {} clean, {} typed errors, {} retries",
             report.class.name(),
@@ -138,21 +106,20 @@ fn run_fault_sweep(events: &[Event], table: &Arc<Table>) -> u32 {
             report.typed_errors,
             report.retries
         );
-        failures += report.violations.len() as u32;
         injected += report.typed_errors + report.retries;
+        violations.extend(report.violations);
     }
     if injected == 0 {
-        eprintln!("FAIL: fault sweep never injected a fault — dead injector?");
-        failures += 1;
+        violations.push("fault sweep never injected a fault — dead injector?".into());
     }
-    failures
+    violations
 }
 
 /// Fault phase 2: service-level retry. Every request across the
 /// (system × query) grid must complete with the fault-free histogram,
 /// and the retry counter must show the transient faults actually fired.
-fn run_service_faults(table: &Arc<Table>) -> u32 {
-    let seed = env_u64("HEPQUERY_FUZZ_SEED", 0x5EED);
+fn run_service_faults(table: &Arc<Table>) -> Vec<String> {
+    let seed = fuzz_seed();
     let injector = Arc::new(FaultInjector::new(FaultConfig {
         p_io: 0.04,
         p_checksum: 0.02,
@@ -171,30 +138,28 @@ fn run_service_faults(table: &Arc<Table>) -> u32 {
             ..ServiceConfig::default()
         },
     );
-    let mut failures = 0;
+    let mut violations = Vec::new();
     for &system in SYSTEMS {
         for &query in ALL_QUERIES {
             let served = match service.execute(QueryRequest::new("chaos", system, query)) {
                 Ok(resp) => resp,
                 Err(e) => {
-                    eprintln!(
-                        "FAIL: {} {} did not survive transient faults: {e}",
+                    violations.push(format!(
+                        "{} {} did not survive transient faults: {e}",
                         system.name(),
                         query.name()
-                    );
-                    failures += 1;
+                    ));
                     continue;
                 }
             };
             let clean =
                 execute_engine(system, table, query, &ExecEnv::seed()).expect("fault-free run");
             if !served.histogram.counts_equal(&clean.histogram) {
-                eprintln!(
-                    "FAIL: {} {} served a wrong histogram under faults",
+                violations.push(format!(
+                    "{} {} served a wrong histogram under faults",
                     system.name(),
                     query.name()
-                );
-                failures += 1;
+                ));
             }
         }
     }
@@ -209,21 +174,17 @@ fn run_service_faults(table: &Arc<Table>) -> u32 {
         counters.recovered
     );
     if snap.retried == 0 {
-        eprintln!("FAIL: service never retried — transient faults did not fire");
-        failures += 1;
+        violations.push("service never retried — transient faults did not fire".into());
     }
-    if failures == 0 {
-        eprintln!("# fault injection OK");
-    }
-    failures
+    violations
 }
 
 /// Fault phase 3: the same transient storm against a service with
 /// **morsel recovery** on. Compiled-parallel requests must absorb every
 /// fault below the attempt boundary: zero whole-query retries, recovery
 /// counters > 0, fault-free histograms.
-fn run_service_morsel_recovery(table: &Arc<Table>) -> u32 {
-    let seed = env_u64("HEPQUERY_FUZZ_SEED", 0x5EED);
+fn run_service_morsel_recovery(table: &Arc<Table>) -> Vec<String> {
+    let seed = fuzz_seed();
     let injector = Arc::new(FaultInjector::new(FaultConfig {
         p_io: 0.15,
         transient_attempts: 1,
@@ -239,7 +200,7 @@ fn run_service_morsel_recovery(table: &Arc<Table>) -> u32 {
             ..ServiceConfig::default()
         },
     );
-    let mut failures = 0;
+    let mut violations = Vec::new();
     let mut interventions = 0;
     // Q6 is the only query the SQL frontend lowers, and Presto/Athena
     // share the canonical template — the grid that actually reaches the
@@ -252,24 +213,22 @@ fn run_service_morsel_recovery(table: &Arc<Table>) -> u32 {
             let served = match service.execute(req) {
                 Ok(resp) => resp,
                 Err(e) => {
-                    eprintln!(
-                        "FAIL: {} {} compiled-parallel did not recover at morsel level: {e}",
+                    violations.push(format!(
+                        "{} {} compiled-parallel did not recover at morsel level: {e}",
                         system.name(),
                         query.name()
-                    );
-                    failures += 1;
+                    ));
                     continue;
                 }
             };
             let clean =
                 execute_engine(system, table, query, &ExecEnv::seed()).expect("fault-free run");
             if !served.histogram.counts_equal(&clean.histogram) {
-                eprintln!(
-                    "FAIL: {} {} served a wrong histogram under morsel recovery",
+                violations.push(format!(
+                    "{} {} served a wrong histogram under morsel recovery",
                     system.name(),
                     query.name()
-                );
-                failures += 1;
+                ));
             }
             interventions += served.stats.recovery.interventions();
         }
@@ -282,20 +241,15 @@ fn run_service_morsel_recovery(table: &Arc<Table>) -> u32 {
     // The whole point: transient faults that previously cost whole-query
     // retries are absorbed per morsel on the compiled-parallel path.
     if snap.retried != 0 {
-        eprintln!(
-            "FAIL: {} whole-query retries despite morsel recovery",
+        violations.push(format!(
+            "{} whole-query retries despite morsel recovery",
             snap.retried
-        );
-        failures += 1;
+        ));
     }
     if interventions == 0 {
-        eprintln!("FAIL: morsel recovery never intervened — faults not routed to morsels?");
-        failures += 1;
+        violations.push("morsel recovery never intervened — faults not routed to morsels?".into());
     }
-    if failures == 0 {
-        eprintln!("# morsel-recovery service phase OK");
-    }
-    failures
+    violations
 }
 
 fn main() {
@@ -303,32 +257,18 @@ fn main() {
     let check = args.iter().any(|a| a == "--check");
     let faults = args.iter().any(|a| a == "--faults");
     let both = !check && !faults;
-    let watchdog = Duration::from_secs(env_u64("HEPQUERY_FUZZ_WATCHDOG", 600));
-    let (done_tx, done_rx) = mpsc::channel();
-    let worker = std::thread::spawn(move || {
-        let (events, table) = dataset();
-        let mut failures = 0;
+    std::process::exit(run_gate("fuzz_diff", move || {
+        let (events, table) = dataset(dataset_spec(2_000, Some(256)));
+        let mut violations = Vec::new();
         if check || both {
-            failures += run_diff(&events, &table);
-            failures += run_pruning_diff(&events, &table);
+            violations.extend(run_diff(&events, &table));
+            violations.extend(run_pruning_diff(&events, &table));
         }
         if faults || both {
-            failures += run_fault_sweep(&events, &table);
-            failures += run_service_faults(&table);
-            failures += run_service_morsel_recovery(&table);
+            violations.extend(run_fault_sweep(&events, &table));
+            violations.extend(run_service_faults(&table));
+            violations.extend(run_service_morsel_recovery(&table));
         }
-        let _ = done_tx.send(failures);
-    });
-    let failures = match done_rx.recv_timeout(watchdog) {
-        Ok(f) => f,
-        Err(_) => {
-            eprintln!(
-                "FAIL: fuzz_diff did not finish within {}s — hung engine?",
-                watchdog.as_secs()
-            );
-            std::process::exit(1);
-        }
-    };
-    worker.join().expect("fuzz worker");
-    std::process::exit(if failures == 0 { 0 } else { 1 });
+        violations
+    }));
 }

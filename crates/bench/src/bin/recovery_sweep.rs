@@ -1,7 +1,7 @@
 //! Morsel-recovery gate: seeded fault schedules × steal seeds × worker
-//! counts over the parallel compiled executor, watchdog-guarded.
+//! counts over the parallel compiled executor.
 //!
-//! `--check` runs [`chaos::recovery_sweep`] — every seeded plan under
+//! The only mode is the gate: it runs [`chaos::recovery_sweep`] — every seeded plan under
 //! every adversarial schedule (transient io/checksum/truncated faults,
 //! poison-pill panics, worker kills, persistent faults) at 1/2/4/8
 //! workers with two steal seeds each — and exits non-zero unless every
@@ -13,33 +13,15 @@
 //!
 //! Scale knobs: `HEPQUERY_EVENTS`, `HEPQUERY_ROW_GROUP`,
 //! `HEPQUERY_RECOVERY_SEED`, `HEPQUERY_RECOVERY_PLANS`,
-//! `HEPQUERY_RECOVERY_WATCHDOG`; the artifact path is
-//! `HEPQUERY_RECOVERY_OUT` (default `recovery_sweep.json`).
+//! `HEPQUERY_WATCHDOG`; the artifact path is `HEPQUERY_RECOVERY_OUT`
+//! (default `recovery_sweep.json`).
 
-use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::Duration;
 
 use chaos::recovery_sweep;
-use hep_model::generator::build_dataset;
-use hep_model::{DatasetSpec, Event};
+use hep_model::Event;
+use hepbench_bench::{dataset, dataset_spec, env, run_gate};
 use nf2_columnar::Table;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn dataset() -> (Vec<Event>, Arc<Table>) {
-    let (events, table) = build_dataset(DatasetSpec {
-        n_events: env_u64("HEPQUERY_EVENTS", 2_000) as usize,
-        row_group_size: env_u64("HEPQUERY_ROW_GROUP", 256) as usize,
-        seed: env_u64("HEPQUERY_SEED", 0xAD1B70),
-    });
-    (events, Arc::new(table))
-}
 
 fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
@@ -67,14 +49,11 @@ fn report_json(seed: u64, n_plans: usize, r: &chaos::RecoveryReport) -> String {
     )
 }
 
-fn run_sweep(events: &[Event], table: &Arc<Table>) -> u32 {
-    let seed = env_u64("HEPQUERY_RECOVERY_SEED", 0x09EC_04E9);
-    let n_plans = env_u64("HEPQUERY_RECOVERY_PLANS", 6) as usize;
-    eprintln!("# recovery_sweep --check: {n_plans} plans, seed {seed:#x}");
+fn run_sweep(events: &[Event], table: &Arc<Table>) -> Vec<String> {
+    let seed = env("HEPQUERY_RECOVERY_SEED", 0x09EC_04E9);
+    let n_plans = env("HEPQUERY_RECOVERY_PLANS", 6);
+    eprintln!("# recovery_sweep: {n_plans} plans, seed {seed:#x}");
     let report = recovery_sweep(seed, n_plans, events, table);
-    for v in &report.violations {
-        eprintln!("FAIL: {v}");
-    }
     eprintln!(
         "  {} runs: {} recovered byte-identically, {} typed fail-fast errors, \
          {} interventions, {} workers retired",
@@ -84,19 +63,6 @@ fn run_sweep(events: &[Event], table: &Arc<Table>) -> u32 {
         report.interventions,
         report.workers_lost
     );
-    let mut failures = report.violations.len() as u32;
-    if report.interventions == 0 {
-        eprintln!("FAIL: sweep never recovered anything — dead injector?");
-        failures += 1;
-    }
-    if report.workers_lost == 0 {
-        eprintln!("FAIL: worker-kill schedules never retired a worker");
-        failures += 1;
-    }
-    if report.typed_errors == 0 {
-        eprintln!("FAIL: persistent schedules never surfaced a typed error");
-        failures += 1;
-    }
     let out = std::env::var("HEPQUERY_RECOVERY_OUT")
         .unwrap_or_else(|_| "recovery_sweep.json".to_string());
     if let Some(parent) = std::path::Path::new(&out).parent() {
@@ -106,16 +72,20 @@ fn run_sweep(events: &[Event], table: &Arc<Table>) -> u32 {
     }
     std::fs::write(&out, report_json(seed, n_plans, &report)).expect("write sweep json");
     eprintln!("# wrote {out}");
-    if failures == 0 {
-        eprintln!("# recovery sweep OK");
+    let mut violations = report.violations;
+    if report.interventions == 0 {
+        violations.push("sweep never recovered anything — dead injector?".into());
     }
-    failures
+    if report.workers_lost == 0 {
+        violations.push("worker-kill schedules never retired a worker".into());
+    }
+    if report.typed_errors == 0 {
+        violations.push("persistent schedules never surfaced a typed error".into());
+    }
+    violations
 }
 
 fn main() {
-    // The only mode is the gate itself; `--check` is accepted for
-    // symmetry with the other CI binaries.
-    let _ = std::env::args().any(|a| a == "--check");
     // The panic schedules unwind hundreds of injected panics through
     // `catch_unwind`; keep them out of the CI log while leaving genuine
     // panics loud.
@@ -131,22 +101,8 @@ fn main() {
             default_hook(info);
         }
     }));
-    let watchdog = Duration::from_secs(env_u64("HEPQUERY_RECOVERY_WATCHDOG", 600));
-    let (done_tx, done_rx) = mpsc::channel();
-    let worker = std::thread::spawn(move || {
-        let (events, table) = dataset();
-        let _ = done_tx.send(run_sweep(&events, &table));
-    });
-    let failures = match done_rx.recv_timeout(watchdog) {
-        Ok(f) => f,
-        Err(_) => {
-            eprintln!(
-                "FAIL: recovery_sweep did not finish within {}s — wedged pool?",
-                watchdog.as_secs()
-            );
-            std::process::exit(1);
-        }
-    };
-    worker.join().expect("sweep worker");
-    std::process::exit(if failures == 0 { 0 } else { 1 });
+    std::process::exit(run_gate("recovery_sweep", || {
+        let (events, table) = dataset(dataset_spec(2_000, Some(256)));
+        run_sweep(&events, &table)
+    }));
 }

@@ -16,11 +16,10 @@
 //! Modes:
 //!
 //! * default — full multiplier grid (0.25×…4× capacity), tens of
-//!   thousands of requests per point over thousands of tenants; merges
-//!   a `"serve_scale"` section into `BENCH_smoke.json` and writes the
-//!   full goodput/latency curves to `serve_scale_curves.json` (or
+//!   thousands of requests per point over thousands of tenants; writes
+//!   the full goodput/latency curves to `serve_scale_curves.json` (or
 //!   `HEPQUERY_SCALE_CURVES`).
-//! * `--check` — reduced request budget under a watchdog (a deadlock
+//! * `--check` — the CI gate at a reduced request budget (a deadlock
 //!   fails the run instead of hanging CI). Gates: every submitted
 //!   request accounted for exactly once, client-side and service-side
 //!   completion accounting agree, zero engine failures, **knobs-on
@@ -31,39 +30,17 @@
 //! Scale knobs: `HEPQUERY_EVENTS`, `HEPQUERY_ROW_GROUP`, `HEPQUERY_SEED`,
 //! `HEPQUERY_SCALE_REQS` (requests per grid point),
 //! `HEPQUERY_SCALE_TENANTS`, `HEPQUERY_SCALE_WORKERS`,
-//! `HEPQUERY_SCALE_SUBMITTERS`, `HEPQUERY_SERVE_WATCHDOG` (seconds).
+//! `HEPQUERY_SCALE_SUBMITTERS`, `HEPQUERY_WATCHDOG` (seconds).
 
-use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hep_model::generator::build_dataset;
-use hep_model::DatasetSpec;
 use hepbench_bench::loadgen::{
     query_mix, run_open_loop, LoadConfig, OpenLoopOutcome, Schedule, SplitMix64, Zipf,
 };
-use hepbench_bench::merge_section;
+use hepbench_bench::{dataset, dataset_spec, env, run_gate};
 use nf2_columnar::Table;
 use query_service::{BreakerConfig, HedgeConfig, QueryRequest, QueryService, ServiceConfig};
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn spec(default_events: usize) -> DatasetSpec {
-    let n_events = env_usize("HEPQUERY_EVENTS", default_events);
-    DatasetSpec {
-        n_events,
-        row_group_size: env_usize("HEPQUERY_ROW_GROUP", 256),
-        seed: std::env::var("HEPQUERY_SEED")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0xAD1B70),
-    }
-}
 
 /// The study's shared serving shape. The queue is effectively unbounded
 /// so that *overload behaviour is the knobs' job*: with everything off
@@ -257,20 +234,9 @@ fn point_json(p: &Point) -> String {
     )
 }
 
-fn emit(spec: &DatasetSpec, n_tenants: usize, cal: &Calibration, points: &[Point]) {
+/// Writes the goodput/latency curves (CI uploads them as an artifact).
+fn emit(cal: &Calibration, points: &[Point]) {
     let rows: Vec<String> = points.iter().map(point_json).collect();
-    let payload = format!(
-        "{{\n    \"events\": {},\n    \"tenants\": {},\n    \"capacity_qps\": {:.2},\n    \
-         \"slo_seconds\": {:.6},\n    \"mean_exec_seconds\": {:.6},\n    \"points\": [\n      {}\n    ]\n  }}",
-        spec.n_events,
-        n_tenants,
-        cal.capacity_qps,
-        cal.slo.as_secs_f64(),
-        cal.mean_seconds,
-        rows.join(",\n      "),
-    );
-    let out = std::env::var("BENCH_SMOKE_OUT").unwrap_or_else(|_| "BENCH_smoke.json".to_string());
-    merge_section(&out, "serve_scale", &payload);
     let curves = std::env::var("HEPQUERY_SCALE_CURVES")
         .unwrap_or_else(|_| "serve_scale_curves.json".to_string());
     if let Some(parent) = std::path::Path::new(&curves).parent() {
@@ -297,11 +263,11 @@ fn sweep(
     multipliers: &[f64],
     base_requests: usize,
     n_tenants: usize,
+    n_workers: usize,
+    seed: u64,
     cal: &Calibration,
 ) -> Vec<Point> {
-    let n_workers = env_usize("HEPQUERY_SCALE_WORKERS", 4);
-    let n_submitters = env_usize("HEPQUERY_SCALE_SUBMITTERS", 4);
-    let seed = env_usize("HEPQUERY_SEED", 0xAD1B70) as u64;
+    let n_submitters = env("HEPQUERY_SCALE_SUBMITTERS", 4);
     let mut points = Vec::new();
     for &m in multipliers {
         let n_requests = if m > 1.0 {
@@ -327,18 +293,22 @@ fn sweep(
     points
 }
 
-fn run_default() {
-    let spec = spec(4_096);
-    let n_tenants = env_usize("HEPQUERY_SCALE_TENANTS", 2_000);
-    let base_requests = env_usize("HEPQUERY_SCALE_REQS", 20_000);
-    eprintln!(
-        "# serve_scale: {} events, {} tenants, {} requests per point",
-        spec.n_events, n_tenants, base_requests
-    );
-    let (_, table) = build_dataset(spec);
-    let table = Arc::new(table);
-    let n_workers = env_usize("HEPQUERY_SCALE_WORKERS", 4);
-    let cal = calibrate(&table, n_workers, 1_000, spec.seed);
+/// One full study — build the data, calibrate, sweep `multipliers`, write
+/// the curves — at the given default scale.
+fn study(
+    default_events: usize,
+    default_tenants: usize,
+    default_requests: usize,
+    calibration_samples: usize,
+    multipliers: &[f64],
+) -> (Calibration, Vec<Point>) {
+    let spec = dataset_spec(default_events, Some(256));
+    let n_tenants = env("HEPQUERY_SCALE_TENANTS", default_tenants);
+    let base_requests = env("HEPQUERY_SCALE_REQS", default_requests);
+    eprintln!("# serve_scale: {n_tenants} tenants, {base_requests} requests per point");
+    let (_, table) = dataset(spec);
+    let n_workers = env("HEPQUERY_SCALE_WORKERS", 4);
+    let cal = calibrate(&table, n_workers, calibration_samples, spec.seed);
     eprintln!(
         "# calibrated: capacity {:.1} qps, mean {:.2} ms, SLO {:.1} ms",
         cal.capacity_qps,
@@ -347,50 +317,21 @@ fn run_default() {
     );
     let points = sweep(
         &table,
-        &[0.25, 0.5, 1.0, 2.0, 4.0],
+        multipliers,
         base_requests,
         n_tenants,
+        n_workers,
+        spec.seed,
         &cal,
     );
-    emit(&spec, n_tenants, &cal, &points);
+    emit(&cal, &points);
+    (cal, points)
 }
 
-/// CI gate (see module docs for the exact assertions).
-fn run_check() -> i32 {
-    let spec = spec(1_000);
-    let n_tenants = env_usize("HEPQUERY_SCALE_TENANTS", 1_000);
-    let base_requests = env_usize("HEPQUERY_SCALE_REQS", 800);
-    eprintln!(
-        "# serve_scale --check: {} events, {} tenants, {} requests per point",
-        spec.n_events, n_tenants, base_requests
-    );
-    let (done_tx, done_rx) = mpsc::channel();
-    let worker = std::thread::spawn(move || {
-        let (_, table) = build_dataset(spec);
-        let table = Arc::new(table);
-        let n_workers = env_usize("HEPQUERY_SCALE_WORKERS", 4);
-        let cal = calibrate(&table, n_workers, 400, spec.seed);
-        eprintln!(
-            "# calibrated: capacity {:.1} qps, mean {:.2} ms, SLO {:.1} ms",
-            cal.capacity_qps,
-            cal.mean_seconds * 1e3,
-            cal.slo.as_secs_f64() * 1e3
-        );
-        let points = sweep(&table, &[0.4, 3.0], base_requests, n_tenants, &cal);
-        emit(&spec, n_tenants, &cal, &points);
-        let _ = done_tx.send((cal, points));
-    });
-    let watchdog = Duration::from_secs(env_usize("HEPQUERY_SERVE_WATCHDOG", 600) as u64);
-    let Ok((cal, points)) = done_rx.recv_timeout(watchdog) else {
-        eprintln!(
-            "FAIL: scale sweep did not finish within {}s — deadlock under load?",
-            watchdog.as_secs()
-        );
-        return 1;
-    };
-    worker.join().expect("sweep thread");
-
-    let mut failures = 0;
+/// CI gate body (see module docs for the exact assertions).
+fn check() -> Vec<String> {
+    let (cal, points) = study(1_000, 1_000, 800, 400, &[0.4, 3.0]);
+    let mut violations = Vec::new();
     for p in &points {
         let o = &p.outcome;
         let label = format!(
@@ -399,23 +340,20 @@ fn run_check() -> i32 {
             if p.knobs_on { "on" } else { "off" }
         );
         if o.accounted() != o.submitted {
-            eprintln!(
-                "FAIL [{label}]: {} submitted but {} accounted for",
+            violations.push(format!(
+                "[{label}] {} submitted but {} accounted for",
                 o.submitted,
                 o.accounted()
-            );
-            failures += 1;
+            ));
         }
         if p.service_completed != o.completed {
-            eprintln!(
-                "FAIL [{label}]: service histogram says {} completed, clients saw {}",
+            violations.push(format!(
+                "[{label}] service histogram says {} completed, clients saw {}",
                 p.service_completed, o.completed
-            );
-            failures += 1;
+            ));
         }
         if o.failed > 0 {
-            eprintln!("FAIL [{label}]: {} engine failures", o.failed);
-            failures += 1;
+            violations.push(format!("[{label}] {} engine failures", o.failed));
         }
     }
     let top = points.iter().map(|p| p.multiplier).fold(f64::MIN, f64::max);
@@ -428,26 +366,23 @@ fn run_check() -> i32 {
     };
     let (over_on, over_off) = (at(top, true), at(top, false));
     if over_on.outcome.goodput_qps() < over_off.outcome.goodput_qps() {
-        eprintln!(
-            "FAIL: at {top:.2}x offered load, knobs-on goodput {:.1} qps < knobs-off {:.1} qps",
+        violations.push(format!(
+            "at {top:.2}x offered load, knobs-on goodput {:.1} qps < knobs-off {:.1} qps",
             over_on.outcome.goodput_qps(),
             over_off.outcome.goodput_qps()
-        );
-        failures += 1;
+        ));
     }
     if over_on.outcome.within_slo == 0 {
-        eprintln!("FAIL: knobs-on served nothing within the SLO under overload");
-        failures += 1;
+        violations.push("knobs-on served nothing within the SLO under overload".into());
     }
     let knee = at(bottom, true);
     if knee.outcome.completed == 0
         || (knee.outcome.within_slo as f64) < 0.99 * knee.outcome.completed as f64
     {
-        eprintln!(
-            "FAIL: below the knee ({bottom:.2}x), knobs-on SLO compliance {}/{} < 99%",
+        violations.push(format!(
+            "below the knee ({bottom:.2}x), knobs-on SLO compliance {}/{} < 99%",
             knee.outcome.within_slo, knee.outcome.completed
-        );
-        failures += 1;
+        ));
     }
     eprintln!(
         "  SLO {:.1} ms: overload goodput on/off = {:.1}/{:.1} qps; \
@@ -459,17 +394,12 @@ fn run_check() -> i32 {
         knee.outcome.within_slo,
         knee.outcome.completed,
     );
-    if failures == 0 {
-        eprintln!("# serve_scale --check OK");
-        0
-    } else {
-        failures
-    }
+    violations
 }
 
 fn main() {
     if std::env::args().any(|a| a == "--check") {
-        std::process::exit(run_check());
+        std::process::exit(run_gate("serve_scale --check", check));
     }
-    run_default();
+    study(4_096, 2_000, 20_000, 1_000, &[0.25, 0.5, 1.0, 2.0, 4.0]);
 }

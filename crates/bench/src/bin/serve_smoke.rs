@@ -1,34 +1,24 @@
-//! Concurrent-serving smoke harness: drives a [`query_service::QueryService`]
-//! with a mixed multi-tenant workload and reports QPS, latency percentiles
-//! and cache hit rates.
+//! Serving gates: drives a [`query_service::QueryService`] with a mixed
+//! multi-tenant workload and fails on broken admission, caching or
+//! overload behaviour. (Serving *throughput and latency* are the
+//! `serve_mix` workload of `benchmark/`, not this binary.)
 //!
-//! Three modes:
-//!
-//! * default — 32 client threads, each issuing a stream of requests drawn
-//!   from (system × ADL query) round-robin under tenants `t0..t3`; merges
-//!   a `"serving"` section into `BENCH_smoke.json` next to the per-engine
-//!   numbers `perf_smoke` writes.
-//! * `--check` — small data set, watchdog-guarded (a stuck admission queue
-//!   fails the run instead of hanging CI), asserts that repeated queries
-//!   hit the result cache and that every submitted request is accounted
-//!   for. Non-zero exit on any violation.
-//! * `--overload` — watchdog-guarded overload gate: a saturating
-//!   deadline-storm workload must produce zero deadline overshoots beyond
-//!   one row group of work; load shedding and an open circuit breaker
-//!   must reject without touching the scan layer; hedged execution must
-//!   win at least one race. Merges an `"overload"` section into
-//!   `BENCH_smoke.json`. Non-zero exit on any violation.
+//! * `--check` — small data set; asserts that repeated queries hit the
+//!   result cache, that every submitted request is accounted for and
+//!   that no engine fails. A stuck admission queue trips the watchdog.
+//! * `--overload` — a saturating deadline-storm workload must produce
+//!   zero deadline overshoots beyond one row group of work; load
+//!   shedding and an open circuit breaker must reject without touching
+//!   the scan layer; hedged execution must win at least one race.
+//! * no argument — both.
 //!
 //! Scale knobs: `HEPQUERY_EVENTS`, `HEPQUERY_ROW_GROUP`, `HEPQUERY_SEED`,
-//! `HEPQUERY_SERVE_CLIENTS`, `HEPQUERY_SERVE_REQS`.
+//! `HEPQUERY_SERVE_CLIENTS`, `HEPQUERY_SERVE_REQS`, `HEPQUERY_WATCHDOG`.
 
-use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hep_model::generator::build_dataset;
-use hep_model::DatasetSpec;
-use hepbench_bench::merge_section;
+use hepbench_bench::{dataset, dataset_spec, env, run_gate};
 use hepbench_core::runner::System;
 use hepbench_core::ALL_QUERIES;
 use nf2_columnar::{FaultClass, FaultConfig, FaultInjector};
@@ -47,25 +37,6 @@ const SYSTEMS: &[System] = &[
 ];
 
 const TENANTS: usize = 4;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn spec(default_events: usize) -> DatasetSpec {
-    let n_events = env_usize("HEPQUERY_EVENTS", default_events);
-    DatasetSpec {
-        n_events,
-        row_group_size: env_usize("HEPQUERY_ROW_GROUP", 256),
-        seed: std::env::var("HEPQUERY_SEED")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0xAD1B70),
-    }
-}
 
 struct WorkloadReport {
     requests: usize,
@@ -130,124 +101,35 @@ fn drive(service: &QueryService, clients: usize, reqs_per_client: usize) -> Work
     report
 }
 
-fn rate(hits: u64, misses: u64) -> f64 {
-    if hits + misses == 0 {
-        0.0
-    } else {
-        hits as f64 / (hits + misses) as f64
-    }
-}
-
-fn run_default() {
-    let spec = spec(4_096);
-    let clients = env_usize("HEPQUERY_SERVE_CLIENTS", 32);
-    let reqs = env_usize("HEPQUERY_SERVE_REQS", 4);
-    eprintln!(
-        "# serve_smoke: {} events, {clients} clients x {reqs} requests, tenants t0..t{}",
-        spec.n_events,
-        TENANTS - 1
-    );
-    let (_, table) = build_dataset(spec);
-    let service = QueryService::start(Arc::new(table), ServiceConfig::default());
-    let report = drive(&service, clients, reqs);
+/// Cache/admission gate: every request is accounted for and a repeated
+/// workload produces result-cache hits.
+fn check(table: &Arc<nf2_columnar::Table>) -> Vec<String> {
+    let clients = env("HEPQUERY_SERVE_CLIENTS", 8);
+    let reqs = env("HEPQUERY_SERVE_REQS", 3);
+    eprintln!("# serve_smoke --check: {clients} clients x {reqs} requests");
+    let service = QueryService::start(table.clone(), ServiceConfig::default());
+    let first = drive(&service, clients, reqs);
+    // Re-issue the same workload: every request that executed the
+    // first time must now be a result-cache hit.
+    let second = drive(&service, clients, reqs);
     let snap = service.stats();
     let (rc_hits, rc_misses) = service.result_cache_counters().unwrap_or((0, 0));
-    let cc = service.chunk_cache_counters().unwrap_or_default();
-    eprintln!(
-        "  {} served / {} requests in {:.2}s: {:.1} qps, p50 {:.1} ms, p95 {:.1} ms",
-        report.served,
-        report.requests,
-        snap.elapsed_seconds,
-        snap.qps,
-        snap.p50_seconds * 1e3,
-        snap.p95_seconds * 1e3
-    );
-    eprintln!(
-        "  result cache {:.0}% hit ({rc_hits}/{}), chunk cache {:.0}% hit ({}/{}), {} evictions",
-        100.0 * rate(rc_hits, rc_misses),
-        rc_hits + rc_misses,
-        100.0 * rate(cc.hits, cc.misses),
-        cc.hits,
-        cc.hits + cc.misses,
-        cc.evictions
-    );
-    let serving = format!(
-        "{{\n    \"events\": {},\n    \"clients\": {clients},\n    \"requests\": {},\n    \"completed\": {},\n    \"rejected\": {},\n    \"timed_out\": {},\n    \"failed\": {},\n    \"qps\": {:.2},\n    \"p50_seconds\": {:.6},\n    \"p95_seconds\": {:.6},\n    \"mean_queue_seconds\": {:.6},\n    \"result_cache\": {{ \"hits\": {rc_hits}, \"misses\": {rc_misses}, \"hit_rate\": {:.4} }},\n    \"chunk_cache\": {{ \"hits\": {}, \"misses\": {}, \"evictions\": {}, \"hit_rate\": {:.4} }}\n  }}",
-        spec.n_events,
-        report.requests,
-        snap.completed,
-        snap.rejected,
-        snap.timed_out,
-        snap.failed,
-        snap.qps,
-        snap.p50_seconds,
-        snap.p95_seconds,
-        snap.mean_queue_seconds,
-        rate(rc_hits, rc_misses),
-        cc.hits,
-        cc.misses,
-        cc.evictions,
-        rate(cc.hits, cc.misses),
-    );
-    let out = std::env::var("BENCH_SMOKE_OUT").unwrap_or_else(|_| "BENCH_smoke.json".to_string());
-    merge_section(&out, "serving", &serving);
-}
-
-/// CI gate: finishes under a watchdog (admission control must not
-/// deadlock), every request is accounted for, and a repeated workload
-/// produces result-cache hits.
-fn run_check() -> i32 {
-    let spec = spec(1_500);
-    let clients = env_usize("HEPQUERY_SERVE_CLIENTS", 8);
-    let reqs = env_usize("HEPQUERY_SERVE_REQS", 3);
-    eprintln!(
-        "# serve_smoke --check: {} events, {clients} clients x {reqs} requests",
-        spec.n_events
-    );
-    let (done_tx, done_rx) = mpsc::channel();
-    let worker = std::thread::spawn(move || {
-        let (_, table) = build_dataset(spec);
-        let service = QueryService::start(Arc::new(table), ServiceConfig::default());
-        let first = drive(&service, clients, reqs);
-        // Re-issue the same workload: every request that executed the
-        // first time must now be a result-cache hit.
-        let second = drive(&service, clients, reqs);
-        let snap = service.stats();
-        let counters = service.result_cache_counters().unwrap_or((0, 0));
-        let _ = done_tx.send((first, second, snap, counters));
-    });
-    let watchdog = Duration::from_secs(env_usize("HEPQUERY_SERVE_WATCHDOG", 600) as u64);
-    let (first, second, snap, (rc_hits, rc_misses)) = match done_rx.recv_timeout(watchdog) {
-        Ok(r) => r,
-        Err(_) => {
-            eprintln!(
-                "FAIL: workload did not finish within {}s — admission deadlock?",
-                watchdog.as_secs()
-            );
-            return 1;
-        }
-    };
-    worker.join().expect("workload thread");
-    let mut failures = 0;
+    let mut violations = Vec::new();
     let accounted = snap.completed + snap.rejected + snap.timed_out + snap.failed;
     if accounted != snap.submitted {
-        eprintln!(
-            "FAIL: {} submitted but only {accounted} accounted for",
+        violations.push(format!(
+            "{} submitted but only {accounted} accounted for",
             snap.submitted
-        );
-        failures += 1;
+        ));
     }
     if first.served + second.served == 0 {
-        eprintln!("FAIL: no request was served");
-        failures += 1;
+        violations.push("no request was served".into());
     }
     if second.result_hits == 0 {
-        eprintln!("FAIL: repeated workload produced no result-cache hit");
-        failures += 1;
+        violations.push("repeated workload produced no result-cache hit".into());
     }
     if first.failed + second.failed > 0 {
-        eprintln!("FAIL: {} engine failures", first.failed + second.failed);
-        failures += 1;
+        violations.push(format!("{} engine failures", first.failed + second.failed));
     }
     eprintln!(
         "  round 1: {}/{} served ({} cache hits); round 2: {}/{} served ({} cache hits)",
@@ -262,12 +144,7 @@ fn run_check() -> i32 {
         "  result cache: {rc_hits} hits / {rc_misses} misses; {} completed, {} rejected, {} timed out",
         snap.completed, snap.rejected, snap.timed_out
     );
-    if failures == 0 {
-        eprintln!("# serve_smoke --check OK");
-        0
-    } else {
-        failures
-    }
+    violations
 }
 
 /// Outcome of the overload gate's deadline-storm scenario.
@@ -378,207 +255,165 @@ fn deadline_storm(table: &Arc<nf2_columnar::Table>, n_rows: u64) -> StormReport 
     report
 }
 
-/// CI overload gate: deadline storms cannot overshoot by more than one
-/// row group of work, shedding and breakers reject in O(µs) without a
-/// scan, hedging wins at least one race. Watchdogged like `--check`.
-fn run_overload() -> i32 {
-    let spec = spec(1_500);
-    eprintln!("# serve_smoke --overload: {} events", spec.n_events);
-    let (done_tx, done_rx) = mpsc::channel();
-    let worker = std::thread::spawn(move || {
-        let (_, table) = build_dataset(spec);
-        let n_rows = table.n_rows() as u64;
-        let table = Arc::new(table);
+/// Overload gate: deadline storms cannot overshoot by more than one row
+/// group of work, shedding and breakers reject without a scan, hedging
+/// wins at least one race.
+fn overload(table: &Arc<nf2_columnar::Table>) -> Vec<String> {
+    eprintln!("# serve_smoke --overload");
+    let storm = deadline_storm(table, table.n_rows() as u64);
 
-        let storm = deadline_storm(&table, n_rows);
-
-        // Load shedding: prime the execution-time EWMA, pile a backlog
-        // onto one worker, then measure how fast hopeless requests are
-        // refused.
-        let service = QueryService::start(
-            table.clone(),
-            ServiceConfig {
-                n_workers: 1,
-                result_cache: false,
-                load_shedding: true,
-                ..ServiceConfig::default()
-            },
-        );
-        service
-            .execute(QueryRequest::new(
-                "t0",
-                System::BigQuery,
-                hepbench_core::QueryId::Q1,
-            ))
-            .expect("priming query");
-        let backlog: Vec<_> = (0..8)
-            .map(|_| {
-                service
-                    .submit(QueryRequest::new(
-                        "t0",
-                        System::Rumble,
-                        hepbench_core::QueryId::Q5,
-                    ))
-                    .expect("backlog submit")
-            })
-            .collect();
-        let mut shed = 0usize;
-        let mut shed_micros_max = 0.0f64;
-        for _ in 0..8 {
-            let t0 = Instant::now();
-            let outcome = service.submit(QueryRequest {
-                deadline: Some(Duration::from_nanos(1)),
-                ..QueryRequest::new("t1", System::BigQuery, hepbench_core::QueryId::Q1)
-            });
-            let micros = t0.elapsed().as_secs_f64() * 1e6;
-            if matches!(outcome, Err(ServiceError::QueryShedded { .. })) {
-                shed += 1;
-                shed_micros_max = shed_micros_max.max(micros);
-            }
+    // Load shedding: prime the execution-time EWMA, pile a backlog
+    // onto one worker, then measure how fast hopeless requests are
+    // refused.
+    let service = QueryService::start(
+        table.clone(),
+        ServiceConfig {
+            n_workers: 1,
+            result_cache: false,
+            load_shedding: true,
+            ..ServiceConfig::default()
+        },
+    );
+    service
+        .execute(QueryRequest::new(
+            "t0",
+            System::BigQuery,
+            hepbench_core::QueryId::Q1,
+        ))
+        .expect("priming query");
+    let backlog: Vec<_> = (0..8)
+        .map(|_| {
+            service
+                .submit(QueryRequest::new(
+                    "t0",
+                    System::Rumble,
+                    hepbench_core::QueryId::Q5,
+                ))
+                .expect("backlog submit")
+        })
+        .collect();
+    let mut shed = 0usize;
+    let mut shed_micros_max = 0.0f64;
+    for _ in 0..8 {
+        let t0 = Instant::now();
+        let outcome = service.submit(QueryRequest {
+            deadline: Some(Duration::from_nanos(1)),
+            ..QueryRequest::new("t1", System::BigQuery, hepbench_core::QueryId::Q1)
+        });
+        let micros = t0.elapsed().as_secs_f64() * 1e6;
+        if matches!(outcome, Err(ServiceError::QueryShedded { .. })) {
+            shed += 1;
+            shed_micros_max = shed_micros_max.max(micros);
         }
-        for t in backlog {
-            let _ = t.wait();
-        }
-        drop(service);
+    }
+    for t in backlog {
+        let _ = t.wait();
+    }
+    drop(service);
 
-        // Circuit breaker: a persistent I/O-fault storm must open the
-        // breaker, after which admission rejects without executing.
+    // Circuit breaker: a persistent I/O-fault storm must open the
+    // breaker, after which admission rejects without executing.
+    let service = QueryService::start(
+        table.clone(),
+        ServiceConfig {
+            n_workers: 1,
+            result_cache: false,
+            chunk_cache_bytes: 0,
+            max_retries: 0,
+            fault_injector: Some(Arc::new(FaultInjector::new(FaultConfig {
+                transient_attempts: 0,
+                ..FaultConfig::only(FaultClass::Io, 1.0, 0xB0B0)
+            }))),
+            breaker: Some(BreakerConfig {
+                cooldown: Duration::from_secs(600),
+                ..BreakerConfig::default()
+            }),
+            ..ServiceConfig::default()
+        },
+    );
+    for _ in 0..8 {
+        let _ = service.execute(QueryRequest::new(
+            "t0",
+            System::BigQuery,
+            hepbench_core::QueryId::Q1,
+        ));
+    }
+    let breaker_open = service.breaker_state(System::BigQuery) == Some(BreakerState::Open);
+    let t0 = Instant::now();
+    let breaker_rejects = matches!(
+        service.submit(QueryRequest::new(
+            "t0",
+            System::BigQuery,
+            hepbench_core::QueryId::Q1
+        )),
+        Err(ServiceError::CircuitOpen { .. })
+    );
+    let breaker_reject_micros = t0.elapsed().as_secs_f64() * 1e6;
+    drop(service);
+
+    // Hedging: each race gets a fresh service so the execution-time
+    // sample pool is empty and the zero floor delay launches the
+    // hedge at t≈0 — the two identical attempts race on scheduling
+    // alone, so over enough races the hedge must win at least one.
+    let mut hedge_wins = 0u64;
+    let mut hedge_launched = 0u64;
+    for i in 0..60 {
         let service = QueryService::start(
             table.clone(),
             ServiceConfig {
                 n_workers: 1,
                 result_cache: false,
                 chunk_cache_bytes: 0,
-                max_retries: 0,
-                fault_injector: Some(Arc::new(FaultInjector::new(FaultConfig {
-                    transient_attempts: 0,
-                    ..FaultConfig::only(FaultClass::Io, 1.0, 0xB0B0)
-                }))),
-                breaker: Some(BreakerConfig {
-                    cooldown: Duration::from_secs(600),
-                    ..BreakerConfig::default()
+                hedge: Some(HedgeConfig {
+                    percentile: 0.99,
+                    min_delay: Duration::ZERO,
                 }),
                 ..ServiceConfig::default()
             },
         );
-        for _ in 0..8 {
-            let _ = service.execute(QueryRequest::new(
+        service
+            .execute(QueryRequest::new(
                 "t0",
-                System::BigQuery,
-                hepbench_core::QueryId::Q1,
-            ));
+                SYSTEMS[i % SYSTEMS.len()],
+                hepbench_core::QueryId::Q2,
+            ))
+            .expect("hedged query");
+        let m = service.metrics_snapshot();
+        hedge_wins += m.counter("hedge_wins");
+        hedge_launched += m.counter("hedges_launched");
+        if hedge_wins > 0 && i >= 9 {
+            break;
         }
-        let breaker_open = service.breaker_state(System::BigQuery) == Some(BreakerState::Open);
-        let t0 = Instant::now();
-        let breaker_rejects = matches!(
-            service.submit(QueryRequest::new(
-                "t0",
-                System::BigQuery,
-                hepbench_core::QueryId::Q1
-            )),
-            Err(ServiceError::CircuitOpen { .. })
-        );
-        let breaker_reject_micros = t0.elapsed().as_secs_f64() * 1e6;
-        drop(service);
-
-        // Hedging: each race gets a fresh service so the execution-time
-        // sample pool is empty and the zero floor delay launches the
-        // hedge at t≈0 — the two identical attempts race on scheduling
-        // alone, so over enough races the hedge must win at least one.
-        let mut hedge_wins = 0u64;
-        let mut hedge_launched = 0u64;
-        for i in 0..60 {
-            let service = QueryService::start(
-                table.clone(),
-                ServiceConfig {
-                    n_workers: 1,
-                    result_cache: false,
-                    chunk_cache_bytes: 0,
-                    hedge: Some(HedgeConfig {
-                        percentile: 0.99,
-                        min_delay: Duration::ZERO,
-                    }),
-                    ..ServiceConfig::default()
-                },
-            );
-            service
-                .execute(QueryRequest::new(
-                    "t0",
-                    SYSTEMS[i % SYSTEMS.len()],
-                    hepbench_core::QueryId::Q2,
-                ))
-                .expect("hedged query");
-            let m = service.metrics_snapshot();
-            hedge_wins += m.counter("hedge_wins");
-            hedge_launched += m.counter("hedges_launched");
-            if hedge_wins > 0 && i >= 9 {
-                break;
-            }
-        }
-        let _ = done_tx.send((
-            storm,
-            shed,
-            shed_micros_max,
-            breaker_open,
-            breaker_rejects,
-            breaker_reject_micros,
-            hedge_launched,
-            hedge_wins,
-        ));
-    });
-    let watchdog = Duration::from_secs(env_usize("HEPQUERY_SERVE_WATCHDOG", 600) as u64);
-    let Ok((
-        storm,
-        shed,
-        shed_micros_max,
-        breaker_open,
-        breaker_rejects,
-        breaker_reject_micros,
-        hedge_launched,
-        hedge_wins,
-    )) = done_rx.recv_timeout(watchdog)
-    else {
-        eprintln!(
-            "FAIL: overload scenarios did not finish within {}s — cancellation stuck?",
-            watchdog.as_secs()
-        );
-        return 1;
-    };
-    worker.join().expect("overload thread");
-    let mut failures = 0;
+    }
+    let mut violations = Vec::new();
     if storm.cancelled == 0 {
-        eprintln!("FAIL: deadline storm cancelled no running query");
-        failures += 1;
+        violations.push("deadline storm cancelled no running query".into());
     }
     if storm.max_overshoot_seconds > 0.0 {
-        eprintln!(
-            "FAIL: a deadline overshot its budget + one row group by {:.3}s",
+        violations.push(format!(
+            "a deadline overshot its budget + one row group by {:.3}s",
             storm.max_overshoot_seconds
-        );
-        failures += 1;
+        ));
     }
     if storm.full_scans_cancelled > 0 {
-        eprintln!(
-            "FAIL: {} cancellations reported a full scan's worth of rows",
+        violations.push(format!(
+            "{} cancellations reported a full scan's worth of rows",
             storm.full_scans_cancelled
-        );
-        failures += 1;
+        ));
     }
     if shed == 0 {
-        eprintln!("FAIL: load shedding never fired under a saturated queue");
-        failures += 1;
+        violations.push("load shedding never fired under a saturated queue".into());
     }
     if !breaker_open {
-        eprintln!("FAIL: breaker did not open under a persistent fault storm");
-        failures += 1;
+        violations.push("breaker did not open under a persistent fault storm".into());
     }
     if !breaker_rejects {
-        eprintln!("FAIL: open breaker did not reject at admission");
-        failures += 1;
+        violations.push("open breaker did not reject at admission".into());
     }
     if hedge_wins == 0 {
-        eprintln!("FAIL: hedging never won a race ({hedge_launched} launched)");
-        failures += 1;
+        violations.push(format!(
+            "hedging never won a race ({hedge_launched} launched)"
+        ));
     }
     eprintln!(
         "  storm: {} requests, {} cancelled, {} timed out, {} completed, {} rejected, \
@@ -595,31 +430,23 @@ fn run_overload() -> i32 {
          rejected in {breaker_reject_micros:.0}µs; hedges {hedge_launched} launched, \
          {hedge_wins} wins"
     );
-    let payload = format!(
-        "{{\n    \"storm_requests\": {},\n    \"storm_cancelled\": {},\n    \"storm_timed_out\": {},\n    \"storm_completed\": {},\n    \"storm_rejected\": {},\n    \"storm_max_overshoot_seconds\": {:.6},\n    \"shed\": {shed},\n    \"shed_reject_micros_max\": {shed_micros_max:.1},\n    \"breaker_open\": {breaker_open},\n    \"breaker_reject_micros\": {breaker_reject_micros:.1},\n    \"hedges_launched\": {hedge_launched},\n    \"hedge_wins\": {hedge_wins}\n  }}",
-        storm.requests,
-        storm.cancelled,
-        storm.timed_out,
-        storm.completed,
-        storm.rejected,
-        storm.max_overshoot_seconds.max(0.0),
-    );
-    let out = std::env::var("BENCH_SMOKE_OUT").unwrap_or_else(|_| "BENCH_smoke.json".to_string());
-    merge_section(&out, "overload", &payload);
-    if failures == 0 {
-        eprintln!("# serve_smoke --overload OK");
-        0
-    } else {
-        failures
-    }
+    violations
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--check") {
-        std::process::exit(run_check());
-    }
-    if std::env::args().any(|a| a == "--overload") {
-        std::process::exit(run_overload());
-    }
-    run_default();
+    let args: Vec<String> = std::env::args().collect();
+    let check_arg = args.iter().any(|a| a == "--check");
+    let overload_arg = args.iter().any(|a| a == "--overload");
+    let both = !check_arg && !overload_arg;
+    std::process::exit(run_gate("serve_smoke", move || {
+        let (_, table) = dataset(dataset_spec(1_500, Some(256)));
+        let mut violations = Vec::new();
+        if check_arg || both {
+            violations.extend(check(&table));
+        }
+        if overload_arg || both {
+            violations.extend(overload(&table));
+        }
+        violations
+    }));
 }

@@ -2,12 +2,12 @@
 //! of records/record-combinations explored per event, analytic vs measured
 //! vs the paper's values for the CMS data set.
 
-use hepbench_bench::dataset;
+use hepbench_bench::{dataset, dataset_spec};
 use hepbench_core::complexity;
 use hepbench_core::ALL_QUERIES;
 
 fn main() {
-    let (events, _) = dataset();
+    let (events, _) = dataset(dataset_spec(65_536, None));
     println!("Table 2 — query complexity (ops = records/record-combinations explored)");
     println!();
     println!(

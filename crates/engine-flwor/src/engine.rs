@@ -20,11 +20,6 @@ pub struct FlworOptions {
     /// Worker threads (0 ⇒ all cores). Parallelism applies only to
     /// partitionable top-level FLWORs (see crate docs).
     pub n_threads: usize,
-    /// Per-item interpretation overhead injected per event, in *simulated*
-    /// nanoseconds of busy work. Models Rumble's JVM/Spark per-record
-    /// overhead beyond what a tree-walking interpreter already costs.
-    /// 0 disables (default).
-    pub overhead_ns_per_item: u64,
     /// Vectorized pre-filtering of scalar `where` conjuncts at scan time
     /// (late materialization). Purely an execution-speed knob: scan stats
     /// are defined by the projected columns (all of them, for Rumble), not
@@ -65,7 +60,6 @@ impl Default for FlworOptions {
     fn default() -> Self {
         FlworOptions {
             n_threads: 0,
-            overhead_ns_per_item: 0,
             vectorized_filter: true,
             zone_map_pruning: true,
             compile: true,
@@ -256,19 +250,10 @@ impl FlworEngine {
         let skip = run.skip.expect("prune() was supplied");
         let leaves: Vec<_> = table.schema().leaves().iter().collect();
 
-        // Only map-like FLWORs fan out over row groups; everything else
-        // needs the whole table in one evaluation.
-        let n_threads = if partitionable {
-            exec_par::resolve_threads(self.options.n_threads, &skip)
-        } else {
-            1
-        };
-        // Evaluates the module over materialized rows, charging the
-        // simulated per-record overhead for `n_scanned` of them. Freeing
-        // the rows is charged to the aggregate span: it is real work
-        // proportional to the input.
-        let eval_rows = |rows: Vec<Value>, n_scanned: usize, agg_span: obs::SpanGuard| {
-            self.busy_overhead(n_scanned);
+        // Evaluates the module over materialized rows. Freeing the rows
+        // is charged to the aggregate span: it is real work proportional
+        // to the input.
+        let eval_rows = |rows: Vec<Value>, agg_span: obs::SpanGuard| {
             let source = TableSource {
                 rows: &rows,
                 name: table.name(),
@@ -299,7 +284,30 @@ impl FlworEngine {
             )?;
             let out: Seq = bins.into_iter().map(Value::Int).collect();
             (out, t0.elapsed().as_secs_f64(), workers, recovery)
-        } else if n_threads <= 1 {
+        } else if partitionable {
+            // Map-like FLWOR: evaluate the module per row group and
+            // concatenate in group order, at any thread count — one
+            // group of materialized rows is live per worker, never the
+            // whole table.
+            let out = exec_par::for_each_group_ordered(
+                table.row_groups(),
+                self.options.n_threads,
+                &skip,
+                &self.cancel,
+                obs::Stage::Materialize,
+                |g, group| -> Result<Seq, FlworError> {
+                    let rows =
+                        materialize_group(group, g, table.schema(), &leaves, preds, &self.trace)?;
+                    let agg_span = self
+                        .trace
+                        .span_with(obs::Stage::Aggregate, || format!("group {g}"));
+                    eval_rows(rows, agg_span)
+                },
+            )?;
+            let items = out.partials.into_iter().flatten().collect();
+            (items, out.cpu_seconds, out.threads_used, no_recovery)
+        } else {
+            // Everything else needs the whole table in one evaluation.
             let t0 = Instant::now();
             let mut rows = Vec::with_capacity(table.n_rows());
             let mut rows_done = 0u64;
@@ -318,33 +326,9 @@ impl FlworEngine {
                 )?);
                 rows_done += g.n_rows() as u64;
             }
-            // Overhead models per-record cost of everything the simulated
-            // engine *scans*, so it is charged for all scanned rows
-            // regardless of how many the pre-filter admits — but not for
-            // rows in pruned groups, which are never read at all.
             let agg_span = self.trace.span(obs::Stage::Aggregate);
-            let out = eval_rows(rows, scan.rows as usize, agg_span)?;
+            let out = eval_rows(rows, agg_span)?;
             (out, t0.elapsed().as_secs_f64(), 1, no_recovery)
-        } else {
-            // Partition-parallel: evaluate the module per row group and
-            // concatenate in group order (sound for map-like FLWORs).
-            let out = exec_par::for_each_group_ordered(
-                table.row_groups(),
-                n_threads,
-                &skip,
-                &self.cancel,
-                obs::Stage::Materialize,
-                |g, group| -> Result<Seq, FlworError> {
-                    let rows =
-                        materialize_group(group, g, table.schema(), &leaves, preds, &self.trace)?;
-                    let agg_span = self
-                        .trace
-                        .span_with(obs::Stage::Aggregate, || format!("group {g}"));
-                    eval_rows(rows, group.n_rows(), agg_span)
-                },
-            )?;
-            let items = out.partials.into_iter().flatten().collect();
-            (items, out.cpu_seconds, out.threads_used, no_recovery)
         };
 
         Ok(FlworOutput {
@@ -358,20 +342,6 @@ impl FlworEngine {
                 recovery,
             },
         })
-    }
-
-    /// Simulated per-record overhead (documented Rumble substitution; the
-    /// spin models JVM serialization cost per record).
-    fn busy_overhead(&self, n_items: usize) {
-        if self.options.overhead_ns_per_item == 0 {
-            return;
-        }
-        let total =
-            std::time::Duration::from_nanos(self.options.overhead_ns_per_item * n_items as u64);
-        let t0 = Instant::now();
-        while t0.elapsed() < total {
-            std::hint::spin_loop();
-        }
     }
 }
 

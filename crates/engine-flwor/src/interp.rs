@@ -32,7 +32,7 @@ impl Source for NoSource {
 /// Lexical environment: outer bindings + the current FLWOR tuple.
 #[derive(Clone, Default)]
 pub struct Env {
-    vars: Vec<(String, Rc<Seq>)>,
+    vars: Vec<(Rc<str>, Rc<Seq>)>,
 }
 
 impl Env {
@@ -43,8 +43,9 @@ impl Env {
 
     /// Extends with a binding (returns a new env).
     pub fn with(&self, name: &str, value: Rc<Seq>) -> Env {
-        let mut vars = self.vars.clone();
-        vars.push((name.to_string(), value));
+        let mut vars = Vec::with_capacity(self.vars.len() + 1);
+        vars.extend_from_slice(&self.vars);
+        vars.push((name.into(), value));
         Env { vars }
     }
 
@@ -52,7 +53,7 @@ impl Env {
         self.vars
             .iter()
             .rev()
-            .find(|(n, _)| n == name)
+            .find(|(n, _)| n.as_ref() == name)
             .map(|(_, v)| v)
     }
 }

@@ -31,8 +31,10 @@
 //! not seem to push any projections into the scan and thus reads the full
 //! file"), and it interprets queries over dynamically typed items, which
 //! is the structural reason for its order-of-magnitude slowdown in
-//! Figure 1. Top-level map-like FLWORs are partitioned across row groups
-//! (Spark's parallelism), falling back to serial evaluation when clauses
+//! Figure 1. Top-level map-like FLWORs are evaluated one row group at a
+//! time — spread over the configured threads (Spark's parallelism), and
+//! on one thread too, so only a group of rows is materialized at once —
+//! falling back to one evaluation over the whole table when clauses
 //! (group/order/count) make partitioning unsound.
 
 pub mod ast;

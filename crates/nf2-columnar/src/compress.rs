@@ -44,8 +44,8 @@ pub fn compressed_size(data: &ColumnData) -> usize {
         ColumnData::Bool(v) => bool_size(v),
         ColumnData::I32(v) => varint_delta_size(v.iter().map(|&x| x as i64)),
         ColumnData::I64(v) => varint_delta_size(v.iter().copied()),
-        ColumnData::F32(v) => byte_plane_size(v.iter().flat_map(|x| x.to_le_bytes()), 4, v.len()),
-        ColumnData::F64(v) => byte_plane_size(v.iter().flat_map(|x| x.to_le_bytes()), 8, v.len()),
+        ColumnData::F32(v) => byte_plane_size(v.len(), 4, |i, b| v[i].to_le_bytes()[b]),
+        ColumnData::F64(v) => byte_plane_size(v.len(), 8, |i, b| v[i].to_le_bytes()[b]),
     }
 }
 
@@ -109,16 +109,12 @@ pub fn encoded_size(data: &ColumnData, enc: Encoding) -> Option<usize> {
             Some(varint_delta_size(v.iter().map(|&x| x as i64)))
         }
         (Encoding::DeltaVarint, ColumnData::I64(v)) => Some(varint_delta_size(v.iter().copied())),
-        (Encoding::ByteStreamSplit, ColumnData::F32(v)) => Some(byte_plane_size(
-            v.iter().flat_map(|x| x.to_le_bytes()),
-            4,
-            v.len(),
-        )),
-        (Encoding::ByteStreamSplit, ColumnData::F64(v)) => Some(byte_plane_size(
-            v.iter().flat_map(|x| x.to_le_bytes()),
-            8,
-            v.len(),
-        )),
+        (Encoding::ByteStreamSplit, ColumnData::F32(v)) => {
+            Some(byte_plane_size(v.len(), 4, |i, b| v[i].to_le_bytes()[b]))
+        }
+        (Encoding::ByteStreamSplit, ColumnData::F64(v)) => {
+            Some(byte_plane_size(v.len(), 8, |i, b| v[i].to_le_bytes()[b]))
+        }
         (Encoding::Dict, _) => dict_size(data),
         _ => None,
     }
@@ -317,13 +313,19 @@ fn bool_size(v: &[bool]) -> usize {
 /// their own length plus one control byte per 127 literals. Incompressible
 /// data therefore costs ~100.8% of its raw size, never 2×.
 fn rle_size(bytes: &[u8]) -> usize {
+    rle_size_of(bytes.len(), |i| bytes[i])
+}
+
+/// [`rle_size`] of the `n`-byte stream whose byte `i` is `at(i)`, so a
+/// strided view (one byte plane of a float column) needs no copy.
+fn rle_size_of(n: usize, at: impl Fn(usize) -> u8) -> usize {
     let mut size = 0usize;
     let mut literals = 0usize;
     let mut i = 0;
-    while i < bytes.len() {
-        let b = bytes[i];
+    while i < n {
+        let b = at(i);
         let mut run = 1usize;
-        while i + run < bytes.len() && bytes[i + run] == b && run < 130 {
+        while i + run < n && at(i + run) == b && run < 130 {
             run += 1;
         }
         if run >= 3 {
@@ -473,17 +475,13 @@ fn varint_delta_decode(r: &mut Reader, n: usize) -> Result<Vec<i64>, ColumnarErr
     Ok(out)
 }
 
-/// Splits a little-endian byte stream into `width` planes and RLE-encodes
-/// each plane separately.
-fn byte_plane_size<I: IntoIterator<Item = u8>>(bytes: I, width: usize, n: usize) -> usize {
-    if n == 0 {
-        return 0;
-    }
-    let mut planes: Vec<Vec<u8>> = vec![Vec::with_capacity(n); width];
-    for (i, b) in bytes.into_iter().enumerate() {
-        planes[i % width].push(b);
-    }
-    planes.iter().map(|p| rle_size(p)).sum()
+/// Size of [`byte_plane_encode`]'s output for `n` values of `width`
+/// bytes, `byte(i, b)` being little-endian byte `b` of value `i`: the sum
+/// of the planes' RLE sizes, read in place.
+fn byte_plane_size(n: usize, width: usize, byte: impl Fn(usize, usize) -> u8) -> usize {
+    (0..width)
+        .map(|plane| rle_size_of(n, |i| byte(i, plane)))
+        .sum()
 }
 
 fn byte_plane_encode<I: IntoIterator<Item = u8>>(bytes: I, width: usize, n: usize) -> Vec<u8> {
@@ -520,20 +518,30 @@ fn dict_build(data: &ColumnData) -> Option<(Vec<u64>, Vec<u8>)> {
         return None;
     }
     let mut values: Vec<u64> = Vec::new();
-    let mut index: std::collections::HashMap<u64, u8> = std::collections::HashMap::new();
+    // Open-addressing index over `values`: a slot holds code + 1 of the
+    // value hashed there, 0 when empty. Twice DICT_MAX slots keep the
+    // load at most one half, so linear probes stay short; values chosen
+    // to collide cost at most DICT_MAX probes each, then the build bails.
+    let mut slots = [0u16; 2 * DICT_MAX];
+    // Fibonacci hashing: the top bits of the product index the
+    // (power-of-two many) slots.
+    let shift = u64::BITS - slots.len().trailing_zeros();
     let mut codes = Vec::with_capacity(data.len());
     for i in 0..data.len() {
         let bits = entry_bits(data, i);
-        let code = match index.get(&bits) {
-            Some(&c) => c,
-            None => {
-                if values.len() >= DICT_MAX {
-                    return None;
+        let mut at = (bits.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
+        let code = loop {
+            match slots[at] {
+                0 => {
+                    if values.len() >= DICT_MAX {
+                        return None;
+                    }
+                    values.push(bits);
+                    slots[at] = values.len() as u16;
+                    break (values.len() - 1) as u8;
                 }
-                let c = values.len() as u8;
-                values.push(bits);
-                index.insert(bits, c);
-                c
+                s if values[s as usize - 1] == bits => break (s - 1) as u8,
+                _ => at = (at + 1) % slots.len(),
             }
         };
         codes.push(code);

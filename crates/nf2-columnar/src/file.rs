@@ -44,9 +44,7 @@ pub fn write_table<W: Write>(table: &Table, w: &mut W) -> Result<(), ColumnarErr
                 Some(off) => {
                     w.write_all(&[1u8])?;
                     w.write_all(&(off.len() as u64).to_le_bytes())?;
-                    for o in off {
-                        w.write_all(&o.to_le_bytes())?;
-                    }
+                    write_le(w, off, |o| o.to_le_bytes())?;
                 }
                 None => w.write_all(&[0u8])?,
             }
@@ -84,11 +82,7 @@ pub fn read_table<R: Read>(r: &mut R) -> Result<Table, ColumnarError> {
             let ptype = tag_ptype(tag[0])?;
             let offsets = if tag[1] == 1 {
                 let n = read_u64(r)? as usize;
-                let mut off = Vec::with_capacity(n);
-                for _ in 0..n {
-                    off.push(read_u32(r)?);
-                }
-                Some(off)
+                Some(read_le(r, n, u32::from_le_bytes)?)
             } else {
                 None
             };
@@ -202,79 +196,64 @@ fn read_dtype<R: Read>(r: &mut R) -> Result<DataType, ColumnarError> {
 fn write_data<W: Write>(w: &mut W, data: &ColumnData) -> Result<(), ColumnarError> {
     w.write_all(&(data.len() as u64).to_le_bytes())?;
     match data {
-        ColumnData::Bool(v) => {
-            for &b in v {
-                w.write_all(&[b as u8])?;
-            }
+        ColumnData::Bool(v) => write_le(w, v, |b| [b as u8]),
+        ColumnData::I32(v) => write_le(w, v, |x| x.to_le_bytes()),
+        ColumnData::I64(v) => write_le(w, v, |x| x.to_le_bytes()),
+        ColumnData::F32(v) => write_le(w, v, |x| x.to_le_bytes()),
+        ColumnData::F64(v) => write_le(w, v, |x| x.to_le_bytes()),
+    }
+}
+
+/// Bytes staged per `write_all` / `read_exact` call: values cross the
+/// reader/writer in blocks, not one call per value.
+const BLOCK_BYTES: usize = 4096;
+
+/// Writes `values` as consecutive `N`-byte little-endian words.
+fn write_le<W: Write, T: Copy, const N: usize>(
+    w: &mut W,
+    values: &[T],
+    to_le: impl Fn(T) -> [u8; N],
+) -> Result<(), ColumnarError> {
+    let mut block = [0u8; BLOCK_BYTES];
+    for part in values.chunks(BLOCK_BYTES / N) {
+        for (bytes, &x) in block.chunks_exact_mut(N).zip(part) {
+            bytes.copy_from_slice(&to_le(x));
         }
-        ColumnData::I32(v) => {
-            for x in v {
-                w.write_all(&x.to_le_bytes())?;
-            }
-        }
-        ColumnData::I64(v) => {
-            for x in v {
-                w.write_all(&x.to_le_bytes())?;
-            }
-        }
-        ColumnData::F32(v) => {
-            for x in v {
-                w.write_all(&x.to_le_bytes())?;
-            }
-        }
-        ColumnData::F64(v) => {
-            for x in v {
-                w.write_all(&x.to_le_bytes())?;
-            }
-        }
+        w.write_all(&block[..part.len() * N])?;
     }
     Ok(())
+}
+
+/// Reads `n` consecutive `N`-byte little-endian words. `n` comes from
+/// the file: only a bounded part of it is reserved up front, so a corrupt
+/// length runs into the end of the input instead of the allocator.
+fn read_le<R: Read, T, const N: usize>(
+    r: &mut R,
+    n: usize,
+    from_le: impl Fn([u8; N]) -> T,
+) -> Result<Vec<T>, ColumnarError> {
+    let mut values = Vec::with_capacity(n.min(1 << 16));
+    let mut block = [0u8; BLOCK_BYTES];
+    while values.len() < n {
+        let bytes = &mut block[..(n - values.len()).min(BLOCK_BYTES / N) * N];
+        r.read_exact(bytes)?;
+        values.extend(
+            bytes
+                .chunks_exact(N)
+                .map(|b| from_le(b.try_into().expect("chunks_exact(N)"))),
+        );
+    }
+    Ok(values)
 }
 
 fn read_data<R: Read>(r: &mut R, pt: PhysicalType) -> Result<ColumnData, ColumnarError> {
     let n = read_u64(r)? as usize;
     Ok(match pt {
-        PhysicalType::Bool => {
-            let mut buf = vec![0u8; n];
-            r.read_exact(&mut buf)?;
-            ColumnData::Bool(buf.into_iter().map(|b| b != 0).collect())
-        }
-        PhysicalType::Int32 => {
-            let mut v = Vec::with_capacity(n);
-            let mut b = [0u8; 4];
-            for _ in 0..n {
-                r.read_exact(&mut b)?;
-                v.push(i32::from_le_bytes(b));
-            }
-            ColumnData::I32(v)
-        }
-        PhysicalType::Int64 => {
-            let mut v = Vec::with_capacity(n);
-            let mut b = [0u8; 8];
-            for _ in 0..n {
-                r.read_exact(&mut b)?;
-                v.push(i64::from_le_bytes(b));
-            }
-            ColumnData::I64(v)
-        }
-        PhysicalType::Float32 => {
-            let mut v = Vec::with_capacity(n);
-            let mut b = [0u8; 4];
-            for _ in 0..n {
-                r.read_exact(&mut b)?;
-                v.push(f32::from_le_bytes(b));
-            }
-            ColumnData::F32(v)
-        }
-        PhysicalType::Float64 => {
-            let mut v = Vec::with_capacity(n);
-            let mut b = [0u8; 8];
-            for _ in 0..n {
-                r.read_exact(&mut b)?;
-                v.push(f64::from_le_bytes(b));
-            }
-            ColumnData::F64(v)
-        }
+        PhysicalType::Bool => ColumnData::Bool(read_le(r, n, |[b]| b != 0)?),
+        PhysicalType::Int32 => ColumnData::I32(read_le(r, n, i32::from_le_bytes)?),
+        PhysicalType::Int64 => ColumnData::I64(read_le(r, n, i64::from_le_bytes)?),
+        PhysicalType::Float32 => ColumnData::F32(read_le(r, n, f32::from_le_bytes)?),
+        PhysicalType::Float64 => ColumnData::F64(read_le(r, n, f64::from_le_bytes)?),
     })
 }
 
@@ -388,6 +367,23 @@ mod tests {
         let mut buf = Vec::new();
         write_table(&t, &mut buf).unwrap();
         buf.truncate(buf.len() / 2);
+        assert!(read_table(&mut &buf[..]).is_err());
+    }
+
+    #[test]
+    fn rejects_corrupt_length_without_allocating_it() {
+        let t = sample_table();
+        let mut buf = Vec::new();
+        write_table(&t, &mut buf).unwrap();
+        // Everything before the first row group, from a table without any.
+        let mut header = Vec::new();
+        let empty = TableBuilder::new("t", t.schema().clone(), 3).finish();
+        write_table(&empty, &mut header).unwrap();
+        // n_rows u64 | n_columns u32 | "P.pt" as len u32 + 4 bytes | 2 tag
+        // bytes, then the offsets length of the first (repeated) column.
+        let at = header.len() + 8 + 4 + 8 + 2;
+        assert_eq!(buf[at..at + 8], 4u64.to_le_bytes(), "3 rows + 1 offsets");
+        buf[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(read_table(&mut &buf[..]).is_err());
     }
 
