@@ -9,11 +9,11 @@
 //!   parallelization-granularity plateau).
 //!
 //! * `--check` — the CI gate: sharded data sets at three scales
-//!   ([`SHARD_LADDER`]) × four worker counts ([`WORKERS`]) × two
-//!   adversarial steal seeds ([`STEAL_SEEDS`]) over three compiled plans
-//!   (two scan-bound, one compute-bound trijet); every point must be
-//!   **byte-identical** to the serial executor. Parallel *throughput* is
-//!   the `parallel_scaling` workload of `benchmark/`, not this gate.
+//!   ([`SHARD_LADDER`]) × four worker counts ([`WORKERS`]) over three
+//!   compiled plans (two scan-bound, one compute-bound trijet); every
+//!   point must be **byte-identical** to the serial executor. Parallel
+//!   *throughput* is the `parallel_scaling` workload of `benchmark/`, not
+//!   this gate.
 //!
 //! Scale knobs: `HEPQUERY_EVENTS` (events **per shard** under `--check`),
 //! `HEPQUERY_ROW_GROUP`, `HEPQUERY_SEED`, `HEPQUERY_WATCHDOG`.
@@ -37,9 +37,6 @@ const SHARD_LADDER: [usize; 3] = [1, 2, 4];
 
 /// Worker counts every plan runs at.
 const WORKERS: [usize; 4] = [1, 2, 4, 8];
-
-/// Steal seeds every point runs under.
-const STEAL_SEEDS: [u64; 2] = [0x5EED, u64::MAX];
 
 /// The three studied plans: two scan-bound fills (Q1/Q2-shaped) and the
 /// compute-bound Q6 trijet kernel.
@@ -156,7 +153,7 @@ fn figure2_table() {
     println!("more row groups than cores.");
 }
 
-/// The `--check` body: every (scale × plan × workers × steal seed) point
+/// The `--check` body: every (scale × plan × workers) point
 /// against serial execution; returns one message per diverging point.
 fn check_identity(base: ShardedSpec) -> Vec<String> {
     eprintln!(
@@ -181,32 +178,22 @@ fn check_identity(base: ShardedSpec) -> Vec<String> {
             )
             .expect("serial execution");
             for workers in WORKERS {
-                for steal_seed in STEAL_SEEDS {
-                    let opts = ParOptions {
-                        workers,
-                        steal_seed,
-                        recovery: None,
-                    };
-                    let (bins, stats) = exec_par::execute(
-                        &plan,
-                        &table,
-                        None,
-                        &obs::TraceCtx::disabled(),
-                        &obs::CancelToken::none(),
-                        None,
-                        &opts,
-                    )
-                    .expect("parallel execution");
-                    eprintln!(
-                        "  {name:10} w={workers} seed {steal_seed:#x}: {} morsels, {} steals",
-                        stats.morsels, stats.steals
-                    );
-                    if bins != serial {
-                        violations.push(format!(
-                            "{name} at {shards} shards: parallel bins diverged from serial at \
-                             {workers} workers (steal seed {steal_seed:#x})"
-                        ));
-                    }
+                let (bins, stats) = exec_par::execute(
+                    &plan,
+                    &table,
+                    None,
+                    &obs::TraceCtx::disabled(),
+                    &obs::CancelToken::none(),
+                    None,
+                    &ParOptions::new(workers),
+                )
+                .expect("parallel execution");
+                eprintln!("  {name:10} w={workers}: {} morsels", stats.morsels);
+                if bins != serial {
+                    violations.push(format!(
+                        "{name} at {shards} shards: parallel bins diverged from serial at \
+                         {workers} workers"
+                    ));
                 }
             }
         }

@@ -5,8 +5,8 @@
 //! * `--check` — generates `HEPQUERY_FUZZ_PLANS` (default 200) seeded
 //!   random plans over the CMS schema and executes every one on all seven
 //!   systems under test (BigQuery/Presto/Athena SQL, JSONiq, RDataFrame,
-//!   the compiled physical-IR executor, and the compiled executor on the
-//!   morsel-parallel worker pool with a plan-derived steal seed),
+//!   the compiled physical-IR executor, and the compiled executor on
+//!   the morsel-parallel fan-out at 3 workers),
 //!   comparing each histogram **bin-for-bin** against the interpreter
 //!   oracle. Any divergence or fault-free failure exits non-zero — in
 //!   particular, any parallel-vs-serial compiled divergence. A second

@@ -171,10 +171,10 @@ pub enum EngineUnderTest {
     /// batch kernels the engines' compiled paths share.
     Compiled,
     /// The morsel-parallel compiled executor (`exec_par`) — same lowered
-    /// plan as [`EngineUnderTest::Compiled`], executed on a multi-worker
-    /// pool with a plan-derived steal seed, so the sweeps also hold the
+    /// plan as [`EngineUnderTest::Compiled`], executed on
+    /// [`PARALLEL_FUZZ_WORKERS`] workers, so the sweeps also hold the
     /// exchange/partial-aggregation merge to bin-exactness under
-    /// adversarial steal interleavings.
+    /// scheduling-dependent completion orders.
     CompiledParallel,
 }
 
@@ -190,7 +190,7 @@ pub const ALL_ENGINES: &[EngineUnderTest] = &[
 ];
 
 /// Worker count [`EngineUnderTest::CompiledParallel`] runs with: odd and
-/// > 1, so morsels distribute unevenly and stealing actually happens.
+/// > 1, so morsels distribute unevenly across workers.
 pub const PARALLEL_FUZZ_WORKERS: usize = 3;
 
 impl EngineUnderTest {
@@ -221,24 +221,11 @@ impl EngineUnderTest {
             EngineUnderTest::Jsoniq => plan.run_jsoniq(table, env),
             EngineUnderTest::Rdf => plan.run_rdf(table, env),
             EngineUnderTest::Compiled => plan.run_compiled(table, env),
-            // Steal order is derived from the plan id: every plan sees a
-            // different (but reproducible) interleaving.
-            EngineUnderTest::CompiledParallel => plan.run_compiled_parallel(
-                table,
-                env,
-                PARALLEL_FUZZ_WORKERS,
-                splitmix64_once(plan.id),
-            ),
+            EngineUnderTest::CompiledParallel => {
+                plan.run_compiled_parallel(table, env, PARALLEL_FUZZ_WORKERS)
+            }
         }
     }
-}
-
-/// One splitmix64 step, for deriving per-plan steal seeds.
-fn splitmix64_once(x: u64) -> u64 {
-    let mut s = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    s = (s ^ (s >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    s = (s ^ (s >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    s ^ (s >> 31)
 }
 
 /// Outcome of a differential fuzzing run.
@@ -568,10 +555,6 @@ impl CancelReport {
 /// that a cancel point sampled within a run reliably lands mid-scan.
 pub const CANCEL_SWEEP_LATENCY: Duration = Duration::from_micros(300);
 
-/// Plans the sweep additionally probes with a deterministic cancel
-/// raised between parallel morsel execution and the exchange merge.
-pub const MERGE_CANCEL_PROBES: usize = 3;
-
 /// Runs `n_plans` seeded plans on every engine with a randomized cancel
 /// point and asserts the all-or-nothing contract: every run either
 /// returns the **byte-identical oracle histogram** (the cancel landed
@@ -585,12 +568,6 @@ pub const MERGE_CANCEL_PROBES: usize = 3;
 ///   so the deadline trips at an effectively random row group);
 /// * an **explicit cancel** from a second thread after a sampled delay —
 ///   the service's `Ticket::cancel()` path.
-///
-/// A third, deterministic phase targets the parallel executor's merge:
-/// each probed plan runs all its morsels to completion on the worker
-/// pool, the token is cancelled, and the exchange merge must abort with
-/// a typed explicit cancellation instead of assembling a histogram from
-/// the finished partials.
 ///
 /// All runs share one [`nf2_columnar::ChunkCache`] buffer pool. After the storm of
 /// aborted scans the pool must still honor its budget and serve
@@ -684,54 +661,6 @@ pub fn cancellation_sweep(
             }
         }
     }
-    // Deterministic merge-phase cancellation: the parallel executor's
-    // exchange re-checks the token while merging partial aggregates, so
-    // a cancel raised *between* morsel execution and the merge must
-    // surface as a typed cancellation — never as a partial histogram
-    // assembled from already-finished workers.
-    for plan in plans.iter().take(MERGE_CANCEL_PROBES) {
-        report.runs += 1;
-        let phys = plan.physical();
-        let cancel = obs::CancelToken::new();
-        let opts = exec_par::ParOptions {
-            workers: PARALLEL_FUZZ_WORKERS,
-            steal_seed: splitmix64_once(plan.id),
-            recovery: None,
-        };
-        match exec_par::run_morsels(
-            &phys,
-            table,
-            None,
-            &obs::TraceCtx::disabled(),
-            &cancel,
-            None,
-            &opts,
-        ) {
-            Ok((exchange, _)) => {
-                cancel.cancel();
-                match exchange.merge(&cancel) {
-                    Ok(_) => report.violations.push(format!(
-                        "{}: exchange merge ignored a cancel raised before it drained",
-                        plan.label()
-                    )),
-                    Err(c) => {
-                        report.cancellations += 1;
-                        if !matches!(c.reason, obs::CancelReason::Explicit) {
-                            report.violations.push(format!(
-                                "{}: merge-phase cancel mislabelled as {:?}",
-                                plan.label(),
-                                c.reason
-                            ));
-                        }
-                    }
-                }
-            }
-            Err(e) => report.violations.push(format!(
-                "{}: fault-free parallel morsel run failed: {e}",
-                plan.label()
-            )),
-        }
-    }
     // Buffer-pool consistency after the aborted scans.
     if pool.resident_bytes() > POOL_BUDGET {
         report.violations.push(format!(
@@ -776,19 +705,16 @@ pub fn cancellation_sweep(
 /// Outcome of the morsel-recovery sweep.
 #[derive(Debug)]
 pub struct RecoveryReport {
-    /// Executor runs performed (plans × schedules × workers × steal seeds,
-    /// plus the engine-level conservation probes).
+    /// Executor runs performed (plans × schedules × workers, plus the
+    /// engine-level conservation probes).
     pub runs: usize,
     /// Runs that converged to the byte-identical serial oracle.
     pub clean_results: usize,
     /// Persistent-fault runs that failed fast with the right typed error.
     pub typed_errors: usize,
-    /// Total recovery interventions observed (retries, quarantines,
-    /// reassignments, speculations, worker retirements). Zero means the
-    /// injector never fired — a dead sweep.
+    /// Total recovery interventions observed (retries and quarantines).
+    /// Zero means the injector never fired — a dead sweep.
     pub interventions: u64,
-    /// Workers retired across the sweep (worker-kill schedules).
-    pub workers_lost: u64,
     /// Contract violations. Empty ⇒ pass.
     pub violations: Vec<String>,
 }
@@ -800,9 +726,9 @@ impl RecoveryReport {
     }
 }
 
-/// Worker counts the recovery sweep exercises (1 covers the
-/// recovery-through-the-pool serial case, 8 oversubscribes the default
-/// fuzz dataset's row groups).
+/// Worker counts the recovery sweep exercises (1 covers the serial
+/// recovering case, 8 oversubscribes the default fuzz dataset's row
+/// groups).
 pub const RECOVERY_SWEEP_WORKERS: &[usize] = &[1, 2, 4, 8];
 
 /// What a recovery schedule must end in.
@@ -822,24 +748,20 @@ struct RecoverySchedule {
     class: FaultClass,
     p: f64,
     transient_attempts: u32,
-    panic_budget: u32,
     expect: RecoveryOutcome,
 }
 
 /// The sweep's schedules: every retryable class transient, panics as
-/// poison pills (quarantine) and as worker killers (`panic_budget 0` ⇒
-/// retire + reassign, degrading to the serial fallback at one worker),
-/// and persistent faults that must fail fast with typed errors.
-/// Transient probabilities stay below saturation: morsel probes fail
-/// fast (one leaf per attempt), so a morsel's faulting-leaf count must
-/// not exceed the retry budget.
+/// poison pills (quarantine in place), and persistent faults that must
+/// fail fast with typed errors. Transient probabilities stay below
+/// saturation: morsel probes fail fast (one leaf per attempt), so a
+/// morsel's faulting-leaf count must not exceed the retry budget.
 const RECOVERY_SCHEDULES: &[RecoverySchedule] = &[
     RecoverySchedule {
         name: "transient-io",
         class: FaultClass::Io,
         p: 0.35,
         transient_attempts: 1,
-        panic_budget: 1,
         expect: RecoveryOutcome::Recovers,
     },
     RecoverySchedule {
@@ -847,7 +769,6 @@ const RECOVERY_SCHEDULES: &[RecoverySchedule] = &[
         class: FaultClass::ChecksumMismatch,
         p: 0.35,
         transient_attempts: 1,
-        panic_budget: 1,
         expect: RecoveryOutcome::Recovers,
     },
     RecoverySchedule {
@@ -855,7 +776,6 @@ const RECOVERY_SCHEDULES: &[RecoverySchedule] = &[
         class: FaultClass::TruncatedRowGroup,
         p: 0.35,
         transient_attempts: 1,
-        panic_budget: 1,
         expect: RecoveryOutcome::Recovers,
     },
     RecoverySchedule {
@@ -863,15 +783,6 @@ const RECOVERY_SCHEDULES: &[RecoverySchedule] = &[
         class: FaultClass::Panic,
         p: 0.2,
         transient_attempts: 1,
-        panic_budget: u32::MAX,
-        expect: RecoveryOutcome::Recovers,
-    },
-    RecoverySchedule {
-        name: "worker-kill",
-        class: FaultClass::Panic,
-        p: 0.2,
-        transient_attempts: 1,
-        panic_budget: 0,
         expect: RecoveryOutcome::Recovers,
     },
     RecoverySchedule {
@@ -879,7 +790,6 @@ const RECOVERY_SCHEDULES: &[RecoverySchedule] = &[
         class: FaultClass::Io,
         p: 1.0,
         transient_attempts: 0,
-        panic_budget: 1,
         expect: RecoveryOutcome::FailsTypedFault,
     },
     RecoverySchedule {
@@ -887,24 +797,23 @@ const RECOVERY_SCHEDULES: &[RecoverySchedule] = &[
         class: FaultClass::Panic,
         p: 1.0,
         transient_attempts: 0,
-        panic_budget: 1,
         expect: RecoveryOutcome::FailsMorselPanic,
     },
 ];
 
 /// Morsel-level fault-recovery sweep over the parallel compiled
 /// executor: every seeded plan runs under every adversarial fault
-/// schedule at every [`RECOVERY_SWEEP_WORKERS`] count with two adversarial
-/// steal seeds, against a fresh deterministic injector per run.
+/// schedule at every [`RECOVERY_SWEEP_WORKERS`] count, against a fresh
+/// deterministic injector per run.
 ///
 /// Gates, per recovering run:
 ///
 /// * **byte identity** — the merged bin sequence equals the serial
 ///   interpreter-free oracle ([`physical_ir::execute`]) exactly;
 /// * **conservation** — every row and every morsel is accounted exactly
-///   once (`rows`/`morsels`/`recovery.ok` match the table), and the
-///   exchange dropped zero duplicate partials (no double counting from
-///   retries, reassignments or speculation);
+///   once (`rows`/`morsels`/`recovery.ok` match the table), and no
+///   group yielded a duplicate partial (`recovery.ok == morsels`: no
+///   double counting from retries or quarantine re-runs);
 /// * **fail-fast typing** — persistent schedules surface the injected
 ///   class as a typed [`nf2_columnar::ScanError`] (or
 ///   [`physical_ir::PirError::MorselPanic`] for persistent panics),
@@ -928,7 +837,6 @@ pub fn recovery_sweep(
         clean_results: 0,
         typed_errors: 0,
         interventions: 0,
-        workers_lost: 0,
         violations: Vec::new(),
     };
     let trace = obs::TraceCtx::disabled();
@@ -949,25 +857,22 @@ pub fn recovery_sweep(
         };
         for (s_idx, schedule) in RECOVERY_SCHEDULES.iter().enumerate() {
             for &workers in RECOVERY_SWEEP_WORKERS {
-                for seed_idx in 0..2u64 {
-                    let steal_seed = splitmix64_once(
-                        plan.id ^ (s_idx as u64) << 8 ^ (workers as u64) << 16 ^ seed_idx,
-                    );
-                    report.runs += 1;
-                    run_recovery_case(
-                        &mut report,
-                        schedule,
-                        plan,
-                        &phys,
-                        &oracle,
-                        table,
-                        workers,
-                        steal_seed,
-                        n_groups,
-                        total_rows,
-                        seed,
-                    );
-                }
+                report.runs += 1;
+                // A per-case fault seed: every case faults different sites.
+                let case = plan.id ^ (s_idx as u64) << 8 ^ (workers as u64) << 16;
+                let fault_seed = seed ^ ChaosRng::new(case).next_u64();
+                run_recovery_case(
+                    &mut report,
+                    schedule,
+                    plan,
+                    &phys,
+                    &oracle,
+                    table,
+                    workers,
+                    fault_seed,
+                    n_groups,
+                    total_rows,
+                );
             }
         }
     }
@@ -975,7 +880,7 @@ pub fn recovery_sweep(
     report
 }
 
-/// One (plan × schedule × workers × steal seed) recovery run.
+/// One (plan × schedule × workers) recovery run.
 #[allow(clippy::too_many_arguments)]
 fn run_recovery_case(
     report: &mut RecoveryReport,
@@ -985,75 +890,45 @@ fn run_recovery_case(
     oracle: &[i64],
     table: &Arc<Table>,
     workers: usize,
-    steal_seed: u64,
+    fault_seed: u64,
     n_groups: u64,
     total_rows: u64,
-    seed: u64,
 ) {
-    let ctx = || {
-        format!(
-            "{} {} x{workers} steal {steal_seed:#x}",
-            plan.label(),
-            schedule.name
-        )
-    };
+    let ctx = || format!("{} {} x{workers}", plan.label(), schedule.name);
     // A fresh injector per run: transient sites heal statefully, so a
     // shared one would let earlier runs defuse later schedules.
     let injector = FaultInjector::new(FaultConfig {
         transient_attempts: schedule.transient_attempts,
-        ..FaultConfig::only(schedule.class, schedule.p, seed ^ steal_seed)
+        ..FaultConfig::only(schedule.class, schedule.p, fault_seed)
     });
     let faults = nf2_columnar::ScanFaults::new(&injector, table);
     let opts = exec_par::ParOptions {
         workers,
-        steal_seed,
-        recovery: Some(exec_par::RecoveryOptions {
-            max_retries: 16,
-            panic_budget: schedule.panic_budget,
-            // Speculation is latency-driven and exercised by the
-            // executor's own tests; the sweep keeps it off so every
-            // intervention here is provoked by the fault schedule alone.
-            // (The *fault* schedule is pure in the seeds; intervention
-            // totals still vary with thread timing — only the merged
-            // bins are asserted identical.)
-            speculate_factor: 0.0,
-            ..exec_par::RecoveryOptions::default()
-        }),
+        // Each attempt fails fast on the first faulting leaf, so the
+        // budget must cover a morsel's faulting-leaf count: the sweep's
+        // widest plans read more leaves than the engines' default of 3.
+        recovery: Some(exec_par::RecoveryOptions { max_retries: 16 }),
     };
-    let trace = obs::TraceCtx::disabled();
-    let cancel = obs::CancelToken::none();
-    let outcome = exec_par::run_morsels_with_faults(
+    let outcome = exec_par::execute_with_faults(
         phys,
         table,
         None,
-        &trace,
-        &cancel,
+        &obs::TraceCtx::disabled(),
+        &obs::CancelToken::none(),
         None,
         &opts,
         Some(faults),
     );
     match (schedule.expect, outcome) {
-        (RecoveryOutcome::Recovers, Ok((exchange, stats))) => {
+        (RecoveryOutcome::Recovers, Ok((bins, stats))) => {
             report.interventions += stats.recovery.interventions();
-            report.workers_lost += stats.recovery.workers_lost;
-            if exchange.duplicates_dropped() != 0 {
+            if stats.recovery.ok != stats.morsels {
                 report.violations.push(format!(
                     "{}: {} duplicate partials reached the exchange",
                     ctx(),
-                    exchange.duplicates_dropped()
+                    stats.recovery.ok.abs_diff(stats.morsels)
                 ));
-                return;
-            }
-            let bins = match exchange.merge(&cancel) {
-                Ok(b) => b,
-                Err(c) => {
-                    report
-                        .violations
-                        .push(format!("{}: merge cancelled without a token: {c}", ctx()));
-                    return;
-                }
-            };
-            if bins != oracle {
+            } else if bins != oracle {
                 report
                     .violations
                     .push(format!("{}: bins diverged from the serial oracle", ctx()));
@@ -1224,17 +1099,13 @@ mod tests {
         let (events, table) = dataset();
         let report = recovery_sweep(0x09EC_04E9, 2, &events, &table);
         assert!(report.passed(), "{:#?}", report.violations);
-        // 2 plans × 7 schedules × 4 worker counts × 2 steal seeds, plus
-        // the two engine-level conservation probes.
-        assert_eq!(report.runs, 2 * RECOVERY_SCHEDULES.len() * 4 * 2 + 2);
+        // 2 plans × 6 schedules × 4 worker counts, plus the two
+        // engine-level conservation probes.
+        assert_eq!(report.runs, 2 * RECOVERY_SCHEDULES.len() * 4 + 2);
         assert_eq!(report.clean_results + report.typed_errors, report.runs);
         assert!(
             report.interventions > 0,
             "sweep never recovered anything — dead injector?"
-        );
-        assert!(
-            report.workers_lost > 0,
-            "worker-kill schedule never retired a worker"
         );
         assert!(report.typed_errors > 0, "persistent schedules never fired");
     }
@@ -1243,8 +1114,7 @@ mod tests {
     fn cancellation_sweep_is_all_or_nothing() {
         let (events, table) = dataset();
         let report = cancellation_sweep(0xCA9CE1, 6, &events, &table);
-        // The randomized grid plus the deterministic merge-phase probes.
-        assert_eq!(report.runs, 6 * ALL_ENGINES.len() + MERGE_CANCEL_PROBES);
+        assert_eq!(report.runs, 6 * ALL_ENGINES.len());
         assert!(report.passed(), "{:#?}", report.violations);
         assert_eq!(
             report.cancellations + report.clean_results,

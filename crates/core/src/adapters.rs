@@ -183,9 +183,8 @@ pub struct ExecEnv {
     pub zone_map_pruning: Option<bool>,
     /// Morsel-level fault recovery override for compiled execution
     /// (`None` ⇒ engine option default, which is off). With
-    /// `Some(true)`, transient scan faults are retried per morsel,
-    /// panicking morsels are quarantined, dead workers' deques are
-    /// reassigned and the pool degrades down to a serial fallback
+    /// `Some(true)`, transient scan faults are retried per morsel and
+    /// panicking morsels are quarantined and re-executed in place
     /// instead of failing the whole query (see `exec_par`); results are
     /// byte-identical, only failure handling changes.
     pub morsel_recovery: Option<bool>,

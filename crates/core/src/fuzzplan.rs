@@ -730,22 +730,16 @@ impl FuzzPlan {
     }
 
     /// Executes the plan on the morsel-parallel compiled executor
-    /// ([`exec_par`]) with `workers` threads and the given steal seed.
-    /// Must produce exactly the bins of [`FuzzPlan::run_compiled`] at
-    /// any worker count — the differential fuzzer holds it to that.
+    /// ([`exec_par`]) with `workers` threads. Must produce exactly the
+    /// bins of [`FuzzPlan::run_compiled`] at any worker count — the
+    /// differential fuzzer holds it to that.
     pub fn run_compiled_parallel(
         &self,
         table: &Arc<Table>,
         env: &ExecEnv,
         workers: usize,
-        steal_seed: u64,
     ) -> Result<Histogram, AdapterError> {
         let plan = self.physical();
-        let opts = exec_par::ParOptions {
-            workers,
-            steal_seed,
-            recovery: None,
-        };
         let skip = compiled_skip_mask(&plan, table, env);
         let (bins, _stats) = exec_par::execute(
             &plan,
@@ -754,7 +748,7 @@ impl FuzzPlan {
             &env.trace,
             &env.cancel,
             None,
-            &opts,
+            &exec_par::ParOptions::new(workers),
         )
         .map_err(|e| AdapterError::from_engine("Compiled-parallel", self.label(), &e))?;
         let mut histogram = Histogram::new(self.spec);

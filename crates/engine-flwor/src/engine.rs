@@ -46,10 +46,9 @@ pub struct FlworOptions {
     /// module does not lower.
     pub parallel_workers: usize,
     /// Morsel-level fault recovery for compiled execution (default off):
-    /// transient scan faults are retried per morsel, panicking morsels
-    /// are quarantined and re-executed, dead workers' deques are
-    /// reassigned and the pool degrades down to a serial fallback
-    /// instead of failing the query (see `exec_par`). When active the
+    /// transient scan faults are retried per morsel and panicking
+    /// morsels are quarantined and re-executed in place, within a
+    /// bounded budget, instead of failing the query (see `exec_par`). When active the
     /// fault injector is routed to the morsel fault surface instead of
     /// the scan pre-pass, keeping billing fault-free and byte-identical.
     /// Ignored when the module does not lower to the compiled path.
@@ -295,7 +294,8 @@ impl FlworEngine {
                 &skip,
                 &self.cancel,
                 obs::Stage::Materialize,
-                |g, group| -> Result<Seq, FlworError> {
+                |_| (),
+                |_, g, group| -> Result<Seq, FlworError> {
                     let rows =
                         materialize_group(group, g, table.schema(), &leaves, preds, &self.trace)?;
                     let agg_span = self

@@ -109,10 +109,9 @@ pub struct Options {
     /// serial compiled executor; ignored when the graph does not lower.
     pub parallel_workers: usize,
     /// Morsel-level fault recovery for compiled execution (default off):
-    /// transient scan faults are retried per morsel, panicking morsels
-    /// are quarantined and re-executed, dead workers' deques are
-    /// reassigned and the pool degrades down to a serial fallback
-    /// instead of failing the query (see `exec_par`). When active the
+    /// transient scan faults are retried per morsel and panicking
+    /// morsels are quarantined and re-executed in place, within a
+    /// bounded budget, instead of failing the query (see `exec_par`). When active the
     /// fault injector is routed to the morsel fault surface instead of
     /// the scan pre-pass, keeping billing fault-free and bin-identical.
     /// Ignored when the graph does not lower to the compiled path.

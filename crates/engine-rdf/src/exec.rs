@@ -313,7 +313,8 @@ pub(crate) fn run(df: &RDataFrame) -> Result<RunOutput, RdfError> {
         &skip,
         &df.cancel,
         obs::Stage::Aggregate,
-        process_group,
+        |_| (),
+        |_, g, group| process_group(g, group),
     )?;
     let mut histograms = fresh();
     for partial in &out.partials {

@@ -57,11 +57,10 @@ pub struct SqlOptions {
     /// Ignored when `compile` is off or the script does not lower.
     pub parallel_workers: usize,
     /// Morsel-level fault recovery for compiled execution (default off):
-    /// each morsel runs under `catch_unwind`, transient scan faults are
-    /// retried in place, panicking morsels are quarantined and
-    /// re-executed, dead workers' deques are reassigned and the pool
-    /// degrades down to a serial fallback instead of failing the query
-    /// (see `exec_par`). When active the fault injector is routed to the
+    /// each morsel runs under `catch_unwind`, and transient scan faults
+    /// and panicking kernels are re-executed in place by the same worker
+    /// within a bounded budget instead of failing the query (see
+    /// `exec_par`). When active the fault injector is routed to the
     /// morsel fault surface instead of the scan pre-pass, so billing
     /// stays fault-free and byte-identical by construction. Results are
     /// unchanged; only failure handling differs. Ignored when the script
@@ -447,7 +446,8 @@ impl SqlEngine {
             masks.get(name).expect("mask built"),
             &self.cancel,
             obs::Stage::Materialize,
-            |g, group| -> Result<Relation, SqlError> {
+            |_| (),
+            |_, g, group| -> Result<Relation, SqlError> {
                 let rows = self.materialize_group(table, group, g, proj, preds)?;
                 // The aggregate span also covers building and freeing
                 // the per-group context: releasing the materialized

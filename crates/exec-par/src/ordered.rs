@@ -1,21 +1,21 @@
-//! The ordered row-group fan-out behind every *interpreted* parallel
-//! path (SQL partition-parallel aggregation, the FLWOR partition arm,
-//! the RDataFrame event loop).
+//! The ordered row-group fan-out behind every parallel path: compiled
+//! plans ([`crate::execute_with_faults`]), SQL partition-parallel
+//! aggregation, the FLWOR partition arm and the RDataFrame event loop.
 //!
 //! Workers claim row groups from one shared counter, so which worker
 //! evaluates which group — and in what order groups complete — depends
 //! on scheduling. The results do not: [`for_each_group_ordered`] hands
 //! the per-group results back in ascending group index, so a caller that
 //! folds them left to right computes a function of the table alone, at
-//! any thread count. This is the same mechanism the compiled path's
-//! [`physical_ir::Exchange`] applies to morsel partials.
+//! any thread count.
 
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use nf2_columnar::RowGroup;
 use obs::{CancelToken, Cancelled, Stage};
-use parking_lot::Mutex;
 
 /// What [`for_each_group_ordered`] produced.
 #[derive(Debug)]
@@ -47,22 +47,29 @@ pub fn resolve_threads(requested: usize, skip: &[bool]) -> usize {
 /// inline on the caller's — and returns the results in ascending group
 /// index.
 ///
+/// Each worker builds its own state once with `init(worker_index)` and
+/// hands it to `per_group` for every group it claims (scratch buffers, a
+/// trace span); the state is dropped when the worker runs out of groups.
+///
 /// The token is checked once per group under `stage`, with the rows of
 /// all groups completed so far. The first error — a cancellation or one
 /// returned by `per_group` — stops every worker at its next claim and is
-/// the call's result; no partials are returned alongside it.
-pub fn for_each_group_ordered<T, E, F>(
+/// the call's result; no partials are returned alongside it. A panic in
+/// `per_group` propagates to the caller with its original payload.
+pub fn for_each_group_ordered<S, T, E, I, F>(
     groups: &[RowGroup],
     n_threads: usize,
     skip: &[bool],
     cancel: &CancelToken,
     stage: Stage,
+    init: I,
     per_group: F,
 ) -> Result<OrderedPartials<T>, E>
 where
     T: Send,
     E: Send + From<Cancelled>,
-    F: Fn(usize, &RowGroup) -> Result<T, E> + Sync,
+    I: Fn(usize) -> S + Sync,
+    F: Fn(&mut S, usize, &RowGroup) -> Result<T, E> + Sync,
 {
     debug_assert_eq!(skip.len(), groups.len());
     let threads_used = resolve_threads(n_threads, skip);
@@ -73,10 +80,12 @@ where
     // Rows of fully processed groups, shared so a cancellation observed
     // by any worker reports total progress.
     let rows_done = AtomicU64::new(0);
+    // Held only around `get_or_insert`, so a panic can never poison it.
     let first_err: Mutex<Option<E>> = Mutex::new(None);
 
-    let worker = || {
+    let worker = |w: usize| {
         let t0 = Instant::now();
+        let mut state = init(w);
         let mut done: Vec<(usize, T)> = Vec::new();
         while !stop.load(Ordering::Relaxed) {
             let g = next.fetch_add(1, Ordering::Relaxed);
@@ -89,14 +98,14 @@ where
             let result = cancel
                 .check(stage, rows_done.load(Ordering::Relaxed))
                 .map_err(E::from)
-                .and_then(|()| per_group(g, group));
+                .and_then(|()| per_group(&mut state, g, group));
             match result {
                 Ok(partial) => {
                     rows_done.fetch_add(group.n_rows() as u64, Ordering::Relaxed);
                     done.push((g, partial));
                 }
                 Err(e) => {
-                    first_err.lock().get_or_insert(e);
+                    first_err.lock().expect("never poisoned").get_or_insert(e);
                     stop.store(true, Ordering::Relaxed);
                 }
             }
@@ -105,18 +114,19 @@ where
     };
 
     let per_worker = if threads_used <= 1 {
-        vec![worker()]
+        vec![worker(0)]
     } else {
-        crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads_used).map(|_| s.spawn(|_| worker())).collect();
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..threads_used)
+                .map(|w| s.spawn(move || worker(w)))
+                .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("group worker panicked"))
-                .collect()
+                .map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
+                .collect::<Vec<_>>()
         })
-        .expect("worker scope")
     };
-    if let Some(e) = first_err.into_inner() {
+    if let Some(e) = first_err.into_inner().expect("never poisoned") {
         return Err(e);
     }
 
@@ -164,15 +174,12 @@ mod tests {
         build_dataset(spec).1
     }
 
-    fn run<F>(
+    fn run(
         n_threads: usize,
         skip: &[bool],
         cancel: &CancelToken,
-        per_group: F,
-    ) -> Result<OrderedPartials<usize>, TestError>
-    where
-        F: Fn(usize, &RowGroup) -> Result<usize, TestError> + Sync,
-    {
+        per_group: impl Fn(usize, &RowGroup) -> Result<usize, TestError> + Sync,
+    ) -> Result<OrderedPartials<usize>, TestError> {
         let groups = table();
         for_each_group_ordered(
             groups.row_groups(),
@@ -180,26 +187,50 @@ mod tests {
             skip,
             cancel,
             Stage::Materialize,
-            per_group,
+            |_| (),
+            |_, g, group| per_group(g, group),
         )
     }
 
     #[test]
-    fn results_come_back_in_group_order_at_any_thread_count() {
+    fn results_come_back_in_group_order_and_worker_state_persists() {
         let skip: Vec<bool> = (0..64).map(|g| g % 5 == 0).collect();
         let want: Vec<usize> = (0..64).filter(|g| g % 5 != 0).collect();
+        let groups = table();
         for n_threads in [1, 2, 8] {
-            let out = run(n_threads, &skip, &CancelToken::none(), |g, group| {
-                // Early groups finish last.
-                if g < 8 {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                assert_eq!(group.n_rows(), 10);
-                Ok(g)
-            })
+            let inits = AtomicUsize::new(0);
+            // Each partial is (group, worker, groups that worker has run).
+            let out = for_each_group_ordered(
+                groups.row_groups(),
+                n_threads,
+                &skip,
+                &CancelToken::none(),
+                Stage::Materialize,
+                |w| {
+                    inits.fetch_add(1, Ordering::SeqCst);
+                    (w, 0)
+                },
+                |(w, ran), g, group| -> Result<_, TestError> {
+                    // Early groups finish last.
+                    if g < 8 {
+                        std::thread::sleep(Duration::from_millis(2));
+                    }
+                    assert_eq!(group.n_rows(), 10);
+                    *ran += 1;
+                    Ok((g, *w, *ran))
+                },
+            )
             .unwrap();
-            assert_eq!(out.partials, want, "n_threads={n_threads}");
+            let order: Vec<usize> = out.partials.iter().map(|p| p.0).collect();
+            assert_eq!(order, want, "n_threads={n_threads}");
             assert_eq!(out.threads_used, n_threads);
+            assert_eq!(inits.into_inner(), n_threads, "one init per worker");
+            // A state that persisted counted all of its worker's groups.
+            let mut ran = vec![0; n_threads];
+            for &(_, w, n) in &out.partials {
+                ran[w] = ran[w].max(n);
+            }
+            assert_eq!(ran.iter().sum::<usize>(), want.len());
         }
         // More threads than unskipped groups would only idle.
         assert_eq!(resolve_threads(8, &[true, false, true, false]), 2);

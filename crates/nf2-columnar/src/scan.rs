@@ -600,44 +600,27 @@ mod tests {
 /// Typed outcome counters of morsel-level fault recovery in a parallel
 /// executor (see `exec-par`). Every non-skipped morsel contributes to
 /// `ok` exactly once — recovery changes *which attempt* produced the
-/// winning partial, never how many partials exist — so `ok` equals the
-/// morsel count whenever the run succeeded, and the remaining counters
-/// record the recovery work it took to get there. All zero on the serial
-/// path and whenever recovery is disabled, keeping [`ExecStats`]
+/// partial, never how many partials exist — so `ok` equals the morsel
+/// count whenever the run succeeded, and the remaining counters record
+/// the recovery work it took to get there. All zero on the serial path
+/// and whenever recovery is disabled, keeping [`ExecStats`]
 /// byte-identical to the pre-recovery engines by default.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MorselRecovery {
-    /// Morsels whose winning partial was produced (first try or after
-    /// recovery) — exactly the non-skipped row-group count on success.
+    /// Morsels whose partial was produced (first try or after recovery)
+    /// — exactly the non-skipped row-group count on success.
     pub ok: u64,
     /// In-place re-executions of a morsel after a retryable fault.
     pub retried: u64,
-    /// Speculative re-executions launched against straggler morsels.
-    pub respeculated: u64,
-    /// Morsels moved from a dead worker's deque to the shared retry
-    /// queue (plus the panicked morsel itself when its owner retired).
-    pub reassigned: u64,
-    /// Morsels quarantined after a panicking kernel (re-run elsewhere
-    /// instead of poisoning the pool).
+    /// In-place re-executions of a morsel after its kernel panicked
+    /// (caught, scratch rebuilt, instead of poisoning the query).
     pub quarantined: u64,
-    /// Workers retired after exhausting their panic budget.
-    pub workers_lost: u64,
 }
 
 impl MorselRecovery {
-    /// Accumulates another run's counters.
-    pub fn merge(&mut self, other: &MorselRecovery) {
-        self.ok += other.ok;
-        self.retried += other.retried;
-        self.respeculated += other.respeculated;
-        self.reassigned += other.reassigned;
-        self.quarantined += other.quarantined;
-        self.workers_lost += other.workers_lost;
-    }
-
     /// Total recovery interventions (everything except `ok`).
     pub fn interventions(&self) -> u64 {
-        self.retried + self.respeculated + self.reassigned + self.quarantined + self.workers_lost
+        self.retried + self.quarantined
     }
 }
 

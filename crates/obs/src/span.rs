@@ -38,9 +38,7 @@ pub enum Stage {
     /// Result-cache probe in the serving layer.
     CacheLookup,
     /// Morsel-level fault recovery in the parallel executor: in-place
-    /// retries of transient morsels, quarantine after a panic, deque
-    /// reassignment from a dead worker, speculative straggler
-    /// re-execution, and the serial fallback pass.
+    /// retries of transient morsels and quarantine after a panic.
     Recovery,
 }
 

@@ -4,9 +4,9 @@
 //! A morsel (one row group, the paper's Figure 2 parallelism unit) is
 //! executed by whichever worker claims it, producing a [`PartialAgg`] —
 //! the morsel's histogram bin indices in row order, tagged with the
-//! group's position in the table. The [`Exchange`] collects partials in
-//! *completion* order (which depends on worker count, scheduling and
-//! steal interleaving) and merges them in *group* order, which does not.
+//! group's position in the table. The [`Exchange`] accepts partials in
+//! any order (completion order depends on worker count and scheduling)
+//! and merges them in *group* order, which does not.
 //!
 //! Two facts make the merged output byte-identical to single-threaded
 //! execution at any worker count:
@@ -34,26 +34,20 @@ use obs::{CancelToken, Cancelled, Stage};
 /// index are byte-identical regardless of provenance (the per-group
 /// kernel is deterministic), so the exchange may keep whichever arrived
 /// first; provenance exists so tests and traces can tell a first-try
-/// partial from a retried, reassigned, or speculated one.
+/// partial from a retried or quarantined one.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Provenance {
     /// Worker that produced the partial (0 on the serial path).
     pub worker: usize,
-    /// 1-based execution attempt of the morsel (1 = first try; retries,
-    /// quarantine re-runs and the serial fallback increment it).
+    /// 1-based execution attempt of the morsel (1 = first try; retries
+    /// and quarantine re-runs increment it).
     pub attempt: u32,
-    /// Whether this partial came from a speculative straggler re-run.
-    pub speculative: bool,
 }
 
 impl Provenance {
     /// First-try provenance for `worker`.
     pub fn first(worker: usize) -> Provenance {
-        Provenance {
-            worker,
-            attempt: 1,
-            speculative: false,
-        }
+        Provenance { worker, attempt: 1 }
     }
 }
 
@@ -91,12 +85,11 @@ impl Exchange {
     /// Adds one morsel's partial (any order; merging sorts). **Idempotent
     /// per group index**: the first partial pushed for a group wins and
     /// any later push for the same group is dropped (and counted in
-    /// [`Exchange::duplicates_dropped`]). Recovery and speculation can
-    /// therefore race a morsel's re-execution against its original
-    /// without ever double-counting the group — one partial per row-group
-    /// index survives, which, combined with the per-group kernel being
-    /// deterministic, keeps the merge byte-identical no matter which
-    /// attempt won.
+    /// [`Exchange::duplicates_dropped`]), so a caller that pushes a
+    /// re-executed group twice can never double-count it — one partial
+    /// per row-group index survives, which, combined with the per-group
+    /// kernel being deterministic, keeps the merge byte-identical no
+    /// matter which attempt won.
     pub fn push(&mut self, partial: PartialAgg) {
         if self.groups_seen.insert(partial.group) {
             self.partials.push(partial);
@@ -107,8 +100,8 @@ impl Exchange {
 
     /// Partials dropped because their group index already had a winner —
     /// nonzero only if a caller pushed the same group twice (the parallel
-    /// executor's first-result-wins gate normally prevents this; the
-    /// exchange is the defense in depth behind it).
+    /// executor yields one partial per group; the exchange is the
+    /// defense in depth behind it).
     pub fn duplicates_dropped(&self) -> u64 {
         self.duplicates_dropped
     }
@@ -170,18 +163,16 @@ mod tests {
             provenance: Provenance {
                 worker: 3,
                 attempt: 2,
-                speculative: true,
             },
             ..partial(1, vec![2, 3])
         });
-        // A speculative loser for group 1 and a retried duplicate of
-        // group 0 both arrive late: neither may change the result.
+        // Late duplicates of groups 1 and 0 (the second a retried
+        // attempt) must not change the result.
         x.push(partial(1, vec![2, 3]));
         x.push(PartialAgg {
             provenance: Provenance {
                 worker: 0,
                 attempt: 3,
-                speculative: false,
             },
             ..partial(0, vec![9])
         });

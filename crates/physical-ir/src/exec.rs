@@ -17,11 +17,9 @@ pub enum PirError {
     Columnar(ColumnarError),
     /// The query was cancelled mid-execution.
     Cancelled(Cancelled),
-    /// A morsel's kernel panicked and the panic persisted through the
-    /// parallel executor's quarantine/re-execution budget (or recovery
-    /// was off, in which case the first panic surfaces here via the
-    /// serial fallback path). Carries the poisoned row-group index and
-    /// the panic message.
+    /// A morsel's kernel panicked on every attempt the recovering
+    /// parallel executor's retry budget allowed. Carries the poisoned
+    /// row-group index and the panic message.
     MorselPanic {
         /// Row group whose kernel panicked.
         group: usize,

@@ -135,9 +135,9 @@ pub struct ServiceConfig {
     /// Morsel-level fault recovery on the compiled-parallel path
     /// (default off, and off under
     /// [`ServiceConfig::paper_fairness`]). When on, a compiled request's
-    /// transient scan faults are retried per morsel inside `exec_par` —
-    /// quarantine, deque reassignment and serial fallback included —
-    /// instead of failing the attempt and re-running the *whole query*
+    /// transient scan faults are retried (and panicking morsels
+    /// quarantined) per morsel inside `exec_par` instead of failing the
+    /// attempt and re-running the *whole query*
     /// through this service's retry loop. Morsel-level recoveries are
     /// invisible to the whole-query retry counter and the per-system
     /// circuit breakers: the attempt simply succeeds, and the recovery

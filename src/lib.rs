@@ -21,10 +21,10 @@
 //!   analog);
 //! * [`physical_ir`] — the shared compiled physical IR (fused batch
 //!   kernels) all three language engines lower eligible queries onto;
-//! * [`exec_par`] — morsel-driven parallel execution of compiled plans:
-//!   sharded row-group scans, seeded work stealing, and a deterministic
-//!   exchange/partial-aggregation merge (byte-identical at any worker
-//!   count);
+//! * [`exec_par`] — the one ordered row-group fan-out behind every
+//!   parallel path, and on it morsel-parallel execution of compiled
+//!   plans with a deterministic exchange/partial-aggregation merge
+//!   (byte-identical at any worker count) and in-place morsel recovery;
 //! * [`cloud`] — the instance/pricing/scaling simulator;
 //! * [`mod@bench`] — the ADL benchmark: queries, reference implementations,
 //!   validation, metrics, and the run orchestrator;

@@ -1,15 +1,14 @@
 //! The parallel-execution contract: morsel-parallel compiled execution
 //! is an *execution* optimization, never a semantic or a pricing one.
-//! The same plan at 1, 2 or 8 workers — under adversarial seeded steal
-//! orders — must produce byte-identical bin sequences, byte-identical
-//! histograms through the engines, and identical `ScanStats` (scan
-//! accounting is a serial pre-pass, so a stolen or re-queued morsel can
-//! never be double-billed).
+//! The same plan at 1, 2 or 8 workers must produce byte-identical bin
+//! sequences, byte-identical histograms through the engines, and
+//! identical `ScanStats` (scan accounting is a serial pre-pass, so a
+//! re-executed morsel can never be double-billed).
 //!
-//! The interpreters honor the same contract through the one ordered
-//! row-group fan-out (`exec_par::for_each_group_ordered`): per-group
-//! partials are merged in group order, so the *whole* histogram — bins
-//! and the `f64` moments — is identical at any `n_threads`.
+//! Compiled plans and the interpreters share one ordered row-group
+//! fan-out (`exec_par::for_each_group_ordered`): per-group partials are
+//! merged in group order, so the *whole* histogram — bins and the `f64`
+//! moments — is identical at any thread count.
 
 use std::sync::Arc;
 
@@ -31,9 +30,9 @@ fn table() -> Arc<Table> {
 
 /// Every benchmark query that lowers to the compiled IR: the raw bin
 /// sequence from the parallel executor is byte-identical to the serial
-/// one at every worker count and steal seed.
+/// one at every worker count.
 #[test]
-fn parallel_bins_byte_identical_across_workers_and_steal_orders() {
+fn parallel_bins_byte_identical_across_worker_counts() {
     let table = table();
     let mut lowered = 0;
     for q in ALL_QUERIES {
@@ -55,32 +54,26 @@ fn parallel_bins_byte_identical_across_workers_and_steal_orders() {
         )
         .unwrap();
         for workers in [1, 2, 8] {
-            for steal_seed in [0u64, 0x5EED, u64::MAX] {
-                let (bins, stats) = exec_par::execute(
-                    &plan,
-                    &table,
-                    None,
-                    &obs::TraceCtx::disabled(),
-                    &obs::CancelToken::none(),
-                    None,
-                    &ParOptions {
-                        workers,
-                        steal_seed,
-                        recovery: None,
-                    },
-                )
-                .unwrap();
-                assert_eq!(
-                    bins,
-                    serial,
-                    "{}: parallel bins diverged at workers={workers} seed={steal_seed:#x}",
-                    q.name()
-                );
-                // Exactly one morsel per row group: nothing lost, nothing
-                // executed twice.
-                assert_eq!(stats.morsels, table.row_groups().len() as u64);
-                assert_eq!(stats.rows, table.n_rows() as u64);
-            }
+            let (bins, stats) = exec_par::execute(
+                &plan,
+                &table,
+                None,
+                &obs::TraceCtx::disabled(),
+                &obs::CancelToken::none(),
+                None,
+                &ParOptions::new(workers),
+            )
+            .unwrap();
+            assert_eq!(
+                bins,
+                serial,
+                "{}: parallel bins diverged at workers={workers}",
+                q.name()
+            );
+            // Exactly one morsel per row group: nothing lost, nothing
+            // executed twice.
+            assert_eq!(stats.morsels, table.row_groups().len() as u64);
+            assert_eq!(stats.rows, table.n_rows() as u64);
         }
     }
     assert!(lowered >= 2, "expected several queries to lower: {lowered}");
