@@ -583,7 +583,7 @@ impl FuzzPlan {
         if let Some(cp) = self.count_pred {
             let col = cp.elem.field.rdf();
             df = df.filter(&[col], move |v| {
-                v.arr(col)
+                v.arr(0)
                     .iter()
                     .filter(|&&x| cp.elem.cmp.eval(x, cp.elem.lit))
                     .count() as u32
@@ -599,8 +599,7 @@ impl FuzzPlan {
                     let fill_col = field.rdf();
                     let pred_col = p.field.rdf();
                     df.define("fuzz_fill", &[fill_col, pred_col], move |v| {
-                        let fills = v.arr(fill_col);
-                        let preds = v.arr(pred_col);
+                        let (fills, preds) = (v.arr(0), v.arr(1));
                         ColValue::Arr(
                             fills
                                 .iter()

@@ -1,18 +1,23 @@
 //! Runnable `engine-rdf` programs equivalent to the RDataFrame C++ texts.
 //!
 //! The programs use the same flat column names (`Jet_pt`, `MET_phi`, …)
-//! and call the exact reference kernels of [`crate::reference`], so their
-//! histograms are bit-identical to the ground truth by construction —
-//! which is precisely how RDataFrame relates to hand-written event loops.
+//! and, like the C++ lambdas, read the columns they list by position.
+//! Q5, Q7 and Q8 call the per-event kernels of [`crate::reference`] over
+//! the event's column slices; Q6 calls the trijet kernel compiled plans
+//! run ([`physical_ir::TrijetScratch`]), which replicates
+//! [`reference::best_trijet`] op for op. Their histograms are therefore
+//! bit-identical to the ground truth — which is precisely how RDataFrame
+//! relates to hand-written event loops.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use engine_rdf::{ColValue, EventView, Options, RDataFrame};
-use hep_model::{Electron, Jet, Muon};
 use nf2_columnar::Table;
+use physical_ir::TrijetScratch;
 
-use crate::reference;
-use crate::spec::QueryId;
+use crate::reference::{self, LightLeptons, ParticleColumns};
+use crate::spec::{masses, QueryId};
 
 /// Jet dependency columns.
 const JET_COLS: &[&str] = &["Jet_pt", "Jet_eta", "Jet_phi", "Jet_mass", "Jet_btag"];
@@ -33,58 +38,34 @@ const ELECTRON_COLS: &[&str] = &[
     "Electron_charge",
 ];
 
-fn jets_of(v: &EventView) -> Vec<Jet> {
-    let pt = v.arr("Jet_pt");
-    let eta = v.arr("Jet_eta");
-    let phi = v.arr("Jet_phi");
-    let mass = v.arr("Jet_mass");
-    let btag = v.arr("Jet_btag");
-    (0..pt.len())
-        .map(|i| Jet {
-            pt: pt[i],
-            eta: eta[i],
-            phi: phi[i],
-            mass: mass[i],
-            btag: btag[i],
-            pu_id: false,
-        })
-        .collect()
+thread_local! {
+    /// The trijet kernel's scratch, one per event-loop worker.
+    static TRIJET: RefCell<TrijetScratch> = RefCell::new(TrijetScratch::new());
 }
 
-fn muons_of(v: &EventView) -> Vec<Muon> {
-    let pt = v.arr("Muon_pt");
-    let eta = v.arr("Muon_eta");
-    let phi = v.arr("Muon_phi");
-    let mass = v.arr("Muon_mass");
-    let charge = v.arr("Muon_charge");
-    (0..pt.len())
-        .map(|i| Muon {
-            pt: pt[i],
-            eta: eta[i],
-            phi: phi[i],
-            mass: mass[i],
-            charge: charge[i] as i32,
-            ..Muon::default()
-        })
-        .collect()
+/// The collection whose [`MUON_COLS`]/[`ELECTRON_COLS`]-ordered columns
+/// sit at dependency positions `at..at + 5`.
+fn particles<'a>(v: &EventView<'a>, at: usize, flavor: i32) -> ParticleColumns<'a> {
+    ParticleColumns {
+        pt: v.arr(at),
+        eta: v.arr(at + 1),
+        phi: v.arr(at + 2),
+        mass: v.arr(at + 3),
+        charge: v.arr(at + 4),
+        flavor,
+    }
 }
 
-fn electrons_of(v: &EventView) -> Vec<Electron> {
-    let pt = v.arr("Electron_pt");
-    let eta = v.arr("Electron_eta");
-    let phi = v.arr("Electron_phi");
-    let mass = v.arr("Electron_mass");
-    let charge = v.arr("Electron_charge");
-    (0..pt.len())
-        .map(|i| Electron {
-            pt: pt[i],
-            eta: eta[i],
-            phi: phi[i],
-            mass: mass[i],
-            charge: charge[i] as i32,
-            ..Electron::default()
-        })
-        .collect()
+/// The light leptons whose muon columns start at dependency position `at`,
+/// followed by the electron columns.
+fn light_leptons<'a>(
+    v: &EventView<'a>,
+    at: usize,
+) -> LightLeptons<ParticleColumns<'a>, ParticleColumns<'a>> {
+    LightLeptons {
+        muons: particles(v, at, 0),
+        electrons: particles(v, at + MUON_COLS.len(), 1),
+    }
 }
 
 /// Builds the dataframe program for one query output. The returned frame
@@ -97,8 +78,7 @@ pub fn build(q: QueryId, table: Arc<Table>, options: Options) -> RDataFrame {
         QueryId::Q2 => df.also_histo1d(spec, "Jet_pt"),
         QueryId::Q3 => df
             .define("goodJet_pt", &["Jet_pt", "Jet_eta"], |v| {
-                let pt = v.arr("Jet_pt");
-                let eta = v.arr("Jet_eta");
+                let (pt, eta) = (v.arr(0), v.arr(1));
                 ColValue::Arr(
                     (0..pt.len())
                         .filter(|&i| eta[i].abs() < 1.0)
@@ -109,38 +89,28 @@ pub fn build(q: QueryId, table: Arc<Table>, options: Options) -> RDataFrame {
             .also_histo1d(spec, "goodJet_pt"),
         QueryId::Q4 => df
             .filter(&["Jet_pt"], |v| {
-                v.arr("Jet_pt").iter().filter(|&&pt| pt > 40.0).count() >= 2
+                v.arr(0).iter().filter(|&&pt| pt > 40.0).count() >= 2
             })
             .also_histo1d(spec, "MET_pt"),
         QueryId::Q5 => df
-            .filter(MUON_COLS, |v| {
-                let muons = muons_of(v);
-                muons.iter().enumerate().any(|(i, a)| {
-                    muons[i + 1..].iter().any(|b| {
-                        a.charge != b.charge && {
-                            let m = reference::pair_mass(
-                                a.pt, a.eta, a.phi, a.mass, b.pt, b.eta, b.phi, b.mass,
-                            );
-                            (60.0..=120.0).contains(&m)
-                        }
-                    })
-                })
-            })
+            .filter(MUON_COLS, |v| reference::q5_selects(particles(v, 0, 0)))
             .also_histo1d(spec, "MET_pt"),
         QueryId::Q6a | QueryId::Q6b => {
-            let idx = if q == QueryId::Q6a { 0 } else { 1 };
             let col = if q == QueryId::Q6a {
                 "tri_pt"
             } else {
                 "tri_btag"
             };
-            df.filter(&["Jet_pt"], |v| v.arr("Jet_pt").len() >= 3)
-                .define("tri", JET_COLS, |v| {
-                    let jets = jets_of(v);
-                    let (pt, btag, _) = reference::best_trijet(&jets).expect(">=3 jets");
-                    ColValue::Arr(vec![pt, btag])
+            df.filter(&["Jet_pt"], |v| v.arr(0).len() >= 3)
+                .define(col, JET_COLS, move |v| {
+                    let (pt, btag) = TRIJET
+                        .with_borrow_mut(|s| {
+                            s.load(v.arr(0), v.arr(1), v.arr(2), v.arr(3));
+                            s.best(v.arr(4), masses::TOP)
+                        })
+                        .expect(">=3 jets");
+                    ColValue::F64(if q == QueryId::Q6a { pt } else { btag })
                 })
-                .define(col, &["tri"], move |v| ColValue::F64(v.arr("tri")[idx]))
                 .also_histo1d(spec, col)
         }
         QueryId::Q7 => {
@@ -148,16 +118,12 @@ pub fn build(q: QueryId, table: Arc<Table>, options: Options) -> RDataFrame {
             deps.extend(MUON_COLS);
             deps.extend(ELECTRON_COLS);
             df.define("ht", &deps, |v| {
-                let event = hep_model::Event {
-                    jets: jets_of(v),
-                    muons: muons_of(v),
-                    electrons: electrons_of(v),
-                    ..hep_model::Event::default()
-                };
-                let (sum, _) = reference::q7_sum(&event);
-                ColValue::F64(sum.unwrap_or(-1.0))
+                let (pt, eta, phi) = (v.arr(0), v.arr(1), v.arr(2));
+                let jets = (0..pt.len()).map(|i| (pt[i], eta[i], phi[i]));
+                let leptons = light_leptons(v, JET_COLS.len());
+                ColValue::F64(reference::q7_sum(jets, leptons).0.unwrap_or(-1.0))
             })
-            .filter(&["ht"], |v| v.f64("ht") >= 0.0)
+            .filter(&["ht"], |v| v.f64(0) >= 0.0)
             .also_histo1d(spec, "ht")
         }
         QueryId::Q8 => {
@@ -165,20 +131,10 @@ pub fn build(q: QueryId, table: Arc<Table>, options: Options) -> RDataFrame {
             deps.extend(MUON_COLS);
             deps.extend(ELECTRON_COLS);
             df.define("mt", &deps, |v| {
-                let event = hep_model::Event {
-                    met: hep_model::Met {
-                        pt: v.f64("MET_pt"),
-                        phi: v.f64("MET_phi"),
-                        ..hep_model::Met::default()
-                    },
-                    muons: muons_of(v),
-                    electrons: electrons_of(v),
-                    ..hep_model::Event::default()
-                };
-                let (mt, _) = reference::q8_value(&event);
+                let (mt, _) = reference::q8_value(light_leptons(v, 2), v.f64(0), v.f64(1));
                 ColValue::F64(mt.unwrap_or(-1.0))
             })
-            .filter(&["mt"], |v| v.f64("mt") >= 0.0)
+            .filter(&["mt"], |v| v.f64(0) >= 0.0)
             .also_histo1d(spec, "mt")
         }
     }
@@ -190,26 +146,55 @@ mod tests {
     use crate::spec::ALL_QUERIES;
     use hep_model::generator::build_dataset;
     use hep_model::DatasetSpec;
+    use physics::Histogram;
 
+    /// Every program, interpreted at 1 and 4 threads, gives the reference
+    /// histogram exactly — bins and f64 moments. The event loop fills one
+    /// partial per row group and merges them in group order, so the
+    /// reference runs per group and merges the same way. The default
+    /// options (Q1/Q2 compile to bin indices, no moments) match on bins.
     #[test]
     fn rdf_programs_match_reference_exactly() {
-        let (events, table) = build_dataset(DatasetSpec {
-            n_events: 2_000,
-            row_group_size: 256,
-            seed: 99,
-        });
-        let table = Arc::new(table);
-        for q in ALL_QUERIES {
-            let df = build(*q, table.clone(), Options::default());
-            let out = df.run_all().unwrap();
-            let expect = crate::reference::run(*q, &events);
+        const GROUP: usize = 256;
+        for seed in [99, 7] {
+            let (events, table) = build_dataset(DatasetSpec {
+                n_events: 4_000,
+                row_group_size: GROUP,
+                seed,
+            });
             assert!(
-                out.histograms[0].counts_equal(&expect.hist),
-                "{} differs: rdf total {} vs ref total {}",
-                q.name(),
-                out.histograms[0].total(),
-                expect.hist.total()
+                events.iter().any(|e| e.jets.len() >= 10),
+                "seed {seed}: no 10-jet event to exercise the trijet kernel"
             );
+            let table = Arc::new(table);
+            for q in ALL_QUERIES {
+                let mut want = Histogram::new(q.hist_spec());
+                for group in events.chunks(GROUP) {
+                    want.merge(&reference::run(*q, group).hist);
+                }
+                for n_threads in [1, 4] {
+                    let options = Options {
+                        n_threads,
+                        compile: false,
+                        ..Options::default()
+                    };
+                    let out = build(*q, table.clone(), options).run_all().unwrap();
+                    assert_eq!(
+                        out.histograms[0],
+                        want,
+                        "{} (seed {seed}, {n_threads} threads)",
+                        q.name()
+                    );
+                }
+                let out = build(*q, table.clone(), Options::default())
+                    .run_all()
+                    .unwrap();
+                assert!(
+                    out.histograms[0].counts_equal(&want),
+                    "{} (seed {seed}, default options)",
+                    q.name()
+                );
+            }
         }
     }
 }

@@ -4,7 +4,9 @@
 //! sequence can be reproduced *verbatim* in the SQL and JSONiq query texts
 //! (component sums before subtraction, `GREATEST(0, …)` clamps, raw-angle
 //! cosines) — making exact, bin-for-bin cross-engine validation possible.
-//! The RDataFrame programs call these kernels directly.
+//! The RDataFrame programs call the per-event kernels directly, over
+//! column slices instead of `Event` structs (see [`Particles`]); their
+//! Q6 runs the compiled trijet kernel, which [`best_trijet`] checks.
 //!
 //! Each run also counts the **records or record combinations explored per
 //! event**, the quantity of the paper's Table 2.
@@ -41,31 +43,123 @@ pub struct Lepton {
     pub flavor: i32,
 }
 
-/// Merged light-lepton list: muons first, then electrons (order matters
-/// for deterministic tie-breaking and must match every query text).
-pub fn light_leptons(muons: &[Muon], electrons: &[Electron]) -> Vec<Lepton> {
-    let mut out = Vec::with_capacity(muons.len() + electrons.len());
-    for m in muons {
-        out.push(Lepton {
+/// Index access to one event's particles as [`Lepton`] records. Each
+/// per-event kernel below has one implementation over this trait: [`run`]
+/// drives it over `Event` structs, the RDataFrame programs over per-event
+/// column slices, and neither builds a particle list per event.
+pub trait Particles {
+    /// Number of particles.
+    fn count(&self) -> usize;
+    /// Particle `i`, for `i < count()`.
+    fn get(&self, i: usize) -> Lepton;
+}
+
+impl<P: Particles + ?Sized> Particles for &P {
+    fn count(&self) -> usize {
+        (**self).count()
+    }
+    fn get(&self, i: usize) -> Lepton {
+        (**self).get(i)
+    }
+}
+
+impl Particles for [Muon] {
+    fn count(&self) -> usize {
+        self.len()
+    }
+    fn get(&self, i: usize) -> Lepton {
+        let m = &self[i];
+        Lepton {
             pt: m.pt,
             eta: m.eta,
             phi: m.phi,
             mass: m.mass,
             charge: m.charge,
             flavor: 0,
-        });
+        }
     }
-    for e in electrons {
-        out.push(Lepton {
+}
+
+impl Particles for [Electron] {
+    fn count(&self) -> usize {
+        self.len()
+    }
+    fn get(&self, i: usize) -> Lepton {
+        let e = &self[i];
+        Lepton {
             pt: e.pt,
             eta: e.eta,
             phi: e.phi,
             mass: e.mass,
             charge: e.charge,
             flavor: 1,
-        });
+        }
     }
-    out
+}
+
+/// One event's particle collection as its column slices (`Muon_pt`,
+/// `Muon_eta`, …), all of the same length.
+#[derive(Clone, Copy, Debug)]
+pub struct ParticleColumns<'a> {
+    /// Transverse momenta.
+    pub pt: &'a [f64],
+    /// Pseudorapidities.
+    pub eta: &'a [f64],
+    /// Azimuths.
+    pub phi: &'a [f64],
+    /// Rest masses.
+    pub mass: &'a [f64],
+    /// Charges (±1, widened to `f64` like every column).
+    pub charge: &'a [f64],
+    /// Flavor tag of every particle (see [`Lepton::flavor`]).
+    pub flavor: i32,
+}
+
+impl Particles for ParticleColumns<'_> {
+    fn count(&self) -> usize {
+        self.pt.len()
+    }
+    fn get(&self, i: usize) -> Lepton {
+        Lepton {
+            pt: self.pt[i],
+            eta: self.eta[i],
+            phi: self.phi[i],
+            mass: self.mass[i],
+            charge: self.charge[i] as i32,
+            flavor: self.flavor,
+        }
+    }
+}
+
+/// The light leptons of one event: `muons` first, then `electrons` — the
+/// merge order every query text fixes, which decides ties.
+pub struct LightLeptons<M, E> {
+    /// The muons.
+    pub muons: M,
+    /// The electrons.
+    pub electrons: E,
+}
+
+impl<M: Particles, E: Particles> Particles for LightLeptons<M, E> {
+    fn count(&self) -> usize {
+        self.muons.count() + self.electrons.count()
+    }
+    fn get(&self, i: usize) -> Lepton {
+        let n_mu = self.muons.count();
+        if i < n_mu {
+            self.muons.get(i)
+        } else {
+            self.electrons.get(i - n_mu)
+        }
+    }
+}
+
+/// The light leptons of `event`.
+pub fn light_leptons(event: &Event) -> LightLeptons<&[Muon], &[Electron]> {
+    LightLeptons {
+        muons: &event.muons,
+        electrons: &event.electrons,
+    }
 }
 
 /// Invariant mass of two particles via explicit component sums — the
@@ -130,28 +224,48 @@ pub fn best_trijet(jets: &[hep_model::Jet]) -> Option<(f64, f64, u64)> {
     best.map(|(_, pt, btag)| (pt, btag, ops))
 }
 
+/// (Q5)'s per-event selection: some opposite-charge muon pair has an
+/// invariant mass in [60, 120].
+pub fn q5_selects(muons: impl Particles) -> bool {
+    let n = muons.count();
+    (0..n).any(|i| {
+        let a = muons.get(i);
+        ((i + 1)..n).any(|k| {
+            let b = muons.get(k);
+            a.charge != b.charge
+                && (60.0..=120.0).contains(&pair_mass(
+                    a.pt, a.eta, a.phi, a.mass, b.pt, b.eta, b.phi, b.mass,
+                ))
+        })
+    })
+}
+
 /// (Q7)'s per-event scalar sum: pt of jets with pt > 30 that are ≥ 0.4 in
-/// ΔR away from every light lepton with pt > 10. Returns `None` when no
-/// jet qualifies; also reports lepton-comparison ops.
-pub fn q7_sum(event: &Event) -> (Option<f64>, u64) {
-    let leptons = light_leptons(&event.muons, &event.electrons);
+/// ΔR away from every light lepton with pt > 10. `jets` yields
+/// `(pt, eta, phi)` in collection order. Returns `None` when no jet
+/// qualifies; also reports lepton-comparison ops.
+pub fn q7_sum(
+    jets: impl IntoIterator<Item = (f64, f64, f64)>,
+    leptons: impl Particles,
+) -> (Option<f64>, u64) {
     let mut sum = 0.0;
     let mut any = false;
     let mut ops = 0u64;
-    for j in &event.jets {
-        if j.pt <= 30.0 {
+    for (pt, eta, phi) in jets {
+        if pt <= 30.0 {
             continue;
         }
         let mut isolated = true;
-        for l in &leptons {
+        for i in 0..leptons.count() {
             ops += 1;
-            if l.pt > 10.0 && physics::delta_r(j.eta, j.phi, l.eta, l.phi) < 0.4 {
+            let l = leptons.get(i);
+            if l.pt > 10.0 && physics::delta_r(eta, phi, l.eta, l.phi) < 0.4 {
                 isolated = false;
                 break;
             }
         }
         if isolated {
-            sum += j.pt;
+            sum += pt;
             any = true;
         }
     }
@@ -160,18 +274,18 @@ pub fn q7_sum(event: &Event) -> (Option<f64>, u64) {
 
 /// (Q8)'s per-event value: the transverse mass of the MET system and the
 /// hardest lepton outside the best same-flavor opposite-charge pair.
-pub fn q8_value(event: &Event) -> (Option<f64>, u64) {
-    let leptons = light_leptons(&event.muons, &event.electrons);
+pub fn q8_value(leptons: impl Particles, met_pt: f64, met_phi: f64) -> (Option<f64>, u64) {
     let mut ops = 1u64;
-    if leptons.len() < 3 {
+    let n = leptons.count();
+    if n < 3 {
         return (None, ops);
     }
-    let n = leptons.len();
     let mut best: Option<(f64, usize, usize)> = None; // (dist, i, k)
     for i in 0..n {
+        let a = leptons.get(i);
         for k in (i + 1)..n {
             ops += 1;
-            let (a, b) = (&leptons[i], &leptons[k]);
+            let b = leptons.get(k);
             if a.flavor != b.flavor || a.charge == b.charge {
                 continue;
             }
@@ -189,12 +303,13 @@ pub fn q8_value(event: &Event) -> (Option<f64>, u64) {
     let Some((_, bi, bk)) = best else {
         return (None, ops);
     };
-    let mut lead: Option<&Lepton> = None;
-    for (idx, l) in leptons.iter().enumerate() {
+    let mut lead: Option<Lepton> = None;
+    for idx in 0..n {
         ops += 1;
         if idx == bi || idx == bk {
             continue;
         }
+        let l = leptons.get(idx);
         lead = Some(match lead {
             None => l,
             Some(cur) => {
@@ -207,7 +322,7 @@ pub fn q8_value(event: &Event) -> (Option<f64>, u64) {
         });
     }
     let lead = lead.expect("n >= 3 leaves at least one lepton");
-    let mt = physics::transverse_mass(lead.pt, lead.phi, event.met.pt, event.met.phi);
+    let mt = physics::transverse_mass(lead.pt, lead.phi, met_pt, met_phi);
     (Some(mt), ops)
 }
 
@@ -257,22 +372,10 @@ pub fn run(q: QueryId, events: &[Event]) -> RefOutput {
         }
         QueryId::Q5 => {
             for e in events {
-                ops += 1;
-                let mut pass = false;
-                for i in 0..e.muons.len() {
-                    for k in (i + 1)..e.muons.len() {
-                        ops += 1;
-                        let (a, b) = (&e.muons[i], &e.muons[k]);
-                        if a.charge == b.charge {
-                            continue;
-                        }
-                        let m = pair_mass(a.pt, a.eta, a.phi, a.mass, b.pt, b.eta, b.phi, b.mass);
-                        if (60.0..=120.0).contains(&m) {
-                            pass = true;
-                        }
-                    }
-                }
-                if pass {
+                // One op per event and one per muon pair, selected or not.
+                let n = e.muons.len() as u64;
+                ops += 1 + n * n.saturating_sub(1) / 2;
+                if q5_selects(e.muons.as_slice()) {
                     hist.fill(e.met.pt);
                 }
             }
@@ -288,7 +391,8 @@ pub fn run(q: QueryId, events: &[Event]) -> RefOutput {
         }
         QueryId::Q7 => {
             for e in events {
-                let (v, o) = q7_sum(e);
+                let jets = e.jets.iter().map(|j| (j.pt, j.eta, j.phi));
+                let (v, o) = q7_sum(jets, light_leptons(e));
                 ops += o;
                 if let Some(sum) = v {
                     hist.fill(sum);
@@ -297,7 +401,7 @@ pub fn run(q: QueryId, events: &[Event]) -> RefOutput {
         }
         QueryId::Q8 => {
             for e in events {
-                let (v, o) = q8_value(e);
+                let (v, o) = q8_value(light_leptons(e), e.met.pt, e.met.phi);
                 ops += o;
                 if let Some(mt) = v {
                     hist.fill(mt);
@@ -313,7 +417,9 @@ mod tests {
     use super::*;
     use crate::spec::ALL_QUERIES;
     use hep_model::generator::build_dataset;
-    use hep_model::DatasetSpec;
+    use hep_model::{DatasetSpec, Jet};
+    use physical_ir::TrijetScratch;
+    use proptest::prelude::*;
 
     fn events() -> Vec<Event> {
         build_dataset(DatasetSpec {
@@ -433,6 +539,92 @@ mod tests {
         for q in ALL_QUERIES {
             let out = run(*q, &evs);
             assert!(out.hist.total() > 0, "{} empty", q.name());
+        }
+    }
+
+    prop_compose! {
+        /// Events of 3 to 30 jets — the generator's tails reach past 20.
+        /// Up to three jets take an earlier jet's kinematics but keep their
+        /// own b-tag, so triples tie exactly and the winner is observable.
+        fn trijet_events()(
+            n in 3usize..31,
+            u in proptest::collection::vec(0.0..1.0f64, 150..151),
+            copies in proptest::collection::vec(0usize..30, 0..4),
+        ) -> Vec<Jet> {
+            let mut jets: Vec<Jet> = u
+                .chunks(5)
+                .take(n)
+                .map(|u| Jet {
+                    pt: 20.0 + 80.0 * u[0],
+                    eta: -2.5 + 5.0 * u[1],
+                    phi: -3.2 + 6.4 * u[2],
+                    mass: 1.0 + 10.0 * u[3],
+                    btag: u[4],
+                    pu_id: false,
+                })
+                .collect();
+            for c in copies {
+                let (src, dst) = (c % n, (c * 7 + 1) % n);
+                jets[dst] = Jet {
+                    btag: jets[dst].btag,
+                    ..jets[src]
+                };
+            }
+            jets
+        }
+    }
+
+    proptest! {
+        /// The compiled trijet kernel (pair sums hoisted, winner's pt and
+        /// b-tag formed after the scan) is bit-identical to a naive
+        /// `i < j < k` loop over pre-decomposed components and to
+        /// [`best_trijet`], ties included.
+        #[test]
+        fn trijet_kernel_matches_naive_loop_and_reference(jets in trijet_events()) {
+            let col = |f: fn(&Jet) -> f64| jets.iter().map(f).collect::<Vec<f64>>();
+            let (pt, eta, phi, mass, btag) = (
+                col(|j| j.pt),
+                col(|j| j.eta),
+                col(|j| j.phi),
+                col(|j| j.mass),
+                col(|j| j.btag),
+            );
+            let mut s = TrijetScratch::new();
+            s.load(&pt, &eta, &phi, &mass);
+            let got = s.best(&btag, masses::TOP).unwrap();
+
+            let n = jets.len();
+            let px: Vec<f64> = (0..n).map(|i| pt[i] * phi[i].cos()).collect();
+            let py: Vec<f64> = (0..n).map(|i| pt[i] * phi[i].sin()).collect();
+            let pz: Vec<f64> = (0..n).map(|i| pt[i] * eta[i].sinh()).collect();
+            let e: Vec<f64> = (0..n)
+                .map(|i| (px[i] * px[i] + py[i] * py[i] + pz[i] * pz[i] + mass[i] * mass[i]).sqrt())
+                .collect();
+            let mut naive: Option<(f64, f64, f64)> = None;
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    for k in (j + 1)..n {
+                        let se = e[i] + e[j] + e[k];
+                        let sx = px[i] + px[j] + px[k];
+                        let sy = py[i] + py[j] + py[k];
+                        let sz = pz[i] + pz[j] + pz[k];
+                        let m = (se * se - (sx * sx + sy * sy + sz * sz)).max(0.0).sqrt();
+                        let dist = (m - masses::TOP).abs();
+                        if naive.is_none_or(|(d, _, _)| dist < d) {
+                            naive = Some((
+                                dist,
+                                (sx * sx + sy * sy).sqrt(),
+                                btag[i].max(btag[j]).max(btag[k]),
+                            ));
+                        }
+                    }
+                }
+            }
+            let (_, npt, nb) = naive.unwrap();
+            let (rpt, rb, _) = best_trijet(&jets).unwrap();
+            let bits = |(a, b): (f64, f64)| (a.to_bits(), b.to_bits());
+            prop_assert_eq!(bits(got), bits((npt, nb)));
+            prop_assert_eq!(bits(got), bits((rpt, rb)));
         }
     }
 }

@@ -7,7 +7,7 @@ use nf2_columnar::{SelCmp, SelValue, Table};
 use physics::HistSpec;
 
 use crate::exec::{self, RunOutput};
-use crate::view::{ColValue, ColumnRegistry, EventView};
+use crate::view::{ColValue, ColumnId, ColumnRegistry, EventView};
 
 /// Errors from graph construction or execution.
 #[derive(Debug)]
@@ -134,13 +134,17 @@ impl Default for Options {
 type DefineFn = Arc<dyn Fn(&EventView) -> ColValue + Send + Sync>;
 type FilterFn = Arc<dyn Fn(&EventView) -> bool + Send + Sync>;
 
+/// A graph node. Closure nodes carry their dependencies' ids in the
+/// order the callback addresses them.
 #[derive(Clone)]
 pub(crate) enum Node {
     Define {
         slot: usize,
+        deps: Vec<ColumnId>,
         func: DefineFn,
     },
     Filter {
+        deps: Vec<ColumnId>,
         func: FilterFn,
     },
     /// A declarative `column cmp literal` cut, indexing into the run's
@@ -155,6 +159,8 @@ pub(crate) enum Node {
 pub(crate) struct Booking {
     pub spec: HistSpec,
     pub column: String,
+    /// `column`, resolved when the booking was added.
+    pub id: ColumnId,
 }
 
 /// A lazily built dataframe computation over one table.
@@ -229,41 +235,43 @@ impl RDataFrame {
         self.cancel = cancel;
     }
 
-    fn declare_deps(&mut self, deps: &[&str]) {
-        for d in deps {
-            if !self.registry.by_name.contains_key(*d) {
-                self.registry.base(d);
-            }
-        }
+    fn resolve_deps(&mut self, deps: &[&str]) -> Vec<ColumnId> {
+        deps.iter().map(|d| self.registry.resolve(d)).collect()
     }
 
     /// Adds a derived per-event column. `deps` must list every column the
-    /// callback reads (like RDataFrame's column list parameter); base
-    /// columns are resolved against the table schema at run time.
+    /// callback reads (like RDataFrame's column list parameter); the
+    /// callback addresses them by position, `v.arr(0)` being `deps[0]`.
+    /// Each name is resolved once, here: a name defined earlier in the
+    /// chain is that column, any other is a base column, checked against
+    /// the table schema at run time.
     pub fn define<F>(mut self, name: &str, deps: &[&str], func: F) -> RDataFrame
     where
         F: Fn(&EventView) -> ColValue + Send + Sync + 'static,
     {
-        self.declare_deps(deps);
+        let deps = self.resolve_deps(deps);
         let slot = match self.registry.define(name) {
-            crate::view::ColumnId::Defined(i) => i,
-            crate::view::ColumnId::Base(_) => unreachable!(),
+            ColumnId::Defined(i) => i,
+            ColumnId::Base(_) => unreachable!(),
         };
         self.nodes.push(Node::Define {
             slot,
+            deps,
             func: Arc::new(func),
         });
         self
     }
 
     /// Adds an event filter; subsequent defines/bookings only see passing
-    /// events.
+    /// events. `deps` are resolved and addressed as in
+    /// [`RDataFrame::define`].
     pub fn filter<F>(mut self, deps: &[&str], func: F) -> RDataFrame
     where
         F: Fn(&EventView) -> bool + Send + Sync + 'static,
     {
-        self.declare_deps(deps);
+        let deps = self.resolve_deps(deps);
         self.nodes.push(Node::Filter {
+            deps,
             func: Arc::new(func),
         });
         self
@@ -277,7 +285,7 @@ impl RDataFrame {
     /// materialized. Semantics are identical to the closure form either
     /// way.
     pub fn filter_scalar(mut self, column: &str, cmp: SelCmp, value: SelValue) -> RDataFrame {
-        self.declare_deps(&[column]);
+        self.registry.resolve(column);
         let index = self.scalar_filters.len();
         self.scalar_filters.push((column.to_string(), cmp, value));
         self.nodes.push(Node::ScalarFilter { index });
@@ -286,23 +294,20 @@ impl RDataFrame {
 
     /// Books a 1-D histogram of `column` (scalar: one fill per event;
     /// array: one fill per element) and returns a lazily runnable handle.
-    pub fn histo1d(mut self, spec: HistSpec, column: &str) -> BookedHisto {
-        self.declare_deps(&[column]);
-        self.bookings.push(Booking {
-            spec,
-            column: column.to_string(),
-        });
-        let index = self.bookings.len() - 1;
-        BookedHisto { df: self, index }
+    pub fn histo1d(self, spec: HistSpec, column: &str) -> BookedHisto {
+        let df = self.also_histo1d(spec, column);
+        let index = df.bookings.len() - 1;
+        BookedHisto { df, index }
     }
 
     /// Books an additional histogram on an existing booking's chain
     /// (the (Q6a)/(Q6b) pattern: one event loop, two plots).
     pub fn also_histo1d(mut self, spec: HistSpec, column: &str) -> RDataFrame {
-        self.declare_deps(&[column]);
+        let id = self.registry.resolve(column);
         self.bookings.push(Booking {
             spec,
             column: column.to_string(),
+            id,
         });
         self
     }

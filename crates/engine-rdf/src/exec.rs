@@ -39,19 +39,15 @@ pub(crate) fn resolve_column(table: &Table, name: &str) -> Result<Path, RdfError
     Err(RdfError::UnknownColumn(name.to_string()))
 }
 
-fn widen(chunk: &ColumnChunk) -> Vec<f64> {
-    (0..chunk.n_entries())
-        .map(|i| chunk.data.get_f64(i))
-        .collect()
-}
-
 /// Materializes the base columns of one row group.
 fn materialize_base(group: &RowGroup, paths: &[Path]) -> Result<Vec<BaseColumn>, RdfError> {
     paths
         .iter()
         .map(|p| {
             let chunk = group.column(p)?;
-            let values = Arc::new(widen(chunk));
+            let mut values = Vec::with_capacity(chunk.n_entries());
+            chunk.data.extend_f64(&mut values);
+            let values = Arc::new(values);
             Ok(match &chunk.offsets {
                 Some(off) => BaseColumn::Array(values, Arc::new(off.clone())),
                 None => BaseColumn::Scalar(values),
@@ -60,15 +56,15 @@ fn materialize_base(group: &RowGroup, paths: &[Path]) -> Result<Vec<BaseColumn>,
         .collect()
 }
 
-/// What user callbacks see of event `row`.
+/// What a callback declared with `deps` sees of event `row`.
 fn view<'a>(
-    df: &'a RDataFrame,
+    deps: &'a [ColumnId],
     base: &'a [BaseColumn],
     row: usize,
     defined: &'a [Option<ColValue>],
 ) -> EventView<'a> {
     EventView {
-        registry: &df.registry,
+        deps,
         base,
         row,
         defined,
@@ -98,13 +94,6 @@ pub(crate) fn run(df: &RDataFrame) -> Result<RunOutput, RdfError> {
         });
     let injector = df.fault_injector.as_deref();
     let mk_faults = || injector.map(|i| nf2_columnar::ScanFaults::new(i, table));
-    // Resolve booking targets.
-    let booking_cols: Vec<ColumnId> = df
-        .bookings
-        .iter()
-        .map(|b| *df.registry.by_name.get(&b.column).expect("declared"))
-        .collect();
-
     // Resolve declarative scalar cuts. A cut on a repeated or boolean
     // column has no per-event scalar to compare and is rejected outright.
     let scalar_preds: Vec<ScalarPredicate> = df
@@ -253,12 +242,12 @@ pub(crate) fn run(df: &RDataFrame) -> Result<RunOutput, RdfError> {
             let mut passed = true;
             for node in &df.nodes {
                 match node {
-                    Node::Define { slot, func } => {
-                        let v = func(&view(df, &base, row, &defined));
+                    Node::Define { slot, deps, func } => {
+                        let v = func(&view(deps, &base, row, &defined));
                         defined[*slot] = Some(v);
                     }
-                    Node::Filter { func } => {
-                        if !func(&view(df, &base, row, &defined)) {
+                    Node::Filter { deps, func } => {
+                        if !func(&view(deps, &base, row, &defined)) {
                             passed = false;
                             break;
                         }
@@ -275,18 +264,17 @@ pub(crate) fn run(df: &RDataFrame) -> Result<RunOutput, RdfError> {
                 }
             }
             if passed {
-                let view = view(df, &base, row, &defined);
-                for ((b, col), booking) in partial.iter_mut().zip(&booking_cols).zip(&df.bookings) {
-                    match col {
-                        ColumnId::Base(i) => match &base[*i] {
+                for (b, booking) in partial.iter_mut().zip(&df.bookings) {
+                    match booking.id {
+                        ColumnId::Base(i) => match &base[i] {
                             BaseColumn::Scalar(v) => b.fill(v[row]),
-                            BaseColumn::Array(..) => {
-                                for &x in view.arr(&booking.column) {
+                            BaseColumn::Array(v, off) => {
+                                for &x in &v[off[row] as usize..off[row + 1] as usize] {
                                     b.fill(x);
                                 }
                             }
                         },
-                        ColumnId::Defined(i) => match defined[*i].as_ref().expect("defined") {
+                        ColumnId::Defined(i) => match defined[i].as_ref().expect("defined") {
                             ColValue::F64(x) => b.fill(*x),
                             ColValue::Arr(xs) => {
                                 for &x in xs {
@@ -399,9 +387,9 @@ mod tests {
     fn filter_and_define_chain() {
         let (events, t) = test_table();
         let df = RDataFrame::new(t, Options::default())
-            .filter(&["Muon_pt"], |v| v.arr("Muon_pt").len() >= 2)
+            .filter(&["Muon_pt"], |v| v.arr(0).len() >= 2)
             .define("lead_mu_pt", &["Muon_pt"], |v| {
-                crate::view::ColValue::F64(v.arr("Muon_pt")[0])
+                crate::view::ColValue::F64(v.arr(0)[0])
             });
         let out = df
             .histo1d(HistSpec::new(50, 0.0, 100.0), "lead_mu_pt")
@@ -510,10 +498,10 @@ mod tests {
         use nf2_columnar::{SelCmp, SelValue};
         let (events, t) = test_table();
         let df = RDataFrame::new(t, Options::default())
-            .filter(&["Muon_pt"], |v| !v.arr("Muon_pt").is_empty())
+            .filter(&["Muon_pt"], |v| !v.arr(0).is_empty())
             .filter_scalar("MET_pt", SelCmp::Lt, SelValue::Float(60.0))
             .define("lead_mu_pt", &["Muon_pt"], |v| {
-                crate::view::ColValue::F64(v.arr("Muon_pt")[0])
+                crate::view::ColValue::F64(v.arr(0)[0])
             });
         let out = df
             .histo1d(HistSpec::new(50, 0.0, 100.0), "lead_mu_pt")

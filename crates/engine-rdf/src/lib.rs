@@ -10,7 +10,10 @@
 //! directly to user code (paper §3.7: "they make the columnar storage format
 //! part of the programming model"): users reference flat column names such
 //! as `Jet_pt` (an `RVec`-like slice per event) rather than nested
-//! structures, and chain lazy transformations:
+//! structures, and chain lazy transformations. As with ROOT's column list
+//! and lambda parameters, a callback reads its declared columns by
+//! position — `v.arr(1)` is the second name in its `deps` — and each name
+//! is resolved once, when the node is added:
 //!
 //! ```
 //! use engine_rdf::{RDataFrame, Options, ColValue};
@@ -19,9 +22,10 @@
 //! #     hep_model::DatasetSpec { n_events: 100, row_group_size: 50, seed: 1 });
 //! let df = RDataFrame::new(std::sync::Arc::new(table), Options::default());
 //! let hist = df
-//!     .filter(&["Jet_pt"], |v| v.arr("Jet_pt").len() >= 2)
-//!     .define("leading_pt", &["Jet_pt"], |v| {
-//!         ColValue::F64(v.arr("Jet_pt").first().copied().unwrap_or(0.0))
+//!     .filter(&["Jet_pt"], |v| v.arr(0).len() >= 2)
+//!     .define("leading_pt", &["Jet_pt", "Jet_eta"], |v| {
+//!         let (pt, eta) = (v.arr(0), v.arr(1));
+//!         ColValue::F64(if eta[0].abs() < 2.4 { pt[0] } else { 0.0 })
 //!     })
 //!     .histo1d(HistSpec::new(100, 0.0, 200.0), "leading_pt");
 //! let out = hist.run().unwrap();

@@ -48,10 +48,11 @@ pub(crate) enum ColumnId {
     Defined(usize),
 }
 
-/// Name → id map shared by the whole graph.
+/// Name → id map shared by the whole graph. Names are resolved once,
+/// when a node or booking is added; the event loop only sees ids.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct ColumnRegistry {
-    pub by_name: HashMap<String, ColumnId>,
+    by_name: HashMap<String, ColumnId>,
     /// Base column names in id order (for projection resolution).
     pub base_names: Vec<String>,
     /// Number of defined columns.
@@ -59,7 +60,9 @@ pub(crate) struct ColumnRegistry {
 }
 
 impl ColumnRegistry {
-    pub fn base(&mut self, name: &str) -> ColumnId {
+    /// The id of `name`: the defined column of that name, or a base
+    /// column, registered on first use.
+    pub fn resolve(&mut self, name: &str) -> ColumnId {
         if let Some(id) = self.by_name.get(name) {
             return *id;
         }
@@ -77,57 +80,46 @@ impl ColumnRegistry {
     }
 }
 
-/// The view user callbacks receive: access to base columns of the current
-/// event and to previously defined columns.
+/// The view user callbacks receive: the current event's values of the
+/// node's dependencies, addressed by their position in the `deps` list the
+/// node was declared with — the way ROOT passes a column list to a lambda.
 pub struct EventView<'a> {
-    pub(crate) registry: &'a ColumnRegistry,
+    pub(crate) deps: &'a [ColumnId],
     pub(crate) base: &'a [BaseColumn],
     pub(crate) row: usize,
     pub(crate) defined: &'a [Option<ColValue>],
 }
 
 impl<'a> EventView<'a> {
-    fn id(&self, name: &str) -> ColumnId {
-        *self
-            .registry
-            .by_name
-            .get(name)
-            .unwrap_or_else(|| panic!("column {name} not declared as a dependency"))
+    fn id(&self, dep: usize) -> ColumnId {
+        *self.deps.get(dep).unwrap_or_else(|| {
+            panic!(
+                "dependency {dep} not declared (the node lists {})",
+                self.deps.len()
+            )
+        })
     }
 
-    /// Scalar column value for the current event.
-    pub fn f64(&self, name: &str) -> f64 {
-        match self.id(name) {
+    /// Scalar value of dependency `dep` for the current event.
+    pub fn f64(&self, dep: usize) -> f64 {
+        match self.id(dep) {
             ColumnId::Base(i) => match &self.base[i] {
                 BaseColumn::Scalar(v) => v[self.row],
-                BaseColumn::Array(..) => panic!("column {name} is an array; use arr()"),
+                BaseColumn::Array(..) => panic!("dependency {dep} is an array; use arr()"),
             },
             ColumnId::Defined(i) => self.defined[i].as_ref().expect("defined upstream").f64(),
         }
     }
 
-    /// Array column contents for the current event (zero-copy for base
-    /// columns).
-    pub fn arr(&self, name: &str) -> &[f64] {
-        match self.id(name) {
+    /// Array contents of dependency `dep` for the current event
+    /// (zero-copy for base columns).
+    pub fn arr(&self, dep: usize) -> &'a [f64] {
+        match self.id(dep) {
             ColumnId::Base(i) => match &self.base[i] {
                 BaseColumn::Array(v, off) => &v[off[self.row] as usize..off[self.row + 1] as usize],
-                BaseColumn::Scalar(_) => panic!("column {name} is a scalar; use f64()"),
+                BaseColumn::Scalar(_) => panic!("dependency {dep} is a scalar; use f64()"),
             },
             ColumnId::Defined(i) => self.defined[i].as_ref().expect("defined upstream").arr(),
-        }
-    }
-
-    /// Generic access returning a [`ColValue`] (copies arrays).
-    pub fn get(&self, name: &str) -> ColValue {
-        match self.id(name) {
-            ColumnId::Base(i) => match &self.base[i] {
-                BaseColumn::Scalar(v) => ColValue::F64(v[self.row]),
-                BaseColumn::Array(v, off) => {
-                    ColValue::Arr(v[off[self.row] as usize..off[self.row + 1] as usize].to_vec())
-                }
-            },
-            ColumnId::Defined(i) => self.defined[i].as_ref().expect("defined upstream").clone(),
         }
     }
 }
@@ -139,13 +131,14 @@ mod tests {
     #[test]
     fn registry_assigns_stable_ids() {
         let mut r = ColumnRegistry::default();
-        let a = r.base("Jet_pt");
-        let b = r.base("Jet_pt");
+        let a = r.resolve("Jet_pt");
+        let b = r.resolve("Jet_pt");
         assert_eq!(a, b);
-        let c = r.base("MET_pt");
+        let c = r.resolve("MET_pt");
         assert_ne!(a, c);
         let d = r.define("mass");
         assert_eq!(d, ColumnId::Defined(0));
+        assert_eq!(r.resolve("mass"), d);
         assert_eq!(
             r.base_names,
             vec!["Jet_pt".to_string(), "MET_pt".to_string()]
@@ -153,40 +146,38 @@ mod tests {
     }
 
     #[test]
-    fn view_reads_base_and_defined() {
-        let mut r = ColumnRegistry::default();
-        r.base("met");
-        r.base("jets");
-        r.define("x");
+    fn view_reads_base_and_defined_by_position() {
         let base = vec![
             BaseColumn::Scalar(Arc::new(vec![1.0, 2.0])),
             BaseColumn::Array(Arc::new(vec![10.0, 20.0, 30.0]), Arc::new(vec![0, 2, 3])),
         ];
         let defined = vec![Some(ColValue::F64(42.0))];
+        // The node's list order, not the registry's, decides positions.
+        let deps = [ColumnId::Defined(0), ColumnId::Base(1), ColumnId::Base(0)];
         let v = EventView {
-            registry: &r,
+            deps: &deps,
             base: &base,
             row: 0,
             defined: &defined,
         };
-        assert_eq!(v.f64("met"), 1.0);
-        assert_eq!(v.arr("jets"), &[10.0, 20.0]);
-        assert_eq!(v.f64("x"), 42.0);
+        assert_eq!(v.f64(2), 1.0);
+        assert_eq!(v.arr(1), &[10.0, 20.0]);
+        assert_eq!(v.f64(0), 42.0);
         let v1 = EventView { row: 1, ..v };
-        assert_eq!(v1.f64("met"), 2.0);
-        assert_eq!(v1.arr("jets"), &[30.0]);
+        assert_eq!(v1.f64(2), 2.0);
+        assert_eq!(v1.arr(1), &[30.0]);
     }
 
     #[test]
     #[should_panic(expected = "not declared")]
-    fn undeclared_column_panics() {
-        let r = ColumnRegistry::default();
+    fn undeclared_dependency_panics() {
+        let deps = [ColumnId::Base(0)];
         let v = EventView {
-            registry: &r,
+            deps: &deps,
             base: &[],
             row: 0,
             defined: &[],
         };
-        v.f64("nope");
+        v.f64(1);
     }
 }

@@ -70,6 +70,19 @@ impl ColumnData {
         }
     }
 
+    /// Appends every entry, widened as by [`ColumnData::get_f64`], to
+    /// `out`: one pass over the typed buffer instead of a type dispatch
+    /// per entry.
+    pub fn extend_f64(&self, out: &mut Vec<f64>) {
+        match self {
+            ColumnData::Bool(v) => out.extend(v.iter().map(|&x| x as u8 as f64)),
+            ColumnData::I32(v) => out.extend(v.iter().map(|&x| x as f64)),
+            ColumnData::I64(v) => out.extend(v.iter().map(|&x| x as f64)),
+            ColumnData::F32(v) => out.extend(v.iter().map(|&x| x as f64)),
+            ColumnData::F64(v) => out.extend_from_slice(v),
+        }
+    }
+
     /// Entry at `i` as the dynamic value type.
     pub fn get_value(&self, i: usize) -> nested_value::Value {
         use nested_value::Value;
@@ -248,6 +261,25 @@ mod tests {
         assert!(c.f32s().is_none());
         assert_eq!(c.data.get_f64(0), 1.0);
         assert_eq!(c.data.get_value(0), nested_value::Value::Float(1.0));
+    }
+
+    #[test]
+    fn extend_f64_is_get_f64_per_entry() {
+        for d in [
+            ColumnData::Bool(vec![true, false]),
+            ColumnData::I32(vec![-3, 7]),
+            ColumnData::I64(vec![i64::MAX, -1]),
+            ColumnData::F32(vec![0.1, -0.0, f32::NAN]),
+            ColumnData::F64(vec![1e300, -2.5]),
+        ] {
+            let mut out = vec![42.0];
+            d.extend_f64(&mut out);
+            let want: Vec<u64> = std::iter::once(42.0)
+                .chain((0..d.len()).map(|i| d.get_f64(i)))
+                .map(f64::to_bits)
+                .collect();
+            assert_eq!(out.iter().map(|x| x.to_bits()).collect::<Vec<_>>(), want);
+        }
     }
 
     #[test]

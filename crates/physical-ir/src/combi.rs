@@ -27,6 +27,11 @@ pub fn for_each_triple(n: usize, mut f: impl FnMut(usize, usize, usize)) {
 }
 
 /// Reusable buffers for materialized combination index vectors.
+///
+/// No kernel enumerates through it: the trijet kernel runs its own
+/// pair-hoisted loops. Only the benchmark harness's `pairs_per_s` /
+/// `triples_per_s` probes call it, until ROADMAP item 1 unfreezes the
+/// harness and they can move to [`for_each_pair`] / [`for_each_triple`].
 #[derive(Debug, Default)]
 pub struct CombiBuffer {
     pairs: Vec<[u32; 2]>,

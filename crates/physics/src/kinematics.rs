@@ -9,9 +9,27 @@ use crate::fourvec::FourMomentum;
 /// computation (`MOD(MOD(d, 2π) + 2π, 2π) − π`) — a requirement for exact
 /// cross-engine histogram validation.
 pub fn delta_phi(phi1: f64, phi2: f64) -> f64 {
-    let tau = 2.0 * std::f64::consts::PI;
     let d = phi1 - phi2 + std::f64::consts::PI;
-    ((d % tau) + tau) % tau - std::f64::consts::PI
+    rem_tau(rem_tau(d) + TAU) - std::f64::consts::PI
+}
+
+const TAU: f64 = std::f64::consts::TAU;
+
+/// `x % 2π` (C `fmod`), without the division when `x` is already in
+/// `[0, 4π)` — the common case for azimuths in `[-π, π)`. Bit-identical
+/// to `x % 2π` for every input: `fmod(x, τ) = x` for `0 ≤ x < τ`, and for
+/// `τ ≤ x < 2τ` the exact result `x − τ` is representable (Sterbenz), so
+/// the subtraction rounds to it. `-0.0`, NaN and ±∞ take the `%` path or
+/// return themselves exactly as `fmod` would.
+#[inline]
+fn rem_tau(x: f64) -> f64 {
+    if (0.0..TAU).contains(&x) {
+        x
+    } else if (TAU..2.0 * TAU).contains(&x) {
+        x - TAU
+    } else {
+        x % TAU
+    }
 }
 
 /// Angular distance `ΔR = sqrt(Δη² + Δφ²)` used by the jet–lepton isolation

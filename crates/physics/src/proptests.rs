@@ -18,6 +18,35 @@ fn phi() -> impl Strategy<Value = f64> {
 fn mass() -> impl Strategy<Value = f64> {
     0.0..50.0f64
 }
+/// Azimuths in ±10 mixed with the values where the `mod` reduction has
+/// edges: signed zeros, ±π and its neighbours, exact multiples of 2π,
+/// large magnitudes and the non-finite values.
+fn phi_edge() -> impl Strategy<Value = f64> {
+    use std::f64::consts::PI;
+    let edges = vec![
+        0.0,
+        -0.0,
+        PI,
+        -PI,
+        f64::from_bits(PI.to_bits() - 1),
+        f64::from_bits(PI.to_bits() + 1),
+        -f64::from_bits(PI.to_bits() - 1),
+        2.0 * PI,
+        -2.0 * PI,
+        4.0 * PI,
+        -6.0 * PI,
+        1e6,
+        -1e6,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+    prop_oneof![
+        -10.0..10.0f64,
+        (0..edges.len()).prop_map(move |i| edges[i]),
+        (-8i32..=8).prop_map(|k| k as f64 * 2.0 * PI),
+    ]
+}
 
 proptest! {
     /// (pt, η, φ, m) → Cartesian → (pt, η, φ, m) round-trips.
@@ -72,6 +101,21 @@ proptest! {
         prop_assert!((delta_phi(b, a) + d).abs() < 1e-9
             || (delta_phi(b, a) + d - 2.0 * std::f64::consts::PI).abs() < 1e-9
             || (delta_phi(b, a) + d + 2.0 * std::f64::consts::PI).abs() < 1e-9);
+    }
+
+    /// The in-range fast path of Δφ is bit-identical to the literal
+    /// double-`mod` form the SQL/JSONiq texts spell out, on ordinary
+    /// azimuths and on every edge the reduction has.
+    #[test]
+    fn delta_phi_is_the_literal_double_mod(a in phi_edge(), b in phi_edge()) {
+        let tau = 2.0 * std::f64::consts::PI;
+        let d = a - b + std::f64::consts::PI;
+        let literal = ((d % tau) + tau) % tau - std::f64::consts::PI;
+        let fast = delta_phi(a, b);
+        prop_assert!(
+            fast.to_bits() == literal.to_bits() || (fast.is_nan() && literal.is_nan()),
+            "delta_phi({a:e}, {b:e}) = {fast:e}, literal form gives {literal:e}"
+        );
     }
 
     /// ΔR satisfies the triangle-ish lower bounds: ≥ |Δη| and ≥ |Δφ|.

@@ -53,11 +53,8 @@ fn main() {
                 "Muon_charge",
             ],
             |v| {
-                let pt = v.arr("Muon_pt");
-                let eta = v.arr("Muon_eta");
-                let phi = v.arr("Muon_phi");
-                let mass = v.arr("Muon_mass");
-                let charge = v.arr("Muon_charge");
+                let (pt, eta, phi, mass, charge) =
+                    (v.arr(0), v.arr(1), v.arr(2), v.arr(3), v.arr(4));
                 let mut out = Vec::new();
                 for i in 0..pt.len() {
                     for k in (i + 1)..pt.len() {
