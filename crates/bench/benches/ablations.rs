@@ -7,7 +7,8 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use engine_rdf::{Options, RDataFrame};
+use engine_rdf::RDataFrame;
+use exec_par::ExecOptions;
 use nf2_columnar::{Projection, PushdownCapability};
 use physics::HistSpec;
 
@@ -54,7 +55,7 @@ fn ablation_rowgroup(c: &mut Criterion) {
         let (_, t) = dataset(rg);
         group.bench_function(format!("rg{rg}"), |b| {
             b.iter(|| {
-                let df = RDataFrame::new(t.clone(), Options::default())
+                let df = RDataFrame::new(t.clone(), ExecOptions::default())
                     .histo1d(HistSpec::new(100, 0.0, 200.0), "MET_pt");
                 black_box(df.run().unwrap().histogram.total())
             })
@@ -125,7 +126,7 @@ criterion_main!(benches);
 /// Zone-map pruning ablation: a selective scalar filter with statistics-
 /// based row-group skipping on vs off.
 fn ablation_zonemap(c: &mut Criterion) {
-    use engine_sql::{Dialect, SqlEngine, SqlOptions};
+    use engine_sql::{Dialect, SqlEngine};
     let (_, t) = dataset(512);
     let sql = "SELECT COUNT(*) FROM events WHERE event > 16000";
     let mut group = c.benchmark_group("ablation/zonemap");
@@ -133,9 +134,9 @@ fn ablation_zonemap(c: &mut Criterion) {
     for (label, pruning) in [("pruned", true), ("unpruned", false)] {
         let mut engine = SqlEngine::new(
             Dialect::presto(),
-            SqlOptions {
+            ExecOptions {
                 zone_map_pruning: pruning,
-                ..SqlOptions::default()
+                ..ExecOptions::default()
             },
         );
         engine.register(t.clone());

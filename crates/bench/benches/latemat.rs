@@ -11,9 +11,10 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use engine_flwor::{FlworEngine, FlworOptions};
-use engine_rdf::{Options, RDataFrame, SelCmp, SelValue};
-use engine_sql::{Dialect, SqlEngine, SqlOptions};
+use engine_flwor::FlworEngine;
+use engine_rdf::{RDataFrame, SelCmp, SelValue};
+use engine_sql::{Dialect, SqlEngine};
+use exec_par::ExecOptions;
 use physics::HistSpec;
 
 fn dataset() -> Arc<nf2_columnar::Table> {
@@ -43,9 +44,9 @@ fn ablation_latemat_sql(c: &mut Criterion) {
                 b.iter(|| {
                     let mut e = SqlEngine::new(
                         Dialect::presto(),
-                        SqlOptions {
+                        ExecOptions {
                             vectorized_filter,
-                            ..SqlOptions::default()
+                            ..ExecOptions::default()
                         },
                     );
                     e.register(t.clone());
@@ -70,9 +71,9 @@ fn ablation_latemat_flwor(c: &mut Criterion) {
         for (mode, vectorized_filter) in [("vectorized", true), ("naive", false)] {
             group.bench_function(format!("{label}/{mode}"), |b| {
                 b.iter(|| {
-                    let mut e = FlworEngine::new(FlworOptions {
+                    let mut e = FlworEngine::new(ExecOptions {
                         vectorized_filter,
-                        ..FlworOptions::default()
+                        ..ExecOptions::default()
                     });
                     e.register(t.clone());
                     black_box(e.execute(&q).unwrap().items.len())
@@ -93,9 +94,9 @@ fn ablation_latemat_rdf(c: &mut Criterion) {
                 b.iter(|| {
                     let df = RDataFrame::new(
                         t.clone(),
-                        Options {
+                        ExecOptions {
                             vectorized_filter,
-                            ..Options::default()
+                            ..ExecOptions::default()
                         },
                     )
                     .filter_scalar("MET_pt", SelCmp::Gt, SelValue::Float(cut))

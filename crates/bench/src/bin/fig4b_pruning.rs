@@ -13,10 +13,10 @@
 //! For each (engine, query) the harness runs pruning off and on
 //! (min-of-[`RUNS`] wall, single intra-query thread) and records the
 //! row-group/byte split. Both arms pin `vectorized_filter` off: the gate
-//! prices pruning on the **row-at-a-time interpreted path** (the
-//! deployment the paper measures), not against the orthogonal
-//! late-materialization kernels — with those on, the window cut is
-//! already near-free and the only pruning win left is skipped decode.
+//! prices pruning on the **pure row-at-a-time interpreted path**, not
+//! against the orthogonal late-materialization kernels (which
+//! `engine_for`'s deployments leave on) — with those on, the window cut
+//! is already near-free and the only pruning win left is skipped decode.
 //! Two invariants hold unconditionally and are gated in every mode:
 //!
 //! * results are **byte-identical** with pruning on and off;
@@ -39,8 +39,9 @@
 
 use std::sync::Arc;
 
-use engine_flwor::{FlworEngine, FlworOptions};
-use engine_sql::{Dialect, SqlEngine, SqlOptions};
+use engine_flwor::FlworEngine;
+use engine_sql::{Dialect, SqlEngine};
+use exec_par::ExecOptions;
 use hep_model::DatasetSpec;
 use hepbench_bench::{dataset, dataset_spec, run_gate};
 use hepbench_core::queries::{self, Language};
@@ -157,11 +158,11 @@ fn sql_point(table: &Arc<Table>, sql: &str, prune: bool) -> (engine_sql::exec::R
     measure(|| {
         let mut engine = SqlEngine::new(
             Dialect::presto(),
-            SqlOptions {
+            ExecOptions {
                 zone_map_pruning: prune,
                 n_threads: 1,
                 vectorized_filter: false,
-                ..SqlOptions::default()
+                ..ExecOptions::default()
             },
         );
         engine.register(table.clone());
@@ -172,11 +173,11 @@ fn sql_point(table: &Arc<Table>, sql: &str, prune: bool) -> (engine_sql::exec::R
 
 fn jq_point(table: &Arc<Table>, text: &str, prune: bool) -> (engine_flwor::interp::Seq, Point) {
     measure(|| {
-        let mut engine = FlworEngine::new(FlworOptions {
+        let mut engine = FlworEngine::new(ExecOptions {
             zone_map_pruning: prune,
             n_threads: 1,
             vectorized_filter: false,
-            ..FlworOptions::default()
+            ..ExecOptions::default()
         });
         engine.register(table.clone());
         let out = engine.execute(text).unwrap_or_else(|e| panic!("{e}"));

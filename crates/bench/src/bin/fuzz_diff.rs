@@ -37,7 +37,8 @@ use chaos::{differential_fuzz, fault_sweep, pruning_differential_fuzz};
 use hep_model::Event;
 use hepbench_bench::{dataset, dataset_spec, env, run_gate};
 use hepbench_core::adapters::ExecEnv;
-use hepbench_core::runner::{execute_engine, System};
+use hepbench_core::engine_api::{engine_for, QuerySpec};
+use hepbench_core::runner::System;
 use hepbench_core::ALL_QUERIES;
 use nf2_columnar::{FaultConfig, FaultInjector, Table};
 use query_service::{QueryRequest, QueryService, ServiceConfig};
@@ -152,8 +153,9 @@ fn run_service_faults(table: &Arc<Table>) -> Vec<String> {
                     continue;
                 }
             };
-            let clean =
-                execute_engine(system, table, query, &ExecEnv::seed()).expect("fault-free run");
+            let clean = engine_for(system, table.clone())
+                .execute(&QuerySpec::benchmark(query), &ExecEnv::seed())
+                .expect("fault-free run");
             if !served.histogram.counts_equal(&clean.histogram) {
                 violations.push(format!(
                     "{} {} served a wrong histogram under faults",
@@ -221,8 +223,9 @@ fn run_service_morsel_recovery(table: &Arc<Table>) -> Vec<String> {
                     continue;
                 }
             };
-            let clean =
-                execute_engine(system, table, query, &ExecEnv::seed()).expect("fault-free run");
+            let clean = engine_for(system, table.clone())
+                .execute(&QuerySpec::benchmark(query), &ExecEnv::seed())
+                .expect("fault-free run");
             if !served.histogram.counts_equal(&clean.histogram) {
                 violations.push(format!(
                     "{} {} served a wrong histogram under morsel recovery",

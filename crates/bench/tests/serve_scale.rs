@@ -16,7 +16,7 @@ use hep_model::generator::build_dataset;
 use hep_model::DatasetSpec;
 use hepbench_bench::loadgen::{query_mix, run_open_loop, LoadConfig, Schedule};
 use hepbench_core::adapters::ExecEnv;
-use hepbench_core::runner::execute_engine;
+use hepbench_core::engine_api::{engine_for, QuerySpec};
 use query_service::{QueryRequest, QueryService, ServiceConfig};
 
 fn small_cfg() -> LoadConfig {
@@ -151,7 +151,9 @@ fn paper_fairness_is_byte_identical_through_open_loop_submission() {
     let table = Arc::new(table);
     let service = QueryService::start(table.clone(), ServiceConfig::paper_fairness());
     for (system, query) in query_mix() {
-        let direct = execute_engine(system, &table, query, &ExecEnv::seed()).unwrap();
+        let direct = engine_for(system, table.clone())
+            .execute(&QuerySpec::benchmark(query), &ExecEnv::seed())
+            .unwrap();
         let served = service
             .submit(QueryRequest::new("t0", system, query).arriving_at(Instant::now()))
             .expect("admitted")

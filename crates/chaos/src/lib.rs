@@ -976,22 +976,19 @@ fn run_recovery_case(
 /// byte-identical to the fault-free run, and the recovery counters must
 /// show the morsel surface actually fired.
 fn engine_conservation_probe(report: &mut RecoveryReport, seed: u64, table: &Arc<Table>) {
-    use hepbench_core::adapters::run_sql_env;
+    use hepbench_core::engine_api::{engine_for_compiled, QuerySpec};
+    use hepbench_core::runner::System;
     use hepbench_core::QueryId;
-    let options = engine_sql::SqlOptions {
-        parallel_workers: 4,
-        morsel_recovery: true,
-        ..engine_sql::SqlOptions::default()
+    let engine = engine_for_compiled(System::Presto, table.clone());
+    let recovering = ExecEnv {
+        parallel_workers: Some(4),
+        morsel_recovery: Some(true),
+        ..ExecEnv::seed()
     };
     for q in [QueryId::Q6a, QueryId::Q6b] {
         report.runs += 1;
-        let clean = match run_sql_env(
-            engine_sql::Dialect::presto(),
-            table,
-            q,
-            options,
-            &ExecEnv::seed(),
-        ) {
+        let spec = QuerySpec::benchmark(q);
+        let clean = match engine.execute(&spec, &recovering) {
             Ok(run) => run,
             Err(e) => {
                 report
@@ -1005,9 +1002,9 @@ fn engine_conservation_probe(report: &mut RecoveryReport, seed: u64, table: &Arc
                 transient_attempts: 1,
                 ..FaultConfig::only(FaultClass::Io, 0.3, seed ^ 0xB111)
             }))),
-            ..ExecEnv::seed()
+            ..recovering.clone()
         };
-        match run_sql_env(engine_sql::Dialect::presto(), table, q, options, &env) {
+        match engine.execute(&spec, &env) {
             Ok(run) => {
                 if !run.histogram.counts_equal(&clean.histogram) {
                     report.violations.push(format!(

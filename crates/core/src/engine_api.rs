@@ -1,15 +1,13 @@
-//! The unified engine API: one trait, one output shape, every engine.
+//! The unified engine API: one trait, one output shape, one deployment.
 //!
-//! Historically each engine exposed its own entry point and result type
-//! (`SqlEngine::execute → QueryOutput`, `FlworEngine::execute →
-//! FlworOutput`, `engine-rdf` `RunOutput`) and the adapter layer papered
-//! over the differences with per-engine `run_*` functions. The
-//! [`QueryEngine`] trait is the supported extension point instead: an
-//! engine implements `system()` and `execute()`, returns the shared
-//! [`EngineRun`] (histogram + [`nf2_columnar::ScanStats`] + span tree),
-//! and the runner, the bench harness, and the query service all
-//! dispatch through `dyn QueryEngine` without knowing which engine
-//! backs a [`System`].
+//! A [`Deployment`] is a [`System`] over one table with one
+//! [`ExecOptions`]. Its `execute` picks the system's frontend — SQL text
+//! under the system's dialect, JSONiq text, or an `engine-rdf` program —
+//! runs it through the one run path in [`crate::adapters`], and returns
+//! the shared [`EngineRun`] (histogram + [`nf2_columnar::ScanStats`] +
+//! span tree). The runner, the bench harness and the query service
+//! dispatch through `dyn QueryEngine` without knowing which engine backs
+//! a [`System`].
 //!
 //! Every `execute` opens a [`obs::Stage::Query`] root span on the
 //! environment's trace context, runs the engine with stage spans
@@ -19,11 +17,12 @@
 
 use std::sync::Arc;
 
-use engine_flwor::FlworOptions;
-use engine_sql::{Dialect, SqlOptions};
+use engine_sql::Dialect;
 use nf2_columnar::Table;
 
-use crate::adapters::{self, AdapterError, EngineRun, ExecEnv};
+use crate::adapters::{self, AdapterError, EngineRun, ExecEnv, ExecOptions, Frontend};
+use crate::queries::{self, Language};
+use crate::rdf_programs;
 use crate::runner::System;
 use crate::spec::QueryId;
 
@@ -70,262 +69,102 @@ pub trait QueryEngine: Send + Sync {
     fn execute(&self, query: &QuerySpec, env: &ExecEnv) -> Result<EngineRun, AdapterError>;
 }
 
-/// The SQL dialect profile a system deploys, when it is SQL-backed.
-fn dialect_for(system: System) -> Option<Dialect> {
-    match system {
-        System::BigQuery | System::BigQueryExternal => Some(Dialect::bigquery()),
-        System::AthenaV2 | System::AthenaV1 => Some(Dialect::athena()),
-        System::Presto => Some(Dialect::presto()),
-        _ => None,
-    }
+/// A system deployed over one registered table: the engine behind the
+/// system's frontend, configured by one [`ExecOptions`]. The only
+/// [`QueryEngine`]; construct it directly for explicit options, or
+/// through [`engine_for`] / [`engine_for_compiled`].
+pub struct Deployment {
+    /// The deployed system; it picks the engine and, for SQL, the dialect.
+    pub system: System,
+    /// The registered table.
+    pub table: Arc<Table>,
+    /// The deployment's options, before an [`ExecEnv`]'s overrides.
+    pub options: ExecOptions,
 }
 
-/// Opens the query-level root span, runs `body` under a child
-/// environment, then drains the recorded spans into the run.
-fn with_query_span(
-    system: System,
-    query: &QuerySpec,
-    env: &ExecEnv,
-    body: impl FnOnce(&ExecEnv) -> Result<EngineRun, AdapterError>,
-) -> Result<EngineRun, AdapterError> {
-    let root = env.trace.span_with(obs::Stage::Query, || {
-        format!("{} on {}", query.name(), system.name())
-    });
-    let child_env = ExecEnv {
-        trace: root.ctx(),
-        ..env.clone()
-    };
-    let result = body(&child_env);
-    root.finish();
-    // Re-label with the deployed system's name (several systems share
-    // one engine/dialect, and service logs must identify the
-    // deployment), and attach the span tree on success. On failure the
-    // spans stay in `env.trace` for the caller (e.g. the service retry
-    // path) to drain alongside later attempts.
-    match result {
-        Ok(mut run) => {
-            run.trace = env.trace.take_tree();
-            Ok(run)
-        }
-        Err(mut e) => {
-            e.system = system.name().to_string();
-            Err(e)
+impl Deployment {
+    /// The frontend that runs benchmark query `q` on this system.
+    fn frontend(&self, q: QueryId) -> Frontend {
+        let sql = |dialect, lang| Frontend::Sql(dialect, queries::text(lang, q));
+        match self.system {
+            System::BigQuery | System::BigQueryExternal => {
+                sql(Dialect::bigquery(), Language::BigQuery)
+            }
+            System::AthenaV2 | System::AthenaV1 => sql(Dialect::athena(), Language::Athena),
+            System::Presto => sql(Dialect::presto(), Language::Presto),
+            System::Rumble => Frontend::Jsoniq(queries::text(Language::Jsoniq, q)),
+            System::RDataFrame | System::RDataFrameDev => Frontend::Rdf(Box::new(
+                rdf_programs::build(q, self.table.clone(), self.options),
+            )),
         }
     }
 }
 
-/// The SQL engine deployed as a QaaS or self-managed SQL system
-/// (BigQuery / BigQuery external / Athena v1+v2 / Presto).
-pub struct SqlQueryEngine {
-    system: System,
-    dialect: Dialect,
-    table: Arc<Table>,
-    options: SqlOptions,
-}
-
-impl SqlQueryEngine {
-    /// An engine for an SQL-backed system with default options.
-    ///
-    /// # Panics
-    /// If `system` is not SQL-backed.
-    pub fn new(system: System, table: Arc<Table>) -> SqlQueryEngine {
-        SqlQueryEngine::with_options(system, table, SqlOptions::default())
-    }
-
-    /// [`SqlQueryEngine::new`] with explicit engine options.
-    pub fn with_options(system: System, table: Arc<Table>, options: SqlOptions) -> SqlQueryEngine {
-        let dialect = dialect_for(system)
-            .unwrap_or_else(|| panic!("{} is not an SQL-backed system", system.name()));
-        SqlQueryEngine {
-            system,
-            dialect,
-            table,
-            options,
-        }
-    }
-}
-
-impl QueryEngine for SqlQueryEngine {
+impl QueryEngine for Deployment {
     fn system(&self) -> System {
         self.system
     }
 
     fn execute(&self, query: &QuerySpec, env: &ExecEnv) -> Result<EngineRun, AdapterError> {
-        with_query_span(self.system, query, env, |child| {
-            adapters::run_sql_env(self.dialect, &self.table, query.id, self.options, child)
-        })
-    }
-}
-
-/// The FLWOR engine deployed as Rumble (JSONiq on Spark).
-pub struct FlworQueryEngine {
-    table: Arc<Table>,
-    options: FlworOptions,
-}
-
-impl FlworQueryEngine {
-    /// An engine with default options.
-    pub fn new(table: Arc<Table>) -> FlworQueryEngine {
-        FlworQueryEngine::with_options(table, FlworOptions::default())
-    }
-
-    /// [`FlworQueryEngine::new`] with explicit engine options.
-    pub fn with_options(table: Arc<Table>, options: FlworOptions) -> FlworQueryEngine {
-        FlworQueryEngine { table, options }
-    }
-}
-
-impl QueryEngine for FlworQueryEngine {
-    fn system(&self) -> System {
-        System::Rumble
-    }
-
-    fn execute(&self, query: &QuerySpec, env: &ExecEnv) -> Result<EngineRun, AdapterError> {
-        with_query_span(System::Rumble, query, env, |child| {
-            adapters::run_jsoniq_env(&self.table, query.id, self.options, child)
-        })
-    }
-}
-
-/// The RDataFrame-style engine deployed as ROOT 6.22 or the fixed
-/// development version.
-pub struct RdfQueryEngine {
-    system: System,
-    table: Arc<Table>,
-    options: engine_rdf::Options,
-}
-
-impl RdfQueryEngine {
-    /// An engine for an RDataFrame system with default options.
-    ///
-    /// # Panics
-    /// If `system` is not an RDataFrame deployment.
-    pub fn new(system: System, table: Arc<Table>) -> RdfQueryEngine {
-        RdfQueryEngine::with_options(system, table, engine_rdf::Options::default())
-    }
-
-    /// [`RdfQueryEngine::new`] with explicit engine options.
-    pub fn with_options(
-        system: System,
-        table: Arc<Table>,
-        options: engine_rdf::Options,
-    ) -> RdfQueryEngine {
-        assert!(
-            matches!(system, System::RDataFrame | System::RDataFrameDev),
-            "{} is not an RDataFrame deployment",
-            system.name()
+        let (system, q) = (self.system, query.id);
+        let root = env.trace.span_with(obs::Stage::Query, || {
+            format!("{} on {}", q.name(), system.name())
+        });
+        let child = ExecEnv {
+            trace: root.ctx(),
+            ..env.clone()
+        };
+        let result = adapters::run_frontend(
+            || self.frontend(q),
+            &self.table,
+            self.options,
+            &child,
+            q.hist_spec(),
+            system.name(),
+            q.name(),
         );
-        RdfQueryEngine {
-            system,
-            table,
-            options,
-        }
+        root.finish();
+        // On failure the spans stay in `env.trace` for the caller (e.g.
+        // the service retry path) to drain alongside later attempts.
+        let mut run = result?;
+        run.trace = env.trace.take_tree();
+        Ok(run)
     }
 }
 
-impl QueryEngine for RdfQueryEngine {
-    fn system(&self) -> System {
-        self.system
-    }
-
-    fn execute(&self, query: &QuerySpec, env: &ExecEnv) -> Result<EngineRun, AdapterError> {
-        with_query_span(self.system, query, env, |child| {
-            adapters::run_rdf_env(&self.table, query.id, self.options, child)
-        })
-    }
-}
-
-/// The engine deployment behind a [`System`], over one registered
-/// table — the single construction point the runner and the query
-/// service share.
+/// The deployment behind a [`System`], over one registered table — the
+/// single construction point the runner and the query service share.
 ///
 /// The deployments modeled here are the paper's studied systems, all of
 /// which interpret their queries — the cost model behind Table 1 and
-/// the figures is calibrated against interpreted CPU profiles, so these
-/// engines pin `compile: false`, and — for the same reason — pin
-/// `parallel_workers: 0`: the morsel-parallel executor only applies to
-/// compiled plans, but pinning it explicitly keeps the paper simulation
-/// byte-identical even if the option's default ever changes. The
-/// workspace's own compiled IR path (default-on for direct engine use,
-/// e.g. the golden tests and the bench harness's `compiled` section) is
-/// opted into via the `with_options` constructors.
+/// the figures is calibrated against interpreted CPU profiles — so they
+/// run the default [`ExecOptions`] with `compile: false`.
 pub fn engine_for(system: System, table: Arc<Table>) -> Box<dyn QueryEngine> {
-    match system {
-        System::BigQuery
-        | System::BigQueryExternal
-        | System::AthenaV2
-        | System::AthenaV1
-        | System::Presto => Box::new(SqlQueryEngine::with_options(
-            system,
-            table,
-            SqlOptions {
-                compile: false,
-                parallel_workers: 0,
-                ..SqlOptions::default()
-            },
-        )),
-        System::Rumble => Box::new(FlworQueryEngine::with_options(
-            table,
-            FlworOptions {
-                compile: false,
-                parallel_workers: 0,
-                ..FlworOptions::default()
-            },
-        )),
-        System::RDataFrame | System::RDataFrameDev => Box::new(RdfQueryEngine::with_options(
-            system,
-            table,
-            engine_rdf::Options {
-                compile: false,
-                parallel_workers: 0,
-                ..engine_rdf::Options::default()
-            },
-        )),
-    }
+    Box::new(deployment(system, table, false))
 }
 
-/// The compiled-execution deployment of a system: the same engine and
-/// dialect as [`engine_for`], but with the physical-IR compile path on
-/// (`compile: true`). Queries the frontends cannot lower fall back to
-/// interpretation, so results stay byte-identical to the interpreted
-/// path (the PR 6 fuzz gate). `parallel_workers` stays pinned at 0 —
-/// the serving layer threads a per-request override through
-/// [`ExecEnv::parallel_workers`], which the adapters apply on top of
-/// the engine options. The paper simulation never uses these
-/// deployments; they exist for the serving layer's opt-in
-/// compiled/parallel request paths.
+/// The compiled-execution deployment of a system: [`engine_for`] with
+/// the physical-IR compile path on. Queries the frontends cannot lower
+/// fall back to interpretation, so results stay byte-identical to the
+/// interpreted path. The paper simulation never uses these deployments;
+/// they serve the query service's opt-in compiled/parallel request
+/// paths, which set morsel workers per request through
+/// [`ExecEnv::parallel_workers`].
 pub fn engine_for_compiled(system: System, table: Arc<Table>) -> Box<dyn QueryEngine> {
-    match system {
-        System::BigQuery
-        | System::BigQueryExternal
-        | System::AthenaV2
-        | System::AthenaV1
-        | System::Presto => Box::new(SqlQueryEngine::with_options(
-            system,
-            table,
-            SqlOptions {
-                compile: true,
-                parallel_workers: 0,
-                ..SqlOptions::default()
-            },
-        )),
-        System::Rumble => Box::new(FlworQueryEngine::with_options(
-            table,
-            FlworOptions {
-                compile: true,
-                parallel_workers: 0,
-                ..FlworOptions::default()
-            },
-        )),
-        System::RDataFrame | System::RDataFrameDev => Box::new(RdfQueryEngine::with_options(
-            system,
-            table,
-            engine_rdf::Options {
-                compile: true,
-                parallel_workers: 0,
-                ..engine_rdf::Options::default()
-            },
-        )),
+    Box::new(deployment(system, table, true))
+}
+
+/// The deployment [`engine_for`] (`compile: false`) and
+/// [`engine_for_compiled`] (`compile: true`) box.
+fn deployment(system: System, table: Arc<Table>, compile: bool) -> Deployment {
+    let options = ExecOptions {
+        compile,
+        ..ExecOptions::default()
+    };
+    Deployment {
+        system,
+        table,
+        options,
     }
 }
 
@@ -350,22 +189,48 @@ mod tests {
     #[test]
     fn dyn_engines_agree_through_one_object_type() {
         let t = table();
-        // Object use: heterogeneous engines behind one vtable, driven
-        // uniformly.
+        // Object use: every deployment behind one vtable, driven
+        // uniformly, interpreted and compiled.
         let engines: Vec<Box<dyn QueryEngine>> = ALL_SYSTEMS
             .iter()
-            .map(|s| engine_for(*s, t.clone()))
+            .flat_map(|s| {
+                [
+                    engine_for(*s, t.clone()),
+                    engine_for_compiled(*s, t.clone()),
+                ]
+            })
             .collect();
         let env = ExecEnv::seed();
         let spec = QuerySpec::benchmark(QueryId::Q1);
-        let mut totals = Vec::new();
         for e in &engines {
             let run = e.execute(&spec, &env).unwrap();
-            totals.push((e.system().name(), run.histogram.total()));
+            let name = e.system().name();
+            assert_eq!(
+                run.histogram.total(),
+                1_000,
+                "{name} disagrees on Q1 totals"
+            );
         }
-        assert_eq!(totals.len(), ALL_SYSTEMS.len());
-        for (name, total) in &totals {
-            assert_eq!(*total, 1_000, "{name} disagrees on Q1 totals");
+        assert_eq!(engines.len(), 2 * ALL_SYSTEMS.len());
+    }
+
+    #[test]
+    fn interpreted_and_compiled_deployments_differ_only_in_compile() {
+        let t = table();
+        for &system in ALL_SYSTEMS {
+            assert_eq!(engine_for(system, t.clone()).system(), system);
+            assert_eq!(engine_for_compiled(system, t.clone()).system(), system);
+            let (i, c) = (
+                deployment(system, t.clone(), false).options,
+                deployment(system, t.clone(), true).options,
+            );
+            assert!(!i.compile && c.compile, "{}", system.name());
+            assert_eq!(
+                ExecOptions { compile: true, ..i },
+                c,
+                "{}: deployments differ beyond compile",
+                system.name()
+            );
         }
     }
 
@@ -375,8 +240,7 @@ mod tests {
         fn takes_dyn(e: &dyn QueryEngine) -> System {
             e.system()
         }
-        let t = table();
-        let boxed: Box<dyn QueryEngine> = Box::new(FlworQueryEngine::new(t));
+        let boxed: Box<dyn QueryEngine> = engine_for(System::Rumble, table());
         assert_eq!(takes_dyn(boxed.as_ref()), System::Rumble);
     }
 
@@ -470,7 +334,7 @@ mod tests {
     #[test]
     fn traced_execute_yields_span_tree() {
         let t = table();
-        let engine = SqlQueryEngine::new(System::Presto, t);
+        let engine = engine_for_compiled(System::Presto, t);
         let env = ExecEnv {
             trace: obs::TraceCtx::enabled(),
             // Pinned for sequential child spans (span-sum ≤ wall), not for determinism.

@@ -22,14 +22,13 @@
 
 use std::sync::Arc;
 
-use engine_flwor::FlworEngine;
 use engine_rdf::{ColValue, RDataFrame};
-use engine_sql::{Dialect, SqlEngine};
+use engine_sql::Dialect;
 use hep_model::{Event, Jet};
 use nf2_columnar::{SelCmp, SelValue, Table};
 use physics::{HistSpec, Histogram};
 
-use crate::adapters::{AdapterError, ExecEnv};
+use crate::adapters::{run_frontend, AdapterError, ExecEnv, ExecOptions, Frontend};
 use crate::queries::{bq_binof_call, flit, jq_bin_call, jq_bin_fn, presto_hist_tail, Language};
 
 /// A per-event scalar leaf (non-repeated) of the CMS schema.
@@ -575,7 +574,7 @@ impl FuzzPlan {
     }
 
     /// Lowers the plan to an `engine-rdf` dataframe chain over `table`.
-    pub fn rdf(&self, table: Arc<Table>, options: engine_rdf::Options) -> RDataFrame {
+    pub fn rdf(&self, table: Arc<Table>, options: ExecOptions) -> RDataFrame {
         let mut df = RDataFrame::new(table, options);
         for p in &self.scalar_preds {
             df = df.filter_scalar(p.leaf.rdf(), p.cmp.sel(), SelValue::Float(p.lit));
@@ -620,7 +619,7 @@ impl FuzzPlan {
     // ------------------------------------------------------------- execution
 
     /// Executes the plan on the SQL engine under a dialect, in an
-    /// [`ExecEnv`] (cache, threads, fault injector).
+    /// [`ExecEnv`] — the whole environment, as every deployment reads it.
     pub fn run_sql(
         &self,
         dialect: Dialect,
@@ -632,80 +631,33 @@ impl FuzzPlan {
             engine_sql::DialectName::Presto => Language::Presto,
             engine_sql::DialectName::Athena => Language::Athena,
         };
-        let mut options = engine_sql::SqlOptions::default();
-        if let Some(n) = env.intra_query_threads {
-            options.n_threads = n;
-        }
-        if let Some(p) = env.zone_map_pruning {
-            options.zone_map_pruning = p;
-        }
-        let mut engine = SqlEngine::new(dialect, options);
-        engine.register(table.clone());
-        engine.set_chunk_cache(env.chunk_cache.clone());
-        engine.set_fault_injector(env.fault_injector.clone());
-        engine.set_cancel(env.cancel.clone());
-        let out = engine.execute(&self.text(lang)).map_err(|e| {
-            let mut err = AdapterError::new(lang.name(), self.label(), &e, e.scan_error());
-            err.cancelled = e.cancelled().copied().map(Box::new);
-            err
-        })?;
-        let mut histogram = Histogram::new(self.spec);
-        for row in &out.relation.rows {
-            let (bin, n) = crate::adapters::bin_count_row(row)
-                .map_err(|e| AdapterError::new(lang.name(), self.label(), e, None))?;
-            histogram.add_bin_count(bin, n);
-        }
-        Ok(histogram)
+        self.run(|| Frontend::Sql(dialect, self.text(lang)), lang, table, env)
     }
 
     /// Executes the plan on the JSONiq engine in an [`ExecEnv`].
     pub fn run_jsoniq(&self, table: &Arc<Table>, env: &ExecEnv) -> Result<Histogram, AdapterError> {
-        let mut options = engine_flwor::FlworOptions::default();
-        if let Some(n) = env.intra_query_threads {
-            options.n_threads = n;
-        }
-        if let Some(p) = env.zone_map_pruning {
-            options.zone_map_pruning = p;
-        }
-        let mut engine = FlworEngine::new(options);
-        engine.register(table.clone());
-        engine.set_chunk_cache(env.chunk_cache.clone());
-        engine.set_fault_injector(env.fault_injector.clone());
-        engine.set_cancel(env.cancel.clone());
-        let out = engine.execute(&self.jsoniq()).map_err(|e| {
-            let mut err = AdapterError::new("JSONiq", self.label(), &e, e.scan_error());
-            err.cancelled = e.cancelled().copied().map(Box::new);
-            err
-        })?;
-        let mut histogram = Histogram::new(self.spec);
-        for item in &out.items {
-            let bin = item.as_i64().map_err(|e| {
-                AdapterError::new("JSONiq", self.label(), format!("bin item {e}"), None)
-            })?;
-            histogram.add_bin_count(bin, 1);
-        }
-        Ok(histogram)
+        let frontend = || Frontend::Jsoniq(self.jsoniq());
+        self.run(frontend, Language::Jsoniq, table, env)
     }
 
     /// Executes the plan on the RDataFrame engine in an [`ExecEnv`].
     pub fn run_rdf(&self, table: &Arc<Table>, env: &ExecEnv) -> Result<Histogram, AdapterError> {
-        let mut options = engine_rdf::Options::default();
-        if let Some(n) = env.intra_query_threads {
-            options.n_threads = n;
-        }
-        if let Some(p) = env.zone_map_pruning {
-            options.zone_map_pruning = p;
-        }
-        let mut df = self.rdf(table.clone(), options);
-        df.set_chunk_cache(env.chunk_cache.clone());
-        df.set_fault_injector(env.fault_injector.clone());
-        df.set_cancel(env.cancel.clone());
-        let out = df.run_all().map_err(|e| {
-            let mut err = AdapterError::new("RDataFrame", self.label(), &e, e.scan_error());
-            err.cancelled = e.cancelled().copied().map(Box::new);
-            err
-        })?;
-        Ok(out.histograms.into_iter().next().expect("one booking"))
+        let frontend = || Frontend::Rdf(Box::new(self.rdf(table.clone(), ExecOptions::default())));
+        self.run(frontend, Language::RDataFrame, table, env)
+    }
+
+    /// Runs a lowering through the one run path, on default options.
+    fn run(
+        &self,
+        frontend: impl FnOnce() -> Frontend,
+        lang: Language,
+        table: &Arc<Table>,
+        env: &ExecEnv,
+    ) -> Result<Histogram, AdapterError> {
+        let (options, label) = (ExecOptions::default(), self.label());
+        let (system, spec) = (lang.name(), self.spec);
+        let run = run_frontend(frontend, table, options, env, spec, system, &label)?;
+        Ok(run.histogram)
     }
 
     /// Executes the plan on the compiled physical-IR executor in an
@@ -868,27 +820,43 @@ mod tests {
             seed: 0xFACE,
         });
         let table = Arc::new(table);
+        // The traced environment must reach the engines like every other
+        // field of the env: each run records its scan spans into it.
+        let traced = ExecEnv {
+            trace: obs::TraceCtx::enabled(),
+            ..ExecEnv::seed()
+        };
+        for env in [ExecEnv::seed(), traced] {
+            for plan in sample_plans() {
+                let oracle = plan.reference(&events);
+                let check = |engine: &str, h: Histogram| {
+                    let label = plan.label();
+                    assert!(h.counts_equal(&oracle), "{label} {engine} diverged");
+                    if env.trace.is_enabled() {
+                        let tree = env.trace.take_tree();
+                        let stages: Vec<obs::Stage> =
+                            tree.flatten().iter().map(|s| s.stage).collect();
+                        assert!(
+                            stages.contains(&obs::Stage::Scan),
+                            "{label} {engine}: no scan span in the env's trace: {stages:?}"
+                        );
+                    }
+                };
+                for dialect in [Dialect::bigquery(), Dialect::presto(), Dialect::athena()] {
+                    let name = format!("{:?}", dialect.name);
+                    check(&name, plan.run_sql(dialect, &table, &env).unwrap());
+                }
+                check("jsoniq", plan.run_jsoniq(&table, &env).unwrap());
+                check("rdf", plan.run_rdf(&table, &env).unwrap());
+            }
+        }
         let env = ExecEnv::seed();
         for plan in sample_plans() {
-            let oracle = plan.reference(&events);
-            for dialect in [Dialect::bigquery(), Dialect::presto(), Dialect::athena()] {
-                let h = plan.run_sql(dialect, &table, &env).unwrap();
-                assert!(
-                    h.counts_equal(&oracle),
-                    "{} {:?} diverged from oracle",
-                    plan.label(),
-                    dialect.name
-                );
-            }
-            let h = plan.run_jsoniq(&table, &env).unwrap();
-            assert!(h.counts_equal(&oracle), "{} jsoniq diverged", plan.label());
-            let h = plan.run_rdf(&table, &env).unwrap();
-            assert!(h.counts_equal(&oracle), "{} rdf diverged", plan.label());
             let h = plan.run_compiled(&table, &env).unwrap();
+            let label = plan.label();
             assert!(
-                h.counts_equal(&oracle),
-                "{} compiled diverged",
-                plan.label()
+                h.counts_equal(&plan.reference(&events)),
+                "{label} compiled diverged"
             );
         }
     }

@@ -12,7 +12,8 @@
 use std::cell::RefCell;
 use std::sync::Arc;
 
-use engine_rdf::{ColValue, EventView, Options, RDataFrame};
+use engine_rdf::{ColValue, EventView, RDataFrame};
+use exec_par::ExecOptions;
 use nf2_columnar::Table;
 use physical_ir::TrijetScratch;
 
@@ -70,7 +71,7 @@ fn light_leptons<'a>(
 
 /// Builds the dataframe program for one query output. The returned frame
 /// has exactly one booking; run it with `run_all()`.
-pub fn build(q: QueryId, table: Arc<Table>, options: Options) -> RDataFrame {
+pub fn build(q: QueryId, table: Arc<Table>, options: ExecOptions) -> RDataFrame {
     let df = RDataFrame::new(table, options);
     let spec = q.hist_spec();
     match q {
@@ -173,10 +174,10 @@ mod tests {
                     want.merge(&reference::run(*q, group).hist);
                 }
                 for n_threads in [1, 4] {
-                    let options = Options {
+                    let options = ExecOptions {
                         n_threads,
                         compile: false,
-                        ..Options::default()
+                        ..ExecOptions::default()
                     };
                     let out = build(*q, table.clone(), options).run_all().unwrap();
                     assert_eq!(
@@ -186,7 +187,7 @@ mod tests {
                         q.name()
                     );
                 }
-                let out = build(*q, table.clone(), Options::default())
+                let out = build(*q, table.clone(), ExecOptions::default())
                     .run_all()
                     .unwrap();
                 assert!(

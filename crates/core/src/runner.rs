@@ -15,7 +15,7 @@ use std::sync::Arc;
 use cloud_sim::{InstanceType, QaasProfile, SelfManagedProfile};
 use nf2_columnar::{ScanStats, Table};
 
-use crate::adapters::{AdapterError, EngineRun, ExecEnv};
+use crate::adapters::{AdapterError, ExecEnv};
 use crate::engine_api::{engine_for, QuerySpec};
 use crate::spec::QueryId;
 
@@ -112,20 +112,6 @@ impl Measurement {
     }
 }
 
-/// Executes the engine behind a system under an execution environment —
-/// the primitive the query service serves requests through, and the one
-/// every `run_*` orchestration below delegates to. Failures carry the
-/// system name and query id, so a concurrent server's error log
-/// identifies the failing request without extra context.
-pub fn execute_engine(
-    system: System,
-    table: &Arc<Table>,
-    q: QueryId,
-    env: &ExecEnv,
-) -> Result<EngineRun, AdapterError> {
-    engine_for(system, table.clone()).execute(&QuerySpec::benchmark(q), env)
-}
-
 fn qaas_profile(system: System) -> QaasProfile {
     match system {
         System::BigQuery => QaasProfile::bigquery(),
@@ -157,7 +143,7 @@ pub fn run_one(
     q: QueryId,
     env: &ExecEnv,
 ) -> Result<Measurement, AdapterError> {
-    let run = execute_engine(system, table, q, env)?;
+    let run = engine_for(system, table.clone()).execute(&QuerySpec::benchmark(q), env)?;
     let row_groups = table.row_groups().len();
     let cpu = run.stats.cpu_seconds;
     let (wall, cost, iname) = if system.is_qaas() {
@@ -222,7 +208,7 @@ pub fn run_sweep(
     env: &ExecEnv,
 ) -> Result<Vec<Measurement>, AdapterError> {
     assert!(!system.is_qaas(), "QaaS systems have no instance sweep");
-    let run = execute_engine(system, table, q, env)?;
+    let run = engine_for(system, table.clone()).execute(&QuerySpec::benchmark(q), env)?;
     let row_groups = table.row_groups().len();
     let profile = self_managed_profile(system);
     let stage_seconds: Vec<(&'static str, f64)> = run

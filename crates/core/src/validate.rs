@@ -7,12 +7,13 @@
 
 use std::sync::Arc;
 
-use engine_sql::Dialect;
 use nf2_columnar::Table;
 use physics::Histogram;
 
-use crate::adapters::{self, ExecEnv};
+use crate::adapters::{AdapterError, ExecEnv};
+use crate::engine_api::{engine_for_compiled, QuerySpec};
 use crate::reference;
+use crate::runner::System;
 use crate::spec::QueryId;
 
 /// One engine's validation outcome for one query.
@@ -59,23 +60,20 @@ pub fn validate_query(
     q: QueryId,
     events: &[hep_model::Event],
     table: &Arc<Table>,
-) -> Result<Vec<Validation>, adapters::AdapterError> {
+) -> Result<Vec<Validation>, AdapterError> {
     let expect = reference::run(q, events).hist;
-    let env = ExecEnv::seed();
+    let spec = QuerySpec::benchmark(q);
     let mut out = Vec::new();
-    for (label, dialect) in [
-        ("BigQuery", Dialect::bigquery()),
-        ("Presto", Dialect::presto()),
-        ("Athena", Dialect::athena()),
+    for (label, system) in [
+        ("BigQuery", System::BigQuery),
+        ("Presto", System::Presto),
+        ("Athena", System::AthenaV2),
+        ("JSONiq", System::Rumble),
+        ("RDataFrame", System::RDataFrame),
     ] {
-        let run =
-            adapters::run_sql_env(dialect, table, q, engine_sql::SqlOptions::default(), &env)?;
+        let run = engine_for_compiled(system, table.clone()).execute(&spec, &ExecEnv::seed())?;
         out.push(diff(label, q, &run.histogram, &expect));
     }
-    let run = adapters::run_jsoniq_env(table, q, engine_flwor::FlworOptions::default(), &env)?;
-    out.push(diff("JSONiq", q, &run.histogram, &expect));
-    let run = adapters::run_rdf_env(table, q, engine_rdf::Options::default(), &env)?;
-    out.push(diff("RDataFrame", q, &run.histogram, &expect));
     Ok(out)
 }
 

@@ -3,70 +3,17 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use exec_par::{ExecEnv, ExecOptions};
 use nested_value::Value;
 use nf2_columnar::{
-    ChunkCache, ExecStats, FaultInjector, Projection, PushdownCapability, ScalarPredicate,
-    ScanCache, ScanFaults, Schema, SelCmp, SelValue, Table,
+    ExecStats, Projection, PushdownCapability, ScalarPredicate, ScanCache, Schema, SelCmp,
+    SelValue, Table,
 };
 
 use crate::ast::{Clause, CmpOp, Expr, Module};
 use crate::error::FlworError;
 use crate::interp::{Env, Interp, Seq, Source};
 use crate::parser;
-
-/// Execution options.
-#[derive(Clone, Copy, Debug)]
-pub struct FlworOptions {
-    /// Worker threads (0 ⇒ all cores). Parallelism applies only to
-    /// partitionable top-level FLWORs (see crate docs).
-    pub n_threads: usize,
-    /// Vectorized pre-filtering of scalar `where` conjuncts at scan time
-    /// (late materialization). Purely an execution-speed knob: scan stats
-    /// are defined by the projected columns (all of them, for Rumble), not
-    /// by surviving rows, and the `where` clause still runs on survivors.
-    pub vectorized_filter: bool,
-    /// Zone-map row-group pruning: scalar `where` conjuncts extracted by
-    /// the same analysis as `vectorized_filter` are also evaluated against
-    /// per-chunk min/max statistics at scan time, skipping row groups that
-    /// provably contain no matching events (billed as `bytes_pruned`, see
-    /// [`nf2_columnar::ScanStats`]). Results are byte-identical either
-    /// way; applies to interpreted and compiled execution alike.
-    pub zone_map_pruning: bool,
-    /// Compiled execution: modules recognized by [`crate::compile`] run
-    /// as fused batch kernels over the shared physical IR instead of the
-    /// tree-walking interpreter. Recognition is exact (canonical-template
-    /// AST equality), so disabling this only costs speed; results are
-    /// bit-identical either way.
-    pub compile: bool,
-    /// Morsel-driven intra-query parallelism for compiled execution:
-    /// `> 1` runs compiled plans through `exec_par` with this many
-    /// workers (row groups are the morsels); output is byte-identical at
-    /// any value and scan accounting is unaffected. `0`/`1` keeps the
-    /// serial compiled executor; ignored when `compile` is off or the
-    /// module does not lower.
-    pub parallel_workers: usize,
-    /// Morsel-level fault recovery for compiled execution (default off):
-    /// transient scan faults are retried per morsel and panicking
-    /// morsels are quarantined and re-executed in place, within a
-    /// bounded budget, instead of failing the query (see `exec_par`). When active the
-    /// fault injector is routed to the morsel fault surface instead of
-    /// the scan pre-pass, keeping billing fault-free and byte-identical.
-    /// Ignored when the module does not lower to the compiled path.
-    pub morsel_recovery: bool,
-}
-
-impl Default for FlworOptions {
-    fn default() -> Self {
-        FlworOptions {
-            n_threads: 0,
-            vectorized_filter: true,
-            zone_map_pruning: true,
-            compile: true,
-            parallel_workers: 0,
-            morsel_recovery: false,
-        }
-    }
-}
 
 /// Result of executing a module.
 #[derive(Clone, Debug)]
@@ -79,12 +26,9 @@ pub struct FlworOutput {
 
 /// The JSONiq engine (Rumble analog).
 pub struct FlworEngine {
-    options: FlworOptions,
+    options: ExecOptions,
     tables: Vec<Arc<Table>>,
-    chunk_cache: Option<Arc<ChunkCache>>,
-    fault_injector: Option<Arc<FaultInjector>>,
-    trace: obs::TraceCtx,
-    cancel: obs::CancelToken,
+    env: ExecEnv,
 }
 
 struct TableSource<'a> {
@@ -104,14 +48,11 @@ impl<'a> Source for TableSource<'a> {
 
 impl FlworEngine {
     /// Creates an engine.
-    pub fn new(options: FlworOptions) -> FlworEngine {
+    pub fn new(options: ExecOptions) -> FlworEngine {
         FlworEngine {
             options,
             tables: Vec::new(),
-            chunk_cache: None,
-            fault_injector: None,
-            trace: obs::TraceCtx::disabled(),
-            cancel: obs::CancelToken::none(),
+            env: ExecEnv::default(),
         }
     }
 
@@ -120,32 +61,13 @@ impl FlworEngine {
         self.tables.push(table);
     }
 
-    /// Attaches a shared buffer pool in front of physical chunk reads
-    /// (accounting-only; results and billing bytes are unchanged).
-    pub fn set_chunk_cache(&mut self, cache: Option<Arc<ChunkCache>>) {
-        self.chunk_cache = cache;
-    }
-
-    /// Attaches a chaos-layer fault injector to physical chunk reads.
-    /// `None` (the default) leaves the scan path byte-identical to the
-    /// fault-free engine.
-    pub fn set_fault_injector(&mut self, injector: Option<Arc<FaultInjector>>) {
-        self.fault_injector = injector;
-    }
-
-    /// Attaches a tracing context: execution stages record spans into
-    /// it. The default (disabled) context makes instrumentation a
-    /// near-no-op.
-    pub fn set_trace(&mut self, trace: obs::TraceCtx) {
-        self.trace = trace;
-    }
-
-    /// Attaches a cooperative cancellation token, checked at row-group
-    /// granularity: the scan and the per-group evaluation loops abort
-    /// with [`FlworError::Cancelled`] once it trips. The default
-    /// (disabled) token costs a single branch per group.
-    pub fn set_cancel(&mut self, cancel: obs::CancelToken) {
-        self.cancel = cancel;
+    /// Attaches the run environment: its buffer pool, fault injector,
+    /// trace context and cancel token (a tripped token aborts with
+    /// [`FlworError::Cancelled`] within one row group), and its overrides
+    /// of the engine's options. The default environment attaches and
+    /// overrides nothing.
+    pub fn set_env(&mut self, env: ExecEnv) {
+        self.env = env;
     }
 
     fn table(&self, name: &str) -> Option<&Arc<Table>> {
@@ -155,17 +77,19 @@ impl FlworEngine {
     /// Parses and executes a module.
     pub fn execute(&self, text: &str) -> Result<FlworOutput, FlworError> {
         let start = Instant::now();
-        let parse_span = self.trace.span(obs::Stage::Parse);
+        let options = self.env.resolve(self.options);
+        let (trace, cancel) = (&self.env.trace, &self.env.cancel);
+        let parse_span = trace.span(obs::Stage::Parse);
         let module = parser::parse_module(text)?;
         parse_span.finish();
 
-        let plan_span = self.trace.span(obs::Stage::Plan);
+        let plan_span = trace.span(obs::Stage::Plan);
         // Which input does the module read?
         let input = find_input(&module);
         let Some(input_name) = input else {
             plan_span.finish();
             // Pure expression: no table access.
-            let agg_span = self.trace.span(obs::Stage::Aggregate);
+            let agg_span = trace.span(obs::Stage::Aggregate);
             let source = crate::interp::NoSource;
             let interp = Interp::new(&module, &source)?;
             let items = interp.eval_body(&module, &Env::new())?;
@@ -193,7 +117,7 @@ impl FlworEngine {
         // detection nor compiled execution perturbs the scan accounting
         // below — scan stats are defined by the projected columns (all of
         // them, for Rumble), never by the execution strategy.
-        let compiled = if self.options.compile {
+        let compiled = if options.compile {
             crate::compile::lower(&module)
         } else {
             None
@@ -206,14 +130,14 @@ impl FlworEngine {
         // accounting: scan stats are defined by the projected columns
         // (all of them, for Rumble), never by surviving rows; pruned
         // groups are billed separately as `bytes_pruned`.
-        let want_filter = compiled.is_none() && self.options.vectorized_filter;
-        let extracted = if want_filter || self.options.zone_map_pruning {
+        let want_filter = compiled.is_none() && options.vectorized_filter;
+        let extracted = if want_filter || options.zone_map_pruning {
             prefilter_predicates(&module, table.schema())
         } else {
             Vec::new()
         };
         let preds: &[ScalarPredicate] = if want_filter { &extracted } else { &[] };
-        let prune_preds: &[ScalarPredicate] = if self.options.zone_map_pruning {
+        let prune_preds: &[ScalarPredicate] = if options.zone_map_pruning {
             &extracted
         } else {
             &[]
@@ -223,26 +147,18 @@ impl FlworEngine {
         plan_span.finish();
 
         // Rumble pushes no projections: the scan reads every leaf column.
-        let scan_cache = self.chunk_cache.as_deref().map(|cache| ScanCache {
+        let scan_cache = self.env.chunk_cache.as_deref().map(|cache| ScanCache {
             cache,
             table_fingerprint: table.fingerprint(),
         });
-        // With morsel recovery active on the compiled path, the injector
-        // moves to the morsel fault surface (exec_par probes the same
-        // (fingerprint, group, leaf) coordinates per morsel) and the
-        // billing pre-pass here stays fault-free, so ScanStats are
-        // byte-identical under injected faults.
-        let injector = self.fault_injector.as_deref();
-        let mk_faults = || injector.map(|i| ScanFaults::new(i, &table));
-        let faults_at_morsels = self.options.morsel_recovery && compiled.is_some();
-        let scan_faults = if faults_at_morsels { None } else { mk_faults() };
+        let scan_faults = exec_par::scan_faults(&options, &self.env, compiled.is_some(), &table);
         let projection = Projection::all();
         let run = nf2_columnar::ScanRequest::new(&table, &projection)
             .capability(PushdownCapability::None)
             .cache(scan_cache)
             .faults(scan_faults)
-            .trace(&self.trace)
-            .cancel(&self.cancel)
+            .trace(trace)
+            .cancel(cancel)
             .prune(prune_preds)
             .run()?;
         let scan = run.stats;
@@ -271,16 +187,8 @@ impl FlworEngine {
             // one bin index per selected event, in event order — the same
             // sequence the interpreter produces for the template.
             let t0 = Instant::now();
-            let (bins, workers, recovery) = exec_par::execute_compiled(
-                plan,
-                &table,
-                &skip,
-                &self.trace,
-                &self.cancel,
-                self.options.parallel_workers,
-                self.options.morsel_recovery,
-                mk_faults(),
-            )?;
+            let (bins, workers, recovery) =
+                exec_par::execute_compiled(plan, &table, &skip, &options, &self.env)?;
             let out: Seq = bins.into_iter().map(Value::Int).collect();
             (out, t0.elapsed().as_secs_f64(), workers, recovery)
         } else if partitionable {
@@ -290,17 +198,14 @@ impl FlworEngine {
             // whole table.
             let out = exec_par::for_each_group_ordered(
                 table.row_groups(),
-                self.options.n_threads,
+                options.n_threads,
                 &skip,
-                &self.cancel,
+                cancel,
                 obs::Stage::Materialize,
                 |_| (),
                 |_, g, group| -> Result<Seq, FlworError> {
-                    let rows =
-                        materialize_group(group, g, table.schema(), &leaves, preds, &self.trace)?;
-                    let agg_span = self
-                        .trace
-                        .span_with(obs::Stage::Aggregate, || format!("group {g}"));
+                    let rows = materialize_group(group, g, table.schema(), &leaves, preds, trace)?;
+                    let agg_span = trace.span_with(obs::Stage::Aggregate, || format!("group {g}"));
                     eval_rows(rows, agg_span)
                 },
             )?;
@@ -315,18 +220,18 @@ impl FlworEngine {
                 if skip[idx] {
                     continue;
                 }
-                self.cancel.check(obs::Stage::Materialize, rows_done)?;
+                cancel.check(obs::Stage::Materialize, rows_done)?;
                 rows.extend(materialize_group(
                     g,
                     idx,
                     table.schema(),
                     &leaves,
                     preds,
-                    &self.trace,
+                    trace,
                 )?);
                 rows_done += g.n_rows() as u64;
             }
-            let agg_span = self.trace.span(obs::Stage::Aggregate);
+            let agg_span = trace.span(obs::Stage::Aggregate);
             let out = eval_rows(rows, agg_span)?;
             (out, t0.elapsed().as_secs_f64(), 1, no_recovery)
         };

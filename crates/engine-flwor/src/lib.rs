@@ -36,6 +36,11 @@
 //! on one thread too, so only a group of rows is materialized at once —
 //! falling back to one evaluation over the whole table when clauses
 //! (group/order/count) make partitioning unsound.
+//!
+//! [`FlworEngine::new`] takes the workspace's one
+//! [`exec_par::ExecOptions`]; [`FlworEngine::set_env`] attaches a run's
+//! [`exec_par::ExecEnv`] — its option overrides, buffer pool, fault
+//! injector, trace context and cancel token.
 
 pub mod ast;
 pub mod builtins;
@@ -46,8 +51,10 @@ pub mod interp;
 pub mod parser;
 pub mod token;
 
-pub use engine::{FlworEngine, FlworOptions, FlworOutput};
+pub use engine::{FlworEngine, FlworOutput};
 pub use error::FlworError;
+/// [`exec_par::ExecOptions`] under its old name; read only by `benchmark/src/layers.rs` until ROADMAP item 1.
+pub use exec_par::ExecOptions as FlworOptions;
 
 #[cfg(test)]
 mod tests_lang;

@@ -4,10 +4,11 @@ use std::sync::Arc;
 
 use nested_value::Value;
 
-use crate::engine::{FlworEngine, FlworOptions};
+use crate::engine::FlworEngine;
 use crate::error::FlworError;
 use crate::interp::{Env, Interp, NoSource};
 use crate::parser::parse_module;
+use exec_par::ExecOptions;
 
 fn eval(src: &str) -> Result<Vec<Value>, FlworError> {
     let m = parse_module(src)?;
@@ -232,7 +233,7 @@ fn errors_are_reported() {
 
 // ------------------------------------------------------------ end-to-end
 
-fn hep_engine_opts(options: FlworOptions) -> (Vec<hep_model::Event>, FlworEngine) {
+fn hep_engine_opts(options: ExecOptions) -> (Vec<hep_model::Event>, FlworEngine) {
     let (events, table) = hep_model::generator::build_dataset(hep_model::DatasetSpec {
         n_events: 500,
         row_group_size: 128,
@@ -244,9 +245,9 @@ fn hep_engine_opts(options: FlworOptions) -> (Vec<hep_model::Event>, FlworEngine
 }
 
 fn hep_engine(n_threads: usize) -> (Vec<hep_model::Event>, FlworEngine) {
-    hep_engine_opts(FlworOptions {
+    hep_engine_opts(ExecOptions {
         n_threads,
-        ..FlworOptions::default()
+        ..ExecOptions::default()
     })
 }
 
@@ -303,10 +304,10 @@ fn vectorized_prefilter_matches_interpreter() {
     let mut outputs = Vec::new();
     for vectorized_filter in [true, false] {
         for n_threads in [1, 4] {
-            let (events, engine) = hep_engine_opts(FlworOptions {
+            let (events, engine) = hep_engine_opts(ExecOptions {
                 n_threads,
                 vectorized_filter,
-                ..FlworOptions::default()
+                ..ExecOptions::default()
             });
             let out = engine.execute(q).unwrap();
             let expect: Vec<Value> = events
@@ -343,9 +344,9 @@ fn zone_map_pruning_skips_groups_and_preserves_results() {
     let q = "for $e in parquet-file(\"events\") \
              where $e.event < 100 \
              return $e.MET.pt";
-    let (events, base) = hep_engine_opts(FlworOptions {
+    let (events, base) = hep_engine_opts(ExecOptions {
         zone_map_pruning: false,
-        ..FlworOptions::default()
+        ..ExecOptions::default()
     });
     let off = base.execute(q).unwrap();
     let expect: Vec<Value> = events
@@ -358,11 +359,11 @@ fn zone_map_pruning_skips_groups_and_preserves_results() {
     assert_eq!(off.stats.scan.groups_pruned, 0);
     for n_threads in [1, 4] {
         for vectorized_filter in [true, false] {
-            let (_, engine) = hep_engine_opts(FlworOptions {
+            let (_, engine) = hep_engine_opts(ExecOptions {
                 n_threads,
                 vectorized_filter,
                 zone_map_pruning: true,
-                ..FlworOptions::default()
+                ..ExecOptions::default()
             });
             let on = engine.execute(q).unwrap();
             assert_eq!(on.items, expect, "vf={vectorized_filter} t={n_threads}");

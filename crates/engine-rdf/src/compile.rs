@@ -48,8 +48,8 @@ pub(crate) fn lower(df: &RDataFrame, scalar_preds: &[ScalarPredicate]) -> Option
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataframe::Options;
     use crate::view::ColValue;
+    use exec_par::ExecOptions;
     use hep_model::{generator::build_dataset, DatasetSpec};
     use nf2_columnar::{SelCmp, SelValue};
     use physics::HistSpec;
@@ -79,7 +79,7 @@ mod tests {
 
     #[test]
     fn declarative_graphs_lower() {
-        let df = RDataFrame::new(table(), Options::default())
+        let df = RDataFrame::new(table(), ExecOptions::default())
             .filter_scalar("MET_pt", SelCmp::Gt, SelValue::Float(25.0))
             .histo1d(HistSpec::new(100, 0.0, 200.0), "MET_pt")
             .df;
@@ -87,7 +87,7 @@ mod tests {
         assert_eq!(plan.filters.len(), 1);
         assert!(matches!(plan.compute, ComputeNode::ScalarFill { .. }));
         // Repeated booking column → per-element fill.
-        let df = RDataFrame::new(table(), Options::default())
+        let df = RDataFrame::new(table(), ExecOptions::default())
             .histo1d(HistSpec::new(100, 15.0, 60.0), "Jet_pt")
             .df;
         let plan = lower(&df, &[]).unwrap();
@@ -99,12 +99,12 @@ mod tests {
 
     #[test]
     fn opaque_nodes_fall_back() {
-        let closure = RDataFrame::new(table(), Options::default())
+        let closure = RDataFrame::new(table(), ExecOptions::default())
             .filter(&["MET_pt"], |v| v.f64(0) > 25.0)
             .histo1d(HistSpec::new(100, 0.0, 200.0), "MET_pt")
             .df;
         assert!(lower(&closure, &[]).is_none());
-        let defined = RDataFrame::new(table(), Options::default())
+        let defined = RDataFrame::new(table(), ExecOptions::default())
             .define("x", &["MET_pt"], |v| ColValue::F64(v.f64(0)))
             .histo1d(HistSpec::new(100, 0.0, 200.0), "x")
             .df;
@@ -113,7 +113,7 @@ mod tests {
 
     #[test]
     fn multi_booking_falls_back() {
-        let multi = RDataFrame::new(table(), Options::default())
+        let multi = RDataFrame::new(table(), ExecOptions::default())
             .also_histo1d(HistSpec::new(100, 0.0, 200.0), "MET_pt")
             .also_histo1d(HistSpec::new(100, 0.0, 2000.0), "MET_sumet");
         assert!(lower(&multi, &[]).is_none());

@@ -3,6 +3,7 @@
 use std::fmt;
 use std::sync::Arc;
 
+use exec_par::{ExecEnv, ExecOptions};
 use nf2_columnar::{SelCmp, SelValue, Table};
 use physics::HistSpec;
 
@@ -80,57 +81,6 @@ impl From<physical_ir::PirError> for RdfError {
     }
 }
 
-/// Execution options.
-#[derive(Clone, Copy, Debug)]
-pub struct Options {
-    /// Worker threads (row-group granularity). 0 ⇒ all available cores.
-    pub n_threads: usize,
-    /// Evaluate [`RDataFrame::filter_scalar`] cuts with vectorized kernels
-    /// before the event loop (late materialization). Purely an
-    /// execution-speed knob: scan accounting is defined by the declared
-    /// columns, and results are bit-identical either way.
-    pub vectorized_filter: bool,
-    /// Zone-map row-group pruning: [`RDataFrame::filter_scalar`] cuts are
-    /// also evaluated against per-chunk min/max statistics at scan time,
-    /// skipping row groups that provably contain no passing events
-    /// (billed separately as `bytes_pruned`). Results are bin-identical
-    /// either way; applies to interpreted and compiled execution alike.
-    pub zone_map_pruning: bool,
-    /// Compiled execution: graphs recognized by the lowering pass (all
-    /// nodes declarative, one booking on a base column) run as fused
-    /// batch kernels over the shared physical IR.
-    /// Unrecognized graphs always fall back to the interpreter, so this
-    /// is purely an execution-speed knob — results are bin-identical.
-    pub compile: bool,
-    /// Morsel-driven intra-query parallelism for compiled execution:
-    /// `> 1` runs compiled plans through `exec_par` with this many
-    /// workers (row groups are the morsels); output is bin-identical at
-    /// any value and scan accounting is unaffected. `0`/`1` keeps the
-    /// serial compiled executor; ignored when the graph does not lower.
-    pub parallel_workers: usize,
-    /// Morsel-level fault recovery for compiled execution (default off):
-    /// transient scan faults are retried per morsel and panicking
-    /// morsels are quarantined and re-executed in place, within a
-    /// bounded budget, instead of failing the query (see `exec_par`). When active the
-    /// fault injector is routed to the morsel fault surface instead of
-    /// the scan pre-pass, keeping billing fault-free and bin-identical.
-    /// Ignored when the graph does not lower to the compiled path.
-    pub morsel_recovery: bool,
-}
-
-impl Default for Options {
-    fn default() -> Self {
-        Options {
-            n_threads: 0,
-            vectorized_filter: true,
-            zone_map_pruning: true,
-            compile: true,
-            parallel_workers: 0,
-            morsel_recovery: false,
-        }
-    }
-}
-
 type DefineFn = Arc<dyn Fn(&EventView) -> ColValue + Send + Sync>;
 type FilterFn = Arc<dyn Fn(&EventView) -> bool + Send + Sync>;
 
@@ -172,27 +122,19 @@ pub(crate) struct Booking {
 #[derive(Clone)]
 pub struct RDataFrame {
     pub(crate) table: Arc<Table>,
-    pub(crate) options: Options,
+    pub(crate) options: ExecOptions,
     pub(crate) registry: ColumnRegistry,
     pub(crate) nodes: Vec<Node>,
     /// `(column, cmp, literal)` per [`Node::ScalarFilter`], in index order.
     pub(crate) scalar_filters: Vec<(String, SelCmp, SelValue)>,
     pub(crate) bookings: Vec<Booking>,
-    /// Optional buffer pool fronting physical chunk reads (accounting
-    /// only; results and billing bytes are unchanged).
-    pub(crate) chunk_cache: Option<Arc<nf2_columnar::ChunkCache>>,
-    /// Optional chaos-layer fault injector on physical chunk reads.
-    pub(crate) fault_injector: Option<Arc<nf2_columnar::FaultInjector>>,
-    /// Tracing context; the default (disabled) context records nothing.
-    pub(crate) trace: obs::TraceCtx,
-    /// Cooperative cancellation token, checked at row-group granularity
-    /// by the event loop; the default (disabled) token never trips.
-    pub(crate) cancel: obs::CancelToken,
+    /// The run environment (see [`RDataFrame::set_env`]).
+    pub(crate) env: ExecEnv,
 }
 
 impl RDataFrame {
     /// Creates a dataframe over a table.
-    pub fn new(table: Arc<Table>, options: Options) -> RDataFrame {
+    pub fn new(table: Arc<Table>, options: ExecOptions) -> RDataFrame {
         RDataFrame {
             table,
             options,
@@ -200,39 +142,18 @@ impl RDataFrame {
             nodes: Vec::new(),
             scalar_filters: Vec::new(),
             bookings: Vec::new(),
-            chunk_cache: None,
-            fault_injector: None,
-            trace: obs::TraceCtx::disabled(),
-            cancel: obs::CancelToken::none(),
+            env: ExecEnv::default(),
         }
     }
 
-    /// Attaches a shared buffer pool in front of physical chunk reads.
-    pub fn set_chunk_cache(&mut self, cache: Option<Arc<nf2_columnar::ChunkCache>>) {
-        self.chunk_cache = cache;
-    }
-
-    /// Attaches a chaos-layer fault injector to physical chunk reads.
-    /// `None` (the default) leaves the scan path byte-identical to the
-    /// fault-free engine.
-    pub fn set_fault_injector(&mut self, injector: Option<Arc<nf2_columnar::FaultInjector>>) {
-        self.fault_injector = injector;
-    }
-
-    /// Attaches a tracing context: the event loop records stage spans
-    /// into it. The default (disabled) context makes instrumentation a
-    /// near-no-op.
-    pub fn set_trace(&mut self, trace: obs::TraceCtx) {
-        self.trace = trace;
-    }
-
-    /// Attaches a cooperative cancellation token, checked at row-group
-    /// granularity: the event loop aborts with a typed cancellation
-    /// (surfaced as [`RdfError::Columnar`] wrapping
-    /// [`nf2_columnar::ColumnarError::Cancelled`]) once it trips. The
-    /// default (disabled) token costs a single branch per group.
-    pub fn set_cancel(&mut self, cancel: obs::CancelToken) {
-        self.cancel = cancel;
+    /// Attaches the run environment: its buffer pool, fault injector,
+    /// trace context and cancel token (a tripped token aborts the event
+    /// loop within one row group, surfaced as [`RdfError::Columnar`]
+    /// wrapping [`nf2_columnar::ColumnarError::Cancelled`]), and its
+    /// overrides of the dataframe's options. The default environment
+    /// attaches and overrides nothing.
+    pub fn set_env(&mut self, env: ExecEnv) {
+        self.env = env;
     }
 
     fn resolve_deps(&mut self, deps: &[&str]) -> Vec<ColumnId> {
@@ -280,7 +201,7 @@ impl RDataFrame {
     /// Adds a declarative scalar cut `column cmp literal` on a non-repeated
     /// numeric base column (e.g. `MET_pt`). Unlike [`RDataFrame::filter`],
     /// the engine sees the comparison's structure, so with
-    /// [`Options::vectorized_filter`] it evaluates the cut with typed
+    /// [`ExecOptions::vectorized_filter`] it evaluates the cut with typed
     /// kernels over the raw column chunks *before* any event is
     /// materialized. Semantics are identical to the closure form either
     /// way.

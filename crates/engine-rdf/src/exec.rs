@@ -75,8 +75,10 @@ fn view<'a>(
 pub(crate) fn run(df: &RDataFrame) -> Result<RunOutput, RdfError> {
     let start = Instant::now();
     let table = &df.table;
+    let options = df.env.resolve(df.options);
+    let (trace, cancel) = (&df.env.trace, &df.env.cancel);
 
-    let plan_span = df.trace.span(obs::Stage::Plan);
+    let plan_span = trace.span(obs::Stage::Plan);
     // Resolve base columns and the projection they imply.
     let base_paths: Vec<Path> = df
         .registry
@@ -86,14 +88,13 @@ pub(crate) fn run(df: &RDataFrame) -> Result<RunOutput, RdfError> {
         .collect::<Result<_, _>>()?;
     let projection = Projection::of(base_paths.iter().map(|p| p.to_string()));
     let scan_cache = df
+        .env
         .chunk_cache
         .as_deref()
         .map(|cache| nf2_columnar::ScanCache {
             cache,
             table_fingerprint: table.fingerprint(),
         });
-    let injector = df.fault_injector.as_deref();
-    let mk_faults = || injector.map(|i| nf2_columnar::ScanFaults::new(i, table));
     // Resolve declarative scalar cuts. A cut on a repeated or boolean
     // column has no per-event scalar to compare and is rejected outright.
     let scalar_preds: Vec<ScalarPredicate> = df
@@ -117,11 +118,11 @@ pub(crate) fn run(df: &RDataFrame) -> Result<RunOutput, RdfError> {
     // pure conjuncts: the surviving event set is order-independent, and
     // moving a cut *earlier* only strengthens the protection it gives
     // later defines.
-    let hoist = df.options.vectorized_filter && !scalar_preds.is_empty();
+    let hoist = options.vectorized_filter && !scalar_preds.is_empty();
 
     // Fully-declarative graphs lower to the shared physical IR and run
     // as fused batch kernels; anything opaque stays on the interpreter.
-    let compiled = if df.options.compile {
+    let compiled = if options.compile {
         crate::compile::lower(df, &scalar_preds)
     } else {
         None
@@ -133,24 +134,18 @@ pub(crate) fn run(df: &RDataFrame) -> Result<RunOutput, RdfError> {
     // conjuncts applied per event in every execution mode (hoisted,
     // per-event, or compiled into the plan's filters), so a row group
     // whose statistics refute one of them would contribute nothing.
-    let prune_preds: &[ScalarPredicate] = if df.options.zone_map_pruning {
+    let prune_preds: &[ScalarPredicate] = if options.zone_map_pruning {
         &scalar_preds
     } else {
         &[]
     };
-    // With morsel recovery active on the compiled path, the injector
-    // moves to the morsel fault surface (exec_par probes the same
-    // (fingerprint, group, leaf) coordinates per morsel) and the billing
-    // pre-pass here stays fault-free, so ScanStats are byte-identical
-    // under injected faults.
-    let faults_at_morsels = df.options.morsel_recovery && compiled.is_some();
-    let scan_faults = if faults_at_morsels { None } else { mk_faults() };
+    let scan_faults = exec_par::scan_faults(&options, &df.env, compiled.is_some(), table);
     let run = nf2_columnar::ScanRequest::new(table, &projection)
         .capability(PushdownCapability::IndividualLeaves)
         .cache(scan_cache)
         .faults(scan_faults)
-        .trace(&df.trace)
-        .cancel(&df.cancel)
+        .trace(trace)
+        .cancel(cancel)
         .prune(prune_preds)
         .run()?;
     let scan = run.stats;
@@ -158,16 +153,8 @@ pub(crate) fn run(df: &RDataFrame) -> Result<RunOutput, RdfError> {
 
     if let Some(plan) = &compiled {
         let t0 = Instant::now();
-        let (bins, compiled_threads, morsel_rec) = exec_par::execute_compiled(
-            plan,
-            table,
-            &skip,
-            &df.trace,
-            &df.cancel,
-            df.options.parallel_workers,
-            df.options.morsel_recovery,
-            mk_faults(),
-        )?;
+        let (bins, compiled_threads, morsel_rec) =
+            exec_par::execute_compiled(plan, table, &skip, &options, &df.env)?;
         let mut h = Histogram::new(df.bookings[0].spec);
         for b in bins {
             h.add_bin_count(b, 1);
@@ -190,9 +177,7 @@ pub(crate) fn run(df: &RDataFrame) -> Result<RunOutput, RdfError> {
 
     // The event loop is one stage: per-group spans are its children, and
     // the fan-out's scheduling and the merge are charged to it.
-    let loop_span = df
-        .trace
-        .span_with(obs::Stage::Aggregate, || "event loop".to_string());
+    let loop_span = trace.span_with(obs::Stage::Aggregate, || "event loop".to_string());
     let trace = loop_span.ctx();
 
     // One partial per row group, at every thread count: merged in group
@@ -297,9 +282,9 @@ pub(crate) fn run(df: &RDataFrame) -> Result<RunOutput, RdfError> {
 
     let out = exec_par::for_each_group_ordered(
         table.row_groups(),
-        df.options.n_threads,
+        options.n_threads,
         &skip,
-        &df.cancel,
+        cancel,
         obs::Stage::Aggregate,
         |_| (),
         |_, g, group| process_group(g, group),
@@ -327,7 +312,7 @@ pub(crate) fn run(df: &RDataFrame) -> Result<RunOutput, RdfError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataframe::Options;
+    use exec_par::ExecOptions;
     use hep_model::{generator::build_dataset, DatasetSpec};
     use physics::HistSpec;
 
@@ -358,7 +343,7 @@ mod tests {
     #[test]
     fn scalar_histogram_matches_reference() {
         let (events, t) = test_table();
-        let df = RDataFrame::new(t, Options::default());
+        let df = RDataFrame::new(t, ExecOptions::default());
         let out = df
             .histo1d(HistSpec::new(100, 0.0, 200.0), "MET_pt")
             .run()
@@ -374,7 +359,7 @@ mod tests {
     #[test]
     fn array_histogram_fills_all_elements() {
         let (events, t) = test_table();
-        let df = RDataFrame::new(t, Options::default());
+        let df = RDataFrame::new(t, ExecOptions::default());
         let out = df
             .histo1d(HistSpec::new(100, 15.0, 60.0), "Jet_pt")
             .run()
@@ -386,7 +371,7 @@ mod tests {
     #[test]
     fn filter_and_define_chain() {
         let (events, t) = test_table();
-        let df = RDataFrame::new(t, Options::default())
+        let df = RDataFrame::new(t, ExecOptions::default())
             .filter(&["Muon_pt"], |v| v.arr(0).len() >= 2)
             .define("lead_mu_pt", &["Muon_pt"], |v| {
                 crate::view::ColValue::F64(v.arr(0)[0])
@@ -421,10 +406,10 @@ mod tests {
             for n_threads in [1, 4] {
                 let df = RDataFrame::new(
                     t.clone(),
-                    Options {
+                    ExecOptions {
                         n_threads,
                         vectorized_filter,
-                        ..Options::default()
+                        ..ExecOptions::default()
                     },
                 )
                 .filter_scalar("MET_pt", SelCmp::Gt, SelValue::Float(25.0))
@@ -461,11 +446,11 @@ mod tests {
         let mk = |zone_map_pruning, n_threads, compile| {
             RDataFrame::new(
                 t.clone(),
-                Options {
+                ExecOptions {
                     n_threads,
                     compile,
                     zone_map_pruning,
-                    ..Options::default()
+                    ..ExecOptions::default()
                 },
             )
             .filter_scalar("event", SelCmp::Lt, SelValue::Int(200))
@@ -497,7 +482,7 @@ mod tests {
     fn scalar_filter_composes_with_defines_and_closures() {
         use nf2_columnar::{SelCmp, SelValue};
         let (events, t) = test_table();
-        let df = RDataFrame::new(t, Options::default())
+        let df = RDataFrame::new(t, ExecOptions::default())
             .filter(&["Muon_pt"], |v| !v.arr(0).is_empty())
             .filter_scalar("MET_pt", SelCmp::Lt, SelValue::Float(60.0))
             .define("lead_mu_pt", &["Muon_pt"], |v| {
@@ -518,7 +503,7 @@ mod tests {
     fn scalar_filter_rejects_non_scalar_columns() {
         use nf2_columnar::{SelCmp, SelValue};
         let (_, t) = test_table();
-        let out = RDataFrame::new(t, Options::default())
+        let out = RDataFrame::new(t, ExecOptions::default())
             .filter_scalar("Jet_pt", SelCmp::Gt, SelValue::Float(10.0))
             .histo1d(HistSpec::new(10, 0.0, 1.0), "MET_pt")
             .run();
@@ -528,7 +513,7 @@ mod tests {
     #[test]
     fn unknown_column_is_a_typed_error() {
         let (_, t) = test_table();
-        let out = RDataFrame::new(t, Options::default())
+        let out = RDataFrame::new(t, ExecOptions::default())
             .histo1d(HistSpec::new(10, 0.0, 1.0), "Nope_pt")
             .run();
         assert!(matches!(out, Err(RdfError::UnknownColumn(c)) if c == "Nope_pt"));
@@ -537,7 +522,7 @@ mod tests {
     #[test]
     fn multiple_bookings_one_pass() {
         let (events, t) = test_table();
-        let df = RDataFrame::new(t, Options::default())
+        let df = RDataFrame::new(t, ExecOptions::default())
             .also_histo1d(HistSpec::new(100, 0.0, 200.0), "MET_pt")
             .also_histo1d(HistSpec::new(100, 0.0, 2000.0), "MET_sumet");
         let out = df.run_all().unwrap();
@@ -552,10 +537,10 @@ mod tests {
         let run_with = |n| {
             RDataFrame::new(
                 t.clone(),
-                Options {
+                ExecOptions {
                     n_threads: n,
                     compile: false,
-                    ..Options::default()
+                    ..ExecOptions::default()
                 },
             )
             .histo1d(HistSpec::new(100, 15.0, 60.0), "Jet_pt")

@@ -16,11 +16,12 @@
 //! is resolved once, when the node is added:
 //!
 //! ```
-//! use engine_rdf::{RDataFrame, Options, ColValue};
+//! use engine_rdf::{RDataFrame, ColValue};
+//! use exec_par::ExecOptions;
 //! use physics::HistSpec;
 //! # let (events, table) = hep_model::generator::build_dataset(
 //! #     hep_model::DatasetSpec { n_events: 100, row_group_size: 50, seed: 1 });
-//! let df = RDataFrame::new(std::sync::Arc::new(table), Options::default());
+//! let df = RDataFrame::new(std::sync::Arc::new(table), ExecOptions::default());
 //! let hist = df
 //!     .filter(&["Jet_pt"], |v| v.arr(0).len() >= 2)
 //!     .define("leading_pt", &["Jet_pt", "Jet_eta"], |v| {
@@ -43,6 +44,13 @@
 //! order, so a result — bins and the `f64` moments alike — is a function
 //! of the table alone, at any thread count.
 //!
+//! [`RDataFrame::new`] takes the workspace's one [`exec_par::ExecOptions`]
+//! (the thread count above is its `n_threads`); [`RDataFrame::set_env`]
+//! attaches a run's [`exec_par::ExecEnv`] — its option overrides, buffer
+//! pool, fault injector, trace context and cancel token. Graphs of
+//! declarative nodes only lower to the shared physical IR when `compile`
+//! is on.
+//!
 //! ## The v6.22 scaling cliff
 //!
 //! The paper observes (§4.1, \[4\], \[28\]) that RDataFrame *degrades* beyond a
@@ -56,7 +64,7 @@ pub mod dataframe;
 pub mod exec;
 pub mod view;
 
-pub use dataframe::{BookedHisto, Options, RDataFrame, RdfError};
+pub use dataframe::{BookedHisto, RDataFrame, RdfError};
 pub use exec::RunOutput;
 pub use nf2_columnar::{SelCmp, SelValue};
 pub use view::{ColValue, EventView};

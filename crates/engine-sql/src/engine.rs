@@ -5,11 +5,9 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
 
+use exec_par::{ExecEnv, ExecOptions};
 use nested_value::Value;
-use nf2_columnar::{
-    ChunkCache, ExecStats, FaultInjector, Projection, RowGroup, ScalarPredicate, ScanCache,
-    ScanFaults, ScanStats, Table,
-};
+use nf2_columnar::{ExecStats, Projection, RowGroup, ScalarPredicate, ScanCache, ScanStats, Table};
 
 use crate::ast::Script;
 use crate::dialect::Dialect;
@@ -17,70 +15,6 @@ use crate::error::SqlError;
 use crate::exec::{self, ExecContext, Relation, Scope, Udf};
 use crate::parser;
 use crate::plan::{self, ColMerge};
-
-/// Execution options.
-#[derive(Clone, Copy, Debug)]
-pub struct SqlOptions {
-    /// Worker threads for segment-parallel execution (0 ⇒ all cores).
-    pub n_threads: usize,
-    /// Allow running decomposable aggregations per row group in parallel
-    /// (Presto's split model). Requires joins/grouping inside the query to
-    /// be partition-local — true for HEP queries, where every join and
-    /// per-event `GROUP BY` stays within one event and events never span
-    /// row groups. Disable for arbitrary SQL.
-    pub partition_parallel: bool,
-    /// Skip row groups whose zone maps ([`nf2_columnar::stats`]) cannot
-    /// satisfy top-level WHERE conjuncts on scalar columns. Sound —
-    /// extraction in [`crate::plan::filterable_predicates`] is
-    /// conservative, and the skipped bytes are billed as
-    /// `ScanStats::bytes_pruned`.
-    pub zone_map_pruning: bool,
-    /// Evaluate top-level WHERE conjuncts on non-repeated numeric columns
-    /// vectorized over the decoded chunk buffers and materialize only the
-    /// surviving rows (late materialization; see [`nf2_columnar::select`]).
-    /// Purely an execution-speed knob: scan/pricing accounting is defined
-    /// by the projected columns, not by surviving rows, and results are
-    /// identical because the WHERE clause still runs on the survivors.
-    pub vectorized_filter: bool,
-    /// Compiled execution: scripts recognized by [`crate::compile`] run
-    /// as fused batch kernels over the shared physical IR instead of the
-    /// row-at-a-time relational interpreter. Recognition is exact
-    /// (canonical-template AST equality), so disabling this only costs
-    /// speed; results are bit-identical either way.
-    pub compile: bool,
-    /// Morsel-driven intra-query parallelism for compiled execution:
-    /// `> 1` runs compiled plans through `exec_par` with this many
-    /// workers (row groups are the morsels). `0` or `1` keeps the serial
-    /// compiled executor. Output is byte-identical at any value — the
-    /// exchange merges partial aggregates in group order — and scan
-    /// accounting is unaffected (it is a serial pre-pass either way).
-    /// Ignored when `compile` is off or the script does not lower.
-    pub parallel_workers: usize,
-    /// Morsel-level fault recovery for compiled execution (default off):
-    /// each morsel runs under `catch_unwind`, and transient scan faults
-    /// and panicking kernels are re-executed in place by the same worker
-    /// within a bounded budget instead of failing the query (see
-    /// `exec_par`). When active the fault injector is routed to the
-    /// morsel fault surface instead of the scan pre-pass, so billing
-    /// stays fault-free and byte-identical by construction. Results are
-    /// unchanged; only failure handling differs. Ignored when the script
-    /// does not lower to the compiled path.
-    pub morsel_recovery: bool,
-}
-
-impl Default for SqlOptions {
-    fn default() -> Self {
-        SqlOptions {
-            n_threads: 0,
-            partition_parallel: true,
-            zone_map_pruning: true,
-            vectorized_filter: true,
-            compile: true,
-            parallel_workers: 0,
-            morsel_recovery: false,
-        }
-    }
-}
 
 /// Result of executing a script.
 #[derive(Clone, Debug)]
@@ -94,25 +28,19 @@ pub struct QueryOutput {
 /// A SQL engine bound to a dialect profile.
 pub struct SqlEngine {
     dialect: Dialect,
-    options: SqlOptions,
+    options: ExecOptions,
     tables: HashMap<String, Arc<Table>>,
-    chunk_cache: Option<Arc<ChunkCache>>,
-    fault_injector: Option<Arc<FaultInjector>>,
-    trace: obs::TraceCtx,
-    cancel: obs::CancelToken,
+    env: ExecEnv,
 }
 
 impl SqlEngine {
     /// Creates an engine for a dialect.
-    pub fn new(dialect: Dialect, options: SqlOptions) -> SqlEngine {
+    pub fn new(dialect: Dialect, options: ExecOptions) -> SqlEngine {
         SqlEngine {
             dialect,
             options,
             tables: HashMap::new(),
-            chunk_cache: None,
-            fault_injector: None,
-            trace: obs::TraceCtx::disabled(),
-            cancel: obs::CancelToken::none(),
+            env: ExecEnv::default(),
         }
     }
 
@@ -121,33 +49,18 @@ impl SqlEngine {
         self.tables.insert(table.name().to_ascii_lowercase(), table);
     }
 
-    /// Attaches a shared buffer pool in front of physical chunk reads.
-    /// Purely an I/O-accounting/serving knob: billing bytes and results
-    /// are identical with or without it (see [`nf2_columnar::ScanStats`]).
-    pub fn set_chunk_cache(&mut self, cache: Option<Arc<ChunkCache>>) {
-        self.chunk_cache = cache;
+    /// Attaches the run environment: its buffer pool, fault injector,
+    /// trace context and cancel token (a tripped token aborts with
+    /// [`SqlError::Cancelled`] within one row group), and its overrides
+    /// of the engine's options. The default environment attaches and
+    /// overrides nothing.
+    pub fn set_env(&mut self, env: ExecEnv) {
+        self.env = env;
     }
 
-    /// Attaches a chaos-layer fault injector to physical chunk reads.
-    /// `None` (the default) leaves the scan path byte-identical to the
-    /// fault-free engine.
-    pub fn set_fault_injector(&mut self, injector: Option<Arc<FaultInjector>>) {
-        self.fault_injector = injector;
-    }
-
-    /// Attaches a tracing context: execution stages record spans into
-    /// it. The default (disabled) context makes instrumentation a
-    /// near-no-op.
-    pub fn set_trace(&mut self, trace: obs::TraceCtx) {
-        self.trace = trace;
-    }
-
-    /// Attaches a cooperative cancellation token: the scan accounting
-    /// and the per-group execution loops check it at row-group
-    /// granularity and abort with [`SqlError::Cancelled`] once it trips.
-    /// The default (disabled) token costs a single branch per group.
-    pub fn set_cancel(&mut self, cancel: obs::CancelToken) {
-        self.cancel = cancel;
+    /// The engine's options under its environment's overrides.
+    fn options(&self) -> ExecOptions {
+        self.env.resolve(self.options)
     }
 
     /// The engine's dialect.
@@ -158,14 +71,16 @@ impl SqlEngine {
     /// Parses, validates (against the dialect), and executes a script.
     pub fn execute(&self, sql: &str) -> Result<QueryOutput, SqlError> {
         let start = Instant::now();
-        let parse_span = self.trace.span_with(obs::Stage::Parse, || {
+        let options = self.options();
+        let (trace, cancel) = (&self.env.trace, &self.env.cancel);
+        let parse_span = trace.span_with(obs::Stage::Parse, || {
             format!("{} dialect", self.dialect.name.as_str())
         });
         let script = parser::parse_script(sql)?;
         self.dialect.validate(&script)?;
         parse_span.finish();
 
-        let plan_span = self.trace.span(obs::Stage::Plan);
+        let plan_span = trace.span(obs::Stage::Plan);
         // Static projection analysis → scan accounting per base table.
         let schemas: HashMap<String, &nf2_columnar::Schema> = self
             .tables
@@ -181,18 +96,18 @@ impl SqlEngine {
         // can be toggled without the other; results are identical in all
         // four combinations because the full WHERE still runs on whatever
         // rows get materialized.
-        let extracted = if self.options.zone_map_pruning || self.options.vectorized_filter {
+        let extracted = if options.zone_map_pruning || options.vectorized_filter {
             plan::filterable_predicates(&script, &schemas)
         } else {
             HashMap::new()
         };
         let no_preds: HashMap<String, Vec<ScalarPredicate>> = HashMap::new();
-        let prune_preds = if self.options.zone_map_pruning {
+        let prune_preds = if options.zone_map_pruning {
             &extracted
         } else {
             &no_preds
         };
-        let filter_preds = if self.options.vectorized_filter {
+        let filter_preds = if options.vectorized_filter {
             &extracted
         } else {
             &no_preds
@@ -206,7 +121,7 @@ impl SqlEngine {
         // exact instances of the canonical template lower to a
         // fused-kernel physical plan; everything else interprets. The
         // scan accounting above and below is shared by both modes.
-        let compiled = if self.options.compile {
+        let compiled = if options.compile {
             crate::compile::lower(&script)
         } else {
             None
@@ -234,30 +149,20 @@ impl SqlEngine {
                 }
                 None => continue, // table not referenced
             };
-            let scan_cache = self.chunk_cache.as_deref().map(|cache| ScanCache {
+            let scan_cache = self.env.chunk_cache.as_deref().map(|cache| ScanCache {
                 cache,
                 table_fingerprint: table.fingerprint(),
             });
-            // With morsel recovery active on the compiled path, the
-            // injector moves to the morsel fault surface (exec_par probes
-            // the same (fingerprint, group, leaf) coordinates per morsel),
-            // and the billing pre-pass here stays fault-free — which is
-            // what makes ScanStats byte-identical under injected faults
-            // and recovered morsels impossible to double-bill.
-            let faults_at_morsels =
-                self.options.morsel_recovery && compiled.is_some() && name == "events";
-            let scan_faults = if faults_at_morsels {
-                None
-            } else {
-                self.scan_faults(table)
-            };
+            // A compiled plan binds to the `events` table.
+            let compiled_scan = compiled.is_some() && name == "events";
+            let scan_faults = exec_par::scan_faults(&options, &self.env, compiled_scan, table);
             let preds = prune_preds.get(name).map_or(&[][..], |v| v.as_slice());
             let run = nf2_columnar::ScanRequest::new(table, &proj)
                 .capability(self.dialect.pushdown)
                 .cache(scan_cache)
                 .faults(scan_faults)
-                .trace(&self.trace)
-                .cancel(&self.cancel)
+                .trace(trace)
+                .cancel(cancel)
                 .prune(preds)
                 .run()?;
             scan.merge(&run.stats);
@@ -277,16 +182,8 @@ impl SqlEngine {
         let (relation, cpu_seconds, threads_used, morsel_rec) =
             if let Some((cplan, table, skip)) = compiled_exec {
                 let t0 = Instant::now();
-                let (bins, compiled_threads, recovery) = exec_par::execute_compiled(
-                    cplan,
-                    table,
-                    skip,
-                    &self.trace,
-                    &self.cancel,
-                    self.options.parallel_workers,
-                    self.options.morsel_recovery,
-                    self.scan_faults(table),
-                )?;
+                let (bins, compiled_threads, recovery) =
+                    exec_par::execute_compiled(cplan, table, skip, &options, &self.env)?;
                 // The trivial final count, matching the binning tail's output
                 // contract: two columns (bin, n), one row per non-empty bin.
                 let mut counts: std::collections::BTreeMap<i64, i64> =
@@ -304,7 +201,7 @@ impl SqlEngine {
                 (rel, t0.elapsed().as_secs_f64(), compiled_threads, recovery)
             } else {
                 let (rel, cpu_seconds, threads) = match (&merge_spec, table_projs.len()) {
-                    (Some(spec), 1) if self.options.partition_parallel => {
+                    (Some(spec), 1) => {
                         self.run_parallel(&script, &udfs, &table_projs, &masks, filter_preds, spec)?
                     }
                     _ => {
@@ -335,13 +232,6 @@ impl SqlEngine {
         })
     }
 
-    /// The chaos-layer fault surface over `table`, when an injector is
-    /// attached.
-    fn scan_faults<'a>(&'a self, table: &'a Table) -> Option<ScanFaults<'a>> {
-        let injector = self.fault_injector.as_deref()?;
-        Some(ScanFaults::new(injector, table))
-    }
-
     fn materialize_group(
         &self,
         table: &Table,
@@ -356,6 +246,7 @@ impl SqlEngine {
         // materialize span: it is per-group work and must be accounted.
         if preds.is_empty() {
             let mat_span = self
+                .env
                 .trace
                 .span_with(obs::Stage::Materialize, || format!("group {group_idx}"));
             let leaves = proj.logical_leaves(table.schema())?;
@@ -364,6 +255,7 @@ impl SqlEngine {
             return Ok(rows);
         }
         let mut filter_span = self
+            .env
             .trace
             .span_with(obs::Stage::Filter, || format!("group {group_idx}"));
         let sel = nf2_columnar::apply_predicates(group, preds)?;
@@ -373,6 +265,7 @@ impl SqlEngine {
         }
         filter_span.finish();
         let mat_span = self
+            .env
             .trace
             .span_with(obs::Stage::Materialize, || format!("group {group_idx}"));
         let leaves = proj.logical_leaves(table.schema())?;
@@ -404,13 +297,13 @@ impl SqlEngine {
                 if *skip {
                     continue;
                 }
-                self.cancel.check(obs::Stage::Materialize, rows_done)?;
+                self.env.cancel.check(obs::Stage::Materialize, rows_done)?;
                 rows.extend(self.materialize_group(table, g, idx, proj, preds)?);
                 rows_done += g.n_rows() as u64;
             }
             relations.insert(name.clone(), Rc::new(rows));
         }
-        let agg_span = self.trace.span(obs::Stage::Aggregate);
+        let agg_span = self.env.trace.span(obs::Stage::Aggregate);
         let ctx = ExecContext {
             relations,
             udfs: udfs.clone(),
@@ -442,9 +335,9 @@ impl SqlEngine {
         let preds = filters.get(name).map_or(&[][..], |v| v.as_slice());
         let out = exec_par::for_each_group_ordered(
             table.row_groups(),
-            self.options.n_threads,
+            self.options().n_threads,
             masks.get(name).expect("mask built"),
-            &self.cancel,
+            &self.env.cancel,
             obs::Stage::Materialize,
             |_| (),
             |_, g, group| -> Result<Relation, SqlError> {
@@ -453,6 +346,7 @@ impl SqlEngine {
                 // the per-group context: releasing the materialized
                 // rows is real per-group work.
                 let agg_span = self
+                    .env
                     .trace
                     .span_with(obs::Stage::Aggregate, || format!("group {g}"));
                 let mut relations = HashMap::new();
@@ -470,6 +364,7 @@ impl SqlEngine {
             },
         )?;
         let merge_span = self
+            .env
             .trace
             .span_with(obs::Stage::Aggregate, || "merge".to_string());
         let mut merged = merge_partials(out.partials, spec)?;

@@ -30,8 +30,16 @@
 //! Execution is row-at-a-time over the columnar substrate with projection
 //! pushdown limited by the dialect's [`nf2_columnar::PushdownCapability`]
 //! (Presto/Athena read whole structs — paper §4.1/Fig 4b). Queries whose
-//! root is a decomposable aggregation can run **segment-parallel** over row
-//! groups (Presto's split model); see [`exec`].
+//! root is a decomposable aggregation run **segment-parallel** over row
+//! groups (Presto's split model) and merge the per-group partials in group
+//! order; any other root evaluates over the whole table at once; see
+//! [`exec`] and [`plan::root_merge_spec`].
+//!
+//! [`SqlEngine::new`] takes the workspace's one [`exec_par::ExecOptions`]
+//! (threads, morsel workers, zone-map pruning, vectorized filter, compile,
+//! morsel recovery); [`SqlEngine::set_env`] attaches a run's
+//! [`exec_par::ExecEnv`] — its option overrides, buffer pool, fault
+//! injector, trace context and cancel token.
 
 pub mod ast;
 pub mod compile;
@@ -45,8 +53,10 @@ pub mod plan;
 pub mod token;
 
 pub use dialect::{Dialect, DialectName, UdfSupport};
-pub use engine::{QueryOutput, SqlEngine, SqlOptions};
+pub use engine::{QueryOutput, SqlEngine};
 pub use error::SqlError;
+/// [`exec_par::ExecOptions`] under its old name; read only by `benchmark/src/layers.rs` until ROADMAP item 1.
+pub use exec_par::ExecOptions as SqlOptions;
 
 #[cfg(test)]
 mod proptests;

@@ -9,8 +9,9 @@ use hep_model::generator::build_dataset;
 use hep_model::DatasetSpec;
 
 use crate::dialect::Dialect;
-use crate::engine::{SqlEngine, SqlOptions};
+use crate::engine::SqlEngine;
 use crate::parser;
+use exec_par::ExecOptions;
 
 fn small_table() -> (Vec<hep_model::Event>, Arc<nf2_columnar::Table>) {
     let (events, table) = build_dataset(DatasetSpec {
@@ -38,10 +39,9 @@ proptest! {
         let (events, t) = small_table();
         let expect = events.iter().filter(|e| e.met.pt > threshold).count() as i64;
         for d in [Dialect::bigquery(), Dialect::presto(), Dialect::athena()] {
-            let mut e = SqlEngine::new(d, SqlOptions {
+            let mut e = SqlEngine::new(d, ExecOptions {
                 n_threads: if parallel { 0 } else { 1 },
-                partition_parallel: parallel,
-                ..SqlOptions::default()
+                ..ExecOptions::default()
             });
             e.register(t.clone());
             let out = e
@@ -61,7 +61,7 @@ proptest! {
             .filter(|e| e.jets.iter().filter(|j| j.pt > cut).count() >= min_n)
             .count() as i64;
 
-        let mut bq = SqlEngine::new(Dialect::bigquery(), SqlOptions::default());
+        let mut bq = SqlEngine::new(Dialect::bigquery(), ExecOptions::default());
         bq.register(t.clone());
         let out = bq.execute(&format!(
             "SELECT COUNT(*) FROM events ev WHERE \
@@ -69,7 +69,7 @@ proptest! {
         )).unwrap();
         prop_assert_eq!(out.relation.rows[0][0].as_i64().unwrap(), expect);
 
-        let mut presto = SqlEngine::new(Dialect::presto(), SqlOptions::default());
+        let mut presto = SqlEngine::new(Dialect::presto(), ExecOptions::default());
         presto.register(t.clone());
         let out = presto.execute(&format!(
             "SELECT COUNT(*) FROM events WHERE \
@@ -77,10 +77,9 @@ proptest! {
         )).unwrap();
         prop_assert_eq!(out.relation.rows[0][0].as_i64().unwrap(), expect);
 
-        let mut athena = SqlEngine::new(Dialect::athena(), SqlOptions {
+        let mut athena = SqlEngine::new(Dialect::athena(), ExecOptions {
             n_threads: 1,
-            partition_parallel: false,
-            ..SqlOptions::default()
+            ..ExecOptions::default()
         });
         athena.register(t.clone());
         let out = athena.execute(&format!(
@@ -111,11 +110,10 @@ proptest! {
         ] {
             let mut runs = Vec::new();
             for vectorized_filter in [true, false] {
-                let mut e = SqlEngine::new(d(), SqlOptions {
+                let mut e = SqlEngine::new(d(), ExecOptions {
                     n_threads: if parallel { 0 } else { 1 },
-                    partition_parallel: parallel,
-                    vectorized_filter,
-                    ..SqlOptions::default()
+                        vectorized_filter,
+                    ..ExecOptions::default()
                 });
                 e.register(t.clone());
                 runs.push(e.execute(&sql).unwrap());
@@ -138,7 +136,7 @@ proptest! {
     #[test]
     fn group_by_conserves_counts(width in 1.0..40.0f64) {
         let (events, t) = small_table();
-        let mut e = SqlEngine::new(Dialect::presto(), SqlOptions::default());
+        let mut e = SqlEngine::new(Dialect::presto(), ExecOptions::default());
         e.register(t);
         let out = e.execute(&format!(
             "SELECT CAST(FLOOR(MET.pt / {width}) AS BIGINT) AS bin, COUNT(*) AS n \

@@ -7,33 +7,35 @@ use hep_model::DatasetSpec;
 use nested_value::Value;
 
 use crate::dialect::Dialect;
-use crate::engine::{SqlEngine, SqlOptions};
+use crate::engine::SqlEngine;
 use crate::error::SqlError;
+use exec_par::ExecOptions;
+
+const N_EVENTS: usize = 800;
 
 fn dataset() -> (Vec<hep_model::Event>, Arc<nf2_columnar::Table>) {
+    dataset_in_groups_of(128)
+}
+
+/// The events of [`dataset`] in one row group: one partition is the
+/// whole table, so every script evaluates over the whole table at once.
+fn whole_table_dataset() -> (Vec<hep_model::Event>, Arc<nf2_columnar::Table>) {
+    dataset_in_groups_of(N_EVENTS)
+}
+
+fn dataset_in_groups_of(
+    row_group_size: usize,
+) -> (Vec<hep_model::Event>, Arc<nf2_columnar::Table>) {
     let (events, table) = build_dataset(DatasetSpec {
-        n_events: 800,
-        row_group_size: 128,
+        n_events: N_EVENTS,
+        row_group_size,
         seed: 21,
     });
     (events, Arc::new(table))
 }
 
 fn engine(dialect: Dialect, table: Arc<nf2_columnar::Table>) -> SqlEngine {
-    let mut e = SqlEngine::new(dialect, SqlOptions::default());
-    e.register(table);
-    e
-}
-
-fn serial_engine(dialect: Dialect, table: Arc<nf2_columnar::Table>) -> SqlEngine {
-    let mut e = SqlEngine::new(
-        dialect,
-        SqlOptions {
-            n_threads: 1,
-            partition_parallel: false,
-            ..SqlOptions::default()
-        },
-    );
+    let mut e = SqlEngine::new(dialect, ExecOptions::default());
     e.register(table);
     e
 }
@@ -201,8 +203,8 @@ fn group_by_alias_bigquery_only() {
 
 #[test]
 fn cte_chain_and_join() {
-    let (events, t) = dataset();
-    let e = serial_engine(Dialect::presto(), t);
+    let (events, t) = whole_table_dataset();
+    let e = engine(Dialect::presto(), t);
     let out = e
         .execute(
             "WITH base AS (SELECT event AS eid, MET.pt AS met FROM events), \
@@ -216,8 +218,8 @@ fn cte_chain_and_join() {
 
 #[test]
 fn min_by_per_event() {
-    let (events, t) = dataset();
-    let e = serial_engine(Dialect::athena(), t);
+    let (events, t) = whole_table_dataset();
+    let e = engine(Dialect::athena(), t);
     // Jet with mass closest to 20 GeV per event, then count events with one.
     let out = e
         .execute(
@@ -339,8 +341,10 @@ fn parallel_matches_serial() {
     let (_, t) = dataset();
     let sql = "SELECT CAST(FLOOR(MET.pt / 5.0) AS BIGINT) AS bin, COUNT(*) AS n \
                FROM events GROUP BY CAST(FLOOR(MET.pt / 5.0) AS BIGINT) ORDER BY bin";
-    let par = engine(Dialect::presto(), t.clone()).execute(sql).unwrap();
-    let ser = serial_engine(Dialect::presto(), t).execute(sql).unwrap();
+    let par = engine(Dialect::presto(), t).execute(sql).unwrap();
+    let ser = engine(Dialect::presto(), whole_table_dataset().1)
+        .execute(sql)
+        .unwrap();
     assert_eq!(par.relation.cols, ser.relation.cols);
     assert_eq!(par.relation.rows, ser.relation.rows);
 }
@@ -361,8 +365,8 @@ fn pushdown_changes_bytes_scanned_between_dialects() {
 
 #[test]
 fn distinct_and_in_list() {
-    let (_, t) = dataset();
-    let e = serial_engine(Dialect::athena(), t);
+    let (_, t) = whole_table_dataset();
+    let e = engine(Dialect::athena(), t);
     let out = e
         .execute(
             "SELECT DISTINCT m.charge FROM events CROSS JOIN UNNEST(Muon) AS m \
@@ -421,9 +425,9 @@ fn zone_map_pruning_skips_groups_and_preserves_results() {
     let pruned = engine(Dialect::presto(), t.clone()).execute(&sql).unwrap();
     let mut no_prune_engine = SqlEngine::new(
         Dialect::presto(),
-        SqlOptions {
+        ExecOptions {
             zone_map_pruning: false,
-            ..SqlOptions::default()
+            ..ExecOptions::default()
         },
     );
     no_prune_engine.register(t);

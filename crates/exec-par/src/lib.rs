@@ -36,13 +36,24 @@
 //! a serial, fault-free pre-pass before execution (see `engine-sql`), so
 //! `ScanStats` — and therefore billing — are identical at any worker
 //! count. With morsel recovery on, the engines route the fault injector
-//! *here* instead ([`execute_with_faults`]): each morsel probes its row
-//! group's read set through [`ScanFaults::probe_group`], whose decisions
-//! are pure functions of `(fingerprint, group, leaf)` — the schedule the
-//! serial pre-pass would have seen.
+//! *here* instead ([`scan_faults`] decides, [`execute_compiled`] attaches):
+//! each morsel probes its row group's read set through
+//! [`ScanFaults::probe_group`], whose decisions are pure functions of
+//! `(fingerprint, group, leaf)` — the schedule the serial pre-pass would
+//! have seen.
+//!
+//! ## Options
+//!
+//! Every engine takes one [`ExecOptions`] and one [`ExecEnv`]. The
+//! options are a deployment's configuration; the environment is what a
+//! caller injects into one run — overrides of four knobs, applied by
+//! [`ExecEnv::resolve`] and nowhere else, plus the run's buffer pool,
+//! fault injector, trace context and cancel token.
 
+mod options;
 mod ordered;
 
+pub use options::{ExecEnv, ExecOptions};
 pub use ordered::{for_each_group_ordered, resolve_threads, OrderedPartials};
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -316,42 +327,60 @@ pub fn execute_with_faults(
     Ok((bins, stats))
 }
 
-/// The engines' compiled-execution entry point: `workers > 1` or
-/// `recovery` runs `plan` through [`execute_with_faults`] (so a serial
-/// compiled query still gets retry and quarantine), anything else on the
-/// serial [`physical_ir::execute`]. Returns the bin-index sequence, the
-/// workers used and the recovery counters. `faults` is attached only
-/// with `recovery` on; without it the engines keep the injector on their
-/// scan pre-pass.
-#[allow(clippy::too_many_arguments)]
+/// The one fault-routing decision: with morsel recovery on a compiled
+/// plan, the fault injector goes to the morsels ([`execute_compiled`]
+/// probes each morsel's read set at the same `(fingerprint, group, leaf)`
+/// coordinates) and the billing scan pre-pass runs fault-free — which
+/// keeps `ScanStats` byte-identical under injected faults and makes a
+/// recovered morsel impossible to double-bill. Otherwise the pre-pass
+/// carries it.
+fn faults_at_morsels(options: &ExecOptions, compiled: bool) -> bool {
+    compiled && options.morsel_recovery
+}
+
+/// The fault surface an engine's scan pre-pass over `table` probes:
+/// `env`'s injector, unless `compiled` execution under `options` moves it
+/// to the morsels (see the crate docs).
+pub fn scan_faults<'a>(
+    options: &ExecOptions,
+    env: &'a ExecEnv,
+    compiled: bool,
+    table: &'a Table,
+) -> Option<ScanFaults<'a>> {
+    let injector = env.fault_injector.as_deref()?;
+    (!faults_at_morsels(options, compiled)).then(|| ScanFaults::new(injector, table))
+}
+
+/// The engines' compiled-execution entry point, under `options` already
+/// resolved against `env`: `parallel_workers > 1` or `morsel_recovery`
+/// runs `plan` through [`execute_with_faults`] (so a serial compiled
+/// query still gets retry and quarantine), anything else on the serial
+/// [`physical_ir::execute`]. The morsels carry `env`'s fault injector
+/// exactly when [`scan_faults`] keeps it off the pre-pass. Returns the
+/// bin-index sequence, the workers used and the recovery counters.
 pub fn execute_compiled(
     plan: &PhysPlan,
     table: &Table,
     skip: &[bool],
-    trace: &TraceCtx,
-    cancel: &CancelToken,
-    workers: usize,
-    recovery: bool,
-    faults: Option<ScanFaults<'_>>,
+    options: &ExecOptions,
+    env: &ExecEnv,
 ) -> Result<(Vec<i64>, usize, MorselRecovery), PirError> {
-    if workers <= 1 && !recovery {
+    let (trace, cancel) = (&env.trace, &env.cancel);
+    if options.parallel_workers <= 1 && !options.morsel_recovery {
         let bins = physical_ir::execute(plan, table, Some(skip), trace, cancel)?;
         return Ok((bins, 1, MorselRecovery::default()));
     }
     let opts = ParOptions {
-        workers,
-        recovery: recovery.then(RecoveryOptions::default),
+        workers: options.parallel_workers,
+        recovery: options.morsel_recovery.then(RecoveryOptions::default),
     };
-    let (bins, stats) = execute_with_faults(
-        plan,
-        table,
-        Some(skip),
-        trace,
-        cancel,
-        None,
-        &opts,
-        faults.filter(|_| recovery),
-    )?;
+    let faults = env
+        .fault_injector
+        .as_deref()
+        .filter(|_| faults_at_morsels(options, true))
+        .map(|injector| ScanFaults::new(injector, table));
+    let (bins, stats) =
+        execute_with_faults(plan, table, Some(skip), trace, cancel, None, &opts, faults)?;
     Ok((bins, stats.workers, stats.recovery))
 }
 

@@ -14,10 +14,11 @@
 //! [`QueryId`](hepbench_core::QueryId); they pass admission control (a
 //! bounded queue — full ⇒ [`ServiceError::QueryRejected`]), wait in
 //! per-tenant FIFO queues drained round-robin across tenants (one noisy
-//! tenant cannot starve the rest), and execute through
-//! [`hepbench_core::runner::execute_engine`] — exactly the primitive the
-//! single-query benchmark uses, so a served result is the benchmark
-//! result.
+//! tenant cannot starve the rest), and execute on the service's prebuilt
+//! engine map: one [`engine_for`] deployment per system (plus one
+//! [`engine_for_compiled`] for requests that opt into compiled
+//! execution) — the deployments the single-query benchmark runs, so a
+//! served result is the benchmark result.
 //!
 //! Two caches, both optional:
 //!

@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use engine_rdf::{ColValue, Options, RDataFrame};
+use engine_rdf::{ColValue, RDataFrame};
 use hepquery::bench::reference::pair_mass;
 use hepquery::prelude::*;
 
@@ -42,7 +42,7 @@ fn main() {
     }
 
     // --- 2. RDataFrame-style chain.
-    let df = RDataFrame::new(table.clone(), Options::default())
+    let df = RDataFrame::new(table.clone(), ExecOptions::default())
         .define(
             "dimuon_mass",
             &[

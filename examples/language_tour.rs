@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use hepquery::bench::queries::{text, Language, ALL_LANGUAGES};
-use hepquery::bench::{adapters, metrics, reference, QueryId};
+use hepquery::bench::{metrics, reference, QueryId};
 use hepquery::prelude::*;
 
 fn main() {
@@ -36,22 +36,16 @@ fn main() {
     });
     let table = Arc::new(table);
     let expect = reference::run(q, &events);
-    let env = adapters::ExecEnv::seed();
-    let bq =
-        adapters::run_sql_env(Dialect::bigquery(), &table, q, SqlOptions::default(), &env).unwrap();
-    let presto =
-        adapters::run_sql_env(Dialect::presto(), &table, q, SqlOptions::default(), &env).unwrap();
-    let athena =
-        adapters::run_sql_env(Dialect::athena(), &table, q, SqlOptions::default(), &env).unwrap();
-    let jq = adapters::run_jsoniq_env(&table, q, Default::default(), &env).unwrap();
-    let rdf = adapters::run_rdf_env(&table, q, Default::default(), &env).unwrap();
-    for (name, run) in [
-        ("BigQuery", &bq),
-        ("Presto", &presto),
-        ("Athena", &athena),
-        ("JSONiq", &jq),
-        ("RDataFrame", &rdf),
+    for (name, system) in [
+        ("BigQuery", System::BigQuery),
+        ("Presto", System::Presto),
+        ("Athena", System::AthenaV2),
+        ("JSONiq", System::Rumble),
+        ("RDataFrame", System::RDataFrame),
     ] {
+        let run = engine_for_compiled(system, table.clone())
+            .execute(&q.into(), &ExecEnv::seed())
+            .unwrap();
         assert!(
             run.histogram.counts_equal(&expect.hist),
             "{name} differs from the reference"

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use hepquery::bench::{adapters, complexity, reference, QueryId};
+use hepquery::bench::{complexity, reference, QueryId};
 use hepquery::prelude::*;
 
 fn main() {
@@ -37,14 +37,14 @@ fn main() {
     println!("{}", expect_tag.hist.ascii(60));
 
     println!("dialect comparison on Q6a (same result, different work):");
-    let env = adapters::ExecEnv::seed();
-    for dialect in [Dialect::bigquery(), Dialect::presto(), Dialect::athena()] {
-        let run = adapters::run_sql_env(dialect, &table, QueryId::Q6a, SqlOptions::default(), &env)
+    for system in [System::BigQuery, System::Presto, System::AthenaV2] {
+        let run = engine_for_compiled(system, table.clone())
+            .execute(&QueryId::Q6a.into(), &ExecEnv::seed())
             .unwrap();
         assert!(run.histogram.counts_equal(&expect_pt.hist));
         println!(
             "  {:<9} cpu {:>8.1} ms   bytes scanned {:>10}",
-            dialect.name.as_str(),
+            system.name(),
             run.stats.cpu_seconds * 1e3,
             run.stats.scan.bytes_scanned
         );

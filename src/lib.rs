@@ -100,13 +100,15 @@ pub use query_service as service;
 
 /// Common imports for examples and downstream users.
 pub mod prelude {
-    pub use crate::bench::adapters::ExecEnv;
-    pub use crate::bench::engine_api::{engine_for, QueryEngine, QuerySpec};
+    pub use crate::bench::adapters::{ExecEnv, ExecOptions};
+    pub use crate::bench::engine_api::{
+        engine_for, engine_for_compiled, Deployment, QueryEngine, QuerySpec,
+    };
     pub use crate::bench::runner::System;
     pub use crate::bench::{QueryId, ALL_QUERIES};
     pub use crate::columnar::{Projection, PushdownCapability, Table};
     pub use crate::model::{DatasetSpec, Event, Generator, GeneratorConfig};
     pub use crate::physics::{FourMomentum, HistSpec, Histogram};
-    pub use crate::sql::{Dialect, SqlEngine, SqlOptions};
+    pub use crate::sql::{Dialect, SqlEngine};
     pub use crate::value::Value;
 }

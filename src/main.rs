@@ -139,7 +139,7 @@ fn cmd_sql(raw: &[String]) -> Result<(), String> {
     };
     let sql = a.positional().ok_or("sql requires a query string")?;
     let table = load_or_generate(&a)?;
-    let mut engine = SqlEngine::new(dialect, SqlOptions::default());
+    let mut engine = SqlEngine::new(dialect, ExecOptions::default());
     engine.register(table);
     let out = engine.execute(sql).map_err(|e| e.to_string())?;
     let limit: usize = a.parsed("--limit", 50)?;

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use hepquery::bench::{adapters, reference, validate, QueryId, ALL_QUERIES};
+use hepquery::bench::{reference, validate, QueryId, ALL_QUERIES};
 use hepquery::prelude::*;
 
 fn dataset(seed: u64, n: usize, rg: usize) -> (Vec<Event>, Arc<Table>) {
@@ -42,36 +42,37 @@ fn agreement_is_layout_independent() {
     let (events2, t2) = dataset(77, 3_000, 3_000);
     assert_eq!(events, events2);
     let expect = reference::run(q, &events).hist;
-    let env = adapters::ExecEnv::seed();
     for table in [t1, t2] {
-        let run =
-            adapters::run_sql_env(Dialect::bigquery(), &table, q, SqlOptions::default(), &env)
+        for system in [System::BigQuery, System::RDataFrame] {
+            let run = engine_for_compiled(system, table.clone())
+                .execute(&q.into(), &ExecEnv::seed())
                 .unwrap();
-        assert!(run.histogram.counts_equal(&expect));
-        let run = adapters::run_rdf_env(&table, q, Default::default(), &env).unwrap();
-        assert!(run.histogram.counts_equal(&expect));
+            assert!(run.histogram.counts_equal(&expect), "{}", system.name());
+        }
     }
 }
 
+/// The 16-group table, merged from per-group partials, against the same
+/// events in one row group, where one partition is the whole table.
 #[test]
 fn serial_and_parallel_sql_agree() {
     let (_, table) = dataset(31, 4_000, 256);
-    let env = adapters::ExecEnv::seed();
+    let (_, whole) = dataset(31, 4_000, 4_000);
+    assert_eq!(
+        (table.row_groups().len(), whole.row_groups().len()),
+        (16, 1)
+    );
+    let serial = ExecEnv {
+        intra_query_threads: Some(1),
+        ..ExecEnv::seed()
+    };
     for q in [QueryId::Q1, QueryId::Q4, QueryId::Q6a, QueryId::Q8] {
-        let par = adapters::run_sql_env(Dialect::presto(), &table, q, SqlOptions::default(), &env)
+        let par = engine_for_compiled(System::Presto, table.clone())
+            .execute(&q.into(), &ExecEnv::seed())
             .unwrap();
-        let ser = adapters::run_sql_env(
-            Dialect::presto(),
-            &table,
-            q,
-            SqlOptions {
-                n_threads: 1,
-                partition_parallel: false,
-                ..SqlOptions::default()
-            },
-            &env,
-        )
-        .unwrap();
+        let ser = engine_for_compiled(System::Presto, whole.clone())
+            .execute(&q.into(), &serial)
+            .unwrap();
         assert!(
             par.histogram.counts_equal(&ser.histogram),
             "{} parallel vs serial",
@@ -83,9 +84,9 @@ fn serial_and_parallel_sql_agree() {
 #[test]
 fn q6a_and_q6b_select_identical_events() {
     let (events, table) = dataset(6, 3_000, 512);
-    let env = adapters::ExecEnv::seed();
-    let a = adapters::run_rdf_env(&table, QueryId::Q6a, Default::default(), &env).unwrap();
-    let b = adapters::run_rdf_env(&table, QueryId::Q6b, Default::default(), &env).unwrap();
+    let rdf = engine_for_compiled(System::RDataFrame, table);
+    let a = rdf.execute(&QueryId::Q6a.into(), &ExecEnv::seed()).unwrap();
+    let b = rdf.execute(&QueryId::Q6b.into(), &ExecEnv::seed()).unwrap();
     assert_eq!(a.histogram.total(), b.histogram.total());
     let expect = events.iter().filter(|e| e.jets.len() >= 3).count() as u64;
     assert_eq!(a.histogram.total(), expect);

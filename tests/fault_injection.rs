@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use hepquery::bench::adapters::{self, ExecEnv};
-use hepquery::bench::runner::{execute_engine, System};
+use hepquery::bench::runner::System;
 use hepquery::columnar::{FaultClass, FaultConfig, FaultInjector};
 use hepquery::prelude::*;
 use hepquery::service::{QueryRequest, QueryService, ServiceConfig};
@@ -81,7 +81,9 @@ fn panicking_query_does_not_wedge_the_worker_pool() {
         }
     }
     let served = served.expect("worker pool wedged: query never recovered");
-    let clean = execute_engine(System::BigQuery, &table, QueryId::Q1, &ExecEnv::seed()).unwrap();
+    let clean = engine_for(System::BigQuery, table.clone())
+        .execute(&QuerySpec::benchmark(QueryId::Q1), &ExecEnv::seed())
+        .unwrap();
     assert!(served.histogram.counts_equal(&clean.histogram));
 
     let snap = service.stats();
@@ -103,13 +105,9 @@ fn transient_faults_converge_under_rerun() {
     let reference = hepquery::bench::reference::run(QueryId::Q1, &events).hist;
     let mut histogram = None;
     for _ in 0..16 {
-        match adapters::run_sql_env(
-            Dialect::bigquery(),
-            &table,
-            QueryId::Q1,
-            SqlOptions::default(),
-            &env,
-        ) {
+        match engine_for_compiled(System::BigQuery, table.clone())
+            .execute(&QueryId::Q1.into(), &env)
+        {
             Ok(run) => {
                 histogram = Some(run.histogram);
                 break;
@@ -143,37 +141,10 @@ fn scan_errors_carry_system_query_row_group_and_leaf() {
             Err(e) => e,
         }
     }
-    let cases: Vec<(&str, adapters::AdapterError)> = vec![
-        (
-            "BigQuery",
-            fail(adapters::run_sql_env(
-                Dialect::bigquery(),
-                &table,
-                QueryId::Q5,
-                SqlOptions::default(),
-                &env,
-            )),
-        ),
-        (
-            "JSONiq",
-            fail(adapters::run_jsoniq_env(
-                &table,
-                QueryId::Q5,
-                Default::default(),
-                &env,
-            )),
-        ),
-        (
-            "RDataFrame",
-            fail(adapters::run_rdf_env(
-                &table,
-                QueryId::Q5,
-                Default::default(),
-                &env,
-            )),
-        ),
-    ];
-    for (system, err) in cases {
+    for system in [System::BigQuery, System::Rumble, System::RDataFrame] {
+        let deployment = engine_for_compiled(system, table.clone());
+        let err = fail(deployment.execute(&QueryId::Q5.into(), &env));
+        let system = system.name();
         assert_eq!(err.system, system);
         assert_eq!(err.query, "Q5");
         let scan = err

@@ -13,7 +13,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use hepquery::bench::{adapters, reference, ALL_QUERIES};
+use hepquery::bench::{reference, ALL_QUERIES};
 use hepquery::prelude::*;
 
 /// The pinned dataset the fixtures were generated from. Changing any of
@@ -102,7 +102,7 @@ fn every_engine_and_dialect_matches_the_golden_snapshots() {
         std::fs::create_dir_all(golden_path("x").parent().unwrap()).unwrap();
     }
     let mut missing = Vec::new();
-    let env = adapters::ExecEnv::seed();
+    let env = ExecEnv::seed();
     for &q in ALL_QUERIES {
         let reference = reference::run(q, &events).hist;
         let path = golden_path(q.name());
@@ -122,28 +122,23 @@ fn every_engine_and_dialect_matches_the_golden_snapshots() {
         );
         // Pin every engine × dialect to the snapshot, not just to the
         // in-memory reference.
-        for dialect in [Dialect::bigquery(), Dialect::presto(), Dialect::athena()] {
-            let name = format!("{:?}", dialect.name);
-            let run =
-                adapters::run_sql_env(dialect, &table, q, SqlOptions::default(), &env).unwrap();
+        for system in [
+            System::BigQuery,
+            System::Presto,
+            System::AthenaV2,
+            System::Rumble,
+            System::RDataFrame,
+        ] {
+            let run = engine_for_compiled(system, table.clone())
+                .execute(&q.into(), &env)
+                .unwrap();
             assert!(
                 run.histogram.counts_equal(&golden),
-                "{} {name} diverged from golden snapshot",
-                q.name()
+                "{} {} diverged from golden snapshot",
+                q.name(),
+                system.name()
             );
         }
-        let run = adapters::run_jsoniq_env(&table, q, Default::default(), &env).unwrap();
-        assert!(
-            run.histogram.counts_equal(&golden),
-            "{} JSONiq diverged from golden snapshot",
-            q.name()
-        );
-        let run = adapters::run_rdf_env(&table, q, Default::default(), &env).unwrap();
-        assert!(
-            run.histogram.counts_equal(&golden),
-            "{} RDataFrame diverged from golden snapshot",
-            q.name()
-        );
     }
     assert!(
         missing.is_empty(),

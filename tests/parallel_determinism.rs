@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use hepquery::bench::{adapters, ALL_QUERIES};
+use hepquery::bench::ALL_QUERIES;
 use hepquery::exec_par::{self, ParOptions};
 use hepquery::physical_ir;
 use hepquery::prelude::*;
@@ -83,20 +83,14 @@ fn parallel_bins_byte_identical_across_worker_counts() {
 /// at every worker count — parallelism must not perturb billing.
 #[test]
 fn engine_results_and_scan_billing_identical_at_any_worker_count() {
-    let table = table();
+    let presto = engine_for_compiled(System::Presto, table());
     for q in ALL_QUERIES {
         let run = |workers: usize| {
-            adapters::run_sql_env(
-                Dialect::presto(),
-                &table,
-                *q,
-                SqlOptions::default(),
-                &adapters::ExecEnv {
-                    parallel_workers: (workers > 0).then_some(workers),
-                    ..adapters::ExecEnv::seed()
-                },
-            )
-            .unwrap()
+            let env = ExecEnv {
+                parallel_workers: (workers > 0).then_some(workers),
+                ..ExecEnv::seed()
+            };
+            presto.execute(&(*q).into(), &env).unwrap()
         };
         let serial = run(0);
         for workers in [2, 8] {
@@ -120,46 +114,24 @@ fn engine_results_and_scan_billing_identical_at_any_worker_count() {
 #[test]
 fn flwor_and_rdf_parallel_results_match_serial() {
     let table = table();
-    for q in ALL_QUERIES {
-        let jq_serial =
-            adapters::run_jsoniq_env(&table, *q, Default::default(), &adapters::ExecEnv::seed())
-                .unwrap();
-        let jq_par = adapters::run_jsoniq_env(
-            &table,
-            *q,
-            Default::default(),
-            &adapters::ExecEnv {
-                parallel_workers: Some(4),
-                ..adapters::ExecEnv::seed()
-            },
-        )
-        .unwrap();
-        assert!(
-            jq_par.histogram.counts_equal(&jq_serial.histogram),
-            "{}: JSONiq parallel diverged",
-            q.name()
-        );
-        assert_eq!(jq_par.stats.scan, jq_serial.stats.scan);
-
-        let rdf_serial =
-            adapters::run_rdf_env(&table, *q, Default::default(), &adapters::ExecEnv::seed())
-                .unwrap();
-        let rdf_par = adapters::run_rdf_env(
-            &table,
-            *q,
-            Default::default(),
-            &adapters::ExecEnv {
-                parallel_workers: Some(4),
-                ..adapters::ExecEnv::seed()
-            },
-        )
-        .unwrap();
-        assert!(
-            rdf_par.histogram.counts_equal(&rdf_serial.histogram),
-            "{}: RDataFrame parallel diverged",
-            q.name()
-        );
-        assert_eq!(rdf_par.stats.scan, rdf_serial.stats.scan);
+    let parallel = ExecEnv {
+        parallel_workers: Some(4),
+        ..ExecEnv::seed()
+    };
+    for system in [System::Rumble, System::RDataFrame] {
+        let engine = engine_for_compiled(system, table.clone());
+        for q in ALL_QUERIES {
+            let spec = (*q).into();
+            let serial = engine.execute(&spec, &ExecEnv::seed()).unwrap();
+            let par = engine.execute(&spec, &parallel).unwrap();
+            assert!(
+                par.histogram.counts_equal(&serial.histogram),
+                "{} {}: parallel diverged",
+                system.name(),
+                q.name()
+            );
+            assert_eq!(par.stats.scan, serial.stats.scan);
+        }
     }
 }
 
@@ -170,8 +142,16 @@ fn flwor_and_rdf_parallel_results_match_serial() {
 #[test]
 fn interpreted_histograms_identical_at_any_thread_count() {
     let table = table();
-    let env = adapters::ExecEnv::seed();
-    let assert_same = |what: &str, q: QueryId, run: &dyn Fn(usize) -> adapters::EngineRun| {
+    let assert_same = |system: System, q: QueryId| {
+        let engine = engine_for(system, table.clone());
+        let run = |n_threads| {
+            let env = ExecEnv {
+                intra_query_threads: Some(n_threads),
+                ..ExecEnv::seed()
+            };
+            engine.execute(&q.into(), &env).unwrap()
+        };
+        let what = system.name();
         let serial = run(1);
         for n_threads in [2, 8] {
             let par = run(n_threads);
@@ -190,39 +170,18 @@ fn interpreted_histograms_identical_at_any_thread_count() {
         }
     };
     for &q in ALL_QUERIES {
-        assert_same("RDataFrame", q, &|n_threads| {
-            let options = hepquery::rdataframe::Options {
-                n_threads,
-                compile: false,
-                ..Default::default()
-            };
-            adapters::run_rdf_env(&table, q, options, &env).unwrap()
-        });
+        assert_same(System::RDataFrame, q);
     }
     for q in [QueryId::Q1, QueryId::Q4, QueryId::Q5] {
-        assert_same("Presto", q, &|n_threads| {
-            let options = SqlOptions {
-                n_threads,
-                compile: false,
-                ..SqlOptions::default()
-            };
-            adapters::run_sql_env(Dialect::presto(), &table, q, options, &env).unwrap()
-        });
-        assert_same("JSONiq", q, &|n_threads| {
-            let options = hepquery::jsoniq::FlworOptions {
-                n_threads,
-                compile: false,
-                ..Default::default()
-            };
-            adapters::run_jsoniq_env(&table, q, options, &env).unwrap()
-        });
+        assert_same(System::Presto, q);
+        assert_same(System::Rumble, q);
     }
 }
 
 /// The paper simulation stays byte-identical with parallelism available:
-/// `engine_for` pins compiled execution *and* parallel workers off, so
-/// an environment requesting workers cannot perturb the calibrated
-/// interpreters.
+/// `engine_for` runs with compiled execution off, and morsel workers only
+/// drive compiled plans, so an environment requesting workers cannot
+/// perturb the calibrated interpreters.
 #[test]
 fn engine_for_pins_parallelism_off() {
     let table = table();

@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use hepquery::bench::{adapters, ALL_QUERIES};
+use hepquery::bench::ALL_QUERIES;
 use hepquery::columnar::stats::skip_mask;
 use hepquery::columnar::{ScalarPredicate, ScanRequest, SelCmp, SelValue};
 use hepquery::prelude::*;
@@ -25,38 +25,34 @@ fn vectorized_filter_never_changes_scan_stats_or_results() {
         seed: 0xC057,
     });
     let table = Arc::new(table);
-    for make in [
-        Dialect::bigquery as fn() -> Dialect,
-        Dialect::presto,
-        Dialect::athena,
-    ] {
+    for system in [System::BigQuery, System::Presto, System::AthenaV2] {
         for q in ALL_QUERIES {
             let run = |vectorized_filter: bool| {
-                adapters::run_sql_env(
-                    make(),
-                    &table,
-                    *q,
-                    SqlOptions {
-                        vectorized_filter,
-                        ..SqlOptions::default()
-                    },
-                    &adapters::ExecEnv::seed(),
-                )
-                .unwrap()
+                let options = ExecOptions {
+                    vectorized_filter,
+                    ..ExecOptions::default()
+                };
+                let table = table.clone();
+                let deployment = Deployment {
+                    system,
+                    table,
+                    options,
+                };
+                deployment.execute(&(*q).into(), &ExecEnv::seed()).unwrap()
             };
             let on = run(true);
             let off = run(false);
             assert!(
                 on.histogram.counts_equal(&off.histogram),
-                "{:?} {}: results differ with vectorized filtering",
-                make().name,
+                "{} {}: results differ with vectorized filtering",
+                system.name(),
                 q.name(),
             );
             assert_eq!(
                 on.stats.scan,
                 off.stats.scan,
-                "{:?} {}: scan accounting perturbed by vectorized filtering",
-                make().name,
+                "{} {}: scan accounting perturbed by vectorized filtering",
+                system.name(),
                 q.name(),
             );
         }
@@ -86,10 +82,10 @@ fn pruning_conserves_accounting_bytes_across_worker_counts() {
         let run = |zone_map_pruning: bool, n_threads: usize| {
             let mut engine = SqlEngine::new(
                 make(),
-                SqlOptions {
+                ExecOptions {
                     zone_map_pruning,
                     n_threads,
-                    ..SqlOptions::default()
+                    ..ExecOptions::default()
                 },
             );
             engine.register(table.clone());

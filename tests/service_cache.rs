@@ -14,7 +14,7 @@
 
 use std::sync::Arc;
 
-use hepquery::bench::runner::{execute_engine, System};
+use hepquery::bench::runner::System;
 use hepquery::bench::{adapters::ExecEnv, QueryId, ALL_QUERIES};
 use hepquery::columnar::{ScanStats, Table};
 use hepquery::prelude::*;
@@ -48,7 +48,9 @@ fn caches_off_is_byte_identical_to_the_seed_path() {
     let service = QueryService::start(table.clone(), ServiceConfig::paper_fairness());
     for &system in SYSTEMS {
         for &q in ALL_QUERIES {
-            let direct = execute_engine(system, &table, q, &ExecEnv::seed()).unwrap();
+            let direct = engine_for(system, table.clone())
+                .execute(&QuerySpec::benchmark(q), &ExecEnv::seed())
+                .unwrap();
             let served = service.execute(QueryRequest::new("t0", system, q)).unwrap();
             assert!(!served.from_result_cache);
             assert_eq!(
@@ -131,7 +133,9 @@ fn buffer_pool_changes_accounting_but_not_billing_or_results() {
             ..ServiceConfig::default()
         },
     );
-    let baseline = execute_engine(System::Presto, &table, QueryId::Q4, &ExecEnv::seed()).unwrap();
+    let baseline = engine_for(System::Presto, table.clone())
+        .execute(&QuerySpec::benchmark(QueryId::Q4), &ExecEnv::seed())
+        .unwrap();
     let cold = service
         .execute(QueryRequest::new("t0", System::Presto, QueryId::Q4))
         .unwrap();

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use hepquery::bench::{adapters, QueryId};
+use hepquery::bench::QueryId;
 use hepquery::prelude::*;
 
 #[test]
@@ -26,12 +26,12 @@ fn queries_survive_disk_roundtrip() {
     let file_size = std::fs::metadata(&path).unwrap().len();
     assert!(file_size as usize >= table.uncompressed_bytes());
 
-    let env = adapters::ExecEnv::seed();
+    let env = ExecEnv::seed();
+    let athena = engine_for_compiled(System::AthenaV2, table);
+    let athena_reloaded = engine_for_compiled(System::AthenaV2, reloaded);
     for q in [QueryId::Q1, QueryId::Q4, QueryId::Q6a] {
-        let a = adapters::run_sql_env(Dialect::athena(), &table, q, SqlOptions::default(), &env)
-            .unwrap();
-        let b = adapters::run_sql_env(Dialect::athena(), &reloaded, q, SqlOptions::default(), &env)
-            .unwrap();
+        let a = athena.execute(&q.into(), &env).unwrap();
+        let b = athena_reloaded.execute(&q.into(), &env).unwrap();
         assert!(a.histogram.counts_equal(&b.histogram), "{}", q.name());
         assert_eq!(a.stats.scan.bytes_scanned, b.stats.scan.bytes_scanned);
     }
@@ -47,13 +47,14 @@ fn scan_accounting_is_consistent_across_engines() {
     });
     let table = Arc::new(table);
     let q = QueryId::Q1;
-    let env = adapters::ExecEnv::seed();
-    let bq =
-        adapters::run_sql_env(Dialect::bigquery(), &table, q, SqlOptions::default(), &env).unwrap();
-    let at =
-        adapters::run_sql_env(Dialect::athena(), &table, q, SqlOptions::default(), &env).unwrap();
-    let jq = adapters::run_jsoniq_env(&table, q, Default::default(), &env).unwrap();
-    let rdf = adapters::run_rdf_env(&table, q, Default::default(), &env).unwrap();
+    let env = ExecEnv::seed();
+    let run = |system| {
+        engine_for_compiled(system, table.clone())
+            .execute(&q.into(), &env)
+            .unwrap()
+    };
+    let (bq, at) = (run(System::BigQuery), run(System::AthenaV2));
+    let (jq, rdf) = (run(System::Rumble), run(System::RDataFrame));
     // The Figure-4b ordering: BigQuery (leaf pushdown) < Athena (whole
     // structs) < Rumble (whole file); RDataFrame reads like BigQuery.
     assert!(bq.stats.scan.bytes_scanned < at.stats.scan.bytes_scanned);
