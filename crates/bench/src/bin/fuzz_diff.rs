@@ -14,16 +14,14 @@
 //!   plan with zone-map pruning forced off and on and requires both to
 //!   match the oracle, so an unsound zone map cannot hide.
 //! * `--faults` — sweeps every fault class over a smaller plan budget
-//!   (persistent faults must surface typed `ScanError`s, transient faults
-//!   must converge to the oracle under bounded retry), then drives a
-//!   [`query_service::QueryService`] with a transient injector across the
-//!   (system × query) grid and asserts every request completes with the
-//!   fault-free histogram while `retried > 0` shows the retry path ran.
-//!   A third phase re-runs the storm against a service with **morsel
-//!   recovery** on and asserts compiled-parallel requests absorb every
-//!   fault below the attempt boundary: whole-query retries drop to zero
-//!   while the per-response recovery counters show the morsel surface
-//!   fired.
+//!   (persistent faults must surface typed `ScanError`s; one run under
+//!   transient faults must return the oracle histogram and the
+//!   fault-free `ScanStats`, the scan having re-read each faulted chunk
+//!   in place), then drives a [`query_service::QueryService`] on its
+//!   default configuration with a transient injector across the
+//!   (system × query) grid and asserts every request completes on its
+//!   first execution with the fault-free histogram and `ScanStats`, zero
+//!   failed requests, and recovered chunk reads showing the faults fired.
 //! * default — both, with the same budgets.
 //!
 //! Scale knobs: `HEPQUERY_EVENTS`, `HEPQUERY_ROW_GROUP`,
@@ -31,13 +29,10 @@
 //! `HEPQUERY_FUZZ_FAULT_PLANS`, `HEPQUERY_WATCHDOG`.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use chaos::{differential_fuzz, fault_sweep, pruning_differential_fuzz};
 use hep_model::Event;
 use hepbench_bench::{dataset, dataset_spec, env, run_gate};
-use hepbench_core::adapters::ExecEnv;
-use hepbench_core::engine_api::{engine_for, QuerySpec};
 use hepbench_core::runner::System;
 use hepbench_core::ALL_QUERIES;
 use nf2_columnar::{FaultConfig, FaultInjector, Table};
@@ -100,14 +95,14 @@ fn run_fault_sweep(events: &[Event], table: &Arc<Table>) -> Vec<String> {
     let mut injected = 0;
     for report in fault_sweep(seed, n_plans, events, table) {
         eprintln!(
-            "  {:<20} {} runs: {} clean, {} typed errors, {} retries",
+            "  {:<20} {} runs: {} clean, {} typed errors, {} chunk re-reads",
             report.class.name(),
             report.runs,
             report.clean_results,
             report.typed_errors,
             report.retries
         );
-        injected += report.typed_errors + report.retries;
+        injected += report.typed_errors as u64 + report.retries;
         violations.extend(report.violations);
     }
     if injected == 0 {
@@ -116,9 +111,12 @@ fn run_fault_sweep(events: &[Event], table: &Arc<Table>) -> Vec<String> {
     violations
 }
 
-/// Fault phase 2: service-level retry. Every request across the
-/// (system × query) grid must complete with the fault-free histogram,
-/// and the retry counter must show the transient faults actually fired.
+/// Fault phase 2: the service on its default configuration (result
+/// cache off, so every request executes) behind a transient injector.
+/// Every request across the (system × query) grid must be served on its
+/// first execution with the histogram and `ScanStats` of a fault-free
+/// service fed the same requests, and the injector must show recovered
+/// reads — the faults fired and the scan re-read them.
 fn run_service_faults(table: &Arc<Table>) -> Vec<String> {
     let seed = fuzz_seed();
     let injector = Arc::new(FaultInjector::new(FaultConfig {
@@ -128,129 +126,61 @@ fn run_service_faults(table: &Arc<Table>) -> Vec<String> {
         transient_attempts: 1,
         ..FaultConfig::off(seed)
     }));
-    let service = QueryService::start(
-        table.clone(),
-        ServiceConfig {
-            n_workers: 4,
-            result_cache: false,
-            fault_injector: Some(injector.clone()),
-            max_retries: 64,
-            retry_backoff: Duration::from_micros(200),
-            ..ServiceConfig::default()
-        },
-    );
+    // One worker each, so both buffer pools see the same request order.
+    let service = |fault_injector| {
+        QueryService::start(
+            table.clone(),
+            ServiceConfig {
+                n_workers: 1,
+                result_cache: false,
+                fault_injector,
+                ..ServiceConfig::default()
+            },
+        )
+    };
+    let (clean, faulty) = (service(None), service(Some(injector.clone())));
     let mut violations = Vec::new();
+    let mut reads_retried = 0;
     for &system in SYSTEMS {
         for &query in ALL_QUERIES {
-            let served = match service.execute(QueryRequest::new("chaos", system, query)) {
+            let ctx = format!("{} {}", system.name(), query.name());
+            let want = clean
+                .execute(QueryRequest::new("chaos", system, query))
+                .expect("fault-free run");
+            let got = match faulty.execute(QueryRequest::new("chaos", system, query)) {
                 Ok(resp) => resp,
                 Err(e) => {
-                    violations.push(format!(
-                        "{} {} did not survive transient faults: {e}",
-                        system.name(),
-                        query.name()
-                    ));
+                    violations.push(format!("{ctx} did not survive transient faults: {e}"));
                     continue;
                 }
             };
-            let clean = engine_for(system, table.clone())
-                .execute(&QuerySpec::benchmark(query), &ExecEnv::seed())
-                .expect("fault-free run");
-            if !served.histogram.counts_equal(&clean.histogram) {
-                violations.push(format!(
-                    "{} {} served a wrong histogram under faults",
-                    system.name(),
-                    query.name()
-                ));
+            if !got.histogram.counts_equal(&want.histogram) {
+                violations.push(format!("{ctx} served a wrong histogram under faults"));
             }
+            if got.stats.scan != want.stats.scan {
+                violations.push(format!("{ctx} billed differently under faults"));
+            }
+            reads_retried += got.stats.reads_retried;
         }
     }
-    let snap = service.stats();
+    let snap = faulty.stats();
     let counters = injector.counters();
     eprintln!(
-        "  service: {} completed, {} failed, {} retries; injector {} errors, {} recovered",
+        "  service: {} completed, {} failed, {} chunk re-reads; injector {} errors, {} recovered",
         snap.completed,
         snap.failed,
-        snap.retried,
+        reads_retried,
         counters.errors(),
         counters.recovered
     );
-    if snap.retried == 0 {
-        violations.push("service never retried — transient faults did not fire".into());
-    }
-    violations
-}
-
-/// Fault phase 3: the same transient storm against a service with
-/// **morsel recovery** on. Compiled-parallel requests must absorb every
-/// fault below the attempt boundary: zero whole-query retries, recovery
-/// counters > 0, fault-free histograms.
-fn run_service_morsel_recovery(table: &Arc<Table>) -> Vec<String> {
-    let seed = fuzz_seed();
-    let injector = Arc::new(FaultInjector::new(FaultConfig {
-        p_io: 0.15,
-        transient_attempts: 1,
-        ..FaultConfig::off(seed ^ 0x4ec0)
-    }));
-    let service = QueryService::start(
-        table.clone(),
-        ServiceConfig {
-            n_workers: 2,
-            result_cache: false,
-            morsel_recovery: true,
-            fault_injector: Some(injector.clone()),
-            ..ServiceConfig::default()
-        },
-    );
-    let mut violations = Vec::new();
-    let mut interventions = 0;
-    // Q6 is the only query the SQL frontend lowers, and Presto/Athena
-    // share the canonical template — the grid that actually reaches the
-    // compiled-parallel morsel path.
-    for &system in &[System::Presto, System::AthenaV2] {
-        for query in [hepbench_core::QueryId::Q6a, hepbench_core::QueryId::Q6b] {
-            let req = QueryRequest::new("chaos", system, query)
-                .via_compiled()
-                .with_parallel_workers(4);
-            let served = match service.execute(req) {
-                Ok(resp) => resp,
-                Err(e) => {
-                    violations.push(format!(
-                        "{} {} compiled-parallel did not recover at morsel level: {e}",
-                        system.name(),
-                        query.name()
-                    ));
-                    continue;
-                }
-            };
-            let clean = engine_for(system, table.clone())
-                .execute(&QuerySpec::benchmark(query), &ExecEnv::seed())
-                .expect("fault-free run");
-            if !served.histogram.counts_equal(&clean.histogram) {
-                violations.push(format!(
-                    "{} {} served a wrong histogram under morsel recovery",
-                    system.name(),
-                    query.name()
-                ));
-            }
-            interventions += served.stats.recovery.interventions();
-        }
-    }
-    let snap = service.stats();
-    eprintln!(
-        "  morsel recovery: {} completed, {} whole-query retries, {} morsel interventions",
-        snap.completed, snap.retried, interventions
-    );
-    // The whole point: transient faults that previously cost whole-query
-    // retries are absorbed per morsel on the compiled-parallel path.
-    if snap.retried != 0 {
+    if snap.failed != 0 {
         violations.push(format!(
-            "{} whole-query retries despite morsel recovery",
-            snap.retried
+            "{} requests failed under transient faults",
+            snap.failed
         ));
     }
-    if interventions == 0 {
-        violations.push("morsel recovery never intervened — faults not routed to morsels?".into());
+    if counters.recovered == 0 {
+        violations.push("no read recovered — transient faults did not fire".into());
     }
     violations
 }
@@ -270,7 +200,6 @@ fn main() {
         if faults || both {
             violations.extend(run_fault_sweep(&events, &table));
             violations.extend(run_service_faults(&table));
-            violations.extend(run_service_morsel_recovery(&table));
         }
         violations
     }));

@@ -177,7 +177,6 @@ fn deadline_storm(table: &Arc<nf2_columnar::Table>, n_rows: u64) -> StormReport 
             queue_depth: 64,
             result_cache: false,
             chunk_cache_bytes: 0,
-            max_retries: 0,
             fault_injector: Some(Arc::new(FaultInjector::new(FaultConfig {
                 latency: Duration::from_millis(5),
                 ..FaultConfig::only(FaultClass::Latency, 1.0, 0xDEAD)
@@ -319,7 +318,6 @@ fn overload(table: &Arc<nf2_columnar::Table>) -> Vec<String> {
             n_workers: 1,
             result_cache: false,
             chunk_cache_bytes: 0,
-            max_retries: 0,
             fault_injector: Some(Arc::new(FaultInjector::new(FaultConfig {
                 transient_attempts: 0,
                 ..FaultConfig::only(FaultClass::Io, 1.0, 0xB0B0)

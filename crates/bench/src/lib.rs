@@ -5,7 +5,7 @@
 //! `BENCHMARK.json` (seeded workloads, bounded metrics, alternating
 //! parent/change pairs).
 //!
-//! * **CI invariant gates** (`fuzz_diff`, `recovery_sweep`, `serve_smoke`,
+//! * **CI invariant gates** (`fuzz_diff`, `serve_smoke`,
 //!   `serve_scale --check`, `fig2_scaling --check`, `fig4b_pruning --check`,
 //!   `trace_gate`): each hands a body returning its violated invariants to
 //!   [`run_gate`], which owns the watchdog, the `FAIL:`/`OK:` lines and the

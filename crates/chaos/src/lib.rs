@@ -9,8 +9,8 @@
 //! **fault-injection sweep** that re-runs plans under every
 //! [`FaultClass`] and asserts the only two acceptable outcomes:
 //!
-//! * the exact oracle histogram (possibly after bounded retries of a
-//!   transient fault), or
+//! * the exact oracle histogram (a transient fault is re-read in place
+//!   by the scan, so one run suffices), or
 //! * a typed [`nf2_columnar::ScanError`] carrying table, row group and
 //!   leaf context.
 //!
@@ -22,12 +22,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use hep_model::Event;
-use hepbench_core::adapters::{AdapterError, ExecEnv};
+use hepbench_core::adapters::{AdapterError, EngineRun, ExecEnv};
 use hepbench_core::fuzzplan::{
     CountPred, ElemPred, FillSource, FuzzPlan, ScalarPred, ALL_CMPS, ALL_JET_FIELDS,
     ALL_SCALAR_LEAVES,
 };
-use nf2_columnar::{FaultClass, FaultConfig, FaultInjector, Table};
+use nf2_columnar::{FaultClass, FaultConfig, FaultInjector, ScanStats, Table};
 use physics::{HistSpec, Histogram};
 
 /// Tiny seeded generator (splitmix64 core) so the crate needs no RNG
@@ -207,13 +207,14 @@ impl EngineUnderTest {
         }
     }
 
-    /// Executes `plan` on this engine in `env`.
+    /// Executes `plan` on this engine in `env`. The bare compiled
+    /// executors have no scan layer: their runs carry all-zero stats.
     pub fn run(
         &self,
         plan: &FuzzPlan,
         table: &Arc<Table>,
         env: &ExecEnv,
-    ) -> Result<Histogram, AdapterError> {
+    ) -> Result<EngineRun, AdapterError> {
         match self {
             EngineUnderTest::BigQuery => plan.run_sql(engine_sql::Dialect::bigquery(), table, env),
             EngineUnderTest::Presto => plan.run_sql(engine_sql::Dialect::presto(), table, env),
@@ -263,7 +264,7 @@ pub fn differential_fuzz(
         report.plans += 1;
         for engine in ALL_ENGINES {
             report.checks += 1;
-            match engine.run(&plan, table, &env) {
+            match engine.run(&plan, table, &env).map(|r| r.histogram) {
                 Ok(h) if h.counts_equal(&oracle) => {}
                 Ok(h) => report.divergences.push(format!(
                     "{} {}: histogram diverged from oracle \
@@ -314,8 +315,8 @@ pub fn pruning_differential_fuzz(
         report.plans += 1;
         for engine in ALL_ENGINES {
             report.checks += 1;
-            let off = engine.run(&plan, table, &env_off);
-            let on = engine.run(&plan, table, &env_on);
+            let off = engine.run(&plan, table, &env_off).map(|r| r.histogram);
+            let on = engine.run(&plan, table, &env_on).map(|r| r.histogram);
             match (off, on) {
                 (Ok(a), Ok(b)) => {
                     if !a.counts_equal(&oracle) {
@@ -366,15 +367,15 @@ pub struct FaultReport {
     pub class: FaultClass,
     /// Engine runs performed under this class.
     pub runs: usize,
-    /// Runs that returned the exact oracle histogram (directly, or after
-    /// transient-fault retries).
+    /// Runs that returned the exact oracle histogram.
     pub clean_results: usize,
     /// Runs that surfaced a typed, context-carrying scan error.
     pub typed_errors: usize,
-    /// Retries performed against transient faults.
-    pub retries: usize,
+    /// Chunk reads the scans retried after a transient fault (the sum of
+    /// `ExecStats::reads_retried`).
+    pub retries: u64,
     /// Contract violations (wrong histogram, untyped/wrong-class error,
-    /// retry budget exhausted). Empty ⇒ pass.
+    /// a transient run that failed or billed differently). Empty ⇒ pass.
     pub violations: Vec<String>,
 }
 
@@ -389,13 +390,6 @@ impl FaultReport {
 /// class fires on multi-group tables, low enough that most runs finish.
 pub const SWEEP_FAULT_P: f64 = 0.05;
 
-/// Retry budget of the sweep's transient phase, mirroring the
-/// query-service retry loop. Each retry burns exactly one faulting chunk
-/// (the scan aborts at the first fault), so the budget must exceed the
-/// number of faulted chunks in the widest projection — JSONiq scans every
-/// leaf, ~`0.05 × groups × leaves` faults on the default dataset.
-pub const SWEEP_MAX_RETRIES: usize = 64;
-
 /// Runs `n_plans` seeded plans on every engine under every fault class,
 /// in two phases per class:
 ///
@@ -403,8 +397,10 @@ pub const SWEEP_MAX_RETRIES: usize = 64;
 ///   either the exact oracle histogram (no chunk of its projection
 ///   faulted) or a typed [`nf2_columnar::ScanError`] of the injected
 ///   class — never a wrong histogram;
-/// * **transient** (`transient_attempts = 1`) with bounded retries: the
-///   engine must converge to the exact oracle histogram.
+/// * **transient** (`transient_attempts = 1`): one run must return the
+///   exact oracle histogram **and** the fault-free run's `ScanStats` —
+///   the scan re-reads each faulted chunk in place, and re-reads bill
+///   nothing.
 ///
 /// Latency faults must never produce an error in either phase.
 pub fn fault_sweep(
@@ -414,6 +410,20 @@ pub fn fault_sweep(
     table: &Arc<Table>,
 ) -> Vec<FaultReport> {
     let plans = generate_plans(seed, n_plans);
+    // The fault-free stats of every (plan, engine): what a transient run
+    // must bill.
+    let baselines: Vec<Vec<Option<ScanStats>>> = plans
+        .iter()
+        .map(|plan| {
+            ALL_ENGINES
+                .iter()
+                .map(|engine| {
+                    let run = engine.run(plan, table, &ExecEnv::seed());
+                    run.ok().map(|r| r.stats.scan)
+                })
+                .collect()
+        })
+        .collect();
     SWEPT_FAULTS
         .iter()
         .map(|&class| {
@@ -425,11 +435,15 @@ pub fn fault_sweep(
                 retries: 0,
                 violations: Vec::new(),
             };
-            for plan in &plans {
+            for (plan, baseline) in plans.iter().zip(&baselines) {
                 let oracle = plan.reference(events);
-                for engine in ALL_ENGINES {
+                for (engine, clean) in ALL_ENGINES.iter().zip(baseline) {
                     persistent_phase(&mut report, class, seed, plan, &oracle, engine, table);
-                    transient_phase(&mut report, class, seed, plan, &oracle, engine, table);
+                    let want = Want {
+                        histogram: &oracle,
+                        scan: clean.as_ref(),
+                    };
+                    transient_phase(&mut report, class, seed, plan, want, engine, table);
                 }
             }
             report
@@ -456,7 +470,7 @@ fn persistent_phase(
     };
     report.runs += 1;
     match engine.run(plan, table, &env) {
-        Ok(h) if h.counts_equal(oracle) => report.clean_results += 1,
+        Ok(r) if r.histogram.counts_equal(oracle) => report.clean_results += 1,
         Ok(_) => report.violations.push(format!(
             "{} {} persistent {}: WRONG histogram instead of typed error",
             plan.label(),
@@ -481,13 +495,23 @@ fn persistent_phase(
     }
 }
 
-/// Transient faults + bounded retry: must converge to the oracle.
+/// What a transient run must return: the oracle histogram and the
+/// fault-free run's scan stats (`None` when the fault-free run failed,
+/// which the differential phase reports).
+#[derive(Clone, Copy)]
+struct Want<'a> {
+    histogram: &'a Histogram,
+    scan: Option<&'a ScanStats>,
+}
+
+/// Transient faults: one run must return the oracle histogram and bill
+/// exactly the fault-free bytes.
 fn transient_phase(
     report: &mut FaultReport,
     class: FaultClass,
     seed: u64,
     plan: &FuzzPlan,
-    oracle: &Histogram,
+    want: Want<'_>,
     engine: &EngineUnderTest,
     table: &Arc<Table>,
 ) {
@@ -499,32 +523,33 @@ fn transient_phase(
         ..ExecEnv::seed()
     };
     report.runs += 1;
-    for attempt in 0..=SWEEP_MAX_RETRIES {
-        match engine.run(plan, table, &env) {
-            Ok(h) if h.counts_equal(oracle) => {
-                report.clean_results += 1;
-                return;
-            }
-            Ok(_) => {
-                report.violations.push(format!(
-                    "{} {} transient {}: WRONG histogram after {attempt} retries",
-                    plan.label(),
-                    engine.name(),
-                    class.name()
-                ));
-                return;
-            }
-            Err(e) if e.retryable() && attempt < SWEEP_MAX_RETRIES => report.retries += 1,
-            Err(e) => {
-                report.violations.push(format!(
-                    "{} {} transient {}: did not converge after {attempt} retries: {e}",
-                    plan.label(),
-                    engine.name(),
-                    class.name()
-                ));
-                return;
-            }
+    let ctx = || {
+        format!(
+            "{} {} transient {}",
+            plan.label(),
+            engine.name(),
+            class.name()
+        )
+    };
+    match engine.run(plan, table, &env) {
+        Ok(r) if !r.histogram.counts_equal(want.histogram) => {
+            report
+                .violations
+                .push(format!("{}: WRONG histogram", ctx()));
         }
+        Ok(r) if want.scan.is_some_and(|s| *s != r.stats.scan) => {
+            report.violations.push(format!(
+                "{}: ScanStats differ from the fault-free run (re-reads billed?)",
+                ctx()
+            ));
+        }
+        Ok(r) => {
+            report.clean_results += 1;
+            report.retries += r.stats.reads_retried;
+        }
+        Err(e) => report
+            .violations
+            .push(format!("{}: failed in one run: {e}", ctx())),
     }
 }
 
@@ -539,8 +564,8 @@ pub struct CancelReport {
     /// Runs that finished before their cancel point with the exact
     /// oracle histogram.
     pub clean_results: usize,
-    /// Contract violations (wrong histogram, untyped error, retryable
-    /// cancellation, inconsistent buffer pool). Empty ⇒ pass.
+    /// Contract violations (wrong histogram, untyped error, inconsistent
+    /// buffer pool). Empty ⇒ pass.
     pub violations: Vec<String>,
 }
 
@@ -621,7 +646,7 @@ pub fn cancellation_sweep(
                     cancel.cancel();
                 })
             });
-            let outcome = engine.run(plan, table, &env);
+            let outcome = engine.run(plan, table, &env).map(|r| r.histogram);
             if let Some(h) = canceller {
                 h.join().expect("canceller thread");
             }
@@ -642,13 +667,6 @@ pub fn cancellation_sweep(
                                 engine.name(),
                                 c.rows_processed,
                                 events.len()
-                            ));
-                        }
-                        if e.retryable() {
-                            report.violations.push(format!(
-                                "{} {}: cancellation must never be retryable",
-                                plan.label(),
-                                engine.name()
                             ));
                         }
                     }
@@ -684,7 +702,7 @@ pub fn cancellation_sweep(
     for plan in plans.iter().take(3) {
         let oracle = plan.reference(events);
         for engine in ALL_ENGINES {
-            match engine.run(plan, table, &env) {
+            match engine.run(plan, table, &env).map(|r| r.histogram) {
                 Ok(h) if h.counts_equal(&oracle) => {}
                 Ok(_) => report.violations.push(format!(
                     "{} {}: post-cancellation rerun diverged (pool corrupt?)",
@@ -700,341 +718,6 @@ pub fn cancellation_sweep(
         }
     }
     report
-}
-
-/// Outcome of the morsel-recovery sweep.
-#[derive(Debug)]
-pub struct RecoveryReport {
-    /// Executor runs performed (plans × schedules × workers, plus the
-    /// engine-level conservation probes).
-    pub runs: usize,
-    /// Runs that converged to the byte-identical serial oracle.
-    pub clean_results: usize,
-    /// Persistent-fault runs that failed fast with the right typed error.
-    pub typed_errors: usize,
-    /// Total recovery interventions observed (retries and quarantines).
-    /// Zero means the injector never fired — a dead sweep.
-    pub interventions: u64,
-    /// Contract violations. Empty ⇒ pass.
-    pub violations: Vec<String>,
-}
-
-impl RecoveryReport {
-    /// Whether every run met the recovery contract.
-    pub fn passed(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
-
-/// Worker counts the recovery sweep exercises (1 covers the serial
-/// recovering case, 8 oversubscribes the default fuzz dataset's row
-/// groups).
-pub const RECOVERY_SWEEP_WORKERS: &[usize] = &[1, 2, 4, 8];
-
-/// What a recovery schedule must end in.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum RecoveryOutcome {
-    /// Byte-identical oracle bins despite the injected faults.
-    Recovers,
-    /// A typed scan fault of the injected class after bounded retries.
-    FailsTypedFault,
-    /// A typed [`physical_ir::PirError::MorselPanic`].
-    FailsMorselPanic,
-}
-
-/// One adversarial fault schedule of the recovery sweep.
-struct RecoverySchedule {
-    name: &'static str,
-    class: FaultClass,
-    p: f64,
-    transient_attempts: u32,
-    expect: RecoveryOutcome,
-}
-
-/// The sweep's schedules: every retryable class transient, panics as
-/// poison pills (quarantine in place), and persistent faults that must
-/// fail fast with typed errors. Transient probabilities stay below
-/// saturation: morsel probes fail fast (one leaf per attempt), so a
-/// morsel's faulting-leaf count must not exceed the retry budget.
-const RECOVERY_SCHEDULES: &[RecoverySchedule] = &[
-    RecoverySchedule {
-        name: "transient-io",
-        class: FaultClass::Io,
-        p: 0.35,
-        transient_attempts: 1,
-        expect: RecoveryOutcome::Recovers,
-    },
-    RecoverySchedule {
-        name: "transient-checksum",
-        class: FaultClass::ChecksumMismatch,
-        p: 0.35,
-        transient_attempts: 1,
-        expect: RecoveryOutcome::Recovers,
-    },
-    RecoverySchedule {
-        name: "transient-truncated",
-        class: FaultClass::TruncatedRowGroup,
-        p: 0.35,
-        transient_attempts: 1,
-        expect: RecoveryOutcome::Recovers,
-    },
-    RecoverySchedule {
-        name: "poison-pill",
-        class: FaultClass::Panic,
-        p: 0.2,
-        transient_attempts: 1,
-        expect: RecoveryOutcome::Recovers,
-    },
-    RecoverySchedule {
-        name: "persistent-io",
-        class: FaultClass::Io,
-        p: 1.0,
-        transient_attempts: 0,
-        expect: RecoveryOutcome::FailsTypedFault,
-    },
-    RecoverySchedule {
-        name: "persistent-panic",
-        class: FaultClass::Panic,
-        p: 1.0,
-        transient_attempts: 0,
-        expect: RecoveryOutcome::FailsMorselPanic,
-    },
-];
-
-/// Morsel-level fault-recovery sweep over the parallel compiled
-/// executor: every seeded plan runs under every adversarial fault
-/// schedule at every [`RECOVERY_SWEEP_WORKERS`] count, against a fresh
-/// deterministic injector per run.
-///
-/// Gates, per recovering run:
-///
-/// * **byte identity** — the merged bin sequence equals the serial
-///   interpreter-free oracle ([`physical_ir::execute`]) exactly;
-/// * **conservation** — every row and every morsel is accounted exactly
-///   once (`rows`/`morsels`/`recovery.ok` match the table), and no
-///   group yielded a duplicate partial (`recovery.ok == morsels`: no
-///   double counting from retries or quarantine re-runs);
-/// * **fail-fast typing** — persistent schedules surface the injected
-///   class as a typed [`nf2_columnar::ScanError`] (or
-///   [`physical_ir::PirError::MorselPanic`] for persistent panics),
-///   never a wrong histogram.
-///
-/// A final engine-level probe runs Q6 through the SQL engine's compiled
-/// deployment with morsel recovery on and asserts `ScanStats` — and
-/// therefore billing — is byte-identical to the fault-free run: the
-/// injector moves to the morsel surface, the billing pre-pass stays
-/// fault-free, so no recovered or re-executed morsel can be
-/// double-billed.
-pub fn recovery_sweep(
-    seed: u64,
-    n_plans: usize,
-    _events: &[Event],
-    table: &Arc<Table>,
-) -> RecoveryReport {
-    let plans = generate_plans(seed, n_plans);
-    let mut report = RecoveryReport {
-        runs: 0,
-        clean_results: 0,
-        typed_errors: 0,
-        interventions: 0,
-        violations: Vec::new(),
-    };
-    let trace = obs::TraceCtx::disabled();
-    let cancel = obs::CancelToken::none();
-    let n_groups = table.row_groups().len() as u64;
-    let total_rows: u64 = table.row_groups().iter().map(|g| g.n_rows() as u64).sum();
-    for plan in &plans {
-        let phys = plan.physical();
-        let oracle = match physical_ir::execute(&phys, table, None, &trace, &cancel) {
-            Ok(bins) => bins,
-            Err(e) => {
-                report.violations.push(format!(
-                    "{}: fault-free serial oracle failed: {e}",
-                    plan.label()
-                ));
-                continue;
-            }
-        };
-        for (s_idx, schedule) in RECOVERY_SCHEDULES.iter().enumerate() {
-            for &workers in RECOVERY_SWEEP_WORKERS {
-                report.runs += 1;
-                // A per-case fault seed: every case faults different sites.
-                let case = plan.id ^ (s_idx as u64) << 8 ^ (workers as u64) << 16;
-                let fault_seed = seed ^ ChaosRng::new(case).next_u64();
-                run_recovery_case(
-                    &mut report,
-                    schedule,
-                    plan,
-                    &phys,
-                    &oracle,
-                    table,
-                    workers,
-                    fault_seed,
-                    n_groups,
-                    total_rows,
-                );
-            }
-        }
-    }
-    engine_conservation_probe(&mut report, seed, table);
-    report
-}
-
-/// One (plan × schedule × workers) recovery run.
-#[allow(clippy::too_many_arguments)]
-fn run_recovery_case(
-    report: &mut RecoveryReport,
-    schedule: &RecoverySchedule,
-    plan: &FuzzPlan,
-    phys: &physical_ir::PhysPlan,
-    oracle: &[i64],
-    table: &Arc<Table>,
-    workers: usize,
-    fault_seed: u64,
-    n_groups: u64,
-    total_rows: u64,
-) {
-    let ctx = || format!("{} {} x{workers}", plan.label(), schedule.name);
-    // A fresh injector per run: transient sites heal statefully, so a
-    // shared one would let earlier runs defuse later schedules.
-    let injector = FaultInjector::new(FaultConfig {
-        transient_attempts: schedule.transient_attempts,
-        ..FaultConfig::only(schedule.class, schedule.p, fault_seed)
-    });
-    let faults = nf2_columnar::ScanFaults::new(&injector, table);
-    let opts = exec_par::ParOptions {
-        workers,
-        // Each attempt fails fast on the first faulting leaf, so the
-        // budget must cover a morsel's faulting-leaf count: the sweep's
-        // widest plans read more leaves than the engines' default of 3.
-        recovery: Some(exec_par::RecoveryOptions { max_retries: 16 }),
-    };
-    let outcome = exec_par::execute_with_faults(
-        phys,
-        table,
-        None,
-        &obs::TraceCtx::disabled(),
-        &obs::CancelToken::none(),
-        None,
-        &opts,
-        Some(faults),
-    );
-    match (schedule.expect, outcome) {
-        (RecoveryOutcome::Recovers, Ok((bins, stats))) => {
-            report.interventions += stats.recovery.interventions();
-            if stats.recovery.ok != stats.morsels {
-                report.violations.push(format!(
-                    "{}: {} duplicate partials reached the exchange",
-                    ctx(),
-                    stats.recovery.ok.abs_diff(stats.morsels)
-                ));
-            } else if bins != oracle {
-                report
-                    .violations
-                    .push(format!("{}: bins diverged from the serial oracle", ctx()));
-            } else if stats.rows != total_rows
-                || stats.morsels != n_groups
-                || stats.recovery.ok != n_groups
-            {
-                report.violations.push(format!(
-                    "{}: conservation broken: rows {}/{total_rows}, morsels {}/{n_groups}, ok {}/{n_groups}",
-                    ctx(),
-                    stats.rows,
-                    stats.morsels,
-                    stats.recovery.ok
-                ));
-            } else {
-                report.clean_results += 1;
-            }
-        }
-        (RecoveryOutcome::Recovers, Err(e)) => report.violations.push(format!(
-            "{}: did not recover from a transient schedule: {e}",
-            ctx()
-        )),
-        (
-            RecoveryOutcome::FailsTypedFault,
-            Err(physical_ir::PirError::Columnar(nf2_columnar::ColumnarError::Fault(s))),
-        ) if s.class == schedule.class => report.typed_errors += 1,
-        (RecoveryOutcome::FailsMorselPanic, Err(physical_ir::PirError::MorselPanic { .. })) => {
-            report.typed_errors += 1
-        }
-        (RecoveryOutcome::FailsTypedFault | RecoveryOutcome::FailsMorselPanic, Err(e)) => {
-            report.violations.push(format!(
-                "{}: wrong error type for a persistent fault: {e}",
-                ctx()
-            ))
-        }
-        (RecoveryOutcome::FailsTypedFault | RecoveryOutcome::FailsMorselPanic, Ok(_)) => report
-            .violations
-            .push(format!("{}: a persistent fault produced a result", ctx())),
-    }
-}
-
-/// Engine-level conservation: Q6 on the SQL engine's compiled deployment
-/// with morsel recovery on and a transient injector. The served
-/// histogram and — critically — the billed `ScanStats` must be
-/// byte-identical to the fault-free run, and the recovery counters must
-/// show the morsel surface actually fired.
-fn engine_conservation_probe(report: &mut RecoveryReport, seed: u64, table: &Arc<Table>) {
-    use hepbench_core::engine_api::{engine_for_compiled, QuerySpec};
-    use hepbench_core::runner::System;
-    use hepbench_core::QueryId;
-    let engine = engine_for_compiled(System::Presto, table.clone());
-    let recovering = ExecEnv {
-        parallel_workers: Some(4),
-        morsel_recovery: Some(true),
-        ..ExecEnv::seed()
-    };
-    for q in [QueryId::Q6a, QueryId::Q6b] {
-        report.runs += 1;
-        let spec = QuerySpec::benchmark(q);
-        let clean = match engine.execute(&spec, &recovering) {
-            Ok(run) => run,
-            Err(e) => {
-                report
-                    .violations
-                    .push(format!("{} fault-free engine run failed: {e}", q.name()));
-                continue;
-            }
-        };
-        let env = ExecEnv {
-            fault_injector: Some(Arc::new(FaultInjector::new(FaultConfig {
-                transient_attempts: 1,
-                ..FaultConfig::only(FaultClass::Io, 0.3, seed ^ 0xB111)
-            }))),
-            ..recovering.clone()
-        };
-        match engine.execute(&spec, &env) {
-            Ok(run) => {
-                if !run.histogram.counts_equal(&clean.histogram) {
-                    report.violations.push(format!(
-                        "{}: histogram diverged under recovered morsel faults",
-                        q.name()
-                    ));
-                } else if run.stats.scan != clean.stats.scan {
-                    report.violations.push(format!(
-                        "{}: ScanStats not conserved under morsel recovery (double billing?): \
-                         faulted {:?} != clean {:?}",
-                        q.name(),
-                        run.stats.scan,
-                        clean.stats.scan
-                    ));
-                } else if run.stats.recovery.interventions() == 0 {
-                    report.violations.push(format!(
-                        "{}: injector attached but no morsel intervention recorded",
-                        q.name()
-                    ));
-                } else {
-                    report.clean_results += 1;
-                    report.interventions += run.stats.recovery.interventions();
-                }
-            }
-            Err(e) => report.violations.push(format!(
-                "{}: compiled engine did not recover from transient faults: {e}",
-                q.name()
-            )),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1082,29 +765,11 @@ mod tests {
             assert!(r.passed(), "{:?}: {:#?}", r.class, r.violations);
             assert_eq!(r.clean_results + r.typed_errors, r.runs);
         }
-        // The error classes must actually have fired somewhere.
-        let errors: usize = reports
-            .iter()
-            .filter(|r| r.class != FaultClass::Latency)
-            .map(|r| r.typed_errors + r.retries)
-            .sum();
-        assert!(errors > 0, "sweep never injected an error fault");
-    }
-
-    #[test]
-    fn small_recovery_sweep_is_byte_identical_and_conserving() {
-        let (events, table) = dataset();
-        let report = recovery_sweep(0x09EC_04E9, 2, &events, &table);
-        assert!(report.passed(), "{:#?}", report.violations);
-        // 2 plans × 6 schedules × 4 worker counts, plus the two
-        // engine-level conservation probes.
-        assert_eq!(report.runs, 2 * RECOVERY_SCHEDULES.len() * 4 + 2);
-        assert_eq!(report.clean_results + report.typed_errors, report.runs);
-        assert!(
-            report.interventions > 0,
-            "sweep never recovered anything — dead injector?"
-        );
-        assert!(report.typed_errors > 0, "persistent schedules never fired");
+        // The error classes must actually have fired somewhere, and the
+        // transient runs must have re-read chunks to converge.
+        let errors = reports.iter().filter(|r| r.class != FaultClass::Latency);
+        assert!(errors.clone().any(|r| r.typed_errors > 0), "no typed error");
+        assert!(errors.clone().all(|r| r.retries > 0), "no chunk re-read");
     }
 
     #[test]

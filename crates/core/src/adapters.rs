@@ -25,14 +25,14 @@ pub struct AdapterError {
     pub query: String,
     /// The underlying engine error, formatted.
     pub message: String,
-    /// The typed scan fault when the failure was an injected fault;
-    /// `None` for ordinary engine errors. The service retry path keys
-    /// off this.
+    /// The typed scan fault when the failure was an injected fault that
+    /// the scan's in-place re-reads could not absorb; `None` for ordinary
+    /// engine errors.
     pub scan: Option<Box<ScanError>>,
     /// The typed cancellation payload when the run was stopped by a
     /// tripped [`obs::CancelToken`] (expired deadline or explicit
-    /// cancel); `None` for every other failure. Never retryable, and
-    /// never billed: the error path computes no cost.
+    /// cancel); `None` for every other failure. Never billed: the error
+    /// path computes no cost.
     pub cancelled: Option<Box<obs::Cancelled>>,
 }
 
@@ -57,8 +57,8 @@ impl AdapterError {
     /// Builds an error from any engine's error type, propagating its
     /// typed scan fault and cancellation payload. This is the single
     /// bridge every engine adapter uses — a new engine only implements
-    /// [`EngineError`] and gets scan-fault propagation (and thus
-    /// service-side retries) and typed cancellation for free.
+    /// [`EngineError`] and gets scan-fault propagation and typed
+    /// cancellation for free.
     pub fn from_engine(
         system: impl Into<String>,
         query: impl Into<String>,
@@ -67,12 +67,6 @@ impl AdapterError {
         let mut err = AdapterError::new(system, query, e, e.scan_error());
         err.cancelled = e.cancel_error().copied().map(Box::new);
         err
-    }
-
-    /// Whether the service retry path should re-run the query. A
-    /// cancelled run is never retryable: the token stays tripped.
-    pub fn retryable(&self) -> bool {
-        self.cancelled.is_none() && self.scan.as_ref().is_some_and(|s| s.retryable())
     }
 }
 
@@ -115,7 +109,7 @@ impl EngineError for physical_ir::PirError {
     fn scan_error(&self) -> Option<&ScanError> {
         match self {
             physical_ir::PirError::Columnar(e) => e.scan_error(),
-            physical_ir::PirError::Cancelled(_) | physical_ir::PirError::MorselPanic { .. } => None,
+            physical_ir::PirError::Cancelled(_) => None,
         }
     }
 
@@ -123,7 +117,6 @@ impl EngineError for physical_ir::PirError {
         match self {
             physical_ir::PirError::Cancelled(c) => Some(c),
             physical_ir::PirError::Columnar(e) => e.cancelled(),
-            physical_ir::PirError::MorselPanic { .. } => None,
         }
     }
 }

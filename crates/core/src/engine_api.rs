@@ -124,8 +124,8 @@ impl QueryEngine for Deployment {
             q.name(),
         );
         root.finish();
-        // On failure the spans stay in `env.trace` for the caller (e.g.
-        // the service retry path) to drain alongside later attempts.
+        // On failure the spans stay in `env.trace` for the caller to
+        // drain.
         let mut run = result?;
         run.trace = env.trace.take_tree();
         Ok(run)
@@ -303,7 +303,6 @@ mod tests {
                 system.name(),
                 c.rows_processed
             );
-            assert!(!err.retryable(), "{}: cancellation retried", system.name());
         }
     }
 

@@ -28,7 +28,7 @@ use hep_model::{Event, Jet};
 use nf2_columnar::{SelCmp, SelValue, Table};
 use physics::{HistSpec, Histogram};
 
-use crate::adapters::{run_frontend, AdapterError, ExecEnv, ExecOptions, Frontend};
+use crate::adapters::{run_frontend, AdapterError, EngineRun, ExecEnv, ExecOptions, Frontend};
 use crate::queries::{bq_binof_call, flit, jq_bin_call, jq_bin_fn, presto_hist_tail, Language};
 
 /// A per-event scalar leaf (non-repeated) of the CMS schema.
@@ -625,7 +625,7 @@ impl FuzzPlan {
         dialect: Dialect,
         table: &Arc<Table>,
         env: &ExecEnv,
-    ) -> Result<Histogram, AdapterError> {
+    ) -> Result<EngineRun, AdapterError> {
         let lang = match dialect.name {
             engine_sql::DialectName::BigQuery => Language::BigQuery,
             engine_sql::DialectName::Presto => Language::Presto,
@@ -635,13 +635,13 @@ impl FuzzPlan {
     }
 
     /// Executes the plan on the JSONiq engine in an [`ExecEnv`].
-    pub fn run_jsoniq(&self, table: &Arc<Table>, env: &ExecEnv) -> Result<Histogram, AdapterError> {
+    pub fn run_jsoniq(&self, table: &Arc<Table>, env: &ExecEnv) -> Result<EngineRun, AdapterError> {
         let frontend = || Frontend::Jsoniq(self.jsoniq());
         self.run(frontend, Language::Jsoniq, table, env)
     }
 
     /// Executes the plan on the RDataFrame engine in an [`ExecEnv`].
-    pub fn run_rdf(&self, table: &Arc<Table>, env: &ExecEnv) -> Result<Histogram, AdapterError> {
+    pub fn run_rdf(&self, table: &Arc<Table>, env: &ExecEnv) -> Result<EngineRun, AdapterError> {
         let frontend = || Frontend::Rdf(Box::new(self.rdf(table.clone(), ExecOptions::default())));
         self.run(frontend, Language::RDataFrame, table, env)
     }
@@ -653,31 +653,27 @@ impl FuzzPlan {
         lang: Language,
         table: &Arc<Table>,
         env: &ExecEnv,
-    ) -> Result<Histogram, AdapterError> {
+    ) -> Result<EngineRun, AdapterError> {
         let (options, label) = (ExecOptions::default(), self.label());
         let (system, spec) = (lang.name(), self.spec);
-        let run = run_frontend(frontend, table, options, env, spec, system, &label)?;
-        Ok(run.histogram)
+        run_frontend(frontend, table, options, env, spec, system, &label)
     }
 
     /// Executes the plan on the compiled physical-IR executor in an
     /// [`ExecEnv`]. The executor reads decoded chunks directly (scan
     /// accounting and the chunk-level fault path are engine concerns),
-    /// so only the environment's trace and cancel token apply.
+    /// so only the environment's trace and cancel token apply, and the
+    /// run's [`EngineRun::stats`] are all zero.
     pub fn run_compiled(
         &self,
         table: &Arc<Table>,
         env: &ExecEnv,
-    ) -> Result<Histogram, AdapterError> {
+    ) -> Result<EngineRun, AdapterError> {
         let plan = self.physical();
         let skip = compiled_skip_mask(&plan, table, env);
         let bins = physical_ir::execute(&plan, table, skip.as_deref(), &env.trace, &env.cancel)
             .map_err(|e| AdapterError::from_engine("Compiled", self.label(), &e))?;
-        let mut histogram = Histogram::new(self.spec);
-        for b in bins {
-            histogram.add_bin_count(b, 1);
-        }
-        Ok(histogram)
+        Ok(self.bins_run(bins))
     }
 
     /// Executes the plan on the morsel-parallel compiled executor
@@ -689,7 +685,7 @@ impl FuzzPlan {
         table: &Arc<Table>,
         env: &ExecEnv,
         workers: usize,
-    ) -> Result<Histogram, AdapterError> {
+    ) -> Result<EngineRun, AdapterError> {
         let plan = self.physical();
         let skip = compiled_skip_mask(&plan, table, env);
         let (bins, _stats) = exec_par::execute(
@@ -702,11 +698,20 @@ impl FuzzPlan {
             &exec_par::ParOptions::new(workers),
         )
         .map_err(|e| AdapterError::from_engine("Compiled-parallel", self.label(), &e))?;
+        Ok(self.bins_run(bins))
+    }
+
+    /// A bare executor's bin-index sequence as a run with no scan.
+    fn bins_run(&self, bins: Vec<i64>) -> EngineRun {
         let mut histogram = Histogram::new(self.spec);
         for b in bins {
             histogram.add_bin_count(b, 1);
         }
-        Ok(histogram)
+        EngineRun {
+            histogram,
+            stats: Default::default(),
+            trace: Default::default(),
+        }
     }
 }
 
@@ -829,7 +834,8 @@ mod tests {
         for env in [ExecEnv::seed(), traced] {
             for plan in sample_plans() {
                 let oracle = plan.reference(&events);
-                let check = |engine: &str, h: Histogram| {
+                let check = |engine: &str, run: EngineRun| {
+                    let h = run.histogram;
                     let label = plan.label();
                     assert!(h.counts_equal(&oracle), "{label} {engine} diverged");
                     if env.trace.is_enabled() {
@@ -852,7 +858,7 @@ mod tests {
         }
         let env = ExecEnv::seed();
         for plan in sample_plans() {
-            let h = plan.run_compiled(&table, &env).unwrap();
+            let h = plan.run_compiled(&table, &env).unwrap().histogram;
             let label = plan.label();
             assert!(
                 h.counts_equal(&plan.reference(&events)),

@@ -102,7 +102,7 @@ impl FlworEngine {
                     scan: Default::default(),
                     threads_used: 1,
                     row_groups_skipped: 0,
-                    recovery: Default::default(),
+                    reads_retried: 0,
                 },
             });
         };
@@ -151,17 +151,16 @@ impl FlworEngine {
             cache,
             table_fingerprint: table.fingerprint(),
         });
-        let scan_faults = exec_par::scan_faults(&options, &self.env, compiled.is_some(), &table);
         let projection = Projection::all();
         let run = nf2_columnar::ScanRequest::new(&table, &projection)
             .capability(PushdownCapability::None)
             .cache(scan_cache)
-            .faults(scan_faults)
+            .faults(self.env.fault_injector.as_deref())
             .trace(trace)
             .cancel(cancel)
             .prune(prune_preds)
             .run()?;
-        let scan = run.stats;
+        let (scan, reads_retried) = (run.stats, run.reads_retried);
         let skip = run.skip.expect("prune() was supplied");
         let leaves: Vec<_> = table.schema().leaves().iter().collect();
 
@@ -178,8 +177,7 @@ impl FlworEngine {
             agg_span.finish();
             out
         };
-        let no_recovery = nf2_columnar::MorselRecovery::default();
-        let (items, cpu_seconds, threads_used, recovery) = if let Some(plan) = &compiled {
+        let (items, cpu_seconds, threads_used) = if let Some(plan) = &compiled {
             // Fused batch kernels over decoded column chunks: no row
             // materialization, no per-record interpretation (and hence no
             // simulated per-record overhead — the modeled JVM record cost
@@ -187,10 +185,10 @@ impl FlworEngine {
             // one bin index per selected event, in event order — the same
             // sequence the interpreter produces for the template.
             let t0 = Instant::now();
-            let (bins, workers, recovery) =
+            let (bins, workers) =
                 exec_par::execute_compiled(plan, &table, &skip, &options, &self.env)?;
             let out: Seq = bins.into_iter().map(Value::Int).collect();
-            (out, t0.elapsed().as_secs_f64(), workers, recovery)
+            (out, t0.elapsed().as_secs_f64(), workers)
         } else if partitionable {
             // Map-like FLWOR: evaluate the module per row group and
             // concatenate in group order, at any thread count — one
@@ -210,7 +208,7 @@ impl FlworEngine {
                 },
             )?;
             let items = out.partials.into_iter().flatten().collect();
-            (items, out.cpu_seconds, out.threads_used, no_recovery)
+            (items, out.cpu_seconds, out.threads_used)
         } else {
             // Everything else needs the whole table in one evaluation.
             let t0 = Instant::now();
@@ -233,7 +231,7 @@ impl FlworEngine {
             }
             let agg_span = trace.span(obs::Stage::Aggregate);
             let out = eval_rows(rows, agg_span)?;
-            (out, t0.elapsed().as_secs_f64(), 1, no_recovery)
+            (out, t0.elapsed().as_secs_f64(), 1)
         };
 
         Ok(FlworOutput {
@@ -244,7 +242,7 @@ impl FlworEngine {
                 threads_used,
                 row_groups_skipped: scan.groups_pruned,
                 scan,
-                recovery,
+                reads_retried,
             },
         })
     }

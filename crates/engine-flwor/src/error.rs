@@ -84,7 +84,6 @@ impl From<physical_ir::PirError> for FlworError {
         match e {
             physical_ir::PirError::Columnar(c) => FlworError::from(c),
             physical_ir::PirError::Cancelled(c) => FlworError::Cancelled(c),
-            e @ physical_ir::PirError::MorselPanic { .. } => FlworError::Dynamic(e.to_string()),
         }
     }
 }

@@ -76,7 +76,6 @@ impl From<physical_ir::PirError> for RdfError {
         match e {
             physical_ir::PirError::Columnar(c) => RdfError::from(c),
             physical_ir::PirError::Cancelled(c) => RdfError::from(c),
-            e @ physical_ir::PirError::MorselPanic { .. } => RdfError::Exec(e.to_string()),
         }
     }
 }

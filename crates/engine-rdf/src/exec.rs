@@ -139,21 +139,20 @@ pub(crate) fn run(df: &RDataFrame) -> Result<RunOutput, RdfError> {
     } else {
         &[]
     };
-    let scan_faults = exec_par::scan_faults(&options, &df.env, compiled.is_some(), table);
     let run = nf2_columnar::ScanRequest::new(table, &projection)
         .capability(PushdownCapability::IndividualLeaves)
         .cache(scan_cache)
-        .faults(scan_faults)
+        .faults(df.env.fault_injector.as_deref())
         .trace(trace)
         .cancel(cancel)
         .prune(prune_preds)
         .run()?;
-    let scan = run.stats;
+    let (scan, reads_retried) = (run.stats, run.reads_retried);
     let skip = run.skip.expect("prune() was supplied");
 
     if let Some(plan) = &compiled {
         let t0 = Instant::now();
-        let (bins, compiled_threads, morsel_rec) =
+        let (bins, compiled_threads) =
             exec_par::execute_compiled(plan, table, &skip, &options, &df.env)?;
         let mut h = Histogram::new(df.bookings[0].spec);
         for b in bins {
@@ -167,7 +166,7 @@ pub(crate) fn run(df: &RDataFrame) -> Result<RunOutput, RdfError> {
                 threads_used: compiled_threads,
                 row_groups_skipped: scan.groups_pruned,
                 scan,
-                recovery: morsel_rec,
+                reads_retried,
             },
         });
     }
@@ -304,7 +303,7 @@ pub(crate) fn run(df: &RDataFrame) -> Result<RunOutput, RdfError> {
             threads_used: out.threads_used,
             row_groups_skipped: scan.groups_pruned,
             scan,
-            recovery: Default::default(),
+            reads_retried,
         },
     })
 }

@@ -129,6 +129,7 @@ impl SqlEngine {
         plan_span.finish();
 
         let mut scan = ScanStats::default();
+        let mut reads_retried = 0;
         let mut table_projs: HashMap<String, Projection> = HashMap::new();
         // Skip-masks over row groups (zone-map pruning); execution loops
         // skip exactly the groups the scan accounting skipped.
@@ -153,19 +154,17 @@ impl SqlEngine {
                 cache,
                 table_fingerprint: table.fingerprint(),
             });
-            // A compiled plan binds to the `events` table.
-            let compiled_scan = compiled.is_some() && name == "events";
-            let scan_faults = exec_par::scan_faults(&options, &self.env, compiled_scan, table);
             let preds = prune_preds.get(name).map_or(&[][..], |v| v.as_slice());
             let run = nf2_columnar::ScanRequest::new(table, &proj)
                 .capability(self.dialect.pushdown)
                 .cache(scan_cache)
-                .faults(scan_faults)
+                .faults(self.env.fault_injector.as_deref())
                 .trace(trace)
                 .cancel(cancel)
                 .prune(preds)
                 .run()?;
             scan.merge(&run.stats);
+            reads_retried += run.reads_retried;
             masks.insert(name.clone(), run.skip.expect("prune() was supplied"));
             table_projs.insert(name.clone(), proj);
         }
@@ -179,10 +178,10 @@ impl SqlEngine {
             let skip = masks.get("events")?;
             Some((p, table, skip))
         });
-        let (relation, cpu_seconds, threads_used, morsel_rec) =
+        let (relation, cpu_seconds, threads_used) =
             if let Some((cplan, table, skip)) = compiled_exec {
                 let t0 = Instant::now();
-                let (bins, compiled_threads, recovery) =
+                let (bins, compiled_threads) =
                     exec_par::execute_compiled(cplan, table, skip, &options, &self.env)?;
                 // The trivial final count, matching the binning tail's output
                 // contract: two columns (bin, n), one row per non-empty bin.
@@ -198,9 +197,9 @@ impl SqlEngine {
                         .map(|(b, n)| vec![Value::Int(b), Value::Int(n)])
                         .collect(),
                 };
-                (rel, t0.elapsed().as_secs_f64(), compiled_threads, recovery)
+                (rel, t0.elapsed().as_secs_f64(), compiled_threads)
             } else {
-                let (rel, cpu_seconds, threads) = match (&merge_spec, table_projs.len()) {
+                match (&merge_spec, table_projs.len()) {
                     (Some(spec), 1) => {
                         self.run_parallel(&script, &udfs, &table_projs, &masks, filter_preds, spec)?
                     }
@@ -210,13 +209,7 @@ impl SqlEngine {
                             self.run_serial(&script, &udfs, &table_projs, &masks, filter_preds)?;
                         (rel, t0.elapsed().as_secs_f64(), 1)
                     }
-                };
-                (
-                    rel,
-                    cpu_seconds,
-                    threads,
-                    nf2_columnar::MorselRecovery::default(),
-                )
+                }
             };
 
         Ok(QueryOutput {
@@ -227,7 +220,7 @@ impl SqlEngine {
                 scan,
                 threads_used,
                 row_groups_skipped: skipped_groups,
-                recovery: morsel_rec,
+                reads_retried,
             },
         })
     }

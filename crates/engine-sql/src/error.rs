@@ -101,7 +101,6 @@ impl From<physical_ir::PirError> for SqlError {
         match e {
             physical_ir::PirError::Columnar(c) => SqlError::from(c),
             physical_ir::PirError::Cancelled(c) => SqlError::Cancelled(c),
-            e @ physical_ir::PirError::MorselPanic { .. } => SqlError::Eval(e.to_string()),
         }
     }
 }

@@ -5,8 +5,7 @@ use std::sync::Arc;
 
 use nf2_columnar::{ChunkCache, FaultInjector};
 
-/// How an engine executes a query. Every knob changes speed or failure
-/// handling only: results are byte-identical at every setting, and scan
+/// How an engine executes a query. Every knob changes speed only: results are byte-identical at every setting, and scan
 /// accounting (and hence billing) depends on none of them except
 /// `zone_map_pruning`, whose skipped bytes are billed separately as
 /// `ScanStats::bytes_pruned`.
@@ -16,7 +15,7 @@ pub struct ExecOptions {
     /// ([`crate::for_each_group_ordered`]); `0` means all cores.
     pub n_threads: usize,
     /// Morsel workers for compiled plans: `> 1` runs them through
-    /// [`crate::execute_with_faults`] with this many workers; `0` and `1`
+    /// [`crate::execute`] with this many workers; `0` and `1`
     /// keep the serial compiled executor. Ignored when a query does not
     /// lower to a compiled plan.
     pub parallel_workers: usize,
@@ -32,12 +31,6 @@ pub struct ExecOptions {
     /// match) as fused kernels over the shared physical IR instead of
     /// interpreting them; everything else interprets.
     pub compile: bool,
-    /// Morsel-level fault recovery on compiled plans: a transient scan
-    /// fault is retried and a panicking kernel quarantined in place,
-    /// within a bounded budget, instead of failing the query. With it on,
-    /// the fault injector moves from the scan pre-pass to the morsels
-    /// ([`crate::scan_faults`]).
-    pub morsel_recovery: bool,
 }
 
 impl Default for ExecOptions {
@@ -48,13 +41,12 @@ impl Default for ExecOptions {
             zone_map_pruning: true,
             vectorized_filter: true,
             compile: true,
-            morsel_recovery: false,
         }
     }
 }
 
 /// Everything a caller injects into one run that is not part of the
-/// query: overrides of four [`ExecOptions`] knobs, and the run's buffer
+/// query: overrides of three [`ExecOptions`] knobs, and the run's buffer
 /// pool, fault injector, trace context and cancel token. The default
 /// overrides nothing and attaches nothing: the paper's configuration.
 #[derive(Clone, Default)]
@@ -74,11 +66,10 @@ pub struct ExecEnv {
     /// reproduces the paper's configuration, where every system reads
     /// every row group.
     pub zone_map_pruning: Option<bool>,
-    /// Overrides [`ExecOptions::morsel_recovery`].
-    pub morsel_recovery: Option<bool>,
-    /// Chaos-layer fault injector on physical chunk reads (`None`, the
-    /// default, reproduces the fault-free path byte-for-byte; see
-    /// [`nf2_columnar::fault`]).
+    /// Chaos-layer fault injector on physical chunk reads, probed by the
+    /// engines' scan pre-pass, which re-reads a transiently faulted chunk
+    /// in place (`None`, the default, reproduces the fault-free path
+    /// byte-for-byte; see [`nf2_columnar::fault`]).
     pub fault_injector: Option<Arc<FaultInjector>>,
     /// Tracing context. The default (disabled) context records nothing
     /// and costs near-zero.
@@ -105,7 +96,6 @@ impl ExecEnv {
             n_threads: self.intra_query_threads.unwrap_or(options.n_threads),
             parallel_workers: self.parallel_workers.unwrap_or(options.parallel_workers),
             zone_map_pruning: self.zone_map_pruning.unwrap_or(options.zone_map_pruning),
-            morsel_recovery: self.morsel_recovery.unwrap_or(options.morsel_recovery),
             ..options
         }
     }
@@ -124,7 +114,6 @@ mod tests {
             zone_map_pruning: false,
             vectorized_filter: false,
             compile: false,
-            morsel_recovery: true,
         }
     }
 
@@ -167,16 +156,6 @@ mod tests {
                     ..base
                 },
             ),
-            (
-                ExecEnv {
-                    morsel_recovery: Some(false),
-                    ..ExecEnv::seed()
-                },
-                ExecOptions {
-                    morsel_recovery: false,
-                    ..base
-                },
-            ),
         ];
         for (env, want) in cases {
             assert_eq!(env.resolve(base), want);
@@ -189,14 +168,12 @@ mod tests {
             intra_query_threads: Some(1),
             parallel_workers: Some(2),
             zone_map_pruning: Some(true),
-            morsel_recovery: Some(false),
             ..ExecEnv::seed()
         };
         let want = ExecOptions {
             n_threads: 1,
             parallel_workers: 2,
             zone_map_pruning: true,
-            morsel_recovery: false,
             ..deployment()
         };
         assert_eq!(env.resolve(deployment()), want);

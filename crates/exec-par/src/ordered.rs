@@ -1,5 +1,5 @@
 //! The ordered row-group fan-out behind every parallel path: compiled
-//! plans ([`crate::execute_with_faults`]), SQL partition-parallel
+//! plans ([`crate::execute`]), SQL partition-parallel
 //! aggregation, the FLWOR partition arm and the RDataFrame event loop.
 //!
 //! Workers claim row groups from one shared counter, so which worker
@@ -267,6 +267,30 @@ mod tests {
             started <= 4 + threads,
             "{started} of 64 groups started after a failure on group 3"
         );
+    }
+
+    #[test]
+    fn a_panic_in_per_group_escapes_with_its_original_payload() {
+        for n_threads in [1, 2, 8] {
+            let escaped = std::panic::catch_unwind(|| {
+                run(n_threads, &[false; 64], &CancelToken::none(), |g, _| {
+                    if g == 5 {
+                        panic!("kernel blew up on group {g}");
+                    }
+                    Ok(g)
+                })
+            });
+            let payload = escaped.expect_err("the panic must not be swallowed");
+            let msg = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied());
+            assert_eq!(
+                msg,
+                Some("kernel blew up on group 5"),
+                "n_threads={n_threads}: the original payload propagates"
+            );
+        }
     }
 
     #[test]

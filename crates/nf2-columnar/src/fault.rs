@@ -4,7 +4,7 @@
 //! arrive truncated, checksums mismatch, tail latencies spike. The paper's
 //! measurements implicitly assume none of that happens; the chaos layer
 //! makes the assumption explicit and testable. A [`FaultInjector`] is
-//! attached to a scan (via [`crate::scan::ScanFaults`]) and decides, for
+//! attached to a scan (via [`crate::ScanRequest::faults`]) and decides, for
 //! every physically read `(table fingerprint, row group, leaf)` chunk,
 //! whether that read fails — **deterministically**, as a pure function of
 //! the injector seed and the chunk coordinates, so a failing run replays
@@ -24,9 +24,10 @@
 //!
 //! **Transient vs persistent.** `transient_attempts = k > 0` means a
 //! faulting chunk fails its first `k` reads and then recovers — the model
-//! of a retryable storage hiccup, and what the `query-service` retry path
-//! exercises. `transient_attempts = 0` means the fault is persistent
-//! (media corruption): every read fails, and the only correct behaviour
+//! of a retryable storage hiccup, which the scan absorbs by re-reading the
+//! chunk in place (up to [`crate::scan::READ_RETRIES`] times).
+//! `transient_attempts = 0` means the fault is persistent (media
+//! corruption): every read fails, and the only correct behaviour
 //! is a typed error, never a wrong histogram.
 
 use std::collections::HashMap;
@@ -64,9 +65,9 @@ impl FaultClass {
         }
     }
 
-    /// Whether a retry of the same read can plausibly succeed. All
+    /// Whether a re-read of the same chunk can plausibly succeed. All
     /// injected storage faults are modeled as retryable at the error
-    /// level; whether a retry *does* succeed is governed by
+    /// level; whether a re-read *does* succeed is governed by
     /// [`FaultConfig::transient_attempts`].
     pub fn retryable(&self) -> bool {
         matches!(
@@ -91,13 +92,6 @@ pub struct ScanError {
     pub leaf: String,
     /// 1-based read attempt for this chunk (grows across retries).
     pub attempt: u32,
-}
-
-impl ScanError {
-    /// Whether the service retry path should re-run the query.
-    pub fn retryable(&self) -> bool {
-        self.class.retryable()
-    }
 }
 
 impl fmt::Display for ScanError {
@@ -406,7 +400,7 @@ mod tests {
         let l = leaf("Jet.pt");
         let e1 = inj.on_chunk_read("events", 9, 0, &l).unwrap_err();
         assert_eq!((e1.class, e1.attempt), (FaultClass::Io, 1));
-        assert!(e1.retryable());
+        assert!(e1.class.retryable());
         let e2 = inj.on_chunk_read("events", 9, 0, &l).unwrap_err();
         assert_eq!(e2.attempt, 2);
         assert!(inj.on_chunk_read("events", 9, 0, &l).is_ok(), "recovered");

@@ -3,7 +3,7 @@
 
 use crate::cache::{ChunkCache, ChunkKey};
 use crate::error::ColumnarError;
-use crate::fault::FaultInjector;
+use crate::fault::{FaultInjector, ScanError};
 use crate::project::{Projection, PushdownCapability};
 use crate::rowgroup::RowGroup;
 use crate::schema::LeafInfo;
@@ -102,52 +102,46 @@ pub struct ScanCache<'c> {
     pub table_fingerprint: u64,
 }
 
-/// A fault injector attached to a scan: the injector plus the identity of
-/// the table being scanned (the injector's decisions are keyed on the
-/// fingerprint; the name is carried for error context).
-#[derive(Clone, Copy)]
-pub struct ScanFaults<'f> {
-    /// The shared chaos-layer injector.
-    pub injector: &'f FaultInjector,
-    /// Name of the table being scanned (error context).
-    pub table_name: &'f str,
-    /// [`Table::fingerprint`] of the table being scanned.
-    pub table_fingerprint: u64,
+/// Retries a transient chunk read gets before its fault fails the scan.
+/// Counted per chunk, so a query converges in one run however many of
+/// its chunks fault: a storage read is retried below the query, as the
+/// QaaS backends do. Not an option.
+pub const READ_RETRIES: u32 = 3;
+
+/// A fault injector attached to one scan: the injector, the identity of
+/// the scanned table (the injector's decisions are keyed on the
+/// fingerprint; the name is carried for error context), and the scan
+/// span's context, under which every re-read records a
+/// [`obs::Stage::Recovery`] span.
+struct ScanFaults<'f> {
+    injector: &'f FaultInjector,
+    table_name: &'f str,
+    table_fingerprint: u64,
+    trace: obs::TraceCtx,
 }
 
-impl<'f> ScanFaults<'f> {
-    /// Attaches `injector` to scans of `table`.
-    pub fn new(injector: &'f FaultInjector, table: &'f Table) -> ScanFaults<'f> {
-        ScanFaults {
-            injector,
-            table_name: table.name(),
-            table_fingerprint: table.fingerprint(),
+impl ScanFaults<'_> {
+    /// One physical chunk read. A retryable fault
+    /// ([`crate::FaultClass::retryable`]) is re-read in place up to
+    /// [`READ_RETRIES`] times; any other fault, or one that outlives the
+    /// budget, is returned. Returns the re-reads it took.
+    fn read(&self, group: u32, leaf: &nested_value::Path) -> Result<u64, ScanError> {
+        let mut retried = 0;
+        loop {
+            let read =
+                self.injector
+                    .on_chunk_read(self.table_name, self.table_fingerprint, group, leaf);
+            match read {
+                Ok(()) => return Ok(retried),
+                Err(e) if e.class.retryable() && retried < u64::from(READ_RETRIES) => {
+                    retried += 1;
+                    let label =
+                        || format!("re-read group {group} leaf {leaf} after {}", e.class.name());
+                    self.trace.span_with(obs::Stage::Recovery, label).finish();
+                }
+                Err(e) => return Err(e),
+            }
         }
-    }
-
-    /// Probes every given leaf chunk of one row group through the
-    /// injector — the **morsel-level fault surface**. A parallel executor
-    /// re-reading a row group as a morsel calls this with the plan's read
-    /// set; because injector decisions are pure functions of
-    /// `(fingerprint, group, leaf)`, the fault schedule is identical to
-    /// the serial scan pre-pass probing the same coordinates, which is
-    /// what lets morsel-level recovery replay the exact faults the
-    /// whole-query path would have seen. Panic faults unwind out of the
-    /// probe, like a panicking decode kernel would.
-    pub fn probe_group(
-        &self,
-        group_idx: u32,
-        leaves: &[nested_value::Path],
-    ) -> Result<(), crate::fault::ScanError> {
-        for leaf in leaves {
-            self.injector.on_chunk_read(
-                self.table_name,
-                self.table_fingerprint,
-                group_idx,
-                leaf,
-            )?;
-        }
-        Ok(())
     }
 }
 
@@ -158,18 +152,20 @@ impl<'f> ScanFaults<'f> {
 /// This is the single accounting primitive every engine uses (via
 /// [`ScanRequest`]), so billing bytes are computed identically
 /// with and without a cache; only the `cache_*`/`bytes_from_cache` fields
-/// differ. A faulted chunk read aborts the group's cache admissions and
-/// surfaces as [`ColumnarError::Fault`]; with `faults: None` the function
-/// is infallible in practice.
-pub fn account_group_scan(
+/// differ. A transient chunk fault is retried here, where the read
+/// happens ([`READ_RETRIES`] per chunk), and re-reads add no bytes; a
+/// fault that outlives the budget aborts the group's cache admissions and
+/// surfaces as [`ColumnarError::Fault`]. Returns the re-reads the group
+/// took; with `faults: None` the function is infallible in practice.
+fn account_group_scan(
     stats: &mut ScanStats,
     group: &RowGroup,
     group_idx: usize,
     read_leaves: &[&LeafInfo],
     logical_leaves: &[&LeafInfo],
     cache: Option<ScanCache<'_>>,
-    faults: Option<ScanFaults<'_>>,
-) -> Result<(), ColumnarError> {
+    faults: Option<&ScanFaults<'_>>,
+) -> Result<u64, ColumnarError> {
     stats.rows += group.n_rows() as u64;
     stats.bytes_scanned += group.compressed_bytes(read_leaves) as u64;
     stats.uncompressed_bytes += group.uncompressed_bytes(read_leaves) as u64;
@@ -177,16 +173,12 @@ pub fn account_group_scan(
     stats.ideal_compressed_bytes += group.compressed_bytes(logical_leaves) as u64;
     stats.ideal_uncompressed_bytes += group.uncompressed_bytes(logical_leaves) as u64;
     if cache.is_none() && faults.is_none() {
-        return Ok(());
+        return Ok(0);
     }
+    let mut retried = 0;
     for leaf in read_leaves {
-        if let Some(fi) = faults {
-            fi.injector.on_chunk_read(
-                fi.table_name,
-                fi.table_fingerprint,
-                group_idx as u32,
-                &leaf.path,
-            )?;
+        if let Some(f) = faults {
+            retried += f.read(group_idx as u32, &leaf.path)?;
         }
         let Some(sc) = cache else { continue };
         let Ok(chunk) = group.column(&leaf.path) else {
@@ -208,7 +200,7 @@ pub fn account_group_scan(
             stats.cache_evictions += admission.evicted;
         }
     }
-    Ok(())
+    Ok(retried)
 }
 
 /// Accounts one *pruned* row group into `stats`: the group was proven
@@ -231,6 +223,9 @@ pub struct ScanRun {
     /// [`ScanRequest::prune`] was supplied. Execution must skip exactly
     /// these groups or billing and results disagree.
     pub skip: Option<Vec<bool>>,
+    /// Chunk reads retried after a transient fault (see
+    /// [`READ_RETRIES`]); zero without a fault injector.
+    pub reads_retried: u64,
 }
 
 /// A table scan, declaratively configured.
@@ -269,7 +264,7 @@ pub struct ScanRequest<'a> {
     projection: &'a Projection,
     capability: PushdownCapability,
     cache: Option<ScanCache<'a>>,
-    faults: Option<ScanFaults<'a>>,
+    faults: Option<&'a FaultInjector>,
     trace: Option<&'a obs::TraceCtx>,
     cancel: Option<&'a obs::CancelToken>,
     prune: Option<&'a [ScalarPredicate]>,
@@ -305,9 +300,10 @@ impl<'a> ScanRequest<'a> {
         self
     }
 
-    /// Attaches a fault injector to the physical chunk reads. With `None`
-    /// the scan is infallible in practice.
-    pub fn faults(mut self, faults: Option<ScanFaults<'a>>) -> Self {
+    /// Attaches a fault injector to the physical chunk reads; a transient
+    /// fault is retried per chunk ([`READ_RETRIES`]). With `None` the
+    /// scan is infallible in practice.
+    pub fn faults(mut self, faults: Option<&'a FaultInjector>) -> Self {
         self.faults = faults;
         self
     }
@@ -372,20 +368,27 @@ impl<'a> ScanRequest<'a> {
             }
             None => (None, None),
         };
+        let faults = self.faults.map(|injector| ScanFaults {
+            injector,
+            table_name: self.table.name(),
+            table_fingerprint: self.table.fingerprint(),
+            trace: span.ctx(),
+        });
+        let mut reads_retried = 0;
         for (idx, g) in self.table.row_groups().iter().enumerate() {
             if skip.as_ref().is_some_and(|m| m[idx]) {
                 account_group_pruned(&mut stats, g, &read_leaves);
                 continue;
             }
             cancel.check(obs::Stage::Scan, stats.rows)?;
-            account_group_scan(
+            reads_retried += account_group_scan(
                 &mut stats,
                 g,
                 idx,
                 &read_leaves,
                 &logical_leaves,
                 self.cache,
-                self.faults,
+                faults.as_ref(),
             )?;
         }
         if let Some(ps) = prune_span.as_mut() {
@@ -405,13 +408,18 @@ impl<'a> ScanRequest<'a> {
                 ));
             }
         }
-        Ok(ScanRun { stats, skip })
+        Ok(ScanRun {
+            stats,
+            skip,
+            reads_retried,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultClass, FaultConfig};
     use crate::schema::{DataType, Field, Schema};
     use crate::table::TableBuilder;
     use nested_value::Value;
@@ -564,6 +572,66 @@ mod tests {
         assert_eq!(kept.stats, off, "unpruned scan must be byte-identical");
     }
 
+    fn injector(class: FaultClass, p: f64, transient_attempts: u32) -> FaultInjector {
+        FaultInjector::new(FaultConfig {
+            transient_attempts,
+            ..FaultConfig::only(class, p, 1)
+        })
+    }
+
+    #[test]
+    fn transient_faults_are_re_read_in_place_and_bill_nothing_extra() {
+        let t = table();
+        let p = Projection::of(["MET.pt", "Jet.pt"]);
+        let clean = ScanRequest::new(&t, &p).run().unwrap();
+        assert_eq!(clean.reads_retried, 0);
+        // Every chunk fails its first READ_RETRIES reads: the whole budget.
+        let inj = injector(FaultClass::Io, 1.0, READ_RETRIES);
+        let trace = obs::TraceCtx::enabled();
+        let run = ScanRequest::new(&t, &p)
+            .faults(Some(&inj))
+            .trace(&trace)
+            .run()
+            .unwrap();
+        assert_eq!(run.stats, clean.stats, "re-reads bill no bytes");
+        let per_chunk = u64::from(READ_RETRIES);
+        assert_eq!(run.reads_retried, per_chunk * run.stats.columns_read);
+        assert_eq!(inj.counters().recovered, run.stats.columns_read);
+        let tree = trace.take_tree();
+        let spans = tree.flatten();
+        let scan = spans.iter().find(|s| s.stage == obs::Stage::Scan).unwrap();
+        let recoveries: Vec<_> = spans
+            .iter()
+            .filter(|s| s.stage == obs::Stage::Recovery)
+            .collect();
+        assert_eq!(recoveries.len() as u64, run.reads_retried);
+        assert!(recoveries.iter().all(|s| s.parent == Some(scan.id)));
+    }
+
+    #[test]
+    fn faults_past_the_budget_or_not_retryable_fail_typed() {
+        let t = table();
+        let p = Projection::of(["MET.pt"]);
+        for (class, transient_attempts, reads) in [
+            (FaultClass::Io, READ_RETRIES + 1, READ_RETRIES + 1),
+            (FaultClass::ChecksumMismatch, 0, READ_RETRIES + 1),
+            (FaultClass::Panic, 0, 1),
+        ] {
+            let inj = injector(class, 1.0, transient_attempts);
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                ScanRequest::new(&t, &p).faults(Some(&inj)).run()
+            }));
+            match (class, run) {
+                (FaultClass::Panic, Err(_)) => {}
+                (_, Ok(Err(e))) => {
+                    let s = e.scan_error().expect("typed scan fault");
+                    assert_eq!((s.class, s.attempt), (class, reads));
+                }
+                (_, other) => panic!("{class:?}: expected a failure, got {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn prune_span_is_recorded_under_scan() {
         use crate::select::{ScalarPredicate, SelCmp, SelValue};
@@ -597,33 +665,6 @@ mod tests {
     }
 }
 
-/// Typed outcome counters of morsel-level fault recovery in a parallel
-/// executor (see `exec-par`). Every non-skipped morsel contributes to
-/// `ok` exactly once — recovery changes *which attempt* produced the
-/// partial, never how many partials exist — so `ok` equals the morsel
-/// count whenever the run succeeded, and the remaining counters record
-/// the recovery work it took to get there. All zero on the serial path
-/// and whenever recovery is disabled, keeping [`ExecStats`]
-/// byte-identical to the pre-recovery engines by default.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MorselRecovery {
-    /// Morsels whose partial was produced (first try or after recovery)
-    /// — exactly the non-skipped row-group count on success.
-    pub ok: u64,
-    /// In-place re-executions of a morsel after a retryable fault.
-    pub retried: u64,
-    /// In-place re-executions of a morsel after its kernel panicked
-    /// (caught, scratch rebuilt, instead of poisoning the query).
-    pub quarantined: u64,
-}
-
-impl MorselRecovery {
-    /// Total recovery interventions (everything except `ok`).
-    pub fn interventions(&self) -> u64 {
-        self.retried + self.quarantined
-    }
-}
-
 /// Engine-level execution accounting shared by all engines in the
 /// workspace (placed here because every engine executes over this
 /// substrate and `core` compares them uniformly).
@@ -641,7 +682,7 @@ pub struct ExecStats {
     /// Row groups skipped by zone-map (min/max) pruning before any byte
     /// was read.
     pub row_groups_skipped: u64,
-    /// Morsel-level fault-recovery outcomes (all zero unless the
-    /// compiled-parallel path ran with recovery enabled).
-    pub recovery: MorselRecovery,
+    /// Chunk reads the scan retried after a transient fault
+    /// ([`ScanRun::reads_retried`]); zero without a fault injector.
+    pub reads_retried: u64,
 }

@@ -8,8 +8,8 @@
 //!   A disabled context (the default) is a near-no-op: no clock reads,
 //!   no allocation, no locking.
 //! * [`Stage`] — the typed taxonomy of query stages (`Parse`, `Plan`,
-//!   `Scan`, `Decode`, `Filter`, `Materialize`, `Aggregate`,
-//!   `QueueWait`, `Retry`, `CacheLookup`) plus the `Query` root.
+//!   `Scan`, `Prune`, `Decode`, `Filter`, `Materialize`, `Aggregate`,
+//!   `QueueWait`, `CacheLookup`, `Recovery`) plus the `Query` root.
 //! * [`SpanTree`] — the recorded spans of one query, exportable as JSON
 //!   ([`SpanTree::to_json`]) and as a chrome://tracing-compatible trace
 //!   file ([`SpanTree::to_chrome_trace`]).

@@ -33,18 +33,16 @@ pub enum Stage {
     /// Time spent queued in the serving layer before a worker picked
     /// the query up.
     QueueWait,
-    /// One retry attempt after a retryable fault.
-    Retry,
     /// Result-cache probe in the serving layer.
     CacheLookup,
-    /// Morsel-level fault recovery in the parallel executor: in-place
-    /// retries of transient morsels and quarantine after a panic.
+    /// Fault recovery in the scan: one in-place re-read of a chunk whose
+    /// read failed with a transient fault.
     Recovery,
 }
 
 impl Stage {
     /// Every stage, in display order.
-    pub const ALL: [Stage; 13] = [
+    pub const ALL: [Stage; 12] = [
         Stage::Query,
         Stage::Parse,
         Stage::Plan,
@@ -55,7 +53,6 @@ impl Stage {
         Stage::Materialize,
         Stage::Aggregate,
         Stage::QueueWait,
-        Stage::Retry,
         Stage::CacheLookup,
         Stage::Recovery,
     ];
@@ -73,7 +70,6 @@ impl Stage {
             Stage::Materialize => "materialize",
             Stage::Aggregate => "aggregate",
             Stage::QueueWait => "queue_wait",
-            Stage::Retry => "retry",
             Stage::CacheLookup => "cache_lookup",
             Stage::Recovery => "recovery",
         }

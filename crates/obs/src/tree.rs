@@ -277,9 +277,9 @@ mod tests {
 
     #[test]
     fn orphan_parent_becomes_root() {
-        let tree = SpanTree::from_records(vec![rec(7, Some(99), Stage::Retry, 10, 5)]);
+        let tree = SpanTree::from_records(vec![rec(7, Some(99), Stage::Recovery, 10, 5)]);
         assert_eq!(tree.roots.len(), 1);
-        assert_eq!(tree.roots[0].span.stage, Stage::Retry);
+        assert_eq!(tree.roots[0].span.stage, Stage::Recovery);
     }
 
     #[test]

@@ -25,29 +25,21 @@
 //! all-or-nothing contract: a typed [`Cancelled`] error, never a partial
 //! result.
 
-use std::collections::HashSet;
-
 use obs::{CancelToken, Cancelled, Stage};
 
-/// Which execution attempt produced a [`PartialAgg`] — recovery
-/// bookkeeping, not part of the result. Two partials for the same group
-/// index are byte-identical regardless of provenance (the per-group
-/// kernel is deterministic), so the exchange may keep whichever arrived
-/// first; provenance exists so tests and traces can tell a first-try
-/// partial from a retried or quarantined one.
+/// Which worker produced a [`PartialAgg`] — bookkeeping, not part of the
+/// result: the per-group kernel is deterministic, so a group's partial
+/// is byte-identical whichever worker ran it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Provenance {
     /// Worker that produced the partial (0 on the serial path).
     pub worker: usize,
-    /// 1-based execution attempt of the morsel (1 = first try; retries
-    /// and quarantine re-runs increment it).
-    pub attempt: u32,
 }
 
 impl Provenance {
-    /// First-try provenance for `worker`.
+    /// Provenance for `worker`.
     pub fn first(worker: usize) -> Provenance {
-        Provenance { worker, attempt: 1 }
+        Provenance { worker }
     }
 }
 
@@ -61,8 +53,8 @@ pub struct PartialAgg {
     pub bins: Vec<i64>,
     /// Rows the morsel processed (cancellation progress accounting).
     pub rows: u64,
-    /// Which attempt produced this partial (recovery bookkeeping; does
-    /// not participate in merging).
+    /// Which worker produced this partial (does not participate in
+    /// merging).
     pub provenance: Provenance,
 }
 
@@ -72,8 +64,6 @@ pub struct PartialAgg {
 #[derive(Clone, Debug, Default)]
 pub struct Exchange {
     partials: Vec<PartialAgg>,
-    groups_seen: HashSet<usize>,
-    duplicates_dropped: u64,
 }
 
 impl Exchange {
@@ -82,28 +72,10 @@ impl Exchange {
         Exchange::default()
     }
 
-    /// Adds one morsel's partial (any order; merging sorts). **Idempotent
-    /// per group index**: the first partial pushed for a group wins and
-    /// any later push for the same group is dropped (and counted in
-    /// [`Exchange::duplicates_dropped`]), so a caller that pushes a
-    /// re-executed group twice can never double-count it — one partial
-    /// per row-group index survives, which, combined with the per-group
-    /// kernel being deterministic, keeps the merge byte-identical no
-    /// matter which attempt won.
+    /// Adds one morsel's partial (any order; merging sorts). The
+    /// parallel executor yields exactly one partial per row group.
     pub fn push(&mut self, partial: PartialAgg) {
-        if self.groups_seen.insert(partial.group) {
-            self.partials.push(partial);
-        } else {
-            self.duplicates_dropped += 1;
-        }
-    }
-
-    /// Partials dropped because their group index already had a winner —
-    /// nonzero only if a caller pushed the same group twice (the parallel
-    /// executor yields one partial per group; the exchange is the
-    /// defense in depth behind it).
-    pub fn duplicates_dropped(&self) -> u64 {
-        self.duplicates_dropped
+        self.partials.push(partial);
     }
 
     /// Number of partials collected so far.
@@ -153,33 +125,6 @@ mod tests {
             rows,
             provenance: Provenance::first(0),
         }
-    }
-
-    #[test]
-    fn duplicate_group_pushes_are_dropped_first_wins() {
-        let mut x = Exchange::new();
-        x.push(partial(0, vec![1]));
-        x.push(PartialAgg {
-            provenance: Provenance {
-                worker: 3,
-                attempt: 2,
-            },
-            ..partial(1, vec![2, 3])
-        });
-        // Late duplicates of groups 1 and 0 (the second a retried
-        // attempt) must not change the result.
-        x.push(partial(1, vec![2, 3]));
-        x.push(PartialAgg {
-            provenance: Provenance {
-                worker: 0,
-                attempt: 3,
-            },
-            ..partial(0, vec![9])
-        });
-        assert_eq!(x.len(), 2);
-        assert_eq!(x.duplicates_dropped(), 2);
-        assert_eq!(x.rows(), 3, "losers accrue nothing");
-        assert_eq!(x.merge(&CancelToken::none()).unwrap(), vec![1, 2, 3]);
     }
 
     #[test]

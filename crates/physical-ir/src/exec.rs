@@ -9,36 +9,13 @@ use obs::{CancelToken, Cancelled, Stage, TraceCtx};
 use crate::kernel::TrijetScratch;
 use crate::plan::{ComputeNode, FilterNode, PhysPlan};
 
-/// Executor failure: a storage error, a cooperative cancellation, or a
-/// morsel whose kernel kept panicking past the recovery budget.
+/// Executor failure: a storage error or a cooperative cancellation.
 #[derive(Debug)]
 pub enum PirError {
     /// Columnar substrate error (unknown column, type mismatch).
     Columnar(ColumnarError),
     /// The query was cancelled mid-execution.
     Cancelled(Cancelled),
-    /// A morsel's kernel panicked on every attempt the recovering
-    /// parallel executor's retry budget allowed. Carries the poisoned
-    /// row-group index and the panic message.
-    MorselPanic {
-        /// Row group whose kernel panicked.
-        group: usize,
-        /// Best-effort text of the panic payload.
-        message: String,
-    },
-}
-
-impl PirError {
-    /// Whether re-executing the failed morsel can plausibly succeed:
-    /// true exactly for retryable injected scan faults
-    /// ([`nf2_columnar::ScanError::retryable`]). Cancellations, schema
-    /// errors and persistent panics are not retryable.
-    pub fn retryable(&self) -> bool {
-        match self {
-            PirError::Columnar(e) => e.scan_error().is_some_and(|s| s.retryable()),
-            PirError::Cancelled(_) | PirError::MorselPanic { .. } => false,
-        }
-    }
 }
 
 impl std::fmt::Display for PirError {
@@ -46,9 +23,6 @@ impl std::fmt::Display for PirError {
         match self {
             PirError::Columnar(e) => write!(f, "{e}"),
             PirError::Cancelled(c) => write!(f, "{c}"),
-            PirError::MorselPanic { group, message } => {
-                write!(f, "morsel (row group {group}) panicked: {message}")
-            }
         }
     }
 }

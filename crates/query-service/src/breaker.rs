@@ -1,8 +1,8 @@
 //! Per-system circuit breakers over the serving layer's fault stats.
 //!
 //! A breaker watches the recent success/failure outcomes of one system's
-//! engine executions (the same outcomes the retry path and
-//! `ServiceStats` already observe) in a sliding window. When the failure
+//! engine executions (the same outcomes `ServiceStats` already
+//! observes) in a sliding window. When the failure
 //! rate crosses a threshold the breaker **opens**: admission rejects the
 //! system's requests in O(µs) instead of queueing work that will almost
 //! certainly fail, exactly the pattern a real serving tier puts in front

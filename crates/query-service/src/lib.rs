@@ -53,6 +53,16 @@
 //! * **hedged execution** ([`ServiceConfig::hedge`]) — a straggling
 //!   query gets a second attempt after a percentile-based delay; the
 //!   first result wins and the loser is cancelled through its token.
+//!
+//! The service does not re-run failed queries. A flaky storage read is
+//! retried where it happens, below the query: the scan re-reads a chunk
+//! whose read failed with a transient fault
+//! ([`nf2_columnar::READ_RETRIES`] times per chunk), so a request
+//! converges in one execution however many of its chunks fault, and the
+//! breakers see one success. A fault that outlives the re-reads — or a
+//! persistent one — fails the request with a typed
+//! [`ServiceError::Engine`]; a panicking query is caught per job and
+//! answered the same way, leaving the worker alive.
 
 pub mod breaker;
 #[cfg(test)]
@@ -110,42 +120,15 @@ pub struct ServiceConfig {
     pub pricing_instance: &'static str,
     /// Chaos-layer fault injector applied to every worker's physical
     /// chunk reads (`None`, the default, serves the fault-free path —
-    /// [`ServiceConfig::paper_fairness`] keeps it off).
+    /// [`ServiceConfig::paper_fairness`] keeps it off). A transient fault
+    /// is re-read in place by the scan
+    /// ([`nf2_columnar::READ_RETRIES`] per chunk), so it never costs the
+    /// request; the re-reads show in `QueryResponse::stats.reads_retried`.
+    /// A fault that outlives them fails the request with a typed engine
+    /// error.
     pub fault_injector: Option<Arc<FaultInjector>>,
-    /// How many times a worker re-runs a query that failed with a
-    /// *retryable* scan fault (transient I/O, checksum mismatch,
-    /// truncated row group) before surfacing the error.
-    pub max_retries: u32,
-    /// Base backoff between retries; attempt `k` sleeps
-    /// `retry_backoff × 2^(k−1)`, shrunk by seeded jitter (see
-    /// [`ServiceConfig::retry_jitter`]).
-    pub retry_backoff: Duration,
-    /// Fraction of each backoff that deterministic jitter may subtract
-    /// (decorrelates retry storms across concurrent jobs without an RNG
-    /// dependency). Attempt `k` of job `j` sleeps
-    /// `retry_backoff × 2^(k−1) × (1 − retry_jitter × u(j, k))` with
-    /// `u ∈ [0, 1)` a splitmix64 hash of
-    /// `(retry_jitter_seed, job sequence number, k)` — fully
-    /// reproducible under a fixed seed, shrink-only so a jittered sleep
-    /// never exceeds the exponential bound. `0` disables jitter;
-    /// clamped to `[0, 1]`.
-    pub retry_jitter: f64,
-    /// Seed of the deterministic retry jitter stream (see
-    /// [`ServiceConfig::retry_jitter`]).
-    pub retry_jitter_seed: u64,
-    /// Morsel-level fault recovery on the compiled-parallel path
-    /// (default off, and off under
-    /// [`ServiceConfig::paper_fairness`]). When on, a compiled request's
-    /// transient scan faults are retried (and panicking morsels
-    /// quarantined) per morsel inside `exec_par` instead of failing the
-    /// attempt and re-running the *whole query*
-    /// through this service's retry loop. Morsel-level recoveries are
-    /// invisible to the whole-query retry counter and the per-system
-    /// circuit breakers: the attempt simply succeeds, and the recovery
-    /// counters surface in [`QueryResponse::stats`].
-    pub morsel_recovery: bool,
     /// Record a span tree per served query (queue wait, cache lookup,
-    /// retries, engine stages) and return it in
+    /// engine stages) and return it in
     /// [`QueryResponse::trace`]. Off by default — and off under
     /// [`ServiceConfig::paper_fairness`] — so the serving path stays a
     /// near-no-op when untraced.
@@ -207,11 +190,6 @@ impl Default for ServiceConfig {
             zone_map_pruning: true,
             pricing_instance: "m5d.4xlarge",
             fault_injector: None,
-            max_retries: 3,
-            retry_backoff: Duration::from_millis(1),
-            retry_jitter: 0.5,
-            retry_jitter_seed: 0x5EED_0FF5,
-            morsel_recovery: false,
             trace: false,
             load_shedding: false,
             breaker: None,
@@ -339,10 +317,6 @@ struct Shared {
     exec_samples: Mutex<Vec<f64>>,
     /// One breaker per servable system when breakers are configured.
     breakers: Option<HashMap<System, CircuitBreaker>>,
-    /// Monotone per-job sequence feeding the retry-jitter nonce, so two
-    /// jobs retrying the same attempt number draw different (but still
-    /// seed-pinned) jitter and don't re-collide on every backoff.
-    jitter_seq: std::sync::atomic::AtomicU64,
 }
 
 impl Shared {
@@ -438,7 +412,6 @@ impl QueryService {
                     .map(|s| (*s, CircuitBreaker::new(cfg.clone())))
                     .collect()
             }),
-            jitter_seq: std::sync::atomic::AtomicU64::new(0),
             config,
         });
         let workers = (0..n_workers)
@@ -550,8 +523,8 @@ impl QueryService {
     }
 
     /// Point-in-time view of the service's [`obs::MetricsRegistry`]:
-    /// submission/completion counters, cache hit/miss counters, retry
-    /// counts, and queue-wait / execution-latency histograms. Render
+    /// submission/completion counters, cache hit/miss counters, and
+    /// queue-wait / execution-latency histograms. Render
     /// with [`obs::MetricsSnapshot::to_text`] or
     /// [`obs::MetricsSnapshot::to_json`]. When circuit breakers are
     /// configured the snapshot carries one `breaker_state_<system>`
@@ -742,8 +715,7 @@ fn worker_loop(shared: &Shared) {
 }
 
 /// Serves one admitted request: result-cache lookup, engine execution on
-/// miss (cancellable, deadline-clamped retries, optional hedging), cache
-/// fill, pricing.
+/// miss (cancellable, optionally hedged), cache fill, pricing.
 fn serve(shared: &Shared, job: &Job, queue_seconds: f64) -> Result<QueryResponse, ServiceError> {
     let req = &job.req;
     let enqueued = job.enqueued;
@@ -807,7 +779,6 @@ fn serve(shared: &Shared, job: &Job, queue_seconds: f64) -> Result<QueryResponse
             .then_some(shared.config.intra_query_threads),
         parallel_workers: req.parallel_workers,
         zone_map_pruning: Some(shared.config.zone_map_pruning),
-        morsel_recovery: Some(shared.config.morsel_recovery),
         fault_injector: shared.config.fault_injector.clone(),
         trace: trace.clone(),
         cancel: job.cancel.clone(),
@@ -821,82 +792,31 @@ fn serve(shared: &Shared, job: &Job, queue_seconds: f64) -> Result<QueryResponse
         .get(&req.system)
         .expect("an engine per system is built at startup");
     let spec = QuerySpec::benchmark(req.query);
-    // Bounded retry with exponential backoff on *retryable* scan faults
-    // (transient I/O, checksum mismatch, truncated row group). Anything
-    // else — or a fault that outlives the retry budget — surfaces as a
-    // typed engine error carrying system, query and scan context. A
-    // failed attempt leaves its partial span tree in the trace context,
-    // so the final drained tree shows every attempt's stages plus a
-    // `Retry` span per backoff.
-    let mut attempt: u32 = 0;
-    let jitter_nonce = shared
-        .jitter_seq
-        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let run = loop {
-        match execute_attempt(shared, engine.as_ref(), &spec, &env) {
-            Ok(run) => {
-                breaker_record(shared, req.system, true);
-                break run;
-            }
-            Err(e) => {
-                // A cancelled run is neither a failure (the backend is
-                // healthy — the client or its deadline stopped the work)
-                // nor retryable, and it is never billed: no response, no
-                // cost computation. Record a zero-length span so the
-                // trace shows where the run stopped.
-                if let Some(c) = e.cancelled.as_deref() {
-                    trace.span_with(c.stage, || format!("{c}"));
-                    return Err(ServiceError::Cancelled {
-                        stage: c.stage,
-                        rows_processed: c.rows_processed,
-                        reason: c.reason,
-                    });
-                }
-                breaker_record(shared, req.system, false);
-                if !e.retryable() || attempt >= shared.config.max_retries {
-                    return Err(ServiceError::Engine(e.to_string()));
-                }
-                attempt += 1;
-                shared.stats.note_retried();
-                shared.metrics.counter_inc("retries");
-                // Deadline-clamped backoff: check the budget before the
-                // sleep, never sleep past the deadline, and check again
-                // after waking — a retry must not overshoot an expired
-                // deadline by a backoff period.
-                let backoff = jittered_backoff(
-                    shared.config.retry_backoff,
-                    attempt,
-                    shared.config.retry_jitter,
-                    shared.config.retry_jitter_seed,
-                    jitter_nonce,
-                );
-                let sleep = match job.deadline {
-                    Some(deadline) => {
-                        let now = Instant::now();
-                        if now >= deadline {
-                            return Err(ServiceError::Cancelled {
-                                stage: obs::Stage::Retry,
-                                rows_processed: 0,
-                                reason: obs::CancelReason::DeadlineExceeded,
-                            });
-                        }
-                        backoff.min(deadline - now)
-                    }
-                    None => backoff,
-                };
-                let span =
-                    trace.span_with(obs::Stage::Retry, || format!("attempt {attempt} backoff"));
-                std::thread::sleep(sleep);
-                drop(span);
-                if let Err(c) = job.cancel.check(obs::Stage::Retry, 0) {
-                    return Err(ServiceError::Cancelled {
-                        stage: c.stage,
-                        rows_processed: c.rows_processed,
-                        reason: c.reason,
-                    });
-                }
-            }
+    // A transient fault that cleared within READ_RETRIES re-reads of its
+    // chunk was absorbed by the scan; anything that reaches here is final.
+    let run = match execute_attempt(shared, engine.as_ref(), &spec, &env) {
+        Ok(run) => {
+            breaker_record(shared, req.system, true);
+            run
         }
+        // A cancelled run is not a failure (the backend is healthy — the
+        // client or its deadline stopped the work), and it is never
+        // billed: no response, no cost computation. Record a zero-length
+        // span so the trace shows where the run stopped.
+        Err(e) => match e.cancelled.as_deref() {
+            Some(c) => {
+                trace.span_with(c.stage, || format!("{c}"));
+                return Err(ServiceError::Cancelled {
+                    stage: c.stage,
+                    rows_processed: c.rows_processed,
+                    reason: c.reason,
+                });
+            }
+            None => {
+                breaker_record(shared, req.system, false);
+                return Err(ServiceError::Engine(e.to_string()));
+            }
+        },
     };
     // Feed the load-shedding EWMA and the hedge-delay percentile with
     // the completed execution's wall time.
@@ -929,8 +849,8 @@ fn serve(shared: &Shared, job: &Job, queue_seconds: f64) -> Result<QueryResponse
         .observe("exec_seconds", run.stats.wall_seconds);
     let mut response_trace = shared.config.trace.then_some(run.trace);
     if let Some(tree) = &mut response_trace {
-        // The engine drained the context at the end of the *successful*
-        // attempt; merge in anything recorded since (none today, but the
+        // The engine drained the context at the end of the run; merge in
+        // anything recorded since (none today, but the
         // drain below keeps the context empty for the next request on
         // this worker either way).
         let leftover = trace.take_tree();
@@ -1025,42 +945,6 @@ fn hedge_delay(shared: &Shared, hedge: &HedgeConfig) -> Duration {
     let rank = (hedge.percentile * samples.len() as f64).ceil() as usize;
     let p = samples[rank.clamp(1, samples.len()) - 1];
     Duration::from_secs_f64(p.max(0.0)).max(hedge.min_delay)
-}
-
-/// Deterministic, shrink-only jittered exponential backoff.
-///
-/// Attempt `k ≥ 1` starts from the exponential bound
-/// `base × 2^(k−1)` (exponent capped at 8) and is shrunk by
-/// `jitter × u`, where `u ∈ [0, 1)` is a splitmix64 hash of
-/// `(seed, nonce, k)`. The function is pure in its inputs, so a fixed
-/// seed pins the whole schedule — the decorrelation of concurrent
-/// retry storms is reproducible run to run — and because jitter only
-/// ever *shrinks* the sleep, the deadline-clamping math at the call
-/// site stays conservative. `jitter` is clamped to `[0, 1]`; `0`
-/// reproduces the pure exponential schedule exactly.
-pub fn jittered_backoff(
-    base: Duration,
-    attempt: u32,
-    jitter: f64,
-    seed: u64,
-    nonce: u64,
-) -> Duration {
-    let exp = base * (1u32 << attempt.saturating_sub(1).min(8));
-    let jitter = jitter.clamp(0.0, 1.0);
-    if jitter == 0.0 {
-        return exp;
-    }
-    // splitmix64 over a mix of (seed, nonce, attempt); same finalizer
-    // constants as the chaos schedule generator and exec-par's victim
-    // shuffler.
-    let mut z =
-        seed ^ nonce.rotate_left(32) ^ u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    let u = (z >> 11) as f64 / (1u64 << 53) as f64;
-    exp.mul_f64(1.0 - jitter * u)
 }
 
 /// Feeds one execution outcome into the system's breaker, when breakers
@@ -1377,7 +1261,6 @@ mod tests {
                 n_workers: 1,
                 result_cache: false,
                 chunk_cache_bytes: 0,
-                max_retries: 0,
                 fault_injector: Some(Arc::new(FaultInjector::new(nf2_columnar::FaultConfig {
                     transient_attempts: 0,
                     ..nf2_columnar::FaultConfig::only(nf2_columnar::FaultClass::Io, 1.0, 3)

@@ -101,8 +101,8 @@ pub struct QueryResponse {
     pub queue_seconds: f64,
     /// End-to-end seconds from submission to completion.
     pub total_seconds: f64,
-    /// The request's span tree — queue wait, cache lookup, retries, and
-    /// the engine's stage spans — when the service was configured with
+    /// The request's span tree — queue wait, cache lookup, and the
+    /// engine's stage spans (chunk re-reads included) — when the service was configured with
     /// `trace: true`; `None` otherwise.
     pub trace: Option<obs::SpanTree>,
 }

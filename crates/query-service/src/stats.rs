@@ -21,7 +21,6 @@ pub struct ServiceStats {
     timed_out: AtomicU64,
     cancelled: AtomicU64,
     failed: AtomicU64,
-    retried: AtomicU64,
     total_latencies: Mutex<Vec<f64>>,
     queue_waits: Mutex<Vec<f64>>,
 }
@@ -47,10 +46,6 @@ pub struct StatsSnapshot {
     pub cancelled: u64,
     /// Requests whose engine execution failed.
     pub failed: u64,
-    /// Engine re-executions after a retryable scan fault (one request can
-    /// contribute several; a request that eventually completes still
-    /// counts its retries here).
-    pub retried: u64,
     /// Seconds since the service started.
     pub elapsed_seconds: f64,
     /// Completed requests per second of service lifetime.
@@ -85,7 +80,6 @@ impl ServiceStats {
             timed_out: AtomicU64::new(0),
             cancelled: AtomicU64::new(0),
             failed: AtomicU64::new(0),
-            retried: AtomicU64::new(0),
             total_latencies: Mutex::new(Vec::new()),
             queue_waits: Mutex::new(Vec::new()),
         }
@@ -115,10 +109,6 @@ impl ServiceStats {
         self.failed.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn note_retried(&self) {
-        self.retried.fetch_add(1, Ordering::Relaxed);
-    }
-
     pub(crate) fn note_completed(&self, total_seconds: f64, queue_seconds: f64) {
         self.completed.fetch_add(1, Ordering::Relaxed);
         self.total_latencies.lock().push(total_seconds);
@@ -145,7 +135,6 @@ impl ServiceStats {
             timed_out: self.timed_out.load(Ordering::Relaxed),
             cancelled: self.cancelled.load(Ordering::Relaxed),
             failed: self.failed.load(Ordering::Relaxed),
-            retried: self.retried.load(Ordering::Relaxed),
             elapsed_seconds,
             qps: if elapsed_seconds > 0.0 {
                 completed as f64 / elapsed_seconds

@@ -1,0 +1,82 @@
+//! A transient storage fault is retried at the chunk read, below the
+//! query: the service answers the first request with the fault-free
+//! histogram and byte-identical `ScanStats`, however many chunks of the
+//! projection faulted.
+
+use std::sync::Arc;
+
+use hep_model::generator::build_dataset;
+use hep_model::DatasetSpec;
+use hepbench_core::runner::System;
+use hepbench_core::QueryId;
+use nf2_columnar::{FaultClass, FaultConfig, FaultInjector, Table};
+use query_service::{QueryRequest, QueryService, ServiceConfig};
+
+/// 4 096 events in 32 row groups.
+fn table() -> Arc<Table> {
+    Arc::new(
+        build_dataset(DatasetSpec {
+            n_events: 4_096,
+            row_group_size: 128,
+            seed: 0x2E4D,
+        })
+        .1,
+    )
+}
+
+/// The default deployment with the result cache off (so every request
+/// executes), optionally behind a fault injector. One worker, so the
+/// buffer pool sees the same request order in both services.
+fn service(table: &Arc<Table>, faults: Option<Arc<FaultInjector>>) -> QueryService {
+    QueryService::start(
+        table.clone(),
+        ServiceConfig {
+            n_workers: 1,
+            result_cache: false,
+            fault_injector: faults,
+            ..ServiceConfig::default()
+        },
+    )
+}
+
+const GRID: &[(System, QueryId)] = &[
+    (System::Presto, QueryId::Q1),
+    (System::Presto, QueryId::Q5),
+    (System::BigQuery, QueryId::Q1),
+    (System::Rumble, QueryId::Q1),
+    (System::RDataFrame, QueryId::Q1),
+];
+
+#[test]
+fn transient_read_faults_are_served_on_the_first_request() {
+    let table = table();
+    // Every faulted chunk fails its first read and then reads clean.
+    let injector = Arc::new(FaultInjector::new(FaultConfig {
+        transient_attempts: 1,
+        ..FaultConfig::only(FaultClass::Io, 0.01, 0x5EED)
+    }));
+    let clean = service(&table, None);
+    let faulty = service(&table, Some(injector.clone()));
+    let mut reads_retried = 0;
+    for &(system, query) in GRID {
+        let ctx = format!("{} {}", system.name(), query.name());
+        let want = clean
+            .execute(QueryRequest::new("t", system, query))
+            .unwrap_or_else(|e| panic!("{ctx}: fault-free run failed: {e}"));
+        let got = faulty
+            .execute(QueryRequest::new("t", system, query))
+            .unwrap_or_else(|e| panic!("{ctx}: a transient fault cost the request: {e}"));
+        assert!(got.histogram.counts_equal(&want.histogram), "{ctx}");
+        assert_eq!(got.stats.scan, want.stats.scan, "{ctx}: re-reads billed");
+        assert_eq!(want.stats.reads_retried, 0, "{ctx}");
+        reads_retried += got.stats.reads_retried;
+    }
+    assert!(reads_retried > 0, "no read was retried: dead injector?");
+    assert_eq!(
+        injector.counters().io,
+        reads_retried,
+        "every failed read was retried"
+    );
+    let stats = faulty.stats();
+    assert_eq!((stats.completed, stats.failed), (GRID.len() as u64, 0));
+}

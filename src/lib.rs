@@ -24,7 +24,7 @@
 //! * [`exec_par`] — the one ordered row-group fan-out behind every
 //!   parallel path, and on it morsel-parallel execution of compiled
 //!   plans with a deterministic exchange/partial-aggregation merge
-//!   (byte-identical at any worker count) and in-place morsel recovery;
+//!   (byte-identical at any worker count);
 //! * [`cloud`] — the instance/pricing/scaling simulator;
 //! * [`mod@bench`] — the ADL benchmark: queries, reference implementations,
 //!   validation, metrics, and the run orchestrator;

@@ -1,7 +1,8 @@
 //! Fault-injection integration tests at the facade level: panicking
 //! queries must not wedge the service's worker pool, transient faults
-//! must be survivable by re-running the query, and every error must
-//! carry enough context to debug it (system, query, row group, leaf).
+//! must be absorbed by the scan's in-place chunk re-reads, and every
+//! error must carry enough context to debug it (system, query, row
+//! group, leaf).
 
 use std::sync::Arc;
 
@@ -90,9 +91,10 @@ fn panicking_query_does_not_wedge_the_worker_pool() {
     assert!(snap.completed >= 1 && snap.failed >= 1);
 }
 
-/// Transient faults are survivable by re-running: each attempt burns
-/// one faulting chunk, so a bounded number of re-runs converges to the
-/// exact fault-free histogram (never a wrong one).
+/// Transient faults never cost the query: the scan re-reads each faulted
+/// chunk where it failed, so a single run — every chunk of the
+/// projection faulting once — returns the exact fault-free histogram
+/// (never a wrong one) and bills the fault-free bytes.
 #[test]
 fn transient_faults_converge_under_rerun() {
     let (events, table) = small_dataset();
@@ -101,26 +103,19 @@ fn transient_faults_converge_under_rerun() {
         transient_attempts: 1,
         ..FaultConfig::off(0x10)
     });
-    let env = env_with(&inj);
+    let deployment = engine_for_compiled(System::BigQuery, table.clone());
+    let clean = deployment
+        .execute(&QueryId::Q1.into(), &ExecEnv::seed())
+        .unwrap();
+    let run = deployment
+        .execute(&QueryId::Q1.into(), &env_with(&inj))
+        .expect("one run absorbs every transient fault");
     let reference = hepquery::bench::reference::run(QueryId::Q1, &events).hist;
-    let mut histogram = None;
-    for _ in 0..16 {
-        match engine_for_compiled(System::BigQuery, table.clone())
-            .execute(&QueryId::Q1.into(), &env)
-        {
-            Ok(run) => {
-                histogram = Some(run.histogram);
-                break;
-            }
-            Err(e) => assert!(e.retryable(), "io fault must be typed retryable: {e}"),
-        }
-    }
-    let histogram = histogram.expect("did not converge in 16 attempts");
-    assert!(histogram.counts_equal(&reference));
-    assert!(
-        inj.counters().recovered > 0,
-        "transient path never recovered"
-    );
+    assert!(run.histogram.counts_equal(&reference));
+    assert_eq!(run.stats.scan, clean.stats.scan, "re-reads are not billed");
+    let chunks = run.stats.scan.columns_read * table.row_groups().len() as u64;
+    assert_eq!(run.stats.reads_retried, chunks, "each chunk re-read once");
+    assert_eq!(inj.counters().recovered, chunks);
 }
 
 /// Every engine's scan error carries the full debugging context: the
@@ -189,7 +184,7 @@ fn chaos_facade_generates_deterministic_oracle_exact_plans() {
                 .run(plan, &table, &env)
                 .unwrap_or_else(|e| panic!("{} {}: {e}", engine.name(), plan.label()));
             assert!(
-                got.counts_equal(&oracle),
+                got.histogram.counts_equal(&oracle),
                 "{} diverged from the oracle on {}",
                 engine.name(),
                 plan.label()
