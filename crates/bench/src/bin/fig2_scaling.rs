@@ -1,95 +1,21 @@
-//! Regenerates **Figure 2** (running time vs data-set size) and gates
-//! the determinism of the morsel-parallel compiled executor.
+//! Regenerates **Figure 2** (running time vs data-set size): power-of-two
+//! prefixes of the data set through every system's calibrated paper
+//! deployment (`Table::head` keeps prefixes row-group-aligned, preserving
+//! the parallelization-granularity plateau).
 //!
-//! Two modes:
+//! Parallel determinism — sharded scales × plans × 1/2/4/8 workers,
+//! byte-identical to serial — is `tests/parallel_determinism.rs`;
+//! parallel *throughput* is the `parallel_scaling` workload of
+//! `benchmark/`.
 //!
-//! * Default — the paper's Figure 2 sweep: power-of-two prefixes of the
-//!   data set through every system's calibrated paper deployment
-//!   (`Table::head` keeps prefixes row-group-aligned, preserving the
-//!   parallelization-granularity plateau).
-//!
-//! * `--check` — the CI gate: sharded data sets at three scales
-//!   ([`SHARD_LADDER`]) × four worker counts ([`WORKERS`]) over three
-//!   compiled plans (two scan-bound, one compute-bound trijet); every
-//!   point must be **byte-identical** to the serial executor. Parallel
-//!   *throughput* is the `parallel_scaling` workload of `benchmark/`, not
-//!   this gate.
-//!
-//! Scale knobs: `HEPQUERY_EVENTS` (events **per shard** under `--check`),
-//! `HEPQUERY_ROW_GROUP`, `HEPQUERY_SEED`, `HEPQUERY_WATCHDOG`.
+//! Scale knobs: `HEPQUERY_EVENTS`, `HEPQUERY_ROW_GROUP`, `HEPQUERY_SEED`.
 
 use std::sync::Arc;
 
-use exec_par::ParOptions;
-use hep_model::{build_sharded_table, ShardedSpec};
-use hepbench_bench::{dataset, dataset_spec, fmt_secs, run_gate};
+use hepbench_bench::{dataset, dataset_spec, fmt_secs};
 use hepbench_core::adapters::ExecEnv;
 use hepbench_core::runner::{run_one, System};
 use hepbench_core::QueryId;
-use nested_value::Path;
-use nf2_columnar::{ScalarPredicate, SelCmp, SelValue};
-use physical_ir::{ComputeNode, FilterNode, PhysPlan, TrijetCompute, TrijetPlot};
-use physics::HistSpec;
-
-/// Shard counts of the gate's ladder (data volume = shards × events per
-/// shard); three scales as in the paper's size sweeps.
-const SHARD_LADDER: [usize; 3] = [1, 2, 4];
-
-/// Worker counts every plan runs at.
-const WORKERS: [usize; 4] = [1, 2, 4, 8];
-
-/// The three studied plans: two scan-bound fills (Q1/Q2-shaped) and the
-/// compute-bound Q6 trijet kernel.
-fn plans() -> Vec<(&'static str, PhysPlan)> {
-    vec![
-        (
-            "q1-metpt",
-            PhysPlan {
-                filters: vec![FilterNode::Scalar(ScalarPredicate {
-                    leaf: Path::parse("MET.pt"),
-                    cmp: SelCmp::Gt,
-                    value: SelValue::Float(0.0),
-                })],
-                compute: ComputeNode::ScalarFill {
-                    leaf: Path::parse("MET.pt"),
-                },
-                spec: HistSpec::new(100, 0.0, 200.0),
-            },
-        ),
-        (
-            "q2-jetpt",
-            PhysPlan {
-                filters: vec![],
-                compute: ComputeNode::ListFill {
-                    leaf: Path::parse("Jet.pt"),
-                    elem: None,
-                },
-                spec: HistSpec::new(100, 15.0, 60.0),
-            },
-        ),
-        (
-            "q6-trijet",
-            PhysPlan {
-                filters: vec![FilterNode::ListCount {
-                    leaf: Path::parse("Jet.pt"),
-                    elem: None,
-                    cmp: SelCmp::Ge,
-                    count: 3,
-                }],
-                compute: ComputeNode::Trijet(TrijetCompute {
-                    pt: Path::parse("Jet.pt"),
-                    eta: Path::parse("Jet.eta"),
-                    phi: Path::parse("Jet.phi"),
-                    mass: Path::parse("Jet.mass"),
-                    btag: Path::parse("Jet.btag"),
-                    top_mass: 172.5,
-                    plot: TrijetPlot::Pt,
-                }),
-                spec: HistSpec::new(100, 15.0, 40.0),
-            },
-        ),
-    ]
-}
 
 /// The systems of Figure 2, with their best instances (paper §4.2:
 /// m5d.12xlarge for RDataFrame, m5d.24xlarge otherwise).
@@ -153,69 +79,6 @@ fn figure2_table() {
     println!("more row groups than cores.");
 }
 
-/// The `--check` body: every (scale × plan × workers) point
-/// against serial execution; returns one message per diverging point.
-fn check_identity(base: ShardedSpec) -> Vec<String> {
-    eprintln!(
-        "# fig2_scaling --check: {} events/shard, shards {:?}, workers {:?}, row group {}",
-        base.events_per_shard, SHARD_LADDER, WORKERS, base.row_group_size
-    );
-    let mut violations = Vec::new();
-    for shards in SHARD_LADDER {
-        let table = Arc::new(build_sharded_table(base.with_shards(shards)));
-        eprintln!(
-            "# scale: {shards} shards = {} events, {} row groups",
-            table.n_rows(),
-            table.row_groups().len()
-        );
-        for (name, plan) in plans() {
-            let serial = physical_ir::execute(
-                &plan,
-                &table,
-                None,
-                &obs::TraceCtx::disabled(),
-                &obs::CancelToken::none(),
-            )
-            .expect("serial execution");
-            for workers in WORKERS {
-                let (bins, stats) = exec_par::execute(
-                    &plan,
-                    &table,
-                    None,
-                    &obs::TraceCtx::disabled(),
-                    &obs::CancelToken::none(),
-                    None,
-                    &ParOptions::new(workers),
-                )
-                .expect("parallel execution");
-                eprintln!("  {name:10} w={workers}: {} morsels", stats.morsels);
-                if bins != serial {
-                    violations.push(format!(
-                        "{name} at {shards} shards: parallel bins diverged from serial at \
-                         {workers} workers"
-                    ));
-                }
-            }
-        }
-    }
-    violations
-}
-
 fn main() {
-    if std::env::args().any(|a| a == "--check") {
-        // `HEPQUERY_EVENTS` is the per-shard event count so the ladder
-        // scales data volume without changing per-shard content (shard
-        // seeds are shard-count-independent).
-        let spec = dataset_spec(2_048, Some(64));
-        let base = ShardedSpec {
-            events_per_shard: spec.n_events,
-            shards: 1,
-            row_group_size: spec.row_group_size,
-            seed: spec.seed,
-        };
-        std::process::exit(run_gate("fig2_scaling --check", move || {
-            check_identity(base)
-        }));
-    }
     figure2_table();
 }

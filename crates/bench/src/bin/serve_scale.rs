@@ -30,7 +30,7 @@
 //! Scale knobs: `HEPQUERY_EVENTS`, `HEPQUERY_ROW_GROUP`, `HEPQUERY_SEED`,
 //! `HEPQUERY_SCALE_REQS` (requests per grid point),
 //! `HEPQUERY_SCALE_TENANTS`, `HEPQUERY_SCALE_WORKERS`,
-//! `HEPQUERY_SCALE_SUBMITTERS`, `HEPQUERY_WATCHDOG` (seconds).
+//! `HEPQUERY_SCALE_SUBMITTERS`.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};

@@ -14,8 +14,7 @@
 //! bounds by wall time, and the untraced arm must match so the measured
 //! delta is tracing overhead alone, not lost parallelism.
 //!
-//! Scale knobs: `HEPQUERY_EVENTS`, `HEPQUERY_ROW_GROUP`, `HEPQUERY_SEED`,
-//! `HEPQUERY_WATCHDOG`.
+//! Scale knobs: `HEPQUERY_EVENTS`, `HEPQUERY_ROW_GROUP`, `HEPQUERY_SEED`.
 
 use std::sync::Arc;
 

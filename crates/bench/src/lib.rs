@@ -5,16 +5,17 @@
 //! `BENCHMARK.json` (seeded workloads, bounded metrics, alternating
 //! parent/change pairs).
 //!
-//! * **CI invariant gates** (`fuzz_diff`, `serve_smoke`,
-//!   `serve_scale --check`, `fig2_scaling --check`, `fig4b_pruning --check`,
-//!   `trace_gate`): each hands a body returning its violated invariants to
-//!   [`run_gate`], which owns the watchdog, the `FAIL:`/`OK:` lines and the
-//!   exit code.
 //! * **Table/figure printers** (`table1_conciseness`, `table2_complexity`,
 //!   `fig1_tradeoff`, `fig2_scaling`, `fig3_multiplicity`,
-//!   `fig4_compute_io`) regenerating the paper's tables and figures (see
-//!   DESIGN.md's per-experiment index), plus the `ablations`/`latemat`
-//!   Criterion benches comparing design alternatives.
+//!   `fig4_compute_io`, `fig4b_pruning`) regenerating the paper's tables
+//!   and figures (see DESIGN.md's per-experiment index), plus the
+//!   `ablations`/`latemat` Criterion benches comparing design
+//!   alternatives.
+//! * **Two timing gates** (`serve_scale --check`, `trace_gate`): each
+//!   hands a body returning its violated invariants to [`run_gate`],
+//!   which owns the watchdog, the `FAIL:`/`OK:` lines and the exit code.
+//!   Every timing-free invariant is a `#[test]` instead, so `cargo test`
+//!   is the one correctness runner (see README.md's gate table).
 //!
 //! Every binary reads its scale from the same environment variables:
 //!
@@ -23,11 +24,12 @@
 //! * `HEPQUERY_ROW_GROUP` — events per row group (the printers default to
 //!   `HEPQUERY_EVENTS / 128`, preserving the paper's 128-row-group
 //!   structure);
-//! * `HEPQUERY_SEED` — generator seed (default the benchmark seed);
-//! * `HEPQUERY_WATCHDOG` — seconds a gate body may run before the gate
-//!   fails instead of wedging CI (default 600).
+//! * `HEPQUERY_SEED` — generator seed (default [`SEED`]).
+//!
+//! A value that does not parse is an error, not a silent fallback.
 
 pub mod loadgen;
+pub mod windowed;
 
 use std::io::Write;
 use std::str::FromStr;
@@ -38,13 +40,25 @@ use hep_model::generator::build_dataset;
 use hep_model::{DatasetSpec, Event};
 use nf2_columnar::Table;
 
+/// The generator seed every binary and gate test uses unless
+/// `HEPQUERY_SEED` says otherwise.
+pub const SEED: u64 = 0xAD1B70;
+
+/// How long a gate body may run before [`run_gate`] fails it instead of
+/// wedging CI.
+const WATCHDOG: Duration = Duration::from_secs(600);
+
 /// Reads `name` from the environment, falling back to `default` when it
-/// is unset or does not parse.
+/// is unset. Panics, naming the variable and its value, when it is set
+/// but does not parse: `HEPQUERY_EVENTS=64k` must not quietly run the
+/// default scale.
 pub fn env<T: FromStr>(name: &str, default: T) -> T {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    match std::env::var(name) {
+        Ok(v) => v
+            .parse()
+            .unwrap_or_else(|_| panic!("{name}={v:?} does not parse")),
+        Err(_) => default,
+    }
 }
 
 /// Reads the data-set scale from the environment. `default_row_group`
@@ -57,7 +71,7 @@ pub fn dataset_spec(default_events: usize, default_row_group: Option<usize>) -> 
             "HEPQUERY_ROW_GROUP",
             default_row_group.unwrap_or((n_events / 128).max(1)),
         ),
-        seed: env("HEPQUERY_SEED", 0xAD1B70),
+        seed: env("HEPQUERY_SEED", SEED),
     }
 }
 
@@ -75,14 +89,13 @@ pub fn dataset(spec: DatasetSpec) -> (Vec<Event>, Arc<Table>) {
     (events, Arc::new(table))
 }
 
-/// Runs one CI gate and returns its exit code: `body` runs on its own
-/// thread under the `HEPQUERY_WATCHDOG` (seconds, default 600) and
-/// returns the invariants it found violated, one message each. Every
-/// violation is printed as a `FAIL:` line; a body that hangs or panics
-/// fails the gate too, so a wedged engine cannot wedge CI.
+/// Runs one timing gate and returns its exit code: `body` runs on its
+/// own thread under a 600 s watchdog and returns the invariants it found
+/// violated, one message each. Every violation is printed as a `FAIL:`
+/// line; a body that hangs or panics fails the gate too, so a wedged
+/// engine cannot wedge CI.
 pub fn run_gate(name: &str, body: impl FnOnce() -> Vec<String> + Send + 'static) -> i32 {
-    let watchdog = Duration::from_secs(env("HEPQUERY_WATCHDOG", 600));
-    run_gate_within(name, watchdog, body, &mut std::io::stderr())
+    run_gate_within(name, WATCHDOG, body, &mut std::io::stderr())
 }
 
 fn run_gate_within(
@@ -175,6 +188,14 @@ mod tests {
         assert!(fmt_secs(12.0).contains('s'));
         assert!(fmt_usd(1.5).starts_with('$'));
         assert_eq!(fmt_bytes(1_500_000).trim(), "1.50MB");
+    }
+
+    #[test]
+    #[should_panic(expected = "HEPBENCH_TEST_UNPARSABLE=\"64k\" does not parse")]
+    fn unparsable_env_value_is_an_error_not_the_default() {
+        // A name no other test reads, so setting it races with nothing.
+        std::env::set_var("HEPBENCH_TEST_UNPARSABLE", "64k");
+        let _: usize = env("HEPBENCH_TEST_UNPARSABLE", 65_536);
     }
 
     #[test]

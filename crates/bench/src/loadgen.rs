@@ -1,6 +1,6 @@
 //! Open-loop load generation for the serving layer (ROADMAP item 4).
 //!
-//! A closed-loop driver (like `serve_smoke`'s client threads) submits a
+//! A closed-loop driver (like a test's client threads) submits a
 //! request, waits for the answer, then submits the next one — so when
 //! the service slows down, the *offered load drops with it* and the
 //! measured latency flatters the system (coordinated omission). This
@@ -132,7 +132,7 @@ impl Zipf {
 }
 
 /// The systems a serving deployment multiplexes (one per
-/// language/dialect family, as in `serve_smoke`).
+/// language/dialect family, as in the serving tests).
 pub const SYSTEMS: &[System] = &[
     System::BigQuery,
     System::AthenaV2,

@@ -1,4 +1,4 @@
-//! ISSUE 8 satellite tests for the open-loop load generator:
+//! Tests for the open-loop load generator:
 //!
 //! 1. seeded determinism — the same seed yields a byte-identical
 //!    arrival schedule, tenant/query assignment and digest, and the

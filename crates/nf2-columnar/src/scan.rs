@@ -110,14 +110,16 @@ pub const READ_RETRIES: u32 = 3;
 
 /// A fault injector attached to one scan: the injector, the identity of
 /// the scanned table (the injector's decisions are keyed on the
-/// fingerprint; the name is carried for error context), and the scan
+/// fingerprint; the name is carried for error context), the scan
 /// span's context, under which every re-read records a
-/// [`obs::Stage::Recovery`] span.
+/// [`obs::Stage::Recovery`] span, and the scan's cancel token, observed
+/// before every chunk read.
 struct ScanFaults<'f> {
     injector: &'f FaultInjector,
     table_name: &'f str,
     table_fingerprint: u64,
     trace: obs::TraceCtx,
+    cancel: &'f obs::CancelToken,
 }
 
 impl ScanFaults<'_> {
@@ -155,8 +157,11 @@ impl ScanFaults<'_> {
 /// differ. A transient chunk fault is retried here, where the read
 /// happens ([`READ_RETRIES`] per chunk), and re-reads add no bytes; a
 /// fault that outlives the budget aborts the group's cache admissions and
-/// surfaces as [`ColumnarError::Fault`]. Returns the re-reads the group
-/// took; with `faults: None` the function is infallible in practice.
+/// surfaces as [`ColumnarError::Fault`]. An injected read can be slow,
+/// so the scan's cancel token is observed before each chunk read: a
+/// deadline stops a wide group partway through instead of after all of
+/// its reads. Returns the re-reads the group took; with `faults: None`
+/// the function is infallible in practice.
 fn account_group_scan(
     stats: &mut ScanStats,
     group: &RowGroup,
@@ -166,6 +171,7 @@ fn account_group_scan(
     cache: Option<ScanCache<'_>>,
     faults: Option<&ScanFaults<'_>>,
 ) -> Result<u64, ColumnarError> {
+    let rows_done = stats.rows;
     stats.rows += group.n_rows() as u64;
     stats.bytes_scanned += group.compressed_bytes(read_leaves) as u64;
     stats.uncompressed_bytes += group.uncompressed_bytes(read_leaves) as u64;
@@ -178,6 +184,7 @@ fn account_group_scan(
     let mut retried = 0;
     for leaf in read_leaves {
         if let Some(f) = faults {
+            f.cancel.check(obs::Stage::Scan, rows_done)?;
             retried += f.read(group_idx as u32, &leaf.path)?;
         }
         let Some(sc) = cache else { continue };
@@ -317,9 +324,11 @@ impl<'a> ScanRequest<'a> {
     }
 
     /// Attaches a cooperative cancel token, checked once per row group
-    /// *before* the group is accounted: an expired deadline or explicit
-    /// cancel stops the scan within one row group of work, and no bytes
-    /// of the aborted group are billed.
+    /// *before* the group is accounted, and, with a fault injector
+    /// attached, before every chunk read: an expired deadline or explicit
+    /// cancel stops the scan within one row group of work (within one
+    /// read under injected latency), and no bytes of the aborted group
+    /// are billed.
     pub fn cancel(mut self, cancel: &'a obs::CancelToken) -> Self {
         self.cancel = Some(cancel);
         self
@@ -373,6 +382,7 @@ impl<'a> ScanRequest<'a> {
             table_name: self.table.name(),
             table_fingerprint: self.table.fingerprint(),
             trace: span.ctx(),
+            cancel,
         });
         let mut reads_retried = 0;
         for (idx, g) in self.table.row_groups().iter().enumerate() {
@@ -511,6 +521,32 @@ mod tests {
         assert_eq!(c.stage, obs::Stage::Scan);
         assert_eq!(c.rows_processed, 0);
         assert_eq!(c.reason, obs::CancelReason::Explicit);
+    }
+
+    #[test]
+    fn deadline_stops_a_slow_group_between_chunk_reads() {
+        let t = table();
+        let p = Projection::of(["MET.pt"]);
+        let injector = FaultInjector::new(FaultConfig {
+            latency: std::time::Duration::from_millis(50),
+            ..FaultConfig::only(FaultClass::Latency, 1.0, 7)
+        });
+        let token = obs::CancelToken::with_deadline(
+            std::time::Instant::now() + std::time::Duration::from_millis(20),
+        );
+        // One row group, four chunk reads of 50 ms each: the deadline
+        // passes during the first read and must stop the second.
+        let err = ScanRequest::new(&t, &p)
+            .capability(PushdownCapability::None)
+            .faults(Some(&injector))
+            .cancel(&token)
+            .run()
+            .unwrap_err();
+        let c = err.cancelled().copied().expect("typed cancellation");
+        assert_eq!(c.stage, obs::Stage::Scan);
+        assert_eq!(c.rows_processed, 0);
+        assert_eq!(c.reason, obs::CancelReason::DeadlineExceeded);
+        assert!(injector.counters().latency <= 1);
     }
 
     #[test]

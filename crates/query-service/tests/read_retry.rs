@@ -8,20 +8,12 @@ use std::sync::Arc;
 use hep_model::generator::build_dataset;
 use hep_model::DatasetSpec;
 use hepbench_core::runner::System;
-use hepbench_core::QueryId;
+use hepbench_core::{QueryId, ALL_QUERIES};
 use nf2_columnar::{FaultClass, FaultConfig, FaultInjector, Table};
 use query_service::{QueryRequest, QueryService, ServiceConfig};
 
-/// 4 096 events in 32 row groups.
-fn table() -> Arc<Table> {
-    Arc::new(
-        build_dataset(DatasetSpec {
-            n_events: 4_096,
-            row_group_size: 128,
-            seed: 0x2E4D,
-        })
-        .1,
-    )
+fn table(spec: DatasetSpec) -> Arc<Table> {
+    Arc::new(build_dataset(spec).1)
 }
 
 /// The default deployment with the result cache off (so every request
@@ -39,26 +31,20 @@ fn service(table: &Arc<Table>, faults: Option<Arc<FaultInjector>>) -> QueryServi
     )
 }
 
-const GRID: &[(System, QueryId)] = &[
-    (System::Presto, QueryId::Q1),
-    (System::Presto, QueryId::Q5),
-    (System::BigQuery, QueryId::Q1),
-    (System::Rumble, QueryId::Q1),
-    (System::RDataFrame, QueryId::Q1),
-];
-
-#[test]
-fn transient_read_faults_are_served_on_the_first_request() {
-    let table = table();
-    // Every faulted chunk fails its first read and then reads clean.
+/// Serves every (system, query) of `grid` from a fault-free service and
+/// from one behind `faults`, whose faulted chunks fail their first read
+/// and then read clean. Every faulted request must be served, with the
+/// fault-free histogram and `ScanStats`, and every failed read must have
+/// been retried.
+fn assert_served_through(table: &Arc<Table>, faults: FaultConfig, grid: &[(System, QueryId)]) {
     let injector = Arc::new(FaultInjector::new(FaultConfig {
         transient_attempts: 1,
-        ..FaultConfig::only(FaultClass::Io, 0.01, 0x5EED)
+        ..faults
     }));
-    let clean = service(&table, None);
-    let faulty = service(&table, Some(injector.clone()));
+    let clean = service(table, None);
+    let faulty = service(table, Some(injector.clone()));
     let mut reads_retried = 0;
-    for &(system, query) in GRID {
+    for &(system, query) in grid {
         let ctx = format!("{} {}", system.name(), query.name());
         let want = clean
             .execute(QueryRequest::new("t", system, query))
@@ -72,11 +58,63 @@ fn transient_read_faults_are_served_on_the_first_request() {
         reads_retried += got.stats.reads_retried;
     }
     assert!(reads_retried > 0, "no read was retried: dead injector?");
+    let counters = injector.counters();
     assert_eq!(
-        injector.counters().io,
+        counters.errors(),
         reads_retried,
         "every failed read was retried"
     );
+    assert!(counters.recovered > 0, "no read recovered");
     let stats = faulty.stats();
-    assert_eq!((stats.completed, stats.failed), (GRID.len() as u64, 0));
+    assert_eq!((stats.completed, stats.failed), (grid.len() as u64, 0));
+}
+
+#[test]
+fn transient_read_faults_are_served_on_the_first_request() {
+    // Sparse I/O faults on 4 096 events in 32 row groups.
+    let io_grid = [
+        (System::Presto, QueryId::Q1),
+        (System::Presto, QueryId::Q5),
+        (System::BigQuery, QueryId::Q1),
+        (System::Rumble, QueryId::Q1),
+        (System::RDataFrame, QueryId::Q1),
+    ];
+    assert_served_through(
+        &table(DatasetSpec {
+            n_events: 4_096,
+            row_group_size: 128,
+            seed: 0x2E4D,
+        }),
+        FaultConfig::only(FaultClass::Io, 0.01, 0x5EED),
+        &io_grid,
+    );
+
+    // All three retryable classes at once, over one system per
+    // language/dialect × every benchmark query, on the benchmark seed's
+    // 2 000 events in 256-event row groups.
+    let systems = [
+        System::BigQuery,
+        System::AthenaV2,
+        System::Presto,
+        System::Rumble,
+        System::RDataFrame,
+    ];
+    let full_grid: Vec<_> = systems
+        .iter()
+        .flat_map(|&s| ALL_QUERIES.iter().map(move |&q| (s, q)))
+        .collect();
+    assert_served_through(
+        &table(DatasetSpec {
+            n_events: 2_000,
+            row_group_size: 256,
+            seed: 0xAD1B70,
+        }),
+        FaultConfig {
+            p_io: 0.04,
+            p_checksum: 0.02,
+            p_truncated: 0.02,
+            ..FaultConfig::off(0x5EED)
+        },
+        &full_grid,
+    );
 }

@@ -1,6 +1,6 @@
 //! The parallel-execution contract: morsel-parallel compiled execution
 //! is an *execution* optimization, never a semantic or a pricing one.
-//! The same plan at 1, 2 or 8 workers must produce byte-identical bin
+//! The same plan at 1, 2, 4 or 8 workers must produce byte-identical bin
 //! sequences, byte-identical histograms through the engines, and
 //! identical `ScanStats` (scan accounting is a serial pre-pass, so a
 //! re-executed morsel can never be double-billed).
@@ -13,9 +13,12 @@
 use std::sync::Arc;
 
 use hepquery::bench::ALL_QUERIES;
+use hepquery::columnar::{ScalarPredicate, SelCmp, SelValue};
 use hepquery::exec_par::{self, ParOptions};
-use hepquery::physical_ir;
+use hepquery::model::{build_sharded_table, ShardedSpec};
+use hepquery::physical_ir::{self, ComputeNode, FilterNode, PhysPlan, TrijetCompute, TrijetPlot};
 use hepquery::prelude::*;
+use hepquery::value::Path;
 
 fn table() -> Arc<Table> {
     Arc::new(
@@ -28,11 +31,97 @@ fn table() -> Arc<Table> {
     )
 }
 
-/// Every benchmark query that lowers to the compiled IR: the raw bin
-/// sequence from the parallel executor is byte-identical to the serial
-/// one at every worker count.
+/// The plans of the sharded scale ladder: two scan-bound fills
+/// (Q1/Q2-shaped) and the compute-bound Q6 trijet kernel.
+fn ladder_plans() -> Vec<(&'static str, PhysPlan)> {
+    vec![
+        (
+            "q1-metpt",
+            PhysPlan {
+                filters: vec![FilterNode::Scalar(ScalarPredicate {
+                    leaf: Path::parse("MET.pt"),
+                    cmp: SelCmp::Gt,
+                    value: SelValue::Float(0.0),
+                })],
+                compute: ComputeNode::ScalarFill {
+                    leaf: Path::parse("MET.pt"),
+                },
+                spec: HistSpec::new(100, 0.0, 200.0),
+            },
+        ),
+        (
+            "q2-jetpt",
+            PhysPlan {
+                filters: vec![],
+                compute: ComputeNode::ListFill {
+                    leaf: Path::parse("Jet.pt"),
+                    elem: None,
+                },
+                spec: HistSpec::new(100, 15.0, 60.0),
+            },
+        ),
+        (
+            "q6-trijet",
+            PhysPlan {
+                filters: vec![FilterNode::ListCount {
+                    leaf: Path::parse("Jet.pt"),
+                    elem: None,
+                    cmp: SelCmp::Ge,
+                    count: 3,
+                }],
+                compute: ComputeNode::Trijet(TrijetCompute {
+                    pt: Path::parse("Jet.pt"),
+                    eta: Path::parse("Jet.eta"),
+                    phi: Path::parse("Jet.phi"),
+                    mass: Path::parse("Jet.mass"),
+                    btag: Path::parse("Jet.btag"),
+                    top_mass: 172.5,
+                    plot: TrijetPlot::Pt,
+                }),
+                spec: HistSpec::new(100, 15.0, 40.0),
+            },
+        ),
+    ]
+}
+
+/// The raw bin sequence from the parallel executor is byte-identical to
+/// the serial one at 1, 2, 4 and 8 workers, and every row group runs as
+/// exactly one morsel: nothing lost, nothing executed twice. Checked on
+/// every benchmark query that lowers to the compiled IR, and on three
+/// plans over a sharded ladder of three data scales (1, 2 and 4 shards of
+/// 2 048 events in 64-event row groups; shard seeds do not depend on the
+/// shard count, so each scale is a prefix of the next).
 #[test]
 fn parallel_bins_byte_identical_across_worker_counts() {
+    let check = |what: &str, plan: &PhysPlan, table: &Table| {
+        let serial = physical_ir::execute(
+            plan,
+            table,
+            None,
+            &obs::TraceCtx::disabled(),
+            &obs::CancelToken::none(),
+        )
+        .unwrap();
+        for workers in [1, 2, 4, 8] {
+            let (bins, stats) = exec_par::execute(
+                plan,
+                table,
+                None,
+                &obs::TraceCtx::disabled(),
+                &obs::CancelToken::none(),
+                None,
+                &ParOptions::new(workers),
+            )
+            .unwrap();
+            assert_eq!(
+                bins, serial,
+                "{what}: parallel bins diverged at workers={workers}"
+            );
+            assert_eq!(stats.morsels, table.row_groups().len() as u64, "{what}");
+            assert_eq!(stats.rows, table.n_rows() as u64, "{what}");
+        }
+    };
+
     let table = table();
     let mut lowered = 0;
     for q in ALL_QUERIES {
@@ -45,38 +134,22 @@ fn parallel_bins_byte_identical_across_worker_counts() {
             continue;
         };
         lowered += 1;
-        let serial = physical_ir::execute(
-            &plan,
-            &table,
-            None,
-            &obs::TraceCtx::disabled(),
-            &obs::CancelToken::none(),
-        )
-        .unwrap();
-        for workers in [1, 2, 8] {
-            let (bins, stats) = exec_par::execute(
-                &plan,
-                &table,
-                None,
-                &obs::TraceCtx::disabled(),
-                &obs::CancelToken::none(),
-                None,
-                &ParOptions::new(workers),
-            )
-            .unwrap();
-            assert_eq!(
-                bins,
-                serial,
-                "{}: parallel bins diverged at workers={workers}",
-                q.name()
-            );
-            // Exactly one morsel per row group: nothing lost, nothing
-            // executed twice.
-            assert_eq!(stats.morsels, table.row_groups().len() as u64);
-            assert_eq!(stats.rows, table.n_rows() as u64);
-        }
+        check(q.name(), &plan, &table);
     }
     assert!(lowered >= 2, "expected several queries to lower: {lowered}");
+
+    let base = ShardedSpec {
+        events_per_shard: 2_048,
+        shards: 1,
+        row_group_size: 64,
+        seed: hepbench_bench::SEED,
+    };
+    for shards in [1, 2, 4] {
+        let table = build_sharded_table(base.with_shards(shards));
+        for (name, plan) in ladder_plans() {
+            check(&format!("{name} at {shards} shards"), &plan, &table);
+        }
+    }
 }
 
 /// Through the SQL engine: identical histograms AND identical ScanStats

@@ -8,13 +8,14 @@
 //! 2. Zone-map pruning moves bytes between accounts, it never loses them:
 //!    `bytes_scanned + bytes_pruned` with pruning on equals `bytes_scanned`
 //!    with pruning off, and the split is a property of table + predicates —
-//!    identical at every worker count.
+//!    identical at every worker count. A window cut on the monotone event
+//!    id prunes at least 30 % of row groups and changes no result.
 
 use std::sync::Arc;
 
 use hepquery::bench::ALL_QUERIES;
 use hepquery::columnar::stats::skip_mask;
-use hepquery::columnar::{ScalarPredicate, ScanRequest, SelCmp, SelValue};
+use hepquery::columnar::{ScalarPredicate, ScanRequest, ScanStats, SelCmp, SelValue};
 use hepquery::prelude::*;
 
 #[test]
@@ -59,19 +60,91 @@ fn vectorized_filter_never_changes_scan_stats_or_results() {
     }
 }
 
-/// Zone-map pruning conserves accounting bytes on the SQL interpreters:
-/// `bytes_scanned + bytes_pruned` with pruning on equals `bytes_scanned`
-/// with pruning off, the split is identical at every worker count, and
-/// results never change. The predicate cuts on the monotone `event`
-/// column, so most row groups are provably outside the window.
+/// A zone-map pruning run on the interpreters must leave the result
+/// untouched, prune nothing with pruning off, conserve accounting bytes
+/// (`bytes_scanned + bytes_pruned` with pruning on equals `bytes_scanned`
+/// with pruning off) and prune at least this fraction of row groups on
+/// every window cut below.
+const MIN_PRUNED_FRACTION: f64 = 0.30;
+
+/// Asserts the pruning contract on one (off, on) pair of runs.
+fn assert_pruning_sound<R: PartialEq + std::fmt::Debug>(
+    what: &str,
+    groups_total: usize,
+    (off, off_stats): (R, ScanStats),
+    (on, on_stats): (R, ScanStats),
+) {
+    assert_eq!(on, off, "{what}: pruning changed the result");
+    assert_eq!(
+        (off_stats.groups_pruned, off_stats.bytes_pruned),
+        (0, 0),
+        "{what}: pruning off still pruned"
+    );
+    assert_eq!(
+        on_stats.bytes_scanned + on_stats.bytes_pruned,
+        off_stats.bytes_scanned,
+        "{what}: accounting bytes not conserved",
+    );
+    assert!(
+        on_stats.groups_pruned as f64 >= MIN_PRUNED_FRACTION * groups_total as f64,
+        "{what}: pruned {}/{groups_total} row groups, below {:.0}%",
+        on_stats.groups_pruned,
+        MIN_PRUNED_FRACTION * 100.0,
+    );
+}
+
+/// Zone-map pruning is sound on the interpreters, at Figure 4b's scale
+/// and at any worker count:
+///
+/// * the windowed Q1/Q5 texts of `fig4b_pruning` on Presto SQL and JSONiq
+///   (32 768 events in 128 row groups, the middle-quarter event window,
+///   row-at-a-time interpretation);
+/// * a window `COUNT(*)` under all three SQL dialects at 1, 2 and 4
+///   threads — the scanned/pruned split is a property of table +
+///   predicates, so every worker count reports the same stats.
+///
+/// The window cuts on the monotone `event` column, so most row groups
+/// are provably outside it.
 #[test]
 fn pruning_conserves_accounting_bytes_across_worker_counts() {
+    use hepbench_bench::windowed::{options, q1w_sql, q5w_sql, window, windowed_jq};
+    use hepquery::jsoniq::FlworEngine;
+
+    let spec = DatasetSpec {
+        n_events: 32_768,
+        row_group_size: 256,
+        seed: hepbench_bench::SEED,
+    };
+    let (_, table) = hepbench_bench::dataset(spec);
+    let groups = table.row_groups().len();
+    let (lo, hi) = window(spec.n_events);
+    for (query, sql) in [("Q1w", q1w_sql(lo, hi)), ("Q5w", q5w_sql(lo, hi))] {
+        let run = |prune: bool| {
+            let mut engine = SqlEngine::new(Dialect::presto(), options(prune));
+            engine.register(table.clone());
+            let out = engine.execute(&sql).unwrap();
+            (out.relation, out.stats.scan)
+        };
+        assert_pruning_sound(&format!("sql {query}"), groups, run(false), run(true));
+    }
+    for (query, q) in [("Q1w", QueryId::Q1), ("Q5w", QueryId::Q5)] {
+        let text = windowed_jq(q, lo, hi);
+        let run = |prune: bool| {
+            let mut engine = FlworEngine::new(options(prune));
+            engine.register(table.clone());
+            let out = engine.execute(&text).unwrap();
+            (out.items, out.stats.scan)
+        };
+        assert_pruning_sound(&format!("jsoniq {query}"), groups, run(false), run(true));
+    }
+
     let (events, table) = hepquery::model::generator::build_dataset(DatasetSpec {
         n_events: 1_500,
         row_group_size: 256,
         seed: 0xC057,
     });
     let table = Arc::new(table);
+    let groups = table.row_groups().len();
     let sql = "SELECT COUNT(*) FROM events WHERE event < 300";
     let expect = events.iter().filter(|e| e.event < 300).count() as i64;
     for make in [
@@ -89,38 +162,17 @@ fn pruning_conserves_accounting_bytes_across_worker_counts() {
                 },
             );
             engine.register(table.clone());
-            engine.execute(sql).unwrap()
+            let out = engine.execute(sql).unwrap();
+            (out.relation.rows, out.stats.scan)
         };
+        let serial = run(true, 1);
+        assert_eq!(serial.0[0][0], Value::Int(expect), "{:?}", make().name);
         let off = run(false, 1);
-        assert_eq!(off.stats.scan.groups_pruned, 0);
-        assert_eq!(off.stats.scan.bytes_pruned, 0);
         for n_threads in [1, 2, 4] {
+            let what = format!("{:?} threads={n_threads}", make().name);
             let on = run(true, n_threads);
-            assert_eq!(
-                on.relation.rows[0][0],
-                Value::Int(expect),
-                "{:?} threads={n_threads}: pruning changed the result",
-                make().name,
-            );
-            assert!(
-                on.stats.scan.groups_pruned > 0,
-                "{:?} threads={n_threads}: window cut pruned nothing",
-                make().name,
-            );
-            assert_eq!(
-                on.stats.scan.bytes_scanned + on.stats.scan.bytes_pruned,
-                off.stats.scan.bytes_scanned,
-                "{:?} threads={n_threads}: accounting bytes not conserved",
-                make().name,
-            );
-            // The scanned/pruned split is a property of table + predicates,
-            // not of the schedule: every worker count reports the same stats.
-            assert_eq!(
-                on.stats.scan,
-                run(true, 1).stats.scan,
-                "{:?} threads={n_threads}: scan stats depend on worker count",
-                make().name,
-            );
+            assert_eq!(on.1, serial.1, "{what}: scan stats depend on worker count");
+            assert_pruning_sound(&what, groups, off.clone(), on);
         }
     }
 }
