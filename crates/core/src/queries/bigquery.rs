@@ -11,7 +11,7 @@ use crate::spec::QueryId;
 
 /// The `PairMass` temp UDF: invariant mass of two (pt, η, φ, m) particles,
 /// written with the exact component-sum float path of
-/// [`crate::reference::pair_mass`].
+/// [`physics::invariant_mass_2`].
 fn pair_mass_fn() -> String {
     "CREATE TEMP FUNCTION PairMass(\n\
      \x20   p1 STRUCT<pt FLOAT64, eta FLOAT64, phi FLOAT64, mass FLOAT64>,\n\

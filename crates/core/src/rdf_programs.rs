@@ -4,8 +4,9 @@
 //! and, like the C++ lambdas, read the columns they list by position.
 //! Q5, Q7 and Q8 call the per-event kernels of [`crate::reference`] over
 //! the event's column slices; Q6 calls the trijet kernel compiled plans
-//! run ([`physical_ir::TrijetScratch`]), which replicates
-//! [`reference::best_trijet`] op for op. Their histograms are therefore
+//! run ([`physical_ir::TrijetScratch`]), which shares the four-vector
+//! conversion with [`reference::best_trijet`] and sums and compares in
+//! its order. Their histograms are therefore
 //! bit-identical to the ground truth — which is precisely how RDataFrame
 //! relates to hand-written event loops.
 

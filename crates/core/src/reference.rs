@@ -12,7 +12,7 @@
 //! event**, the quantity of the paper's Table 2.
 
 use hep_model::{Electron, Event, Muon};
-use physics::{FourMomentum, Histogram};
+use physics::{invariant_mass_2, FourMomentum, Histogram};
 
 use crate::spec::{masses, QueryId};
 
@@ -162,29 +162,6 @@ pub fn light_leptons(event: &Event) -> LightLeptons<&[Muon], &[Electron]> {
     }
 }
 
-/// Invariant mass of two particles via explicit component sums — the
-/// formula the SQL/JSONiq texts spell out.
-#[allow(clippy::too_many_arguments)]
-pub fn pair_mass(
-    pt1: f64,
-    eta1: f64,
-    phi1: f64,
-    m1: f64,
-    pt2: f64,
-    eta2: f64,
-    phi2: f64,
-    m2: f64,
-) -> f64 {
-    let a = FourMomentum::from_pt_eta_phi_m(pt1, eta1, phi1, m1);
-    let b = FourMomentum::from_pt_eta_phi_m(pt2, eta2, phi2, m2);
-    let e = a.e + b.e;
-    let px = a.px + b.px;
-    let py = a.py + b.py;
-    let pz = a.pz + b.pz;
-    let m2sum = e * e - (px * px + py * py + pz * pz);
-    m2sum.max(0.0).sqrt()
-}
-
 /// Best trijet of an event: the 3-jet combination (in `i<j<k` enumeration
 /// order, first-minimum wins) whose invariant mass is closest to the top
 /// mass. Returns `(system_pt, max_btag, combinations_explored)`.
@@ -233,7 +210,7 @@ pub fn q5_selects(muons: impl Particles) -> bool {
         ((i + 1)..n).any(|k| {
             let b = muons.get(k);
             a.charge != b.charge
-                && (60.0..=120.0).contains(&pair_mass(
+                && (60.0..=120.0).contains(&invariant_mass_2(
                     a.pt, a.eta, a.phi, a.mass, b.pt, b.eta, b.phi, b.mass,
                 ))
         })
@@ -289,7 +266,7 @@ pub fn q8_value(leptons: impl Particles, met_pt: f64, met_phi: f64) -> (Option<f
             if a.flavor != b.flavor || a.charge == b.charge {
                 continue;
             }
-            let m = pair_mass(a.pt, a.eta, a.phi, a.mass, b.pt, b.eta, b.phi, b.mass);
+            let m = invariant_mass_2(a.pt, a.eta, a.phi, a.mass, b.pt, b.eta, b.phi, b.mass);
             let dist = (m - masses::Z).abs();
             let better = match &best {
                 None => true,
@@ -594,12 +571,9 @@ mod tests {
             let got = s.best(&btag, masses::TOP).unwrap();
 
             let n = jets.len();
-            let px: Vec<f64> = (0..n).map(|i| pt[i] * phi[i].cos()).collect();
-            let py: Vec<f64> = (0..n).map(|i| pt[i] * phi[i].sin()).collect();
-            let pz: Vec<f64> = (0..n).map(|i| pt[i] * eta[i].sinh()).collect();
-            let e: Vec<f64> = (0..n)
-                .map(|i| (px[i] * px[i] + py[i] * py[i] + pz[i] * pz[i] + mass[i] * mass[i]).sqrt())
-                .collect();
+            let [mut px, mut py, mut pz, mut e] = [(); 4].map(|_| vec![0.0; n]);
+            let out = [&mut px[..], &mut py[..], &mut pz[..], &mut e[..]];
+            physics::fourvec::to_cartesian(&pt, &eta, &phi, &mass, out);
             let mut naive: Option<(f64, f64, f64)> = None;
             for i in 0..n {
                 for j in (i + 1)..n {

@@ -1,6 +1,7 @@
 //! Built-in JSONiq functions.
 
 use nested_value::Value;
+use physics::math;
 
 use crate::error::FlworError;
 use crate::interp::{ebv, single, Seq};
@@ -76,11 +77,11 @@ pub fn eval_builtin(name: &str, args: &[Seq]) -> Option<Result<Seq, FlworError>>
         "exp" => num1(name, args, f64::exp, None),
         "log" => num1(name, args, f64::ln, None),
         "log10" => num1(name, args, f64::log10, None),
-        "cos" => num1(name, args, f64::cos, None),
-        "sin" => num1(name, args, f64::sin, None),
+        "cos" => num1(name, args, |x| math::sin_cos(x).1, None),
+        "sin" => num1(name, args, |x| math::sin_cos(x).0, None),
         "tan" => num1(name, args, f64::tan, None),
         "cosh" => num1(name, args, f64::cosh, None),
-        "sinh" => num1(name, args, f64::sinh, None),
+        "sinh" => num1(name, args, math::sinh, None),
         "tanh" => num1(name, args, f64::tanh, None),
         "acos" => num1(name, args, f64::acos, None),
         "asin" => num1(name, args, f64::asin, None),

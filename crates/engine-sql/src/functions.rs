@@ -5,6 +5,7 @@
 //! expression evaluator; everything value-only lives here.
 
 use nested_value::Value;
+use physics::math;
 
 use crate::error::SqlError;
 
@@ -43,14 +44,14 @@ fn eval_builtin_lower(lower: &str, args: &[Value]) -> Option<Result<Value, SqlEr
         "ceil" | "ceiling" => unary_numeric(lower, args, f64::ceil, Some(|i| i)),
         "round" => unary_numeric(lower, args, f64::round, Some(|i| i)),
         "sign" => unary_numeric(lower, args, f64::signum, Some(|i: i64| i.signum())),
-        "cos" => unary_numeric(lower, args, f64::cos, None),
-        "sin" => unary_numeric(lower, args, f64::sin, None),
+        "cos" => unary_numeric(lower, args, |x| math::sin_cos(x).1, None),
+        "sin" => unary_numeric(lower, args, |x| math::sin_cos(x).0, None),
         "tan" => unary_numeric(lower, args, f64::tan, None),
         "acos" => unary_numeric(lower, args, f64::acos, None),
         "asin" => unary_numeric(lower, args, f64::asin, None),
         "atan" => unary_numeric(lower, args, f64::atan, None),
         "cosh" => unary_numeric(lower, args, f64::cosh, None),
-        "sinh" => unary_numeric(lower, args, f64::sinh, None),
+        "sinh" => unary_numeric(lower, args, math::sinh, None),
         "tanh" => unary_numeric(lower, args, f64::tanh, None),
         "pi" => {
             if args.is_empty() {

@@ -1,16 +1,14 @@
 //! The fused trijet kernel.
 //!
-//! Replicates the float operation sequence of the reference kernel
-//! (`best_trijet` in the benchmark core) **op for op**: per-jet
-//! four-momentum components are precomposed once per event
-//! (`px = pt·cos φ`, `py = pt·sin φ`, `pz = pt·sinh η`,
-//! `e = √(px² + py² + pz² + m²)`), candidate systems are left-associated
-//! three-way sums in `i < j < k` enumeration order, the invariant mass is
-//! `√(max(0, e² − (px² + py² + pz²)))`, and the winner is the first
-//! candidate with strictly smaller `|mass − top|` — the same
-//! first-minimum tie-break the interpreters' stable `order by` /
-//! `MIN_BY` produce. Bit-identical inputs therefore give bit-identical
-//! histograms across compiled and interpreted execution.
+//! Per-jet components come from the shared conversion,
+//! [`physics::fourvec::to_cartesian`], once per event. Candidate systems
+//! are left-associated three-way sums in `i < j < k` enumeration order,
+//! the invariant mass is `√(max(0, e² − (px² + py² + pz²)))`, and the
+//! winner is the first candidate with strictly smaller `|mass − top|` —
+//! the same float operations and first-minimum tie-break as the reference
+//! (`best_trijet` in the benchmark core) and the interpreters' stable
+//! `order by` / `MIN_BY`. Bit-identical inputs therefore give
+//! bit-identical histograms across compiled and interpreted execution.
 //!
 //! The pair sum `vᵢ + vⱼ` is formed once per `(i, j)` and `v_k` added in
 //! the inner loop: `(vᵢ + vⱼ) + v_k` is the reference's left-associated
@@ -33,24 +31,14 @@ impl TrijetScratch {
         TrijetScratch::default()
     }
 
-    /// Loads one event's jets, decomposing (pt, eta, phi, mass) into
-    /// (px, py, pz, e) exactly like the reference four-vector
-    /// constructor.
+    /// Loads one event's jets, converting (pt, eta, phi, mass) to
+    /// (px, py, pz, e) with [`physics::fourvec::to_cartesian`].
     pub fn load(&mut self, pt: &[f64], eta: &[f64], phi: &[f64], mass: &[f64]) {
-        self.px.clear();
-        self.py.clear();
-        self.pz.clear();
-        self.e.clear();
-        for i in 0..pt.len() {
-            let px = pt[i] * phi[i].cos();
-            let py = pt[i] * phi[i].sin();
-            let pz = pt[i] * eta[i].sinh();
-            let e = (px * px + py * py + pz * pz + mass[i] * mass[i]).sqrt();
-            self.px.push(px);
-            self.py.push(py);
-            self.pz.push(pz);
-            self.e.push(e);
+        let mut out = [&mut self.px, &mut self.py, &mut self.pz, &mut self.e];
+        for v in out.iter_mut() {
+            v.resize(pt.len(), 0.0);
         }
+        physics::fourvec::to_cartesian(pt, eta, phi, mass, out.map(|v| &mut v[..]));
     }
 
     /// Enumerates all jet triples of the loaded event and returns

@@ -31,7 +31,8 @@
 //!
 //! Lowering is capability-gated: a frontend lowers a query only when it can
 //! prove the plan reproduces the interpreter's exact float operation
-//! sequence (the trijet kernel replicates the reference kernel op for op);
+//! sequence (the trijet kernel calls the reference's four-vector
+//! conversion and sums and compares in its order);
 //! everything else falls back to the interpreters.
 
 pub mod agg;

@@ -7,6 +7,8 @@
 //! component-wise, and converting back — the "vector space transformation,
 //! piece-wise addition, and reverse transformation" of the paper's §3.5.
 
+use crate::math;
+
 /// A four-momentum in Cartesian representation.
 #[derive(Clone, Copy, Debug, PartialEq, Default)]
 pub struct FourMomentum {
@@ -28,16 +30,26 @@ impl FourMomentum {
 
     /// Constructs from detector coordinates (pt, η, φ, m).
     ///
+    /// This is the workspace's one (pt, η, φ, m) → (px, py, pz, E)
+    /// conversion; [`to_cartesian`] maps it over slices. The query texts
+    /// spell out the same operations (`pt·cos φ`, `pt·sin φ`, `pt·sinh η`,
+    /// `√(px² + py² + pz² + m²)`) over the same [`crate::math`] functions,
+    /// so every engine forms bit-identical components.
+    ///
     /// ```
     /// use physics::FourMomentum;
     /// let p = FourMomentum::from_pt_eta_phi_m(50.0, 0.0, 0.0, 0.0);
     /// assert!((p.px - 50.0).abs() < 1e-12);
     /// assert!(p.pz.abs() < 1e-12);
     /// ```
+    // Always inlined, with `math`'s bodies: `to_cartesian`'s loop
+    // vectorises only when nothing in it is a call.
+    #[inline(always)]
     pub fn from_pt_eta_phi_m(pt: f64, eta: f64, phi: f64, mass: f64) -> Self {
-        let px = pt * phi.cos();
-        let py = pt * phi.sin();
-        let pz = pt * eta.sinh();
+        let (sin, cos) = math::sin_cos(phi);
+        let px = pt * cos;
+        let py = pt * sin;
+        let pz = pt * math::sinh(eta);
         let e = (px * px + py * py + pz * pz + mass * mass).sqrt();
         FourMomentum { px, py, pz, e }
     }
@@ -122,6 +134,24 @@ impl FourMomentum {
             pz: self.pz + gamma2 * bp * bz + gamma * bz * self.e,
             e: gamma * (self.e + bp),
         }
+    }
+}
+
+/// Converts objects from detector coordinates to Cartesian components,
+/// `out = [px, py, pz, e]`, one [`FourMomentum::from_pt_eta_phi_m`] per
+/// index. The body is straight-line: no branch depends on the data.
+///
+/// # Panics
+///
+/// If any input or output slice is shorter than `pt`.
+pub fn to_cartesian(pt: &[f64], eta: &[f64], phi: &[f64], mass: &[f64], out: [&mut [f64]; 4]) {
+    let n = pt.len();
+    let (eta, phi, mass) = (&eta[..n], &phi[..n], &mass[..n]);
+    let [px, py, pz, e] = out;
+    let (px, py, pz, e) = (&mut px[..n], &mut py[..n], &mut pz[..n], &mut e[..n]);
+    for i in 0..n {
+        let p = FourMomentum::from_pt_eta_phi_m(pt[i], eta[i], phi[i], mass[i]);
+        (px[i], py[i], pz[i], e[i]) = (p.px, p.py, p.pz, p.e);
     }
 }
 

@@ -40,9 +40,9 @@ pub fn delta_r(eta1: f64, phi1: f64, eta2: f64, phi2: f64) -> f64 {
     (deta * deta + dphi * dphi).sqrt()
 }
 
-/// Invariant mass of a two-particle system given detector coordinates.
-///
-/// Convenience wrapper over [`FourMomentum`] used by (Q5) and (Q8).
+/// Invariant mass of a two-particle system given detector coordinates,
+/// `√(max(0, (e₁ + e₂)² − |p₁ + p₂|²))` — the float path the SQL/JSONiq
+/// `PairMass` texts of (Q5) and (Q8) spell out.
 #[allow(clippy::too_many_arguments)]
 pub fn invariant_mass_2(
     pt1: f64,
@@ -67,7 +67,9 @@ pub fn invariant_mass_2(
 /// the SQL/JSONiq formulations.
 pub fn transverse_mass(pt_lep: f64, phi_lep: f64, met: f64, met_phi: f64) -> f64 {
     let dphi = phi_lep - met_phi;
-    (2.0 * pt_lep * met * (1.0 - dphi.cos())).max(0.0).sqrt()
+    (2.0 * pt_lep * met * (1.0 - crate::math::sin_cos(dphi).1))
+        .max(0.0)
+        .sqrt()
 }
 
 #[cfg(test)]

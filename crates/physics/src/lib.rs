@@ -19,6 +19,7 @@
 pub mod fourvec;
 pub mod hist;
 pub mod kinematics;
+pub mod math;
 
 pub use fourvec::FourMomentum;
 pub use hist::{HistSpec, Histogram};

@@ -5,6 +5,7 @@ use proptest::prelude::*;
 use crate::fourvec::FourMomentum;
 use crate::hist::{HistSpec, Histogram};
 use crate::kinematics::{delta_phi, delta_r, transverse_mass};
+use crate::math::{sin_cos, sinh, SIN_COS_MAX};
 
 fn pt() -> impl Strategy<Value = f64> {
     0.1..500.0f64
@@ -163,6 +164,88 @@ proptest! {
         if (0..100).contains(&b) {
             prop_assert!(spec.edge(b as usize) <= x);
             prop_assert!(x < spec.edge(b as usize + 1) + 1e-9);
+        }
+    }
+}
+
+/// Distance in units in the last place: the number of doubles between
+/// `a` and `b`, 0 when both are NaN.
+fn ulps(a: f64, b: f64) -> u64 {
+    if a.is_nan() && b.is_nan() {
+        return 0;
+    }
+    let ordered = |x: f64| {
+        let i = x.to_bits() as i64;
+        if i < 0 {
+            i64::MIN - i
+        } else {
+            i
+        }
+    };
+    ordered(a).abs_diff(ordered(b))
+}
+
+/// Magnitudes spread over 2⁻⁴⁰ … 2¹⁹ with either sign.
+fn log_uniform() -> impl Strategy<Value = f64> {
+    // |u| − 40 is the exponent, the sign of u the sign.
+    (-59.0..59.0f64).prop_map(|u| (u.abs() - 40.0).exp2().copysign(u))
+}
+
+/// Inputs where the reduction or a select has an edge: signed zeros,
+/// multiples of π/4 and their neighbours, the sinh threshold, the
+/// subnormals and the non-finite values.
+fn math_edge() -> impl Strategy<Value = f64> {
+    use std::f64::consts::{FRAC_PI_2, FRAC_PI_4, PI, TAU};
+    let mut edges = vec![
+        0.0,
+        1.0,
+        5e-324,
+        f64::from_bits(0x000f_ffff_ffff_ffff),
+        f64::NAN,
+        f64::INFINITY,
+    ];
+    for x in [FRAC_PI_4, FRAC_PI_2, PI, 1.5 * PI, TAU] {
+        edges.extend([
+            x,
+            f64::from_bits(x.to_bits() - 1),
+            f64::from_bits(x.to_bits() + 1),
+        ]);
+    }
+    let n = edges.len();
+    (0..2 * n).prop_map(move |i| if i < n { edges[i] } else { -edges[i - n] })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// The in-tree `sin_cos` and `sinh` stay within N = 2 ulp of the
+    /// standard library's on the generator's ranges (φ ∈ [−2π, 2π],
+    /// covering Q8's raw Δφ, and η ∈ [−4, 4]), on a wide sweep
+    /// (|x| ≤ [`SIN_COS_MAX`] for `sin_cos`, |x| ≤ 710 for `sinh`, and
+    /// magnitudes from 2⁻⁴⁰ to 2¹⁹) and on the edge inputs, where NaN
+    /// must match NaN. Against glibc the largest distances measured over
+    /// 2.8·10⁷ inputs are 1 ulp for `sin` and `cos` and 2 for `sinh`;
+    /// the bound leaves one ulp for a less accurate platform libm. This
+    /// is the only place the platform's trigonometry is called on
+    /// purpose.
+    #[test]
+    fn math_within_two_ulp_of_std(
+        phi in -std::f64::consts::TAU..std::f64::consts::TAU,
+        eta in eta(),
+        wide in -SIN_COS_MAX..SIN_COS_MAX,
+        wide_h in -710.0..710.0f64,
+        log in log_uniform(),
+        edge in math_edge(),
+    ) {
+        const N: u64 = 2;
+        for x in [phi, eta, wide, wide_h, log, edge] {
+            let (s, c) = sin_cos(x);
+            prop_assert!(ulps(s, x.sin()) <= N, "sin({x:e}) = {s:e}, std {:e}", x.sin());
+            prop_assert!(ulps(c, x.cos()) <= N, "cos({x:e}) = {c:e}, std {:e}", x.cos());
+            if x.abs() <= 710.0 || !x.is_finite() {
+                let h = sinh(x);
+                prop_assert!(ulps(h, x.sinh()) <= N, "sinh({x:e}) = {h:e}, std {:e}", x.sinh());
+            }
         }
     }
 }

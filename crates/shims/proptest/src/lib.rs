@@ -706,10 +706,25 @@ mod tests {
             .prop_recursive(3, 24, 4, |inner| {
                 crate::collection::vec(inner, 0..4).prop_map(Tree::Node)
             });
-        let mut rng = crate::test_runner::TestRng::from_name("recursive_terminates");
-        for _ in 0..200 {
-            let _ = strat.generate(&mut rng);
+        // Node levels above the leaves; every leaf and fan-out is in range.
+        fn depth(t: &Tree) -> u32 {
+            match t {
+                Tree::Leaf(v) => {
+                    assert!((0..10).contains(v));
+                    0
+                }
+                Tree::Node(kids) => {
+                    assert!(kids.len() < 4);
+                    1 + kids.iter().map(depth).max().unwrap_or(0)
+                }
+            }
         }
+        let mut rng = crate::test_runner::TestRng::from_name("recursive_terminates");
+        let deepest = (0..200)
+            .map(|_| depth(&strat.generate(&mut rng)))
+            .max()
+            .unwrap();
+        assert!((1..=3).contains(&deepest), "depth {deepest} outside 1..=3");
     }
 
     #[test]

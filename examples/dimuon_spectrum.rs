@@ -14,7 +14,7 @@
 use std::sync::Arc;
 
 use engine_rdf::{ColValue, RDataFrame};
-use hepquery::bench::reference::pair_mass;
+use hepquery::physics::invariant_mass_2;
 use hepquery::prelude::*;
 
 fn main() {
@@ -33,7 +33,7 @@ fn main() {
             for k in (i + 1)..e.muons.len() {
                 let (a, b) = (&e.muons[i], &e.muons[k]);
                 if a.charge * b.charge < 0 {
-                    h_loop.fill(pair_mass(
+                    h_loop.fill(invariant_mass_2(
                         a.pt, a.eta, a.phi, a.mass, b.pt, b.eta, b.phi, b.mass,
                     ));
                 }
@@ -59,7 +59,7 @@ fn main() {
                 for i in 0..pt.len() {
                     for k in (i + 1)..pt.len() {
                         if charge[i] * charge[k] < 0.0 {
-                            out.push(pair_mass(
+                            out.push(invariant_mass_2(
                                 pt[i], eta[i], phi[i], mass[i], pt[k], eta[k], phi[k], mass[k],
                             ));
                         }
