@@ -12,11 +12,11 @@
 //!
 //! For each (engine, query) the harness runs pruning off and on
 //! (min-of-[`RUNS`] wall, single intra-query thread) and records the
-//! row-group/byte split. Both arms pin `vectorized_filter` off: the
-//! figure prices pruning on the **pure row-at-a-time interpreted path**,
-//! not against the orthogonal late-materialization kernels (which
-//! `engine_for`'s deployments leave on) — with those on, the window cut
-//! is already near-free and the only pruning win left is skipped decode.
+//! row-group/byte split. Both arms run the engines' one scan path, where
+//! the window cut already selects rows before materialization (late
+//! materialization), so the only pruning win left is the skipped decode
+//! and filter of the pruned groups: the wall-time ratio is smaller than
+//! against a row-at-a-time interpreter that materializes every row.
 //!
 //! The pruned byte split is reported so the Figure 4b pricing question —
 //! BigQuery bills logical bytes, Athena compressed bytes, and neither

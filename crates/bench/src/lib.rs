@@ -9,8 +9,7 @@
 //!   `fig1_tradeoff`, `fig2_scaling`, `fig3_multiplicity`,
 //!   `fig4_compute_io`, `fig4b_pruning`) regenerating the paper's tables
 //!   and figures (see DESIGN.md's per-experiment index), plus the
-//!   `ablations`/`latemat` Criterion benches comparing design
-//!   alternatives.
+//!   `ablations` Criterion bench comparing design alternatives.
 //! * **Two timing gates** (`serve_scale --check`, `trace_gate`): each
 //!   hands a body returning its violated invariants to [`run_gate`],
 //!   which owns the watchdog, the `FAIL:`/`OK:` lines and the exit code.

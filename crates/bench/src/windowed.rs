@@ -8,15 +8,15 @@ use exec_par::ExecOptions;
 use hepbench_core::queries::{self, Language};
 use hepbench_core::QueryId;
 
-/// The interpreters' options for a windowed run: one intra-query thread
-/// and `vectorized_filter` off, so pruning is priced on the pure
-/// row-at-a-time path rather than against the late-materialization
-/// kernels, with zone-map pruning as given.
+/// The interpreters' options for a windowed run: one intra-query thread,
+/// with zone-map pruning as given. Both arms select rows with the
+/// vectorized pre-filter, so pruning is priced against the
+/// late-materialized path: what it saves is the decode and the filter
+/// of the skipped groups.
 pub fn options(zone_map_pruning: bool) -> ExecOptions {
     ExecOptions {
         zone_map_pruning,
         n_threads: 1,
-        vectorized_filter: false,
         ..ExecOptions::default()
     }
 }

@@ -105,19 +105,13 @@ impl EngineError for engine_flwor::FlworError {
     }
 }
 
-impl EngineError for physical_ir::PirError {
+impl EngineError for nf2_columnar::ColumnarError {
     fn scan_error(&self) -> Option<&ScanError> {
-        match self {
-            physical_ir::PirError::Columnar(e) => e.scan_error(),
-            physical_ir::PirError::Cancelled(_) => None,
-        }
+        self.scan_error()
     }
 
     fn cancel_error(&self) -> Option<&obs::Cancelled> {
-        match self {
-            physical_ir::PirError::Cancelled(c) => Some(c),
-            physical_ir::PirError::Columnar(e) => e.cancelled(),
-        }
+        self.cancelled()
     }
 }
 

@@ -3,11 +3,10 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use exec_par::{ExecEnv, ExecOptions};
+use exec_par::{Driver, ExecEnv, ExecOptions};
 use nested_value::Value;
 use nf2_columnar::{
-    ExecStats, Projection, PushdownCapability, ScalarPredicate, ScanCache, Schema, SelCmp,
-    SelValue, Table,
+    ExecStats, Projection, PushdownCapability, ScalarPredicate, Schema, SelCmp, SelValue, Table,
 };
 
 use crate::ast::{Clause, CmpOp, Expr, Module};
@@ -76,9 +75,8 @@ impl FlworEngine {
 
     /// Parses and executes a module.
     pub fn execute(&self, text: &str) -> Result<FlworOutput, FlworError> {
-        let start = Instant::now();
-        let options = self.env.resolve(self.options);
-        let (trace, cancel) = (&self.env.trace, &self.env.cancel);
+        let mut run = Driver::new(self.options, &self.env);
+        let trace = &self.env.trace;
         let parse_span = trace.span(obs::Stage::Parse);
         let module = parser::parse_module(text)?;
         parse_span.finish();
@@ -89,21 +87,16 @@ impl FlworEngine {
         let Some(input_name) = input else {
             plan_span.finish();
             // Pure expression: no table access.
+            let t0 = Instant::now();
             let agg_span = trace.span(obs::Stage::Aggregate);
             let source = crate::interp::NoSource;
             let interp = Interp::new(&module, &source)?;
             let items = interp.eval_body(&module, &Env::new())?;
             agg_span.finish();
+            let cpu_seconds = t0.elapsed().as_secs_f64();
             return Ok(FlworOutput {
                 items,
-                stats: ExecStats {
-                    wall_seconds: start.elapsed().as_secs_f64(),
-                    cpu_seconds: start.elapsed().as_secs_f64(),
-                    scan: Default::default(),
-                    threads_used: 1,
-                    row_groups_skipped: 0,
-                    reads_retried: 0,
-                },
+                stats: run.finish(cpu_seconds, 1),
             });
         };
         let table = self
@@ -117,64 +110,30 @@ impl FlworEngine {
         // detection nor compiled execution perturbs the scan accounting
         // below — scan stats are defined by the projected columns (all of
         // them, for Rumble), never by the execution strategy.
-        let compiled = if options.compile {
+        let compiled = if run.options().compile {
             crate::compile::lower(&module)
         } else {
             None
         };
-
-        // Scalar `where`-conjunct extraction feeds two independent
-        // consumers: the vectorized pre-filter (interpreted path only —
-        // compiled plans carry their own filters) and zone-map row-group
-        // pruning (every path). Neither perturbs the per-row scan
-        // accounting: scan stats are defined by the projected columns
-        // (all of them, for Rumble), never by surviving rows; pruned
-        // groups are billed separately as `bytes_pruned`.
-        let want_filter = compiled.is_none() && options.vectorized_filter;
-        let extracted = if want_filter || options.zone_map_pruning {
-            prefilter_predicates(&module, table.schema())
-        } else {
-            Vec::new()
-        };
-        let preds: &[ScalarPredicate] = if want_filter { &extracted } else { &[] };
-        let prune_preds: &[ScalarPredicate] = if options.zone_map_pruning {
-            &extracted
-        } else {
-            &[]
-        };
-
+        // Scalar `where` conjuncts: zone-map pruning on every path, and
+        // the vectorized row selection on the interpreted ones (compiled
+        // plans carry their own filters).
+        let preds = prefilter_predicates(&module, table.schema());
         let partitionable = compiled.is_none() && is_partitionable(&module);
         plan_span.finish();
 
         // Rumble pushes no projections: the scan reads every leaf column.
-        let scan_cache = self.env.chunk_cache.as_deref().map(|cache| ScanCache {
-            cache,
-            table_fingerprint: table.fingerprint(),
-        });
-        let projection = Projection::all();
-        let run = nf2_columnar::ScanRequest::new(&table, &projection)
-            .capability(PushdownCapability::None)
-            .cache(scan_cache)
-            .faults(self.env.fault_injector.as_deref())
-            .trace(trace)
-            .cancel(cancel)
-            .prune(prune_preds)
-            .run()?;
-        let (scan, reads_retried) = (run.stats, run.reads_retried);
-        let skip = run.skip.expect("prune() was supplied");
-        let leaves: Vec<_> = table.schema().leaves().iter().collect();
+        let scan = run.scan(&table, &Projection::all(), PushdownCapability::None, &preds)?;
 
         // Evaluates the module over materialized rows. Freeing the rows
-        // is charged to the aggregate span: it is real work proportional
-        // to the input.
-        let eval_rows = |rows: Vec<Value>, agg_span: obs::SpanGuard| {
+        // is charged to the caller's aggregate span: it is real work
+        // proportional to the input.
+        let eval_rows = |rows: Vec<Value>| {
             let source = TableSource {
                 rows: &rows,
                 name: table.name(),
             };
             let out = Interp::new(&module, &source)?.eval_body(&module, &Env::new());
-            drop(rows);
-            agg_span.finish();
             out
         };
         let (items, cpu_seconds, threads_used) = if let Some(plan) = &compiled {
@@ -184,101 +143,32 @@ impl FlworEngine {
             // is exactly what compilation eliminates). The executor emits
             // one bin index per selected event, in event order — the same
             // sequence the interpreter produces for the template.
-            let t0 = Instant::now();
-            let (bins, workers) =
-                exec_par::execute_compiled(plan, &table, &skip, &options, &self.env)?;
+            let (bins, cpu_seconds, threads_used) = run.compiled(plan, &scan)?;
             let out: Seq = bins.into_iter().map(Value::Int).collect();
-            (out, t0.elapsed().as_secs_f64(), workers)
+            (out, cpu_seconds, threads_used)
         } else if partitionable {
             // Map-like FLWOR: evaluate the module per row group and
             // concatenate in group order, at any thread count — one
             // group of materialized rows is live per worker, never the
             // whole table.
-            let out = exec_par::for_each_group_ordered(
-                table.row_groups(),
-                options.n_threads,
-                &skip,
-                cancel,
-                obs::Stage::Materialize,
-                |_| (),
-                |_, g, group| -> Result<Seq, FlworError> {
-                    let rows = materialize_group(group, g, table.schema(), &leaves, preds, trace)?;
-                    let agg_span = trace.span_with(obs::Stage::Aggregate, || format!("group {g}"));
-                    eval_rows(rows, agg_span)
-                },
-            )?;
+            let out = run.eval_groups(&scan, eval_rows)?;
             let items = out.partials.into_iter().flatten().collect();
             (items, out.cpu_seconds, out.threads_used)
         } else {
             // Everything else needs the whole table in one evaluation.
             let t0 = Instant::now();
-            let mut rows = Vec::with_capacity(table.n_rows());
-            let mut rows_done = 0u64;
-            for (idx, g) in table.row_groups().iter().enumerate() {
-                if skip[idx] {
-                    continue;
-                }
-                cancel.check(obs::Stage::Materialize, rows_done)?;
-                rows.extend(materialize_group(
-                    g,
-                    idx,
-                    table.schema(),
-                    &leaves,
-                    preds,
-                    trace,
-                )?);
-                rows_done += g.n_rows() as u64;
-            }
+            let rows = run.read_rows(&scan)?;
             let agg_span = trace.span(obs::Stage::Aggregate);
-            let out = eval_rows(rows, agg_span)?;
-            (out, t0.elapsed().as_secs_f64(), 1)
+            let out = eval_rows(rows);
+            agg_span.finish();
+            (out?, t0.elapsed().as_secs_f64(), 1)
         };
 
         Ok(FlworOutput {
             items,
-            stats: ExecStats {
-                wall_seconds: start.elapsed().as_secs_f64(),
-                cpu_seconds,
-                threads_used,
-                row_groups_skipped: scan.groups_pruned,
-                scan,
-                reads_retried,
-            },
+            stats: run.finish(cpu_seconds, threads_used),
         })
     }
-}
-
-/// Reads a row group, applying the vectorized pre-filter when one exists
-/// (late materialization: only surviving rows are assembled into `Value`s).
-fn materialize_group(
-    group: &nf2_columnar::RowGroup,
-    group_idx: usize,
-    schema: &Schema,
-    leaves: &[&nf2_columnar::LeafInfo],
-    preds: &[ScalarPredicate],
-    trace: &obs::TraceCtx,
-) -> Result<Vec<Value>, FlworError> {
-    if preds.is_empty() {
-        let mat_span = trace.span_with(obs::Stage::Materialize, || format!("group {group_idx}"));
-        let rows = group.read_rows(schema, leaves)?;
-        drop(mat_span);
-        return Ok(rows);
-    }
-    let mut filter_span = trace.span_with(obs::Stage::Filter, || format!("group {group_idx}"));
-    let sel = nf2_columnar::apply_predicates(group, preds)?;
-    if filter_span.is_enabled() {
-        filter_span.add_rows_in(sel.n_rows() as u64);
-        filter_span.add_rows_out(sel.len() as u64);
-    }
-    filter_span.finish();
-    let mat_span = trace.span_with(obs::Stage::Materialize, || format!("group {group_idx}"));
-    let rows = if sel.is_full() {
-        group.read_rows(schema, leaves)?
-    } else {
-        group.read_rows_selected(schema, leaves, &sel)?
-    };
-    drop(mat_span);
-    Ok(rows)
 }
 
 /// Extracts scalar `where` conjuncts of the shape `$e.path cmp literal`
@@ -304,14 +194,7 @@ fn prefilter_predicates(module: &Module, schema: &Schema) -> Vec<ScalarPredicate
     // The table rows are shared by every `parquet-file(…)` call in the
     // module; filtering is only sound when this `for` is the sole reader.
     let mut reads = 0usize;
-    for f in &module.functions {
-        walk(&f.body, &mut |e| {
-            if matches!(e, Expr::Call(n, _) if n == "parquet-file") {
-                reads += 1;
-            }
-        });
-    }
-    walk(&module.body, &mut |e| {
+    walk_module(module, &mut |e| {
         if matches!(e, Expr::Call(n, _) if n == "parquet-file") {
             reads += 1;
         }
@@ -410,18 +293,7 @@ fn literal_sel(e: &Expr) -> Option<SelValue> {
 /// Finds the (single) `parquet-file("…")` input name, if any.
 fn find_input(module: &Module) -> Option<String> {
     let mut found = None;
-    for f in &module.functions {
-        walk(&f.body, &mut |e| {
-            if let Expr::Call(name, args) = e {
-                if name == "parquet-file" {
-                    if let Some(Expr::Str(s)) = args.first() {
-                        found.get_or_insert(s.clone());
-                    }
-                }
-            }
-        });
-    }
-    walk(&module.body, &mut |e| {
+    walk_module(module, &mut |e| {
         if let Expr::Call(name, args) = e {
             if name == "parquet-file" {
                 if let Some(Expr::Str(s)) = args.first() {
@@ -474,6 +346,14 @@ fn is_partitionable(module: &Module) -> bool {
         }
     });
     extra_reads == 0
+}
+
+/// [`walk`] over every function body, then the module body.
+fn walk_module(module: &Module, f: &mut dyn FnMut(&Expr)) {
+    for func in &module.functions {
+        walk(&func.body, f);
+    }
+    walk(&module.body, f);
 }
 
 /// Pre-order expression walk.

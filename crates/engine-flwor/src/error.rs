@@ -78,12 +78,3 @@ impl From<obs::Cancelled> for FlworError {
         FlworError::Cancelled(c)
     }
 }
-
-impl From<physical_ir::PirError> for FlworError {
-    fn from(e: physical_ir::PirError) -> Self {
-        match e {
-            physical_ir::PirError::Columnar(c) => FlworError::from(c),
-            physical_ir::PirError::Cancelled(c) => FlworError::Cancelled(c),
-        }
-    }
-}

@@ -296,29 +296,26 @@ fn parallel_matches_serial() {
 
 #[test]
 fn vectorized_prefilter_matches_interpreter() {
-    // Identical result sequence and identical scan accounting with the
-    // pre-filter on and off, in both serial and parallel execution.
+    // Identical result sequence and identical scan accounting in serial
+    // and parallel execution, with the pre-filter selecting the rows.
     let q = "for $e in parquet-file(\"events\") \
              where $e.MET.pt > 25.0 and $e.MET.phi < 1.0 \
              return $e.MET.pt";
     let mut outputs = Vec::new();
-    for vectorized_filter in [true, false] {
-        for n_threads in [1, 4] {
-            let (events, engine) = hep_engine_opts(ExecOptions {
-                n_threads,
-                vectorized_filter,
-                ..ExecOptions::default()
-            });
-            let out = engine.execute(q).unwrap();
-            let expect: Vec<Value> = events
-                .iter()
-                .filter(|e| e.met.pt > 25.0 && e.met.phi < 1.0)
-                .map(|e| Value::Float(e.met.pt))
-                .collect();
-            assert!(!expect.is_empty() && expect.len() < events.len());
-            assert_eq!(out.items, expect, "vf={vectorized_filter} t={n_threads}");
-            outputs.push(out);
-        }
+    for n_threads in [1, 4] {
+        let (events, engine) = hep_engine_opts(ExecOptions {
+            n_threads,
+            ..ExecOptions::default()
+        });
+        let out = engine.execute(q).unwrap();
+        let expect: Vec<Value> = events
+            .iter()
+            .filter(|e| e.met.pt > 25.0 && e.met.phi < 1.0)
+            .map(|e| Value::Float(e.met.pt))
+            .collect();
+        assert!(!expect.is_empty() && expect.len() < events.len());
+        assert_eq!(out.items, expect, "t={n_threads}");
+        outputs.push(out);
     }
     // Filtering is an execution knob, never a pricing knob.
     for o in &outputs[1..] {
@@ -338,9 +335,8 @@ fn zone_map_pruning_skips_groups_and_preserves_results() {
     // Event ids are monotone across row groups (500 events, groups of
     // 128), so a cut on `$e.event` prunes whole groups: `< 100` keeps
     // only the first of four. Results must be identical with pruning on
-    // and off, at any thread count, with and without the vectorized
-    // pre-filter, and the pruned bytes must account exactly for the
-    // bytes the unpruned scan would have billed.
+    // and off, at any thread count, and the pruned bytes must account
+    // exactly for the bytes the unpruned scan would have billed.
     let q = "for $e in parquet-file(\"events\") \
              where $e.event < 100 \
              return $e.MET.pt";
@@ -355,27 +351,22 @@ fn zone_map_pruning_skips_groups_and_preserves_results() {
         .map(|e| Value::Float(e.met.pt))
         .collect();
     assert_eq!(off.items, expect);
-    assert_eq!(off.stats.row_groups_skipped, 0);
     assert_eq!(off.stats.scan.groups_pruned, 0);
     for n_threads in [1, 4] {
-        for vectorized_filter in [true, false] {
-            let (_, engine) = hep_engine_opts(ExecOptions {
-                n_threads,
-                vectorized_filter,
-                zone_map_pruning: true,
-                ..ExecOptions::default()
-            });
-            let on = engine.execute(q).unwrap();
-            assert_eq!(on.items, expect, "vf={vectorized_filter} t={n_threads}");
-            assert_eq!(on.stats.row_groups_skipped, 3);
-            assert_eq!(on.stats.scan.groups_pruned, 3);
-            assert!(on.stats.scan.bytes_pruned > 0);
-            assert_eq!(
-                on.stats.scan.bytes_scanned + on.stats.scan.bytes_pruned,
-                off.stats.scan.bytes_scanned,
-                "pruned + scanned bytes must equal the unpruned scan"
-            );
-        }
+        let (_, engine) = hep_engine_opts(ExecOptions {
+            n_threads,
+            zone_map_pruning: true,
+            ..ExecOptions::default()
+        });
+        let on = engine.execute(q).unwrap();
+        assert_eq!(on.items, expect, "t={n_threads}");
+        assert_eq!(on.stats.scan.groups_pruned, 3);
+        assert!(on.stats.scan.bytes_pruned > 0);
+        assert_eq!(
+            on.stats.scan.bytes_scanned + on.stats.scan.bytes_pruned,
+            off.stats.scan.bytes_scanned,
+            "pruned + scanned bytes must equal the unpruned scan"
+        );
     }
 }
 

@@ -1,8 +1,9 @@
 //! Lowering fully-declarative dataframe graphs to the shared physical IR.
 //!
 //! A graph qualifies when the engine can see *all* of its structure:
-//! every node is a [`Node::ScalarFilter`] (closure `define`/`filter`
-//! nodes are opaque), there is exactly one booking, and the booking
+//! it has no [`Node`](crate::dataframe::Node) (closure `define`/`filter` nodes are opaque; its
+//! cuts are declarative `filter_scalar`s), there is exactly one booking,
+//! and the booking
 //! targets a base column of the table. Anything else returns `None` and
 //! runs on the interpreter — fallback is always sound because the IR is
 //! only used when it provably computes the same fills.
@@ -10,21 +11,17 @@
 use nf2_columnar::ScalarPredicate;
 use physical_ir::{ComputeNode, FilterNode, PhysPlan};
 
-use crate::dataframe::{Node, RDataFrame};
+use crate::dataframe::RDataFrame;
 use crate::exec::resolve_column;
 
 /// Lowers a dataframe graph to a physical plan, or `None` when any part
 /// of it is opaque to the engine. `scalar_preds` are the run's already
-/// resolved declarative cuts, in node order.
+/// resolved declarative cuts.
 pub(crate) fn lower(df: &RDataFrame, scalar_preds: &[ScalarPredicate]) -> Option<PhysPlan> {
     if df.bookings.len() != 1 {
         return None;
     }
-    if df
-        .nodes
-        .iter()
-        .any(|n| !matches!(n, Node::ScalarFilter { .. }))
-    {
+    if !df.nodes.is_empty() {
         return None;
     }
     let booking = &df.bookings[0];

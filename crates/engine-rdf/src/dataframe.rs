@@ -18,12 +18,8 @@ pub enum RdfError {
     /// A `filter_scalar` column is repeated or boolean — only per-event
     /// numeric scalars can be compared against a literal.
     NotScalar(String),
-    /// Substrate error (projection, I/O).
+    /// Substrate error (projection, I/O, cancellation).
     Columnar(nf2_columnar::ColumnarError),
-    /// Compiled execution failed outside the substrate — e.g. a morsel
-    /// whose kernel panicked persistently through the parallel
-    /// executor's recovery budget.
-    Exec(String),
 }
 
 impl fmt::Display for RdfError {
@@ -34,7 +30,6 @@ impl fmt::Display for RdfError {
                 write!(f, "filter_scalar on non-scalar column: {c}")
             }
             RdfError::Columnar(e) => write!(f, "columnar error: {e}"),
-            RdfError::Exec(e) => write!(f, "execution error: {e}"),
         }
     }
 }
@@ -71,15 +66,6 @@ impl From<nf2_columnar::ColumnarError> for RdfError {
     }
 }
 
-impl From<physical_ir::PirError> for RdfError {
-    fn from(e: physical_ir::PirError) -> Self {
-        match e {
-            physical_ir::PirError::Columnar(c) => RdfError::from(c),
-            physical_ir::PirError::Cancelled(c) => RdfError::from(c),
-        }
-    }
-}
-
 type DefineFn = Arc<dyn Fn(&EventView) -> ColValue + Send + Sync>;
 type FilterFn = Arc<dyn Fn(&EventView) -> bool + Send + Sync>;
 
@@ -95,11 +81,6 @@ pub(crate) enum Node {
     Filter {
         deps: Vec<ColumnId>,
         func: FilterFn,
-    },
-    /// A declarative `column cmp literal` cut, indexing into the run's
-    /// resolved scalar-predicate list.
-    ScalarFilter {
-        index: usize,
     },
 }
 
@@ -124,7 +105,9 @@ pub struct RDataFrame {
     pub(crate) options: ExecOptions,
     pub(crate) registry: ColumnRegistry,
     pub(crate) nodes: Vec<Node>,
-    /// `(column, cmp, literal)` per [`Node::ScalarFilter`], in index order.
+    /// `(column, cmp, literal)` per [`RDataFrame::filter_scalar`] cut, in
+    /// call order. Cuts are conjuncts, so they are not [`Node`]s: the scan
+    /// applies all of them before the event loop runs.
     pub(crate) scalar_filters: Vec<(String, SelCmp, SelValue)>,
     pub(crate) bookings: Vec<Booking>,
     /// The run environment (see [`RDataFrame::set_env`]).
@@ -199,16 +182,13 @@ impl RDataFrame {
 
     /// Adds a declarative scalar cut `column cmp literal` on a non-repeated
     /// numeric base column (e.g. `MET_pt`). Unlike [`RDataFrame::filter`],
-    /// the engine sees the comparison's structure, so with
-    /// [`ExecOptions::vectorized_filter`] it evaluates the cut with typed
-    /// kernels over the raw column chunks *before* any event is
-    /// materialized. Semantics are identical to the closure form either
-    /// way.
+    /// the engine sees the comparison's structure, so it prunes row groups
+    /// by zone maps and evaluates the cut with typed kernels over the raw
+    /// column chunks *before* any event is materialized. Semantics are
+    /// identical to the closure form.
     pub fn filter_scalar(mut self, column: &str, cmp: SelCmp, value: SelValue) -> RDataFrame {
         self.registry.resolve(column);
-        let index = self.scalar_filters.len();
         self.scalar_filters.push((column.to_string(), cmp, value));
-        self.nodes.push(Node::ScalarFilter { index });
         self
     }
 

@@ -1,13 +1,10 @@
 //! The parallel event loop.
 
 use std::sync::Arc;
-use std::time::Instant;
 
+use exec_par::Driver;
 use nested_value::Path;
-use nf2_columnar::{
-    ColumnChunk, ExecStats, Projection, PushdownCapability, RowGroup, ScalarPredicate,
-    SelectionVector, Table,
-};
+use nf2_columnar::{ExecStats, Projection, PushdownCapability, RowGroup, ScalarPredicate, Table};
 use physics::Histogram;
 
 use crate::dataframe::{Node, RDataFrame, RdfError};
@@ -73,10 +70,9 @@ fn view<'a>(
 
 /// Executes the dataframe's event loop.
 pub(crate) fn run(df: &RDataFrame) -> Result<RunOutput, RdfError> {
-    let start = Instant::now();
+    let mut run = Driver::new(df.options, &df.env);
     let table = &df.table;
-    let options = df.env.resolve(df.options);
-    let (trace, cancel) = (&df.env.trace, &df.env.cancel);
+    let trace = &df.env.trace;
 
     let plan_span = trace.span(obs::Stage::Plan);
     // Resolve base columns and the projection they imply.
@@ -87,14 +83,6 @@ pub(crate) fn run(df: &RDataFrame) -> Result<RunOutput, RdfError> {
         .map(|n| resolve_column(table, n))
         .collect::<Result<_, _>>()?;
     let projection = Projection::of(base_paths.iter().map(|p| p.to_string()));
-    let scan_cache = df
-        .env
-        .chunk_cache
-        .as_deref()
-        .map(|cache| nf2_columnar::ScanCache {
-            cache,
-            table_fingerprint: table.fingerprint(),
-        });
     // Resolve declarative scalar cuts. A cut on a repeated or boolean
     // column has no per-event scalar to compare and is rejected outright.
     let scalar_preds: Vec<ScalarPredicate> = df
@@ -114,15 +102,10 @@ pub(crate) fn run(df: &RDataFrame) -> Result<RunOutput, RdfError> {
             }
         })
         .collect::<Result<_, _>>()?;
-    // Hoisting every scalar cut to scan time is sound because cuts are
-    // pure conjuncts: the surviving event set is order-independent, and
-    // moving a cut *earlier* only strengthens the protection it gives
-    // later defines.
-    let hoist = options.vectorized_filter && !scalar_preds.is_empty();
 
     // Fully-declarative graphs lower to the shared physical IR and run
     // as fused batch kernels; anything opaque stays on the interpreter.
-    let compiled = if options.compile {
+    let compiled = if run.options().compile {
         crate::compile::lower(df, &scalar_preds)
     } else {
         None
@@ -130,44 +113,27 @@ pub(crate) fn run(df: &RDataFrame) -> Result<RunOutput, RdfError> {
 
     plan_span.finish();
 
-    // Zone-map pruning reuses the resolved scalar cuts: they are pure
-    // conjuncts applied per event in every execution mode (hoisted,
-    // per-event, or compiled into the plan's filters), so a row group
-    // whose statistics refute one of them would contribute nothing.
-    let prune_preds: &[ScalarPredicate] = if options.zone_map_pruning {
-        &scalar_preds
-    } else {
-        &[]
-    };
-    let run = nf2_columnar::ScanRequest::new(table, &projection)
-        .capability(PushdownCapability::IndividualLeaves)
-        .cache(scan_cache)
-        .faults(df.env.fault_injector.as_deref())
-        .trace(trace)
-        .cancel(cancel)
-        .prune(prune_preds)
-        .run()?;
-    let (scan, reads_retried) = (run.stats, run.reads_retried);
-    let skip = run.skip.expect("prune() was supplied");
+    // Every scalar cut is hoisted to scan time — zone-map pruning, then
+    // the vectorized pre-pass of each surviving group. That is sound
+    // because cuts are pure conjuncts: the surviving event set is
+    // order-independent, and moving a cut *earlier* only strengthens the
+    // protection it gives later defines.
+    let scan = run.scan(
+        table,
+        &projection,
+        PushdownCapability::IndividualLeaves,
+        &scalar_preds,
+    )?;
 
     if let Some(plan) = &compiled {
-        let t0 = Instant::now();
-        let (bins, compiled_threads) =
-            exec_par::execute_compiled(plan, table, &skip, &options, &df.env)?;
+        let (bins, cpu_seconds, threads_used) = run.compiled(plan, &scan)?;
         let mut h = Histogram::new(df.bookings[0].spec);
         for b in bins {
             h.add_bin_count(b, 1);
         }
         return Ok(RunOutput {
             histograms: vec![h],
-            stats: ExecStats {
-                wall_seconds: start.elapsed().as_secs_f64(),
-                cpu_seconds: t0.elapsed().as_secs_f64(),
-                threads_used: compiled_threads,
-                row_groups_skipped: scan.groups_pruned,
-                scan,
-                reads_retried,
-            },
+            stats: run.finish(cpu_seconds, threads_used),
         });
     }
 
@@ -185,35 +151,14 @@ pub(crate) fn run(df: &RDataFrame) -> Result<RunOutput, RdfError> {
         let mut partial = fresh();
         // Vectorized pre-pass: surviving rows are computed from the raw
         // typed chunks before the event loop sees anything.
-        let sel: Option<SelectionVector> = if hoist {
-            let mut filter_span =
-                trace.span_with(obs::Stage::Filter, || format!("group {group_idx}"));
-            let s = nf2_columnar::apply_predicates(group, &scalar_preds)?;
-            if filter_span.is_enabled() {
-                filter_span.add_rows_in(s.n_rows() as u64);
-                filter_span.add_rows_out(s.len() as u64);
-            }
-            filter_span.finish();
-            if s.is_empty() {
-                return Ok(partial);
-            }
-            Some(s)
-        } else {
-            None
-        };
+        let sel = scan.select(group_idx, group, &trace)?;
+        if sel.as_ref().is_some_and(|s| s.is_empty()) {
+            return Ok(partial);
+        }
         let decode_span = trace.span_with(obs::Stage::Decode, || format!("group {group_idx}"));
         let base = materialize_base(group, &base_paths)?;
         decode_span.finish();
         let agg_span = trace.span_with(obs::Stage::Aggregate, || format!("group {group_idx}"));
-        // Raw chunks for per-event scalar-cut evaluation when not hoisted.
-        let sf_chunks: Vec<&ColumnChunk> = if hoist {
-            Vec::new()
-        } else {
-            scalar_preds
-                .iter()
-                .map(|p| Ok(group.column(&p.leaf)?))
-                .collect::<Result<_, RdfError>>()?
-        };
         let rows: Box<dyn Iterator<Item = usize>> = match &sel {
             Some(s) => Box::new(s.rows().iter().map(|&r| r as usize)),
             None => Box::new(0..group.n_rows()),
@@ -232,15 +177,6 @@ pub(crate) fn run(df: &RDataFrame) -> Result<RunOutput, RdfError> {
                     }
                     Node::Filter { deps, func } => {
                         if !func(&view(deps, &base, row, &defined)) {
-                            passed = false;
-                            break;
-                        }
-                    }
-                    Node::ScalarFilter { index } => {
-                        if hoist {
-                            continue; // applied at scan time
-                        }
-                        if !scalar_preds[*index].matches_row(&sf_chunks[*index].data, row) {
                             passed = false;
                             break;
                         }
@@ -273,21 +209,13 @@ pub(crate) fn run(df: &RDataFrame) -> Result<RunOutput, RdfError> {
         // Freeing the decoded base columns is per-group work; charge it
         // to the aggregate span rather than the gap between spans.
         drop(defined);
-        drop(sf_chunks);
         drop(base);
         agg_span.finish();
         Ok(partial)
     };
 
-    let out = exec_par::for_each_group_ordered(
-        table.row_groups(),
-        options.n_threads,
-        &skip,
-        cancel,
-        obs::Stage::Aggregate,
-        |_| (),
-        |_, g, group| process_group(g, group),
-    )?;
+    let n_threads = run.options().n_threads;
+    let out = run.for_each_group(&scan, n_threads, obs::Stage::Aggregate, process_group)?;
     let mut histograms = fresh();
     for partial in &out.partials {
         for (dst, src) in histograms.iter_mut().zip(partial) {
@@ -297,14 +225,7 @@ pub(crate) fn run(df: &RDataFrame) -> Result<RunOutput, RdfError> {
     loop_span.finish();
     Ok(RunOutput {
         histograms,
-        stats: ExecStats {
-            wall_seconds: start.elapsed().as_secs_f64(),
-            cpu_seconds: out.cpu_seconds,
-            threads_used: out.threads_used,
-            row_groups_skipped: scan.groups_pruned,
-            scan,
-            reads_retried,
-        },
+        stats: run.finish(out.cpu_seconds, out.threads_used),
     })
 }
 
@@ -398,28 +319,22 @@ mod tests {
             }
             h
         };
-        // Vectorized on and off, serial and parallel — all bit-identical
-        // to the opaque-closure formulation.
+        // Serial and parallel — both bit-identical to the opaque-closure
+        // formulation.
         let mut stats = Vec::new();
-        for vectorized_filter in [true, false] {
-            for n_threads in [1, 4] {
-                let df = RDataFrame::new(
-                    t.clone(),
-                    ExecOptions {
-                        n_threads,
-                        vectorized_filter,
-                        ..ExecOptions::default()
-                    },
-                )
-                .filter_scalar("MET_pt", SelCmp::Gt, SelValue::Float(25.0))
-                .filter_scalar("MET_sumet", SelCmp::Ge, SelValue::Int(300));
-                let out = df.histo1d(spec, "MET_pt").run().unwrap();
-                assert!(
-                    out.histogram.counts_equal(&expect),
-                    "vf={vectorized_filter} t={n_threads}"
-                );
-                stats.push(out.stats.scan);
-            }
+        for n_threads in [1, 4] {
+            let df = RDataFrame::new(
+                t.clone(),
+                ExecOptions {
+                    n_threads,
+                    ..ExecOptions::default()
+                },
+            )
+            .filter_scalar("MET_pt", SelCmp::Gt, SelValue::Float(25.0))
+            .filter_scalar("MET_sumet", SelCmp::Ge, SelValue::Int(300));
+            let out = df.histo1d(spec, "MET_pt").run().unwrap();
+            assert!(out.histogram.counts_equal(&expect), "t={n_threads}");
+            stats.push(out.stats.scan);
         }
         // Filtering must not perturb scan accounting.
         for s in &stats[1..] {
@@ -459,7 +374,7 @@ mod tests {
         };
         let off = mk(false, 1, true);
         assert!(off.histogram.counts_equal(&expect));
-        assert_eq!(off.stats.row_groups_skipped, 0);
+        assert_eq!(off.stats.scan.groups_pruned, 0);
         for n_threads in [1, 4] {
             for compile in [true, false] {
                 let on = mk(true, n_threads, compile);
@@ -467,7 +382,7 @@ mod tests {
                     on.histogram.counts_equal(&expect),
                     "t={n_threads} compile={compile}"
                 );
-                assert_eq!(on.stats.row_groups_skipped, 6);
+                assert_eq!(on.stats.scan.groups_pruned, 6);
                 assert_eq!(
                     on.stats.scan.bytes_scanned + on.stats.scan.bytes_pruned,
                     off.stats.scan.bytes_scanned,

@@ -95,12 +95,3 @@ impl From<obs::Cancelled> for SqlError {
         SqlError::Cancelled(c)
     }
 }
-
-impl From<physical_ir::PirError> for SqlError {
-    fn from(e: physical_ir::PirError) -> Self {
-        match e {
-            physical_ir::PirError::Columnar(c) => SqlError::from(c),
-            physical_ir::PirError::Cancelled(c) => SqlError::Cancelled(c),
-        }
-    }
-}

@@ -208,7 +208,7 @@ fn eval_query_body(q: &Query, ctx: &ExecContext, outer: &Scope<'_>) -> Result<Re
     Ok(rel)
 }
 
-fn sort_relation(
+pub(crate) fn sort_relation(
     rel: &mut Relation,
     order_by: &[OrderItem],
     ctx: &ExecContext,
@@ -1655,15 +1655,4 @@ fn write_key(v: &Value, out: &mut Vec<u8>) {
             }
         }
     }
-}
-
-/// Public wrapper around relation sorting (used by the engine to re-sort
-/// merged parallel results).
-pub fn sort_relation_pub(
-    rel: &mut Relation,
-    order_by: &[OrderItem],
-    ctx: &ExecContext,
-    outer: &Scope<'_>,
-) -> Result<(), SqlError> {
-    sort_relation(rel, order_by, ctx, outer)
 }

@@ -36,10 +36,11 @@
 //! [`exec`] and [`plan::root_merge_spec`].
 //!
 //! [`SqlEngine::new`] takes the workspace's one [`exec_par::ExecOptions`]
-//! (threads, morsel workers, zone-map pruning, vectorized filter, compile,
-//! morsel recovery); [`SqlEngine::set_env`] attaches a run's
-//! [`exec_par::ExecEnv`] — its option overrides, buffer pool, fault
-//! injector, trace context and cancel token.
+//! (threads, morsel workers, zone-map pruning, compile);
+//! [`SqlEngine::set_env`] attaches a run's [`exec_par::ExecEnv`] — its
+//! option overrides, buffer pool, fault injector, trace context and
+//! cancel token. Scan, pruning, row selection and the row-group fan-out
+//! run on the shared [`exec_par::Driver`].
 
 pub mod ast;
 pub mod compile;

@@ -435,8 +435,8 @@ fn zone_map_pruning_skips_groups_and_preserves_results() {
 
     assert_eq!(pruned.relation.rows[0][0], Value::Int(expect));
     assert_eq!(unpruned.relation.rows[0][0], Value::Int(expect));
-    assert!(pruned.stats.row_groups_skipped > 0, "nothing was pruned");
-    assert_eq!(unpruned.stats.row_groups_skipped, 0);
+    assert!(pruned.stats.scan.groups_pruned > 0, "nothing was pruned");
+    assert_eq!(unpruned.stats.scan.groups_pruned, 0);
     assert!(pruned.stats.scan.bytes_scanned < unpruned.stats.scan.bytes_scanned);
     assert!(pruned.stats.scan.rows < unpruned.stats.scan.rows);
 }
@@ -449,7 +449,7 @@ fn zone_map_pruning_is_conservative_for_shared_tables() {
     let sql = "WITH total AS (SELECT COUNT(*) AS n FROM events) \
                SELECT COUNT(*) FROM events WHERE MET.pt > 1000.0";
     let out = engine(Dialect::presto(), t).execute(sql).unwrap();
-    assert_eq!(out.stats.row_groups_skipped, 0);
+    assert_eq!(out.stats.scan.groups_pruned, 0);
     let expect = events.iter().filter(|e| e.met.pt > 1000.0).count() as i64;
     assert_eq!(out.relation.rows[0][0], Value::Int(expect));
 }

@@ -6,7 +6,10 @@
 //! data set outgrows one group and the second rise once groups outnumber
 //! cores.
 //!
-//! Every parallel path runs through one fan-out,
+//! Every engine runs a query through one [`Driver`]: it accounts a
+//! projected scan, skips the row groups zone maps prune, selects the
+//! surviving rows with vectorised predicates, and fans the surviving
+//! groups out. Every parallel path runs through one fan-out,
 //! [`for_each_group_ordered`]: workers claim row groups from a shared
 //! counter and keep their own state across them, and the results come
 //! back in group order, so a left-to-right fold is a function of the
@@ -18,13 +21,13 @@
 //!
 //! ## Fault recovery
 //!
-//! None here. The engines account every scan in a serial pre-pass before
-//! execution (see `engine-sql`), and that pre-pass is the only place the
-//! fault injector is probed: a transient chunk fault is re-read where it
-//! happens ([`nf2_columnar::READ_RETRIES`]), so `ScanStats` — and
-//! therefore billing — are identical at any worker count and under any
-//! fault schedule. The first morsel error stops every worker, and a
-//! kernel panic unwinds to the caller like any other bug.
+//! None here. [`Driver::scan`] accounts every scan in a serial pass
+//! before execution, and that pass is the only place the fault injector
+//! is probed: a transient chunk fault is re-read where it happens
+//! ([`nf2_columnar::READ_RETRIES`]), so `ScanStats` — and therefore
+//! billing — are identical at any worker count and under any fault
+//! schedule. The first morsel error stops every worker, and a kernel
+//! panic unwinds to the caller like any other bug.
 //!
 //! ## Options
 //!
@@ -34,17 +37,19 @@
 //! [`ExecEnv::resolve`] and nowhere else, plus the run's buffer pool,
 //! fault injector, trace context and cancel token.
 
+mod driver;
 mod options;
 mod ordered;
 
+pub use driver::{Driver, TableScan};
 pub use options::{ExecEnv, ExecOptions};
 pub use ordered::{for_each_group_ordered, resolve_threads, OrderedPartials};
 
-use nf2_columnar::{RowGroup, Table};
+use std::time::Duration;
+
+use nf2_columnar::{ColumnarError, RowGroup, Table};
 use obs::{CancelToken, MetricsRegistry, SpanGuard, Stage, TraceCtx};
-use physical_ir::{
-    execute_group, Exchange, GroupScratch, PartialAgg, PhysPlan, PirError, Provenance,
-};
+use physical_ir::{execute_group, Exchange, GroupScratch, PartialAgg, PhysPlan, Provenance};
 
 /// Parallel execution options.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -73,6 +78,8 @@ pub struct ParStats {
     pub steals: u64,
     /// Rows processed across all morsels.
     pub rows: u64,
+    /// Worker busy time, summed over workers.
+    pub busy: Duration,
 }
 
 /// One worker's state, built once per worker by the driver.
@@ -88,7 +95,7 @@ fn run_morsel(
     w: &mut Worker,
     g: usize,
     group: &RowGroup,
-) -> Result<PartialAgg, PirError> {
+) -> Result<PartialAgg, ColumnarError> {
     let mut bins = Vec::new();
     execute_group(plan, group, &mut w.scratch, &mut bins)?;
     let rows = group.n_rows() as u64;
@@ -116,7 +123,7 @@ pub fn execute(
     cancel: &CancelToken,
     metrics: Option<&MetricsRegistry>,
     opts: &ParOptions,
-) -> Result<(Vec<i64>, ParStats), PirError> {
+) -> Result<(Vec<i64>, ParStats), ColumnarError> {
     let groups = table.row_groups();
     let skip: Vec<bool> = (0..groups.len())
         .map(|g| skip.and_then(|m| m.get(g)).copied().unwrap_or(false))
@@ -148,6 +155,7 @@ pub fn execute(
         morsels: exchange.len() as u64,
         steals: 0,
         rows: exchange.rows(),
+        busy: Duration::from_secs_f64(out.cpu_seconds),
     };
     if let Some(m) = metrics {
         m.gauge_set("par_workers", stats.workers as f64);
@@ -157,27 +165,6 @@ pub fn execute(
     umbrella.finish();
     let bins = exchange.merge(cancel)?;
     Ok((bins, stats))
-}
-
-/// The engines' compiled-execution entry point, under `options` already
-/// resolved against `env`: `parallel_workers > 1` runs `plan` through
-/// [`execute`], anything else on the serial [`physical_ir::execute`].
-/// Returns the bin-index sequence and the workers used.
-pub fn execute_compiled(
-    plan: &PhysPlan,
-    table: &Table,
-    skip: &[bool],
-    options: &ExecOptions,
-    env: &ExecEnv,
-) -> Result<(Vec<i64>, usize), PirError> {
-    let (trace, cancel) = (&env.trace, &env.cancel);
-    if options.parallel_workers <= 1 {
-        let bins = physical_ir::execute(plan, table, Some(skip), trace, cancel)?;
-        return Ok((bins, 1));
-    }
-    let opts = ParOptions::new(options.parallel_workers);
-    let (bins, stats) = execute(plan, table, Some(skip), trace, cancel, None, &opts)?;
-    Ok((bins, stats.workers))
 }
 
 #[cfg(test)]
@@ -289,7 +276,7 @@ mod tests {
         cancel.cancel();
         let (trace, opts) = (TraceCtx::disabled(), ParOptions::new(4));
         match execute(&scalar_plan(), &table, None, &trace, &cancel, None, &opts) {
-            Err(PirError::Cancelled(c)) => {
+            Err(ColumnarError::Cancelled(c)) => {
                 assert_eq!(c.rows_processed, 0);
                 assert_eq!(c.stage, Stage::Aggregate);
             }

@@ -22,11 +22,9 @@ pub struct ExecOptions {
     /// Skip row groups whose zone maps refute a top-level scalar
     /// conjunct. Sound by construction: predicate extraction is
     /// conservative, and the full filter still runs on every row read.
+    /// The same conjuncts always select the surviving rows of every group
+    /// read, vectorised, before materialisation ([`crate::Driver`]).
     pub zone_map_pruning: bool,
-    /// Evaluate top-level scalar conjuncts vectorized over the decoded
-    /// chunks and materialize only the surviving rows (late
-    /// materialization, see [`nf2_columnar::select`]).
-    pub vectorized_filter: bool,
     /// Run queries the frontend recognizes (exact canonical-template
     /// match) as fused kernels over the shared physical IR instead of
     /// interpreting them; everything else interprets.
@@ -39,7 +37,6 @@ impl Default for ExecOptions {
             n_threads: 0,
             parallel_workers: 0,
             zone_map_pruning: true,
-            vectorized_filter: true,
             compile: true,
         }
     }
@@ -112,7 +109,6 @@ mod tests {
             n_threads: 3,
             parallel_workers: 5,
             zone_map_pruning: false,
-            vectorized_filter: false,
             compile: false,
         }
     }

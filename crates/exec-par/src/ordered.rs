@@ -1,6 +1,8 @@
-//! The ordered row-group fan-out behind every parallel path: compiled
-//! plans ([`crate::execute`]), SQL partition-parallel
-//! aggregation, the FLWOR partition arm and the RDataFrame event loop.
+//! The ordered row-group fan-out behind every row-group loop: compiled
+//! plans ([`crate::execute`]) and the driver's loops
+//! ([`crate::Driver::for_each_group`]) — SQL and JSONiq per-group
+//! evaluation, their whole-table reads at one thread, and the RDataFrame
+//! event loop.
 //!
 //! Workers claim row groups from one shared counter, so which worker
 //! evaluates which group — and in what order groups complete — depends

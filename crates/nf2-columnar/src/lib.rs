@@ -57,7 +57,7 @@ pub use error::ColumnarError;
 pub use fault::{FaultClass, FaultConfig, FaultCounters, FaultInjector, ScanError};
 pub use project::{Projection, PushdownCapability};
 pub use rowgroup::{GroupReader, RowGroup};
-pub use scan::{ExecStats, ScanCache, ScanRequest, ScanRun, ScanStats, READ_RETRIES};
+pub use scan::{ExecStats, ScanRequest, ScanRun, ScanStats, READ_RETRIES};
 pub use schema::{DataType, Field, LeafInfo, PhysicalType, Schema};
 pub use select::{apply_predicates, ScalarPredicate, SelCmp, SelValue, SelectionVector};
 pub use stats::ZoneMap;

@@ -92,14 +92,12 @@ impl ScanStats {
     }
 }
 
-/// A buffer pool attached to a scan: the cache plus the owning table's
-/// fingerprint (which scopes the cache keys).
+/// A buffer pool attached to a scan: the cache plus the scanned table's
+/// [`Table::fingerprint`], which scopes the cache keys.
 #[derive(Clone, Copy)]
-pub struct ScanCache<'c> {
-    /// The shared chunk cache.
-    pub cache: &'c ChunkCache,
-    /// [`Table::fingerprint`] of the table being scanned.
-    pub table_fingerprint: u64,
+struct ScanCache<'c> {
+    cache: &'c ChunkCache,
+    table_fingerprint: u64,
 }
 
 /// Retries a transient chunk read gets before its fault fails the scan.
@@ -270,7 +268,7 @@ pub struct ScanRequest<'a> {
     table: &'a Table,
     projection: &'a Projection,
     capability: PushdownCapability,
-    cache: Option<ScanCache<'a>>,
+    cache: Option<&'a ChunkCache>,
     faults: Option<&'a FaultInjector>,
     trace: Option<&'a obs::TraceCtx>,
     cancel: Option<&'a obs::CancelToken>,
@@ -302,7 +300,7 @@ impl<'a> ScanRequest<'a> {
     /// Attaches a buffer pool in front of the physical chunk reads. With
     /// `None` the result is bit-identical to no pool (all cache counters
     /// zero).
-    pub fn cache(mut self, cache: Option<ScanCache<'a>>) -> Self {
+    pub fn cache(mut self, cache: Option<&'a ChunkCache>) -> Self {
         self.cache = cache;
         self
     }
@@ -377,6 +375,10 @@ impl<'a> ScanRequest<'a> {
             }
             None => (None, None),
         };
+        let cache = self.cache.map(|cache| ScanCache {
+            cache,
+            table_fingerprint: self.table.fingerprint(),
+        });
         let faults = self.faults.map(|injector| ScanFaults {
             injector,
             table_name: self.table.name(),
@@ -397,7 +399,7 @@ impl<'a> ScanRequest<'a> {
                 idx,
                 &read_leaves,
                 &logical_leaves,
-                self.cache,
+                cache,
                 faults.as_ref(),
             )?;
         }
@@ -715,9 +717,6 @@ pub struct ExecStats {
     pub scan: ScanStats,
     /// Number of worker threads that participated.
     pub threads_used: usize,
-    /// Row groups skipped by zone-map (min/max) pruning before any byte
-    /// was read.
-    pub row_groups_skipped: u64,
     /// Chunk reads the scan retried after a transient fault
     /// ([`ScanRun::reads_retried`]); zero without a fault injector.
     pub reads_retried: u64,

@@ -97,27 +97,6 @@ pub struct ScalarPredicate {
     pub value: SelValue,
 }
 
-impl ScalarPredicate {
-    /// Tests one row of a non-repeated chunk buffer with exactly the typed
-    /// semantics of [`apply_predicates`], so a caller that evaluates rows
-    /// one at a time (e.g. with vectorization toggled off) stays
-    /// bit-identical to the batched kernels. Boolean chunks never match
-    /// (the batched path rejects them up front).
-    #[inline]
-    pub fn matches_row(&self, data: &ColumnData, row: usize) -> bool {
-        let ord = match (data, self.value) {
-            (ColumnData::F64(xs), v) => total_cmp(xs[row], v.as_f64()),
-            (ColumnData::F32(xs), v) => total_cmp(xs[row] as f64, v.as_f64()),
-            (ColumnData::I32(xs), SelValue::Int(i)) => (xs[row] as i64).cmp(&i),
-            (ColumnData::I32(xs), SelValue::Float(y)) => total_cmp(xs[row] as f64, y),
-            (ColumnData::I64(xs), SelValue::Int(i)) => xs[row].cmp(&i),
-            (ColumnData::I64(xs), SelValue::Float(y)) => total_cmp(xs[row] as f64, y),
-            (ColumnData::Bool(_), _) => return false,
-        };
-        self.cmp.accepts(ord)
-    }
-}
-
 /// Row indices of one row group surviving a filter, in increasing order.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SelectionVector {

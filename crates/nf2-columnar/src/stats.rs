@@ -10,8 +10,8 @@
 //! `bytes_scanned`.
 //!
 //! Soundness contract: [`ZoneMap::may_match`] must return `true` whenever
-//! [`ScalarPredicate::matches_row`](crate::select::ScalarPredicate::matches_row)
-//! could return `true` for any entry of the chunk. The kernel's total
+//! [`apply_predicates`](crate::select::apply_predicates) could select any
+//! entry of the chunk. The kernel's total
 //! order sorts NaN greatest and treats `-0.0 == 0.0`, so:
 //!
 //! * integer-literal vs integer-column predicates compare in the exact

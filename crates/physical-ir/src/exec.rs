@@ -4,42 +4,10 @@
 use nf2_columnar::{
     apply_predicates, ColumnarError, RowGroup, ScalarPredicate, SelectionVector, Table,
 };
-use obs::{CancelToken, Cancelled, Stage, TraceCtx};
+use obs::{CancelToken, Stage, TraceCtx};
 
 use crate::kernel::TrijetScratch;
 use crate::plan::{ComputeNode, FilterNode, PhysPlan};
-
-/// Executor failure: a storage error or a cooperative cancellation.
-#[derive(Debug)]
-pub enum PirError {
-    /// Columnar substrate error (unknown column, type mismatch).
-    Columnar(ColumnarError),
-    /// The query was cancelled mid-execution.
-    Cancelled(Cancelled),
-}
-
-impl std::fmt::Display for PirError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PirError::Columnar(e) => write!(f, "{e}"),
-            PirError::Cancelled(c) => write!(f, "{c}"),
-        }
-    }
-}
-
-impl std::error::Error for PirError {}
-
-impl From<ColumnarError> for PirError {
-    fn from(e: ColumnarError) -> PirError {
-        PirError::Columnar(e)
-    }
-}
-
-impl From<Cancelled> for PirError {
-    fn from(c: Cancelled) -> PirError {
-        PirError::Cancelled(c)
-    }
-}
 
 /// Reusable per-worker execution state for [`execute_group`]: the plan's
 /// scalar predicates extracted once, the trijet scratch, and the jet
@@ -105,7 +73,7 @@ pub fn execute(
     skip: Option<&[bool]>,
     trace: &TraceCtx,
     cancel: &CancelToken,
-) -> Result<Vec<i64>, PirError> {
+) -> Result<Vec<i64>, ColumnarError> {
     let mut span = trace.span_with(Stage::Aggregate, || "compiled".to_string());
     let mut bins: Vec<i64> = Vec::new();
     let mut rows_done: u64 = 0;
@@ -458,7 +426,7 @@ mod tests {
         let cancel = CancelToken::with_deadline(std::time::Instant::now());
         let err = execute(&plan, &table, None, &TraceCtx::disabled(), &cancel).unwrap_err();
         match err {
-            PirError::Cancelled(c) => assert_eq!(c.rows_processed, 0),
+            ColumnarError::Cancelled(c) => assert_eq!(c.rows_processed, 0),
             other => panic!("expected cancellation, got {other}"),
         }
     }

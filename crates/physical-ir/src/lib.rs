@@ -43,6 +43,6 @@ pub mod plan;
 
 pub use agg::{Exchange, PartialAgg, Provenance};
 pub use combi::{for_each_pair, for_each_triple, CombiBuffer};
-pub use exec::{execute, execute_group, GroupScratch, PirError};
+pub use exec::{execute, execute_group, GroupScratch};
 pub use kernel::TrijetScratch;
 pub use plan::{ComputeNode, ElemPredicate, FilterNode, PhysPlan, TrijetCompute, TrijetPlot};

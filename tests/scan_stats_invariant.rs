@@ -2,9 +2,9 @@
 //!
 //! 1. Filtering rows at scan time is an *execution* optimization, never a
 //!    pricing one. Scan accounting is defined by the projected columns, so
-//!    toggling `vectorized_filter` must not change a single accounting
-//!    byte — nor a single histogram bin — on any benchmark query under any
-//!    SQL dialect.
+//!    a cut the vectorized pre-filter takes and the same cut in a form it
+//!    does not take must agree on every accounting byte and every result
+//!    row, under every SQL dialect.
 //! 2. Zone-map pruning moves bytes between accounts, it never loses them:
 //!    `bytes_scanned + bytes_pruned` with pruning on equals `bytes_scanned`
 //!    with pruning off, and the split is a property of table + predicates —
@@ -13,49 +13,56 @@
 
 use std::sync::Arc;
 
-use hepquery::bench::ALL_QUERIES;
 use hepquery::columnar::stats::skip_mask;
 use hepquery::columnar::{ScalarPredicate, ScanRequest, ScanStats, SelCmp, SelValue};
 use hepquery::prelude::*;
 
 #[test]
-fn vectorized_filter_never_changes_scan_stats_or_results() {
+fn prefilter_never_changes_scan_stats_or_results() {
     let (_, table) = hepquery::model::generator::build_dataset(DatasetSpec {
         n_events: 1_500,
         row_group_size: 256,
         seed: 0xC057,
     });
     let table = Arc::new(table);
-    for system in [System::BigQuery, System::Presto, System::AthenaV2] {
-        for q in ALL_QUERIES {
-            let run = |vectorized_filter: bool| {
-                let options = ExecOptions {
-                    vectorized_filter,
+    // `MET.pt > t` is extracted and selects rows before materialization;
+    // `MET.pt + 0.0 > t` is not, so every row is materialized and the
+    // interpreter filters it.
+    let sql = |cut: &str, t: f64| {
+        format!(
+            "SELECT CAST(FLOOR(MET.pt / 5.0) AS BIGINT) AS bin, COUNT(*) AS n \
+             FROM events WHERE {cut} > {t:?} \
+             GROUP BY CAST(FLOOR(MET.pt / 5.0) AS BIGINT) ORDER BY bin"
+        )
+    };
+    for make in [
+        Dialect::bigquery as fn() -> Dialect,
+        Dialect::presto,
+        Dialect::athena,
+    ] {
+        for n_threads in [1, 4] {
+            let mut engine = SqlEngine::new(
+                make(),
+                ExecOptions {
+                    n_threads,
+                    zone_map_pruning: false,
                     ..ExecOptions::default()
-                };
-                let table = table.clone();
-                let deployment = Deployment {
-                    system,
-                    table,
-                    options,
-                };
-                deployment.execute(&(*q).into(), &ExecEnv::seed()).unwrap()
-            };
-            let on = run(true);
-            let off = run(false);
-            assert!(
-                on.histogram.counts_equal(&off.histogram),
-                "{} {}: results differ with vectorized filtering",
-                system.name(),
-                q.name(),
+                },
             );
-            assert_eq!(
-                on.stats.scan,
-                off.stats.scan,
-                "{} {}: scan accounting perturbed by vectorized filtering",
-                system.name(),
-                q.name(),
-            );
+            engine.register(table.clone());
+            for t in [0.0, 25.0, 60.0, 1e6] {
+                let what = format!("{:?} threads={n_threads} t={t}", make().name);
+                let taken = engine.execute(&sql("MET.pt", t)).unwrap();
+                let opaque = engine.execute(&sql("MET.pt + 0.0", t)).unwrap();
+                assert_eq!(
+                    taken.relation, opaque.relation,
+                    "{what}: results differ with the pre-filter"
+                );
+                assert_eq!(
+                    taken.stats.scan, opaque.stats.scan,
+                    "{what}: scan accounting perturbed by the pre-filter"
+                );
+            }
         }
     }
 }
@@ -101,7 +108,8 @@ fn assert_pruning_sound<R: PartialEq + std::fmt::Debug>(
 ///   row-at-a-time interpretation);
 /// * a window `COUNT(*)` under all three SQL dialects at 1, 2 and 4
 ///   threads — the scanned/pruned split is a property of table +
-///   predicates, so every worker count reports the same stats.
+///   predicates, so every worker count reports the same stats — and an
+///   empty window that prunes every group, whose count is still `[[0]]`.
 ///
 /// The window cuts on the monotone `event` column, so most row groups
 /// are provably outside it.
@@ -145,34 +153,44 @@ fn pruning_conserves_accounting_bytes_across_worker_counts() {
     });
     let table = Arc::new(table);
     let groups = table.row_groups().len();
-    let sql = "SELECT COUNT(*) FROM events WHERE event < 300";
-    let expect = events.iter().filter(|e| e.event < 300).count() as i64;
-    for make in [
-        Dialect::bigquery as fn() -> Dialect,
-        Dialect::presto,
-        Dialect::athena,
-    ] {
-        let run = |zone_map_pruning: bool, n_threads: usize| {
-            let mut engine = SqlEngine::new(
-                make(),
-                ExecOptions {
-                    zone_map_pruning,
-                    n_threads,
-                    ..ExecOptions::default()
-                },
+    // `event < 0` prunes every group: the global aggregate must still
+    // answer one row over zero events, as it does with pruning off.
+    for cut in [300, 0] {
+        let sql = format!("SELECT COUNT(*) AS n FROM events WHERE event < {cut}");
+        let expect = events.iter().filter(|e| e.event < cut).count() as i64;
+        for make in [
+            Dialect::bigquery as fn() -> Dialect,
+            Dialect::presto,
+            Dialect::athena,
+        ] {
+            let run = |zone_map_pruning: bool, n_threads: usize| {
+                let mut engine = SqlEngine::new(
+                    make(),
+                    ExecOptions {
+                        zone_map_pruning,
+                        n_threads,
+                        ..ExecOptions::default()
+                    },
+                );
+                engine.register(table.clone());
+                let out = engine.execute(&sql).unwrap();
+                (out.relation, out.stats.scan)
+            };
+            let serial = run(true, 1);
+            assert_eq!(serial.0.cols, ["n"], "{:?} cut={cut}", make().name);
+            assert_eq!(
+                serial.0.rows,
+                [[Value::Int(expect)]],
+                "{:?} cut={cut}",
+                make().name
             );
-            engine.register(table.clone());
-            let out = engine.execute(sql).unwrap();
-            (out.relation.rows, out.stats.scan)
-        };
-        let serial = run(true, 1);
-        assert_eq!(serial.0[0][0], Value::Int(expect), "{:?}", make().name);
-        let off = run(false, 1);
-        for n_threads in [1, 2, 4] {
-            let what = format!("{:?} threads={n_threads}", make().name);
-            let on = run(true, n_threads);
-            assert_eq!(on.1, serial.1, "{what}: scan stats depend on worker count");
-            assert_pruning_sound(&what, groups, off.clone(), on);
+            let off = run(false, 1);
+            for n_threads in [1, 2, 4] {
+                let what = format!("{:?} cut={cut} threads={n_threads}", make().name);
+                let on = run(true, n_threads);
+                assert_eq!(on.1, serial.1, "{what}: scan stats depend on worker count");
+                assert_pruning_sound(&what, groups, off.clone(), on);
+            }
         }
     }
 }
