@@ -21,8 +21,8 @@
 //!   `HEPQUERY_SCALE_CURVES`).
 //! * `--check` — the CI gate at a reduced request budget (a deadlock
 //!   fails the run instead of hanging CI). Gates: every submitted
-//!   request accounted for exactly once, client-side and service-side
-//!   completion accounting agree, zero engine failures, **knobs-on
+//!   request accounted for exactly once, the client-side count of every
+//!   outcome equals the service's ledger, zero engine failures, **knobs-on
 //!   goodput ≥ knobs-off goodput at the overload point**, and the
 //!   knobs-on SLO compliance ≥ 99 % below the knee. Non-zero exit on
 //!   any violation.
@@ -40,7 +40,9 @@ use hepbench_bench::loadgen::{
 };
 use hepbench_bench::{dataset, dataset_spec, env, run_gate};
 use nf2_columnar::Table;
-use query_service::{BreakerConfig, HedgeConfig, QueryRequest, QueryService, ServiceConfig};
+use query_service::{
+    BreakerConfig, HedgeConfig, Outcome, QueryRequest, QueryService, ServiceConfig,
+};
 
 /// The study's shared serving shape. The queue is effectively unbounded
 /// so that *overload behaviour is the knobs' job*: with everything off
@@ -115,9 +117,7 @@ fn calibrate(table: &Arc<Table>, n_workers: usize, samples: usize, seed: u64) ->
         }
     });
     let wall = t0.elapsed().as_secs_f64();
-    let hist = service
-        .latency_histogram("completed")
-        .expect("calibration produced completions");
+    let hist = service.latency_histogram(Outcome::Completed);
     Calibration {
         capacity_qps: samples as f64 / wall,
         slo: Duration::from_secs_f64((4.0 * hist.quantile(0.99)).max(0.025)),
@@ -132,9 +132,9 @@ struct Point {
     offered_qps: f64,
     schedule_digest: u64,
     outcome: OpenLoopOutcome,
-    /// Completions per the *service's* per-outcome histogram — must
-    /// equal the client-side count (accounting cross-check).
-    service_completed: u64,
+    /// Outcomes whose client-side count differs from the service's
+    /// ledger (accounting cross-check; must be empty).
+    ledger_mismatches: Vec<(Outcome, u64, u64)>,
     hedges_launched: u64,
     hedge_wins: u64,
     cost_per_1k_usd: f64,
@@ -164,10 +164,8 @@ fn run_point(
     let schedule = Schedule::generate(&cfg);
     let outcome = run_open_loop(&service, &schedule, n_submitters, cal.slo);
     let metrics = service.metrics_snapshot();
-    let service_completed = service
-        .latency_histogram("completed")
-        .map_or(0, |h| h.count());
-    let cost_per_1k_usd = cloud_sim::cost_per_1k_queries(outcome.total_cost_usd, outcome.completed);
+    let completed = outcome.count(Outcome::Completed);
+    let cost_per_1k_usd = cloud_sim::cost_per_1k_queries(outcome.total_cost_usd, completed);
     eprintln!(
         "  {:>5.2}x knobs {:>3}: offered {:>7.1} qps, {} submitted, {} completed \
          ({} in SLO), {} shed, {} rejected, {} timed out, {} cancelled; \
@@ -176,12 +174,12 @@ fn run_point(
         if knobs_on { "on" } else { "off" },
         offered_qps,
         outcome.submitted,
-        outcome.completed,
+        completed,
         outcome.within_slo,
-        outcome.shedded,
-        outcome.rejected,
-        outcome.timed_out,
-        outcome.cancelled,
+        outcome.count(Outcome::Shedded),
+        outcome.count(Outcome::Rejected),
+        outcome.count(Outcome::TimedOut),
+        outcome.count(Outcome::Cancelled),
         outcome.goodput_qps(),
         outcome.latency.quantile(0.99) * 1e3,
         cost_per_1k_usd,
@@ -191,8 +189,8 @@ fn run_point(
         knobs_on,
         offered_qps,
         schedule_digest: schedule.digest(),
+        ledger_mismatches: outcome.ledger_mismatches(&service),
         outcome,
-        service_completed,
         hedges_launched: metrics.counter("hedges_launched"),
         hedge_wins: metrics.counter("hedge_wins"),
         cost_per_1k_usd,
@@ -214,14 +212,14 @@ fn point_json(p: &Point) -> String {
         p.offered_qps,
         p.schedule_digest,
         o.submitted,
-        o.completed,
+        o.count(Outcome::Completed),
         o.within_slo,
-        o.shedded,
-        o.rejected,
-        o.breaker_rejected,
-        o.timed_out,
-        o.cancelled,
-        o.failed,
+        o.count(Outcome::Shedded),
+        o.count(Outcome::Rejected),
+        o.count(Outcome::Breaker),
+        o.count(Outcome::TimedOut),
+        o.count(Outcome::Cancelled),
+        o.count(Outcome::Failed),
         o.goodput_qps(),
         o.latency.quantile(0.5),
         o.latency.quantile(0.99),
@@ -346,14 +344,14 @@ fn check() -> Vec<String> {
                 o.accounted()
             ));
         }
-        if p.service_completed != o.completed {
+        for (outcome, client, service) in &p.ledger_mismatches {
             violations.push(format!(
-                "[{label}] service histogram says {} completed, clients saw {}",
-                p.service_completed, o.completed
+                "[{label}] service ledger says {service} {outcome:?}, clients saw {client}"
             ));
         }
-        if o.failed > 0 {
-            violations.push(format!("[{label}] {} engine failures", o.failed));
+        let failed = o.count(Outcome::Failed);
+        if failed > 0 {
+            violations.push(format!("[{label}] {failed} engine failures"));
         }
     }
     let top = points.iter().map(|p| p.multiplier).fold(f64::MIN, f64::max);
@@ -376,12 +374,11 @@ fn check() -> Vec<String> {
         violations.push("knobs-on served nothing within the SLO under overload".into());
     }
     let knee = at(bottom, true);
-    if knee.outcome.completed == 0
-        || (knee.outcome.within_slo as f64) < 0.99 * knee.outcome.completed as f64
-    {
+    let knee_completed = knee.outcome.count(Outcome::Completed);
+    if knee_completed == 0 || (knee.outcome.within_slo as f64) < 0.99 * knee_completed as f64 {
         violations.push(format!(
-            "below the knee ({bottom:.2}x), knobs-on SLO compliance {}/{} < 99%",
-            knee.outcome.within_slo, knee.outcome.completed
+            "below the knee ({bottom:.2}x), knobs-on SLO compliance {}/{knee_completed} < 99%",
+            knee.outcome.within_slo
         ));
     }
     eprintln!(
@@ -392,7 +389,7 @@ fn check() -> Vec<String> {
         over_off.outcome.goodput_qps(),
         knee.outcome.latency.quantile(0.99) * 1e3,
         knee.outcome.within_slo,
-        knee.outcome.completed,
+        knee_completed,
     );
     violations
 }

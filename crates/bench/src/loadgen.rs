@@ -26,7 +26,7 @@
 //! [`run_open_loop`] replays a [`Schedule`] against a running
 //! [`query_service::QueryService`] with a fixed number of submitter
 //! threads (the thread count does not change the schedule — satellite
-//! determinism test) and collects per-outcome counts, the completed
+//! determinism test) and collects per-[`Outcome`] counts, the completed
 //! latency distribution as a mergeable [`obs::Log2Histogram`], SLO
 //! compliance and the accumulated serving bill.
 
@@ -35,7 +35,7 @@ use std::time::{Duration, Instant};
 
 use hepbench_core::runner::System;
 use hepbench_core::{QueryId, ALL_QUERIES};
-use query_service::{QueryRequest, QueryService, ServiceError};
+use query_service::{Outcome, QueryRequest, QueryService};
 
 /// Deterministic 64-bit generator (splitmix64) — the schedule's only
 /// randomness source, so one `u64` seed pins the whole workload.
@@ -287,30 +287,19 @@ impl Schedule {
     }
 }
 
-/// What one open-loop replay observed, client-side. Outcome counts
-/// mirror the service's [`query_service::StatsSnapshot`] taxonomy; the
-/// completed-latency histogram is recorded per collector thread and
-/// [`obs::Log2Histogram::merge`]d in deterministic order.
+/// What one open-loop replay observed, client-side. Each answer or
+/// refusal is counted by [`Outcome::of`], the mapping the service's own
+/// ledger uses; the completed-latency histogram is recorded per
+/// collector thread and [`obs::Log2Histogram::merge`]d in deterministic
+/// order.
 #[derive(Clone, Debug, Default)]
 pub struct OpenLoopOutcome {
     /// Requests replayed from the schedule.
     pub submitted: u64,
-    /// Requests answered with a result.
-    pub completed: u64,
+    /// Requests per [`Outcome`], indexed by `Outcome as usize`.
+    counts: [u64; Outcome::ALL.len()],
     /// Completed **within the SLO** (end-to-end, from intended arrival).
     pub within_slo: u64,
-    /// Admission-queue-full rejections.
-    pub rejected: u64,
-    /// Load-shedding rejections.
-    pub shedded: u64,
-    /// Open-circuit-breaker rejections.
-    pub breaker_rejected: u64,
-    /// Deadline expiries (queued or racing the worker).
-    pub timed_out: u64,
-    /// Cooperative cancellations while running.
-    pub cancelled: u64,
-    /// Engine failures and shutdown answers.
-    pub failed: u64,
     /// Σ [`query_service::QueryResponse::cost_usd`] over completions.
     pub total_cost_usd: f64,
     /// End-to-end completed latency (seconds, from intended arrival).
@@ -323,29 +312,35 @@ pub struct OpenLoopOutcome {
 impl OpenLoopOutcome {
     fn fold(&mut self, other: &OpenLoopOutcome) {
         self.submitted += other.submitted;
-        self.completed += other.completed;
+        for (c, o) in self.counts.iter_mut().zip(other.counts) {
+            *c += o;
+        }
         self.within_slo += other.within_slo;
-        self.rejected += other.rejected;
-        self.shedded += other.shedded;
-        self.breaker_rejected += other.breaker_rejected;
-        self.timed_out += other.timed_out;
-        self.cancelled += other.cancelled;
-        self.failed += other.failed;
         self.total_cost_usd += other.total_cost_usd;
         self.latency.merge(&other.latency);
         self.wall_seconds = self.wall_seconds.max(other.wall_seconds);
     }
 
+    /// Requests that ended in `outcome`.
+    pub fn count(&self, outcome: Outcome) -> u64 {
+        self.counts[outcome as usize]
+    }
+
     /// Requests with *any* recorded outcome — must equal `submitted`
     /// (the accounting gate).
     pub fn accounted(&self) -> u64 {
-        self.completed
-            + self.rejected
-            + self.shedded
-            + self.breaker_rejected
-            + self.timed_out
-            + self.cancelled
-            + self.failed
+        self.counts.iter().sum()
+    }
+
+    /// Outcomes whose client-side count differs from the service's
+    /// ledger, as `(outcome, client, service)`; empty when the two agree
+    /// on all of them.
+    pub fn ledger_mismatches(&self, service: &QueryService) -> Vec<(Outcome, u64, u64)> {
+        Outcome::ALL
+            .into_iter()
+            .map(|o| (o, self.count(o), service.latency_histogram(o).count()))
+            .filter(|(_, client, served)| client != served)
+            .collect()
     }
 
     /// Goodput: completions **within the SLO** per wall second.
@@ -380,21 +375,14 @@ pub fn run_open_loop(
                 let collector = scope.spawn(move || {
                     let mut out = OpenLoopOutcome::default();
                     while let Ok(ticket) = rx.recv() {
-                        match ticket.wait() {
-                            Ok(resp) => {
-                                out.completed += 1;
-                                out.total_cost_usd += resp.cost_usd;
-                                out.latency.observe(resp.total_seconds);
-                                if resp.total_seconds <= slo.as_secs_f64() {
-                                    out.within_slo += 1;
-                                }
+                        let answer = ticket.wait();
+                        out.counts[Outcome::of(&answer) as usize] += 1;
+                        if let Ok(resp) = answer {
+                            out.total_cost_usd += resp.cost_usd;
+                            out.latency.observe(resp.total_seconds);
+                            if resp.total_seconds <= slo.as_secs_f64() {
+                                out.within_slo += 1;
                             }
-                            Err(ServiceError::QueryRejected { .. }) => out.rejected += 1,
-                            Err(ServiceError::QueryShedded { .. }) => out.shedded += 1,
-                            Err(ServiceError::CircuitOpen { .. }) => out.breaker_rejected += 1,
-                            Err(ServiceError::QueryTimedOut { .. }) => out.timed_out += 1,
-                            Err(ServiceError::Cancelled { .. }) => out.cancelled += 1,
-                            Err(_) => out.failed += 1,
                         }
                     }
                     out
@@ -419,10 +407,7 @@ pub fn run_open_loop(
                             Ok(ticket) => {
                                 let _ = tx.send(ticket);
                             }
-                            Err(ServiceError::QueryRejected { .. }) => out.rejected += 1,
-                            Err(ServiceError::QueryShedded { .. }) => out.shedded += 1,
-                            Err(ServiceError::CircuitOpen { .. }) => out.breaker_rejected += 1,
-                            Err(_) => out.failed += 1,
+                            refused => out.counts[Outcome::of(&refused) as usize] += 1,
                         }
                     }
                     drop(tx);

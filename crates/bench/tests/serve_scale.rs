@@ -17,7 +17,7 @@ use hep_model::DatasetSpec;
 use hepbench_bench::loadgen::{query_mix, run_open_loop, LoadConfig, Schedule};
 use hepbench_core::adapters::ExecEnv;
 use hepbench_core::engine_api::{engine_for, QuerySpec};
-use query_service::{QueryRequest, QueryService, ServiceConfig};
+use query_service::{Outcome, QueryRequest, QueryService, ServiceConfig};
 
 fn small_cfg() -> LoadConfig {
     LoadConfig {
@@ -67,7 +67,9 @@ const PINNED_DIGEST: u64 = 0x7a23_4a4f_0e05_bc19;
 /// The benchmark record's deterministic fields must not depend on how
 /// many submitter threads replay the schedule: the schedule is decided
 /// before the first submission, and with every rejection path disabled
-/// each replay accounts for exactly `n_requests` completions.
+/// each replay accounts for exactly `n_requests` completions. The
+/// client's count of every outcome must also equal the service's
+/// ledger.
 #[test]
 fn replay_is_thread_count_invariant() {
     let (_, table) = build_dataset(DatasetSpec {
@@ -94,12 +96,16 @@ fn replay_is_thread_count_invariant() {
         let out = run_open_loop(&service, &schedule, n_submitters, slo);
         assert_eq!(out.submitted, cfg.n_requests as u64);
         assert_eq!(out.accounted(), out.submitted);
+        assert_eq!(service.stats().submitted, out.submitted);
+        assert_eq!(
+            out.ledger_mismatches(&service),
+            [],
+            "client-side outcome counts (client, service) differ from the service's ledger"
+        );
         records.push((
             out.submitted,
-            out.completed,
+            Outcome::ALL.map(|o| out.count(o)),
             out.within_slo,
-            out.rejected + out.shedded + out.breaker_rejected,
-            out.timed_out + out.cancelled + out.failed,
             out.latency.count(),
         ));
     }

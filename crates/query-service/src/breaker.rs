@@ -1,8 +1,10 @@
 //! Per-system circuit breakers over the serving layer's fault stats.
 //!
-//! A breaker watches the recent success/failure outcomes of one system's
-//! engine executions (the same outcomes `ServiceStats` already
-//! observes) in a sliding window. When the failure
+//! A breaker watches the success/failure of one system's recent engine
+//! executions in a sliding window. It sees executions only — refusals,
+//! queue timeouts and result-cache hits never reach it — so it is fed
+//! where the engine returns, not from the service's request-outcome
+//! ledger ([`crate::Outcome`]). When the failure
 //! rate crosses a threshold the breaker **opens**: admission rejects the
 //! system's requests in O(µs) instead of queueing work that will almost
 //! certainly fail, exactly the pattern a real serving tier puts in front

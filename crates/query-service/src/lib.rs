@@ -63,13 +63,20 @@
 //! persistent one — fails the request with a typed
 //! [`ServiceError::Engine`]; a panicking query is caught per job and
 //! answered the same way, leaving the worker alive.
+//!
+//! Every submitted request ends in exactly one [`Outcome`], recorded
+//! once — where `submit` refuses it or where a worker replies — as one
+//! observation of its end-to-end latency in the outcome's
+//! `latency_seconds_<outcome>` histogram ([`Outcome::metric`]) of the
+//! service's metrics registry. That ledger is the service's only count
+//! of outcomes: [`QueryService::stats`] and
+//! [`QueryService::latency_histogram`] are views of it.
 
 pub mod breaker;
 #[cfg(test)]
 mod queue_proptests;
 pub mod request;
 pub mod result_cache;
-pub mod stats;
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
@@ -85,9 +92,8 @@ use hepbench_core::runner::{System, ALL_SYSTEMS};
 use nf2_columnar::{CacheCounters, ChunkCache, ExecStats, FaultInjector, ScanStats, Table};
 
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
-pub use request::{QueryRequest, QueryResponse, ServiceError};
+pub use request::{Outcome, QueryRequest, QueryResponse, ServiceError, StatsSnapshot};
 pub use result_cache::{normalize_query_text, result_key, CachedResult, ResultCache, ResultKey};
-pub use stats::{ServiceStats, StatsSnapshot};
 
 /// Serving configuration.
 #[derive(Clone, Debug)]
@@ -160,8 +166,9 @@ pub struct ServiceConfig {
 #[derive(Clone, Debug)]
 pub struct HedgeConfig {
     /// Launch the hedge once the primary attempt has run longer than
-    /// this percentile of recent execution times (nearest-rank over the
-    /// service's completed-execution samples).
+    /// this percentile of past execution times, read from the service's
+    /// `exec_seconds` histogram: a log₂-bucket estimate, within a factor
+    /// of √2 of the nearest-rank sample value.
     pub percentile: f64,
     /// Lower bound on the hedge delay; also the delay used before any
     /// execution samples exist.
@@ -221,7 +228,6 @@ impl ServiceConfig {
 struct Job {
     req: QueryRequest,
     enqueued: Instant,
-    deadline: Option<Instant>,
     /// The request's cancellation token, deadline-armed when the request
     /// has one and shared with the caller's [`Ticket`]. Threaded through
     /// [`ExecEnv`] so the engines check it once per row group.
@@ -291,7 +297,6 @@ struct Shared {
     available: Condvar,
     result_cache: Option<ResultCache>,
     chunk_cache: Option<Arc<ChunkCache>>,
-    stats: ServiceStats,
     /// One engine per servable system, built once at startup and shared
     /// by every worker — the service's only execution path.
     engines: HashMap<System, Box<dyn QueryEngine>>,
@@ -300,8 +305,9 @@ struct Shared {
     /// and everything [`ServiceConfig::paper_fairness`] measures — never
     /// touch these.
     engines_compiled: HashMap<System, Box<dyn QueryEngine>>,
-    /// Service-wide counters and latency histograms; see
-    /// [`QueryService::metrics_snapshot`].
+    /// Service-wide counters and histograms, and the request-outcome
+    /// ledger: one `latency_seconds_<outcome>` observation per answered
+    /// or refused request. See [`QueryService::metrics_snapshot`].
     metrics: obs::MetricsRegistry,
     /// Resolved worker count (the `n_workers == 0` default expanded),
     /// the divisor in the load-shedding wait estimate.
@@ -311,10 +317,6 @@ struct Shared {
     /// the read-modify-write race between workers is benign (the
     /// estimate is approximate by construction).
     exec_ewma_bits: std::sync::atomic::AtomicU64,
-    /// Completed-execution wall-time samples feeding the hedge-delay
-    /// percentile. Grows with completed requests, like the stats
-    /// latency vectors — fine for benchmark-length runs.
-    exec_samples: Mutex<Vec<f64>>,
     /// One breaker per servable system when breakers are configured.
     breakers: Option<HashMap<System, CircuitBreaker>>,
 }
@@ -399,13 +401,11 @@ impl QueryService {
             result_cache: config.result_cache.then(ResultCache::new),
             chunk_cache: (config.chunk_cache_bytes > 0)
                 .then(|| Arc::new(ChunkCache::new(config.chunk_cache_bytes))),
-            stats: ServiceStats::new(),
             engines,
             engines_compiled,
             metrics: obs::MetricsRegistry::new(),
             n_workers,
             exec_ewma_bits: std::sync::atomic::AtomicU64::new(0),
-            exec_samples: Mutex::new(Vec::new()),
             breakers: config.breaker.as_ref().map(|cfg| {
                 ALL_SYSTEMS
                     .iter()
@@ -436,9 +436,17 @@ impl QueryService {
     /// saturated submitter cannot hide queue delay (no coordinated
     /// omission).
     pub fn submit(&self, req: QueryRequest) -> Result<Ticket, ServiceError> {
-        self.shared.stats.note_submitted();
         self.shared.metrics.counter_inc("queries_submitted");
         let arrived = req.arrival.unwrap_or_else(Instant::now);
+        let admitted = self.admit(req, arrived);
+        if admitted.is_err() {
+            record(&self.shared, Outcome::of(&admitted), arrived);
+        }
+        admitted
+    }
+
+    /// Admission: breaker, queue bound, load shedding, enqueue.
+    fn admit(&self, req: QueryRequest, arrived: Instant) -> Result<Ticket, ServiceError> {
         // Breaker admission: an open breaker answers in microseconds
         // without taking the queue lock or touching any scan state.
         if let Some(breakers) = &self.shared.breakers {
@@ -446,9 +454,6 @@ impl QueryService {
                 .get(&req.system)
                 .expect("a breaker per system is built at startup");
             if !b.try_admit() {
-                self.shared.stats.note_rejected();
-                self.shared.metrics.counter_inc("breaker_rejected");
-                observe_outcome(&self.shared, "breaker", arrived);
                 return Err(ServiceError::CircuitOpen { system: req.system });
             }
         }
@@ -456,12 +461,7 @@ impl QueryService {
         let cancel;
         {
             let mut state = self.shared.lock_queue();
-            if state.shutdown {
-                return Err(ServiceError::Shutdown);
-            }
             if state.queued >= self.shared.config.queue_depth {
-                self.shared.stats.note_rejected();
-                observe_outcome(&self.shared, "rejected", arrived);
                 return Err(ServiceError::QueryRejected {
                     queue_depth: self.shared.config.queue_depth,
                 });
@@ -481,9 +481,6 @@ impl QueryService {
                         let estimated_wait =
                             ewma * state.queued as f64 / self.shared.n_workers as f64;
                         if estimated_wait > remaining.as_secs_f64() {
-                            self.shared.stats.note_shedded();
-                            self.shared.metrics.counter_inc("queries_shedded");
-                            observe_outcome(&self.shared, "shedded", arrived);
                             return Err(ServiceError::QueryShedded {
                                 estimated_wait_seconds: estimated_wait,
                                 deadline_seconds: remaining.as_secs_f64(),
@@ -502,7 +499,6 @@ impl QueryService {
                 Job {
                     req,
                     enqueued: arrived,
-                    deadline,
                     cancel: cancel.clone(),
                     reply: tx,
                 },
@@ -517,15 +513,29 @@ impl QueryService {
         self.submit(req)?.wait()
     }
 
-    /// Aggregated service counters and latency percentiles.
+    /// Outcome counts so far: a view of the ledger — each outcome is
+    /// the observation count of its [`Outcome::metric`] histogram,
+    /// `submitted` the `queries_submitted` counter — taken from one
+    /// registry snapshot.
     pub fn stats(&self) -> StatsSnapshot {
-        self.shared.stats.snapshot()
+        let m = self.shared.metrics.snapshot();
+        let n = |o: Outcome| m.histogram(o.metric()).map_or(0, |h| h.count);
+        StatsSnapshot {
+            submitted: m.counter("queries_submitted"),
+            completed: n(Outcome::Completed),
+            rejected: n(Outcome::Rejected) + n(Outcome::Breaker),
+            shedded: n(Outcome::Shedded),
+            timed_out: n(Outcome::TimedOut),
+            cancelled: n(Outcome::Cancelled),
+            failed: n(Outcome::Failed),
+        }
     }
 
     /// Point-in-time view of the service's [`obs::MetricsRegistry`]:
-    /// submission/completion counters, cache hit/miss counters, and
-    /// queue-wait / execution-latency histograms. Render
-    /// with [`obs::MetricsSnapshot::to_text`] or
+    /// the `queries_submitted` counter, one `latency_seconds_<outcome>`
+    /// histogram per [`Outcome`] reached, pruning and hedge counters,
+    /// and the queue-wait / execution-time histograms. Render with
+    /// [`obs::MetricsSnapshot::to_text`] or
     /// [`obs::MetricsSnapshot::to_json`]. When circuit breakers are
     /// configured the snapshot carries one `breaker_state_<system>`
     /// gauge per system (0 = closed, 1 = half-open, 2 = open).
@@ -541,16 +551,16 @@ impl QueryService {
         self.shared.metrics.snapshot()
     }
 
-    /// The mergeable per-outcome end-to-end latency histogram —
-    /// `outcome` is one of `completed`, `cancelled`, `timed_out`,
-    /// `failed`, `rejected`, `shedded`, `breaker` — measured from each
-    /// request's intended arrival. `None` until a request reached that
-    /// outcome. Load harnesses fold these into offered-load curves with
+    /// The mergeable end-to-end latency histogram of one outcome,
+    /// measured from each request's intended arrival; empty until a
+    /// request reached that outcome. Its count is the outcome's ledger
+    /// entry. Load harnesses fold these into offered-load curves with
     /// [`obs::Log2Histogram::merge`] and quantile them for SLO gates.
-    pub fn latency_histogram(&self, outcome: &str) -> Option<obs::Log2Histogram> {
+    pub fn latency_histogram(&self, outcome: Outcome) -> obs::Log2Histogram {
         self.shared
             .metrics
-            .histogram_state(&format!("latency_seconds_{outcome}"))
+            .histogram_state(outcome.metric())
+            .unwrap_or_default()
     }
 
     /// The current breaker state for one system, when breakers are
@@ -601,15 +611,16 @@ impl Drop for QueryService {
     }
 }
 
-/// Records a request's end-to-end latency — measured from its intended
-/// arrival — into the per-outcome `latency_seconds_<outcome>` histogram.
-/// Keyed by outcome so an SLO gate can quantile *completed* latency
-/// without cancelled or shed requests polluting the tail.
-fn observe_outcome(shared: &Shared, outcome: &str, arrived: Instant) {
-    shared.metrics.observe(
-        &format!("latency_seconds_{outcome}"),
-        arrived.elapsed().as_secs_f64(),
-    );
+/// The ledger entry: one observation of the request's end-to-end
+/// latency — measured from its intended arrival — in its outcome's
+/// histogram. Called once per request, at refusal in
+/// [`QueryService::submit`] or at the reply in `worker_loop`. Keyed by
+/// outcome so an SLO gate can quantile *completed* latency without
+/// cancelled or shed requests polluting the tail.
+fn record(shared: &Shared, outcome: Outcome, arrived: Instant) {
+    shared
+        .metrics
+        .observe(outcome.metric(), arrived.elapsed().as_secs_f64());
 }
 
 fn worker_loop(shared: &Shared) {
@@ -629,87 +640,40 @@ fn worker_loop(shared: &Shared) {
                     .unwrap_or_else(|e| e.into_inner());
             }
         };
-        let now = Instant::now();
         // A request whose token tripped while it sat in the queue never
-        // executes: a queue-expired deadline keeps its classic timeout
-        // answer, an explicit cancel is reported as such.
-        if let Err(c) = job.cancel.check(obs::Stage::QueueWait, 0) {
-            match c.reason {
-                obs::CancelReason::DeadlineExceeded => {
-                    shared.stats.note_timed_out();
-                    observe_outcome(shared, "timed_out", job.enqueued);
-                    let _ = job.reply.send(Err(ServiceError::QueryTimedOut {
-                        waited_seconds: (now - job.enqueued).as_secs_f64(),
-                    }));
-                }
-                obs::CancelReason::Explicit => {
-                    shared.stats.note_cancelled();
-                    shared.metrics.counter_inc("queries_cancelled");
-                    observe_outcome(shared, "cancelled", job.enqueued);
-                    let _ = job.reply.send(Err(ServiceError::Cancelled {
-                        stage: obs::Stage::QueueWait,
-                        rows_processed: 0,
-                        reason: c.reason,
-                    }));
-                }
+        // executes: an expired deadline answers `QueryTimedOut`, an
+        // explicit cancel `Cancelled`.
+        let result = match job.cancel.check(obs::Stage::QueueWait, 0) {
+            Err(c) if c.reason == obs::CancelReason::DeadlineExceeded => {
+                Err(ServiceError::QueryTimedOut {
+                    waited_seconds: job.enqueued.elapsed().as_secs_f64(),
+                })
             }
-            continue;
-        }
-        if let Some(deadline) = job.deadline {
-            if now > deadline {
-                shared.stats.note_timed_out();
-                observe_outcome(shared, "timed_out", job.enqueued);
-                let _ = job.reply.send(Err(ServiceError::QueryTimedOut {
-                    waited_seconds: (now - job.enqueued).as_secs_f64(),
-                }));
-                continue;
+            Err(c) => Err(ServiceError::Cancelled {
+                stage: c.stage,
+                rows_processed: 0,
+                reason: c.reason,
+            }),
+            Ok(()) => {
+                let queue_seconds = job.enqueued.elapsed().as_secs_f64();
+                // Panic isolation: a query that panics (e.g. an injected
+                // panic fault, or an engine bug) must not take the worker
+                // thread — and with it a slice of the pool's capacity —
+                // down with it.
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    serve(shared, &job, queue_seconds)
+                }))
+                .unwrap_or_else(|payload| {
+                    Err(ServiceError::Engine(format!(
+                        "query worker panicked serving {} on {}: {}",
+                        job.req.query.name(),
+                        job.req.system.name(),
+                        panic_message(&payload)
+                    )))
+                })
             }
-        }
-        let queue_seconds = (now - job.enqueued).as_secs_f64();
-        // Panic isolation: a query that panics (e.g. an injected panic
-        // fault, or an engine bug) must not take the worker thread — and
-        // with it a slice of the pool's capacity — down with it.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            serve(shared, &job, queue_seconds)
-        }))
-        .unwrap_or_else(|payload| {
-            Err(ServiceError::Engine(format!(
-                "query worker panicked serving {} on {}: {}",
-                job.req.query.name(),
-                job.req.system.name(),
-                panic_message(&payload)
-            )))
-        });
-        match &result {
-            Ok(resp) => {
-                shared
-                    .stats
-                    .note_completed(resp.total_seconds, resp.queue_seconds);
-                shared.metrics.counter_inc("queries_completed");
-                shared
-                    .metrics
-                    .counter_add("row_groups_pruned", resp.stats.scan.groups_pruned);
-                shared
-                    .metrics
-                    .counter_add("bytes_pruned", resp.stats.scan.bytes_pruned);
-                observe_outcome(shared, "completed", job.enqueued);
-            }
-            Err(ServiceError::Cancelled { .. }) => {
-                shared.stats.note_cancelled();
-                shared.metrics.counter_inc("queries_cancelled");
-                observe_outcome(shared, "cancelled", job.enqueued);
-            }
-            Err(ServiceError::QueryTimedOut { .. }) => {
-                shared.stats.note_timed_out();
-                shared.metrics.counter_inc("queries_timed_out");
-                observe_outcome(shared, "timed_out", job.enqueued);
-            }
-            Err(_) => {
-                shared.stats.note_failed();
-                shared.metrics.counter_inc("queries_failed");
-                observe_outcome(shared, "failed", job.enqueued);
-            }
-        }
+        };
+        record(shared, Outcome::of(&result), job.enqueued);
         let _ = job.reply.send(result);
     }
 }
@@ -743,7 +707,6 @@ fn serve(shared: &Shared, job: &Job, queue_seconds: f64) -> Result<QueryResponse
         let hit = cache.get(key);
         drop(lookup);
         if let Some(hit) = hit {
-            shared.metrics.counter_inc("result_cache_hits");
             // Cached result: nothing is read, nothing is billed. The
             // all-zero scan is the response's contract, not an accident.
             let stats = ExecStats {
@@ -760,18 +723,15 @@ fn serve(shared: &Shared, job: &Job, queue_seconds: f64) -> Result<QueryResponse
                 trace: shared.config.trace.then(|| trace.take_tree()),
             });
         }
-        shared.metrics.counter_inc("result_cache_misses");
     }
     // A cache miss on an already-expired job must not start a full scan:
     // recheck the deadline between the lookup and engine dispatch. (The
     // dequeue check ran before the lookup; the lookup itself can be the
     // moment the deadline passes.)
-    if let Some(deadline) = job.deadline {
-        if Instant::now() > deadline {
-            return Err(ServiceError::QueryTimedOut {
-                waited_seconds: enqueued.elapsed().as_secs_f64(),
-            });
-        }
+    if job.cancel.deadline().is_some_and(|d| Instant::now() > d) {
+        return Err(ServiceError::QueryTimedOut {
+            waited_seconds: enqueued.elapsed().as_secs_f64(),
+        });
     }
     let env = ExecEnv {
         chunk_cache: shared.chunk_cache.clone(),
@@ -818,8 +778,8 @@ fn serve(shared: &Shared, job: &Job, queue_seconds: f64) -> Result<QueryResponse
             }
         },
     };
-    // Feed the load-shedding EWMA and the hedge-delay percentile with
-    // the completed execution's wall time.
+    // Feed the load-shedding EWMA with the completed execution's wall
+    // time (`exec_seconds` below feeds the hedge delay).
     let sample = run.stats.wall_seconds;
     let old = f64::from_bits(shared.exec_ewma_bits.load(Ordering::Relaxed));
     let ewma = if old == 0.0 {
@@ -830,11 +790,6 @@ fn serve(shared: &Shared, job: &Job, queue_seconds: f64) -> Result<QueryResponse
     shared
         .exec_ewma_bits
         .store(ewma.to_bits(), Ordering::Relaxed);
-    shared
-        .exec_samples
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .push(sample);
     if let (Some(cache), Some(key)) = (shared.result_cache.as_ref(), key) {
         cache.put(
             key,
@@ -844,9 +799,13 @@ fn serve(shared: &Shared, job: &Job, queue_seconds: f64) -> Result<QueryResponse
             },
         );
     }
+    shared.metrics.observe("exec_seconds", sample);
     shared
         .metrics
-        .observe("exec_seconds", run.stats.wall_seconds);
+        .counter_add("row_groups_pruned", run.stats.scan.groups_pruned);
+    shared
+        .metrics
+        .counter_add("bytes_pruned", run.stats.scan.bytes_pruned);
     let mut response_trace = shared.config.trace.then_some(run.trace);
     if let Some(tree) = &mut response_trace {
         // The engine drained the context at the end of the run; merge in
@@ -869,7 +828,7 @@ fn serve(shared: &Shared, job: &Job, queue_seconds: f64) -> Result<QueryResponse
 
 /// One engine attempt — hedged when configured. The primary attempt runs
 /// with a child of the request's cancel token; if it has not replied
-/// within the hedge delay (a percentile of recent execution times,
+/// within the hedge delay (a percentile of past execution times,
 /// floored at `min_delay`), a second identical attempt launches with a
 /// sibling child token. The first reply wins and the loser is cancelled
 /// through its own token, so it stops within one row group instead of
@@ -929,21 +888,14 @@ fn execute_attempt(
     })
 }
 
-/// The hedge launch delay: the configured percentile of completed
-/// execution times (nearest-rank), floored at `min_delay`; `min_delay`
-/// alone before any executions completed.
+/// The hedge launch delay: the configured percentile of the
+/// `exec_seconds` histogram, floored at `min_delay` (an empty histogram
+/// estimates 0, so `min_delay` alone before any execution completed).
 fn hedge_delay(shared: &Shared, hedge: &HedgeConfig) -> Duration {
-    let mut samples = shared
-        .exec_samples
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clone();
-    if samples.is_empty() {
-        return hedge.min_delay;
-    }
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("wall seconds are finite"));
-    let rank = (hedge.percentile * samples.len() as f64).ceil() as usize;
-    let p = samples[rank.clamp(1, samples.len()) - 1];
+    let p = shared
+        .metrics
+        .histogram_state("exec_seconds")
+        .map_or(0.0, |h| h.quantile(hedge.percentile));
     Duration::from_secs_f64(p.max(0.0)).max(hedge.min_delay)
 }
 
@@ -1010,8 +962,7 @@ mod tests {
         Job {
             req: QueryRequest::new(tenant, System::BigQuery, QueryId::Q1),
             enqueued,
-            deadline: Some(enqueued + Duration::from_secs(n)),
-            cancel: obs::CancelToken::none(),
+            cancel: obs::CancelToken::with_deadline(enqueued + Duration::from_secs(n)),
             reply: tx,
         }
     }
@@ -1024,7 +975,7 @@ mod tests {
         }
         let order: Vec<(String, u64)> = std::iter::from_fn(|| state.pop_next())
             .map(|j| {
-                let n = (j.deadline.unwrap() - j.enqueued).as_secs();
+                let n = (j.cancel.deadline().unwrap() - j.enqueued).as_secs();
                 (j.req.tenant.clone(), n)
             })
             .collect();
@@ -1072,6 +1023,38 @@ mod tests {
         assert_eq!(snap.failed, 0);
     }
 
+    /// The ledger is the only record of outcomes: `stats()`, the
+    /// metrics snapshot and `latency_histogram` agree on every outcome,
+    /// and once nothing is in flight every submitted request has exactly
+    /// one.
+    fn assert_ledger_consistent(service: &QueryService) {
+        let stats = service.stats();
+        let metrics = service.metrics_snapshot();
+        let count = |o: Outcome| service.latency_histogram(o).count();
+        for o in Outcome::ALL {
+            let in_metrics = metrics.histogram(o.metric()).map_or(0, |h| h.count);
+            assert_eq!(in_metrics, count(o), "{o:?}: metrics snapshot vs histogram");
+        }
+        let from_stats = [
+            (Outcome::Completed, stats.completed),
+            (Outcome::Shedded, stats.shedded),
+            (Outcome::TimedOut, stats.timed_out),
+            (Outcome::Cancelled, stats.cancelled),
+            (Outcome::Failed, stats.failed),
+        ];
+        for (o, n) in from_stats {
+            assert_eq!(n, count(o), "{o:?}: stats() vs histogram");
+        }
+        assert_eq!(
+            stats.rejected,
+            count(Outcome::Rejected) + count(Outcome::Breaker),
+            "stats().rejected sums queue-full and breaker refusals"
+        );
+        assert_eq!(metrics.counter("queries_submitted"), stats.submitted);
+        let total: u64 = Outcome::ALL.into_iter().map(count).sum();
+        assert_eq!(stats.submitted, total, "submitted vs the sum over outcomes");
+    }
+
     #[test]
     fn zero_depth_queue_rejects_everything() {
         let service = QueryService::start(
@@ -1090,6 +1073,7 @@ mod tests {
             ServiceError::QueryRejected { queue_depth: 0 }
         ));
         assert_eq!(service.stats().rejected, 1);
+        assert_ledger_consistent(&service);
     }
 
     #[test]
@@ -1117,6 +1101,7 @@ mod tests {
         let err = doomed.wait().unwrap_err();
         assert!(matches!(err, ServiceError::QueryTimedOut { .. }));
         assert_eq!(service.stats().timed_out, 1);
+        assert_ledger_consistent(&service);
     }
 
     /// A latency-storm injector: every physical chunk read sleeps, so a
@@ -1147,14 +1132,11 @@ mod tests {
         // then hang up.
         std::thread::sleep(Duration::from_millis(5));
         ticket.cancel();
-        let err = match service.submit(QueryRequest::new("t0", System::BigQuery, QueryId::Q1)) {
-            Ok(t2) => {
-                // Unrelated request still serves fine afterwards.
-                let _ = t2;
-                ticket.wait().unwrap_err()
-            }
-            Err(e) => panic!("follow-up submit rejected: {e}"),
-        };
+        // An unrelated request still serves fine afterwards.
+        let follow_up = service
+            .submit(QueryRequest::new("t0", System::BigQuery, QueryId::Q1))
+            .unwrap();
+        let err = ticket.wait().unwrap_err();
         let ServiceError::Cancelled {
             rows_processed,
             reason,
@@ -1168,12 +1150,15 @@ mod tests {
         let snap = service.stats();
         assert_eq!(snap.cancelled, 1);
         assert_eq!(snap.failed, 0, "a cancel is not an engine failure");
-        let metrics = service.metrics_snapshot();
-        assert_eq!(metrics.counter("queries_cancelled"), 1);
         // Never billed: the cancelled attempt contributed no completed
         // execution — no exec-time observation, no completion count.
-        assert!(metrics.histogram("exec_seconds").is_none());
-        assert_eq!(metrics.counter("queries_completed"), 0);
+        assert!(service
+            .metrics_snapshot()
+            .histogram("exec_seconds")
+            .is_none());
+        assert_eq!(snap.completed, 0);
+        follow_up.wait().unwrap();
+        assert_ledger_consistent(&service);
     }
 
     #[test]
@@ -1247,10 +1232,10 @@ mod tests {
             "expected QueryShedded, got {err}"
         );
         assert_eq!(service.stats().shedded, 1);
-        assert_eq!(service.metrics_snapshot().counter("queries_shedded"), 1);
         for t in backlog {
             t.wait().unwrap();
         }
+        assert_ledger_consistent(&service);
     }
 
     #[test]
@@ -1311,7 +1296,8 @@ mod tests {
         );
         let metrics = service.metrics_snapshot();
         assert_eq!(metrics.gauge("breaker_state_BigQuery"), Some(2.0));
-        assert!(metrics.counter("breaker_rejected") >= 1);
+        assert_eq!(service.latency_histogram(Outcome::Breaker).count(), 1);
+        assert_ledger_consistent(&service);
     }
 
     #[test]

@@ -27,7 +27,6 @@ fn job(tenant: &str, seq: usize) -> Job {
     Job {
         req: QueryRequest::new(tenant, System::BigQuery, QueryId::Q1).with_parallel_workers(seq),
         enqueued: Instant::now(),
-        deadline: None,
         cancel: obs::CancelToken::new(),
         reply: tx,
     }

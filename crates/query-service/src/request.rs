@@ -1,4 +1,4 @@
-//! Request/response types and service errors.
+//! Request/response types, service errors and request outcomes.
 
 use std::time::{Duration, Instant};
 
@@ -204,3 +204,95 @@ impl std::fmt::Display for ServiceError {
 }
 
 impl std::error::Error for ServiceError {}
+
+/// How one request ended — the service's outcome taxonomy. Every
+/// submitted request ends in exactly one outcome, recorded once as an
+/// observation of its end-to-end latency (from intended arrival) in the
+/// outcome's [`Outcome::metric`] histogram; that ledger is what
+/// [`crate::QueryService::stats`] and
+/// [`crate::QueryService::latency_histogram`] read.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Outcome {
+    /// Answered with a result (cached or executed).
+    Completed,
+    /// Refused at submission: the admission queue was full.
+    Rejected,
+    /// Refused at submission by load shedding.
+    Shedded,
+    /// Refused at submission: the system's circuit breaker was open.
+    Breaker,
+    /// The deadline expired before execution started.
+    TimedOut,
+    /// Cancelled while queued or running (explicit cancel, or a deadline
+    /// tripping the cancel token mid-execution).
+    Cancelled,
+    /// The engine failed (or, seen only by a client, the service shut
+    /// down with the request queued).
+    Failed,
+}
+
+impl Outcome {
+    /// Every outcome, in taxonomy order.
+    pub const ALL: [Outcome; 7] = [
+        Outcome::Completed,
+        Outcome::Rejected,
+        Outcome::Shedded,
+        Outcome::Breaker,
+        Outcome::TimedOut,
+        Outcome::Cancelled,
+        Outcome::Failed,
+    ];
+
+    /// The outcome a submission or a reply stands for: `Ok` is
+    /// [`Outcome::Completed`], each [`ServiceError`] maps to its own.
+    pub fn of<T>(result: &Result<T, ServiceError>) -> Outcome {
+        match result {
+            Ok(_) => Outcome::Completed,
+            Err(ServiceError::QueryRejected { .. }) => Outcome::Rejected,
+            Err(ServiceError::QueryShedded { .. }) => Outcome::Shedded,
+            Err(ServiceError::CircuitOpen { .. }) => Outcome::Breaker,
+            Err(ServiceError::QueryTimedOut { .. }) => Outcome::TimedOut,
+            Err(ServiceError::Cancelled { .. }) => Outcome::Cancelled,
+            Err(ServiceError::Engine(_) | ServiceError::Shutdown) => Outcome::Failed,
+        }
+    }
+
+    /// The outcome's end-to-end latency histogram in the service's
+    /// metrics registry (`latency_seconds_<outcome>`).
+    pub fn metric(self) -> &'static str {
+        match self {
+            Outcome::Completed => "latency_seconds_completed",
+            Outcome::Rejected => "latency_seconds_rejected",
+            Outcome::Shedded => "latency_seconds_shedded",
+            Outcome::Breaker => "latency_seconds_breaker",
+            Outcome::TimedOut => "latency_seconds_timed_out",
+            Outcome::Cancelled => "latency_seconds_cancelled",
+            Outcome::Failed => "latency_seconds_failed",
+        }
+    }
+}
+
+/// Outcome counts of a running [`crate::QueryService`], read from its
+/// ledger.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct StatsSnapshot {
+    /// Requests offered to [`crate::QueryService::submit`], including ones
+    /// admission control rejected.
+    pub submitted: u64,
+    /// Requests answered with a result (cached or executed).
+    pub completed: u64,
+    /// Requests refused at submission because the queue was full, or
+    /// because the system's circuit breaker was open.
+    pub rejected: u64,
+    /// Requests refused at submission by load shedding: the estimated
+    /// queue wait already exceeded the deadline budget.
+    pub shedded: u64,
+    /// Requests whose deadline expired while queued.
+    pub timed_out: u64,
+    /// Requests cancelled while queued or running (explicit cancel, or
+    /// deadline expiry tripping the request's cancel token
+    /// mid-execution).
+    pub cancelled: u64,
+    /// Requests whose engine execution failed.
+    pub failed: u64,
+}

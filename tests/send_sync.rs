@@ -11,7 +11,7 @@ use hepquery::columnar::{ChunkCache, ExecStats, ScanStats, Table};
 use hepquery::jsoniq::FlworEngine;
 use hepquery::rdataframe::RDataFrame;
 use hepquery::service::{
-    QueryRequest, QueryResponse, QueryService, ResultCache, ServiceError, ServiceStats, Ticket,
+    QueryRequest, QueryResponse, QueryService, ResultCache, ServiceError, Ticket,
 };
 use hepquery::sql::SqlEngine;
 
@@ -30,7 +30,6 @@ fn shared_state_is_send_and_sync() {
     // Accounting values cross thread boundaries by value.
     assert_send_sync::<ScanStats>();
     assert_send_sync::<ExecStats>();
-    assert_send_sync::<ServiceStats>();
 }
 
 #[test]

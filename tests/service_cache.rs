@@ -19,7 +19,7 @@ use hepquery::bench::runner::System;
 use hepquery::bench::{adapters::ExecEnv, QueryId, ALL_QUERIES};
 use hepquery::columnar::{ScanStats, Table};
 use hepquery::prelude::*;
-use hepquery::service::{QueryRequest, QueryService, ServiceConfig, ServiceError};
+use hepquery::service::{Outcome, QueryRequest, QueryService, ServiceConfig, ServiceError};
 
 /// One system per language/dialect (AthenaV1 and RDataFrameDev execute
 /// the same engines as their siblings; BigQueryExternal shares BigQuery's
@@ -191,11 +191,14 @@ fn result_cache_repeats_are_free() {
     let service = QueryService::start(table, ServiceConfig::default());
     let first = drive(&service);
     let second = drive(&service);
-    let snap = service.stats();
+    let outcomes: u64 = Outcome::ALL
+        .into_iter()
+        .map(|o| service.latency_histogram(o).count())
+        .sum();
     assert_eq!(
-        snap.completed + snap.rejected + snap.timed_out + snap.failed,
-        snap.submitted,
-        "every submitted request is accounted for"
+        outcomes,
+        service.stats().submitted,
+        "every submitted request has exactly one outcome"
     );
     assert!(first.served + second.served > 0, "no request was served");
     assert!(
