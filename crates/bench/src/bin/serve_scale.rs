@@ -35,8 +35,9 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use chaos::SplitMix64;
 use hepbench_bench::loadgen::{
-    query_mix, run_open_loop, LoadConfig, OpenLoopOutcome, Schedule, SplitMix64, Zipf,
+    query_mix, run_open_loop, LoadConfig, OpenLoopOutcome, Schedule, Zipf,
 };
 use hepbench_bench::{dataset, dataset_spec, env, run_gate};
 use nf2_columnar::Table;
@@ -101,7 +102,7 @@ fn calibrate(table: &Arc<Table>, n_workers: usize, samples: usize, seed: u64) ->
     let mix = query_mix();
     let zipf = Zipf::new(mix.len(), LoadConfig::default().mix_zipf_s);
     let mut rng = SplitMix64::new(seed ^ 0xCA11_B8A7E);
-    let draws: Vec<usize> = (0..samples).map(|_| zipf.sample(rng.unit_f64())).collect();
+    let draws: Vec<usize> = (0..samples).map(|_| zipf.sample(rng.f64())).collect();
     let t0 = Instant::now();
     std::thread::scope(|scope| {
         for k in 0..n_workers.max(1) {

@@ -33,37 +33,10 @@
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
+use chaos::SplitMix64;
 use hepbench_core::runner::System;
 use hepbench_core::{QueryId, ALL_QUERIES};
 use query_service::{Outcome, QueryRequest, QueryService};
-
-/// Deterministic 64-bit generator (splitmix64) — the schedule's only
-/// randomness source, so one `u64` seed pins the whole workload.
-#[derive(Clone, Debug)]
-pub struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    /// A generator seeded with `seed`.
-    pub fn new(seed: u64) -> SplitMix64 {
-        SplitMix64 { state: seed }
-    }
-
-    /// Next 64 uniformly random bits.
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform f64 in `[0, 1)` with 53 random bits.
-    pub fn unit_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-}
 
 /// Bounded Pareto distribution on `[lo, hi]` with shape `alpha` — the
 /// classic heavy-tailed model for inter-arrival gaps: most gaps are
@@ -252,11 +225,11 @@ impl Schedule {
         let mut at = 0.0f64;
         let mut arrivals = Vec::with_capacity(cfg.n_requests);
         for _ in 0..cfg.n_requests {
-            at += gaps.sample(rng.unit_f64()) * nanos_per_unit;
+            at += gaps.sample(rng.f64()) * nanos_per_unit;
             arrivals.push(Arrival {
                 at_nanos: at as u64,
-                tenant: tenants.sample(rng.unit_f64()) as u32,
-                slot: mix.sample(rng.unit_f64()) as u16,
+                tenant: tenants.sample(rng.f64()) as u32,
+                slot: mix.sample(rng.f64()) as u16,
             });
         }
         Schedule { arrivals }
@@ -446,7 +419,7 @@ mod tests {
         };
         let mut rng = SplitMix64::new(7);
         let n = 200_000;
-        let sum: f64 = (0..n).map(|_| d.sample(rng.unit_f64())).sum();
+        let sum: f64 = (0..n).map(|_| d.sample(rng.f64())).sum();
         let empirical = sum / n as f64;
         let analytic = d.mean();
         assert!(
@@ -456,7 +429,7 @@ mod tests {
         // Samples respect the bounds.
         let mut rng = SplitMix64::new(8);
         for _ in 0..10_000 {
-            let x = d.sample(rng.unit_f64());
+            let x = d.sample(rng.f64());
             assert!((d.lo..=d.hi).contains(&x));
         }
     }
@@ -467,7 +440,7 @@ mod tests {
         let mut rng = SplitMix64::new(11);
         let mut counts = vec![0u64; 100];
         for _ in 0..100_000 {
-            counts[z.sample(rng.unit_f64())] += 1;
+            counts[z.sample(rng.f64())] += 1;
         }
         assert!(counts[0] > counts[10]);
         assert!(counts[10] > counts[60]);

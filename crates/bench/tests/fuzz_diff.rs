@@ -4,13 +4,16 @@
 //!
 //! * Every seeded random plan over the CMS schema runs on all seven
 //!   systems under test (BigQuery/Presto/Athena SQL, JSONiq, RDataFrame,
-//!   the compiled physical-IR executor, and the compiled executor on the
-//!   morsel-parallel fan-out at 3 workers) and must match the interpreter
-//!   oracle **bin-for-bin** — in particular, parallel compiled execution
-//!   never diverges from serial.
-//! * A pruning arm re-runs plans with zone-map pruning forced off and on;
-//!   both must match the oracle, so an unsound zone map cannot hide.
-//! * Every fault class is swept over every engine: persistent faults
+//!   and the plan's physical-IR lowering on the serial compiled executor
+//!   and on 3 morsel workers), once with zone-map pruning forced off and
+//!   once forced on, and must match the interpreter oracle
+//!   **bin-for-bin** — so parallel compiled execution never diverges
+//!   from serial, and an unsound zone map cannot hide.
+//! * The pruning-on half is not vacuous: on every engine that pushes the
+//!   plan's scalar filters to the scan, forcing pruning on skips row
+//!   groups, and on every engine it bills exactly the bytes pruning off
+//!   scans less the bytes pruned, with the oracle histogram both ways.
+//! * Every swept fault class runs over every engine: persistent faults
 //!   surface typed `ScanError`s of the injected class, and one run under
 //!   transient faults returns the oracle histogram and the fault-free
 //!   `ScanStats`, the scan having re-read each faulted chunk in place.
@@ -19,9 +22,12 @@
 
 use std::sync::Arc;
 
-use chaos::{differential_fuzz, fault_sweep, pruning_differential_fuzz, ALL_ENGINES, SWEPT_FAULTS};
+use chaos::{
+    differential_fuzz, fault_sweep, generate_plans, EngineUnderTest, ALL_ENGINES, SWEPT_FAULTS,
+};
 use hep_model::{DatasetSpec, Event};
 use hepbench_bench::{dataset, SEED};
+use hepbench_core::adapters::ExecEnv;
 use nf2_columnar::{FaultClass, Table};
 
 /// The seed every phase derives its plans and fault schedules from.
@@ -30,7 +36,7 @@ const FUZZ_SEED: u64 = 0x5EED;
 /// Plans of the differential phase.
 const PLANS: usize = 200;
 
-/// Plans of the pruning arm.
+/// Plans the pruning comparison runs.
 const PRUNE_PLANS: usize = 60;
 
 /// Plans of the fault sweep.
@@ -49,16 +55,57 @@ fn every_engine_matches_the_oracle_on_every_fuzz_plan() {
     let (events, table) = data();
     let report = differential_fuzz(FUZZ_SEED, PLANS, &events, &table);
     assert_eq!(report.plans, PLANS);
-    assert_eq!(report.checks, PLANS * ALL_ENGINES.len());
+    // Each plan on each engine, pruning off and on.
+    assert_eq!(report.checks, PLANS * ALL_ENGINES.len() * 2);
     assert!(report.passed(), "{:#?}", report.divergences);
 }
 
 #[test]
 fn pruning_on_and_off_match_the_oracle_on_every_fuzz_plan() {
     let (events, table) = data();
-    let report = pruning_differential_fuzz(FUZZ_SEED, PRUNE_PLANS, &events, &table);
-    assert_eq!(report.plans, PRUNE_PLANS);
-    assert!(report.passed(), "{:#?}", report.divergences);
+    let env = |pruning| ExecEnv {
+        zone_map_pruning: Some(pruning),
+        ..ExecEnv::seed()
+    };
+    let plans = generate_plans(FUZZ_SEED, PRUNE_PLANS);
+    for engine in ALL_ENGINES {
+        let name = engine.name();
+        let mut groups_pruned = 0;
+        for plan in &plans {
+            let label = plan.label();
+            let off = engine.run(plan, &table, &env(false)).expect("pruning off");
+            let on = engine.run(plan, &table, &env(true)).expect("pruning on");
+            let oracle = plan.reference(&events);
+            assert!(
+                off.histogram.counts_equal(&oracle),
+                "{label} {name}: off vs oracle"
+            );
+            assert!(
+                on.histogram.counts_equal(&oracle),
+                "{label} {name}: on vs oracle"
+            );
+            let (off, on) = (off.stats.scan, on.stats.scan);
+            assert_eq!(
+                off.groups_pruned, 0,
+                "{label} {name}: pruned with pruning off"
+            );
+            assert_eq!(
+                on.bytes_scanned + on.bytes_pruned,
+                off.bytes_scanned,
+                "{label} {name}: pruned bytes not conserved"
+            );
+            groups_pruned += on.groups_pruned;
+        }
+        // The SQL planner pushes no conjunct of the Presto and Athena
+        // lowerings down to the scan (`filterable_predicates` in
+        // `engine-sql`), so those two read every group either way.
+        let pushes_down = !matches!(engine, EngineUnderTest::Presto | EngineUnderTest::Athena);
+        assert_eq!(
+            groups_pruned > 0,
+            pushes_down,
+            "{name}: {groups_pruned} groups pruned"
+        );
+    }
 }
 
 #[test]
@@ -68,11 +115,16 @@ fn fault_sweep_meets_the_contract() {
     assert_eq!(reports.len(), SWEPT_FAULTS.len());
     for r in &reports {
         assert!(r.passed(), "{:?}: {:#?}", r.class, r.violations);
-        assert_eq!(r.clean_results + r.typed_errors, r.runs, "{:?}", r.class);
+        let typed_errors: usize = r.typed_errors.iter().sum();
+        assert_eq!(r.clean_results + typed_errors, r.runs, "{:?}", r.class);
+        // On every arm an error class must actually have fired, and the
+        // transient runs must have re-read chunks to converge.
+        let class = r.class;
+        let fired = class != FaultClass::Latency;
+        for (arm, engine) in ALL_ENGINES.iter().enumerate() {
+            let (errors, retries, name) = (r.typed_errors[arm], r.retries[arm], engine.name());
+            assert_eq!(errors > 0, fired, "{class:?} {name}: {errors} typed errors");
+            assert_eq!(retries > 0, fired, "{class:?} {name}: {retries} re-reads");
+        }
     }
-    // The error classes must actually have fired, and the transient runs
-    // must have re-read chunks to converge.
-    let errors = reports.iter().filter(|r| r.class != FaultClass::Latency);
-    assert!(errors.clone().any(|r| r.typed_errors > 0), "no typed error");
-    assert!(errors.clone().all(|r| r.retries > 0), "no chunk re-read");
 }

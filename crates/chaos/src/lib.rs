@@ -1,18 +1,23 @@
 //! # chaos
 //!
 //! Deterministic chaos testing for the benchmark engines: a seeded
-//! random-plan generator over the CMS schema, a **differential fuzzing**
-//! harness that executes every generated plan on all five systems under
-//! test (three SQL dialects, JSONiq, RDataFrame) and compares them
-//! bin-for-bin against the interpreter oracle
-//! ([`hepbench_core::fuzzplan::FuzzPlan::reference`]), and a
-//! **fault-injection sweep** that re-runs plans under every
-//! [`FaultClass`] and asserts the only two acceptable outcomes:
+//! random-plan generator over the CMS schema and three sweeps over the
+//! seven arms of [`ALL_ENGINES`] (three SQL dialects, JSONiq,
+//! RDataFrame, and the plan's physical-IR lowering run serially and on
+//! morsel workers). Every arm reads its table through the one scan
+//! driver (`exec_par::Driver`), so every arm is billed, pruned,
+//! faulted and cancelled the same way.
 //!
-//! * the exact oracle histogram (a transient fault is re-read in place
-//!   by the scan, so one run suffices), or
-//! * a typed [`nf2_columnar::ScanError`] carrying table, row group and
-//!   leaf context.
+//! * [`differential_fuzz`] runs every plan with zone-map pruning off and
+//!   on and compares each result bin-for-bin against the interpreter
+//!   oracle ([`hepbench_core::fuzzplan::FuzzPlan::reference`]).
+//! * [`fault_sweep`] re-runs plans under each [`SWEPT_FAULTS`] class and
+//!   accepts only the exact oracle histogram (a transient fault is
+//!   re-read in place by the scan, so one run suffices) or a typed
+//!   [`nf2_columnar::ScanError`] carrying table, row group and leaf.
+//! * [`cancellation_sweep`] cancels runs at random points under injected
+//!   latency and accepts only the oracle histogram or a typed
+//!   [`obs::Cancelled`].
 //!
 //! A wrong histogram, an untyped error, a panic or a hang is a bug by
 //! construction. Everything is a pure function of the seed, so any
@@ -27,17 +32,19 @@ use hepbench_core::fuzzplan::{
     CountPred, ElemPred, FillSource, FuzzPlan, ScalarPred, ALL_CMPS, ALL_JET_FIELDS,
     ALL_SCALAR_LEAVES,
 };
-use nf2_columnar::{FaultClass, FaultConfig, FaultInjector, ScanStats, Table};
-use physics::{HistSpec, Histogram};
+use nf2_columnar::{FaultClass, FaultConfig, FaultInjector, Table};
+use physics::HistSpec;
 
-/// Tiny seeded generator (splitmix64 core) so the crate needs no RNG
-/// dependency and streams are reproducible from a single `u64`.
-pub struct ChaosRng(u64);
+/// Tiny seeded splitmix64 generator behind the fuzz plans, the cancel
+/// points and `crates/bench`'s load schedules, so each stream is
+/// reproducible from a single `u64` without an RNG dependency.
+#[derive(Clone, Debug)]
+pub struct SplitMix64(u64);
 
-impl ChaosRng {
+impl SplitMix64 {
     /// A generator seeded with `seed`.
-    pub fn new(seed: u64) -> ChaosRng {
-        ChaosRng(seed)
+    pub fn new(seed: u64) -> SplitMix64 {
+        SplitMix64(seed)
     }
 
     /// Next raw 64-bit value.
@@ -49,7 +56,7 @@ impl ChaosRng {
         x ^ (x >> 31)
     }
 
-    /// Uniform in `[0, 1)`.
+    /// Uniform in `[0, 1)`, from the top 53 bits.
     pub fn f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
@@ -79,7 +86,7 @@ fn quantize(x: f64) -> f64 {
 
 /// Seeded stream of [`FuzzPlan`]s over the CMS schema.
 pub struct PlanGenerator {
-    rng: ChaosRng,
+    rng: SplitMix64,
     next_id: u64,
 }
 
@@ -87,7 +94,7 @@ impl PlanGenerator {
     /// A generator whose whole stream is a function of `seed`.
     pub fn new(seed: u64) -> PlanGenerator {
         PlanGenerator {
-            rng: ChaosRng::new(seed),
+            rng: SplitMix64::new(seed),
             next_id: 0,
         }
     }
@@ -166,15 +173,13 @@ pub enum EngineUnderTest {
     Jsoniq,
     /// `engine-rdf` (RDataFrame).
     Rdf,
-    /// The `physical-ir` compiled executor (direct plan lowering, no
-    /// parser in the loop) — the differential oracle check for the fused
-    /// batch kernels the engines' compiled paths share.
+    /// The plan's physical-IR lowering on the serial compiled executor
+    /// (no parser in the loop) — the oracle check for the fused batch
+    /// kernels the engines' compiled paths share.
     Compiled,
-    /// The morsel-parallel compiled executor (`exec_par`) — same lowered
-    /// plan as [`EngineUnderTest::Compiled`], executed on
-    /// [`PARALLEL_FUZZ_WORKERS`] workers, so the sweeps also hold the
-    /// exchange/partial-aggregation merge to bin-exactness under
-    /// scheduling-dependent completion orders.
+    /// The same lowering on [`PARALLEL_FUZZ_WORKERS`] morsel workers, so
+    /// the sweeps also hold the partial-aggregation merge to
+    /// bin-exactness under scheduling-dependent completion orders.
     CompiledParallel,
 }
 
@@ -207,8 +212,7 @@ impl EngineUnderTest {
         }
     }
 
-    /// Executes `plan` on this engine in `env`. The bare compiled
-    /// executors have no scan layer: their runs carry all-zero stats.
+    /// Executes `plan` on this engine in `env`.
     pub fn run(
         &self,
         plan: &FuzzPlan,
@@ -223,7 +227,11 @@ impl EngineUnderTest {
             EngineUnderTest::Rdf => plan.run_rdf(table, env),
             EngineUnderTest::Compiled => plan.run_compiled(table, env),
             EngineUnderTest::CompiledParallel => {
-                plan.run_compiled_parallel(table, env, PARALLEL_FUZZ_WORKERS)
+                let env = ExecEnv {
+                    parallel_workers: Some(PARALLEL_FUZZ_WORKERS),
+                    ..env.clone()
+                };
+                plan.run_compiled(table, &env)
             }
         }
     }
@@ -247,15 +255,17 @@ impl DiffReport {
     }
 }
 
-/// Runs `n_plans` seeded plans on every engine (fault-free) and compares
-/// each result bin-for-bin against the interpreter oracle.
+/// Runs `n_plans` seeded plans on every engine, fault-free, twice —
+/// zone-map pruning forced off, then forced on — and compares each
+/// result bin-for-bin against the interpreter oracle. Pruning only skips
+/// row groups the filter would have emptied, so a divergence with it on
+/// is an unsound zone map.
 pub fn differential_fuzz(
     seed: u64,
     n_plans: usize,
     events: &[Event],
     table: &Arc<Table>,
 ) -> DiffReport {
-    let env = ExecEnv::seed();
     let mut report = DiffReport::default();
     let mut generator = PlanGenerator::new(seed);
     for _ in 0..n_plans {
@@ -263,87 +273,26 @@ pub fn differential_fuzz(
         let oracle = plan.reference(events);
         report.plans += 1;
         for engine in ALL_ENGINES {
-            report.checks += 1;
-            match engine.run(&plan, table, &env).map(|r| r.histogram) {
-                Ok(h) if h.counts_equal(&oracle) => {}
-                Ok(h) => report.divergences.push(format!(
-                    "{} {}: histogram diverged from oracle \
-                     (engine total {}, oracle total {})\nplan: {:?}",
-                    plan.label(),
-                    engine.name(),
-                    h.total(),
-                    oracle.total(),
-                    plan
-                )),
-                Err(e) => report.divergences.push(format!(
-                    "{} {}: failed fault-free: {e}\nplan: {:?}",
-                    plan.label(),
-                    engine.name(),
-                    plan
-                )),
-            }
-        }
-    }
-    report
-}
-
-/// Runs `n_plans` seeded plans on every engine twice — zone-map pruning
-/// forced off, then forced on — and requires both runs to match the
-/// interpreter oracle bin-for-bin. Pruning is a storage-level rewrite
-/// (skip row groups whose statistics refute a filter), so *any*
-/// divergence between the two runs is a soundness bug: a zone map that
-/// pruned a group the filter would not have emptied.
-pub fn pruning_differential_fuzz(
-    seed: u64,
-    n_plans: usize,
-    events: &[Event],
-    table: &Arc<Table>,
-) -> DiffReport {
-    let env_off = ExecEnv {
-        zone_map_pruning: Some(false),
-        ..ExecEnv::seed()
-    };
-    let env_on = ExecEnv {
-        zone_map_pruning: Some(true),
-        ..ExecEnv::seed()
-    };
-    let mut report = DiffReport::default();
-    let mut generator = PlanGenerator::new(seed);
-    for _ in 0..n_plans {
-        let plan = generator.next_plan();
-        let oracle = plan.reference(events);
-        report.plans += 1;
-        for engine in ALL_ENGINES {
-            report.checks += 1;
-            let off = engine.run(&plan, table, &env_off).map(|r| r.histogram);
-            let on = engine.run(&plan, table, &env_on).map(|r| r.histogram);
-            match (off, on) {
-                (Ok(a), Ok(b)) => {
-                    if !a.counts_equal(&oracle) {
-                        report.divergences.push(format!(
-                            "{} {}: pruning-off run diverged from oracle\nplan: {:?}",
-                            plan.label(),
-                            engine.name(),
-                            plan
-                        ));
-                    } else if !b.counts_equal(&a) {
-                        report.divergences.push(format!(
-                            "{} {}: pruning changed the histogram \
-                             (off total {}, on total {})\nplan: {:?}",
-                            plan.label(),
-                            engine.name(),
-                            a.total(),
-                            b.total(),
-                            plan
-                        ));
-                    }
+            for pruning in [false, true] {
+                let env = ExecEnv {
+                    zone_map_pruning: Some(pruning),
+                    ..ExecEnv::seed()
+                };
+                report.checks += 1;
+                let (label, name) = (plan.label(), engine.name());
+                let pruning = if pruning { "on" } else { "off" };
+                match engine.run(&plan, table, &env).map(|r| r.histogram) {
+                    Ok(h) if h.counts_equal(&oracle) => {}
+                    Ok(h) => report.divergences.push(format!(
+                        "{label} {name} pruning {pruning}: histogram diverged from oracle \
+                         (engine total {}, oracle total {})\nplan: {plan:?}",
+                        h.total(),
+                        oracle.total(),
+                    )),
+                    Err(e) => report.divergences.push(format!(
+                        "{label} {name} pruning {pruning}: failed fault-free: {e}\nplan: {plan:?}"
+                    )),
                 }
-                (Err(e), _) | (_, Err(e)) => report.divergences.push(format!(
-                    "{} {}: failed fault-free: {e}\nplan: {:?}",
-                    plan.label(),
-                    engine.name(),
-                    plan
-                )),
             }
         }
     }
@@ -353,12 +302,7 @@ pub fn pruning_differential_fuzz(
 /// Fault classes the sweep injects (every member of the taxonomy that
 /// surfaces as an error value or a delay; `Panic` is exercised separately
 /// by the service panic-safety tests).
-pub const SWEPT_FAULTS: &[FaultClass] = &[
-    FaultClass::Io,
-    FaultClass::ChecksumMismatch,
-    FaultClass::TruncatedRowGroup,
-    FaultClass::Latency,
-];
+pub const SWEPT_FAULTS: &[FaultClass] = &[FaultClass::Io, FaultClass::Latency];
 
 /// Outcome of one fault class across the sweep.
 #[derive(Debug)]
@@ -369,11 +313,12 @@ pub struct FaultReport {
     pub runs: usize,
     /// Runs that returned the exact oracle histogram.
     pub clean_results: usize,
-    /// Runs that surfaced a typed, context-carrying scan error.
-    pub typed_errors: usize,
-    /// Chunk reads the scans retried after a transient fault (the sum of
+    /// Runs that surfaced a typed, context-carrying scan error, per arm
+    /// (indexed like [`ALL_ENGINES`]).
+    pub typed_errors: Vec<usize>,
+    /// Chunk reads the transient runs retried, per arm (the sum of
     /// `ExecStats::reads_retried`).
-    pub retries: u64,
+    pub retries: Vec<u64>,
     /// Contract violations (wrong histogram, untyped/wrong-class error,
     /// a transient run that failed or billed differently). Empty ⇒ pass.
     pub violations: Vec<String>,
@@ -386,9 +331,10 @@ impl FaultReport {
     }
 }
 
-/// Per-chunk fault probability used by the sweep: high enough that every
-/// class fires on multi-group tables, low enough that most runs finish.
-pub const SWEEP_FAULT_P: f64 = 0.05;
+/// Per-chunk fault probability used by the sweep: high enough that an
+/// error class fires on every arm at CI's scale (`crates/bench/tests/
+/// fuzz_diff.rs` checks it), low enough that most runs finish.
+pub const SWEEP_FAULT_P: f64 = 0.1;
 
 /// Runs `n_plans` seeded plans on every engine under every fault class,
 /// in two phases per class:
@@ -409,148 +355,78 @@ pub fn fault_sweep(
     events: &[Event],
     table: &Arc<Table>,
 ) -> Vec<FaultReport> {
-    let plans = generate_plans(seed, n_plans);
-    // The fault-free stats of every (plan, engine): what a transient run
-    // must bill.
-    let baselines: Vec<Vec<Option<ScanStats>>> = plans
+    let faulty = |class, transient_attempts| ExecEnv {
+        fault_injector: Some(Arc::new(FaultInjector::new(FaultConfig {
+            transient_attempts,
+            ..FaultConfig::only(class, SWEEP_FAULT_P, seed)
+        }))),
+        ..ExecEnv::seed()
+    };
+    let mut reports: Vec<FaultReport> = SWEPT_FAULTS
         .iter()
-        .map(|plan| {
-            ALL_ENGINES
-                .iter()
-                .map(|engine| {
-                    let run = engine.run(plan, table, &ExecEnv::seed());
-                    run.ok().map(|r| r.stats.scan)
-                })
-                .collect()
+        .map(|&class| FaultReport {
+            class,
+            runs: 0,
+            clean_results: 0,
+            typed_errors: vec![0; ALL_ENGINES.len()],
+            retries: vec![0; ALL_ENGINES.len()],
+            violations: Vec::new(),
         })
         .collect();
-    SWEPT_FAULTS
-        .iter()
-        .map(|&class| {
-            let mut report = FaultReport {
-                class,
-                runs: 0,
-                clean_results: 0,
-                typed_errors: 0,
-                retries: 0,
-                violations: Vec::new(),
-            };
-            for (plan, baseline) in plans.iter().zip(&baselines) {
-                let oracle = plan.reference(events);
-                for (engine, clean) in ALL_ENGINES.iter().zip(baseline) {
-                    persistent_phase(&mut report, class, seed, plan, &oracle, engine, table);
-                    let want = Want {
-                        histogram: &oracle,
-                        scan: clean.as_ref(),
-                    };
-                    transient_phase(&mut report, class, seed, plan, want, engine, table);
+    for plan in generate_plans(seed, n_plans) {
+        let oracle = plan.reference(events);
+        for (arm, engine) in ALL_ENGINES.iter().enumerate() {
+            // What a transient run must bill; `None` when the fault-free
+            // run failed, which the differential fuzz reports.
+            let clean = engine.run(&plan, table, &ExecEnv::seed());
+            let clean = clean.ok().map(|r| r.stats.scan);
+            for report in &mut reports {
+                let class = report.class;
+                let ctx = |phase: &str| {
+                    let (label, name) = (plan.label(), engine.name());
+                    format!("{label} {name} {phase} {}", class.name())
+                };
+                let violations = &mut report.violations;
+                report.runs += 2;
+                match engine.run(&plan, table, &faulty(class, 0)) {
+                    Ok(r) if r.histogram.counts_equal(&oracle) => report.clean_results += 1,
+                    Ok(_) => violations.push(format!(
+                        "{}: WRONG histogram instead of typed error",
+                        ctx("persistent")
+                    )),
+                    Err(e) => match &e.scan {
+                        Some(s) if s.class == class && !s.leaf.is_empty() => {
+                            report.typed_errors[arm] += 1
+                        }
+                        Some(s) => violations.push(format!(
+                            "{}: wrong fault class in error: {s}",
+                            ctx("persistent")
+                        )),
+                        None => {
+                            violations.push(format!("{}: untyped error: {e}", ctx("persistent")))
+                        }
+                    },
+                }
+                match engine.run(&plan, table, &faulty(class, 1)) {
+                    Ok(r) if !r.histogram.counts_equal(&oracle) => {
+                        violations.push(format!("{}: WRONG histogram", ctx("transient")))
+                    }
+                    Ok(r) if clean.is_some_and(|s| s != r.stats.scan) => violations.push(format!(
+                        "{}: ScanStats differ from the fault-free run (re-reads billed?)",
+                        ctx("transient")
+                    )),
+                    Ok(r) => {
+                        report.clean_results += 1;
+                        report.retries[arm] += r.stats.reads_retried;
+                    }
+                    Err(e) => {
+                        violations.push(format!("{}: failed in one run: {e}", ctx("transient")))
+                    }
                 }
             }
-            report
-        })
-        .collect()
-}
-
-/// Persistent faults: typed error of the right class, or untouched result.
-fn persistent_phase(
-    report: &mut FaultReport,
-    class: FaultClass,
-    seed: u64,
-    plan: &FuzzPlan,
-    oracle: &Histogram,
-    engine: &EngineUnderTest,
-    table: &Arc<Table>,
-) {
-    let env = ExecEnv {
-        fault_injector: Some(Arc::new(FaultInjector::new(FaultConfig {
-            transient_attempts: 0,
-            ..FaultConfig::only(class, SWEEP_FAULT_P, seed)
-        }))),
-        ..ExecEnv::seed()
-    };
-    report.runs += 1;
-    match engine.run(plan, table, &env) {
-        Ok(r) if r.histogram.counts_equal(oracle) => report.clean_results += 1,
-        Ok(_) => report.violations.push(format!(
-            "{} {} persistent {}: WRONG histogram instead of typed error",
-            plan.label(),
-            engine.name(),
-            class.name()
-        )),
-        Err(e) => match &e.scan {
-            Some(s) if s.class == class && !s.leaf.is_empty() => report.typed_errors += 1,
-            Some(s) => report.violations.push(format!(
-                "{} {} persistent {}: wrong fault class in error: {s}",
-                plan.label(),
-                engine.name(),
-                class.name()
-            )),
-            None => report.violations.push(format!(
-                "{} {} persistent {}: untyped error: {e}",
-                plan.label(),
-                engine.name(),
-                class.name()
-            )),
-        },
+        }
     }
-}
-
-/// What a transient run must return: the oracle histogram and the
-/// fault-free run's scan stats (`None` when the fault-free run failed,
-/// which the differential phase reports).
-#[derive(Clone, Copy)]
-struct Want<'a> {
-    histogram: &'a Histogram,
-    scan: Option<&'a ScanStats>,
-}
-
-/// Transient faults: one run must return the oracle histogram and bill
-/// exactly the fault-free bytes.
-fn transient_phase(
-    report: &mut FaultReport,
-    class: FaultClass,
-    seed: u64,
-    plan: &FuzzPlan,
-    want: Want<'_>,
-    engine: &EngineUnderTest,
-    table: &Arc<Table>,
-) {
-    let env = ExecEnv {
-        fault_injector: Some(Arc::new(FaultInjector::new(FaultConfig {
-            transient_attempts: 1,
-            ..FaultConfig::only(class, SWEEP_FAULT_P, seed)
-        }))),
-        ..ExecEnv::seed()
-    };
-    report.runs += 1;
-    let ctx = || {
-        format!(
-            "{} {} transient {}",
-            plan.label(),
-            engine.name(),
-            class.name()
-        )
-    };
-    match engine.run(plan, table, &env) {
-        Ok(r) if !r.histogram.counts_equal(want.histogram) => {
-            report
-                .violations
-                .push(format!("{}: WRONG histogram", ctx()));
-        }
-        Ok(r) if want.scan.is_some_and(|s| *s != r.stats.scan) => {
-            report.violations.push(format!(
-                "{}: ScanStats differ from the fault-free run (re-reads billed?)",
-                ctx()
-            ));
-        }
-        Ok(r) => {
-            report.clean_results += 1;
-            report.retries += r.stats.reads_retried;
-        }
-        Err(e) => report
-            .violations
-            .push(format!("{}: failed in one run: {e}", ctx())),
-    }
+    reports
 }
 
 /// Outcome of the cancellation sweep.
@@ -608,7 +484,7 @@ pub fn cancellation_sweep(
 
     const POOL_BUDGET: usize = 8 << 20;
     let plans = generate_plans(seed, n_plans);
-    let mut rng = ChaosRng::new(seed ^ 0xCA9C_E11E);
+    let mut rng = SplitMix64::new(seed ^ 0xCA9C_E11E);
     let pool = Arc::new(nf2_columnar::ChunkCache::new(POOL_BUDGET));
     let mut report = CancelReport {
         runs: 0,
@@ -747,8 +623,51 @@ mod tests {
         assert!(a.iter().any(|p| !p.scalar_preds.is_empty()));
     }
 
-    // The differential, pruning and fault-sweep contracts are tested at
-    // CI's scale in `crates/bench/tests/fuzz_diff.rs`.
+    // The differential and fault-sweep contracts are tested at CI's
+    // scale in `crates/bench/tests/fuzz_diff.rs`.
+
+    /// Every arm reads through the scan's fault injector. Pruning is off,
+    /// so every run reads every row group and `p = 1` faults all of them:
+    /// a persistent fault fails every arm typed, and a transient one is
+    /// re-read in place and billed exactly like the fault-free run.
+    #[test]
+    fn every_arm_reads_through_the_fault_injector() {
+        let (events, table) = dataset();
+        let env = |transient_attempts: Option<u32>| ExecEnv {
+            zone_map_pruning: Some(false),
+            fault_injector: transient_attempts.map(|transient_attempts| {
+                Arc::new(FaultInjector::new(FaultConfig {
+                    transient_attempts,
+                    ..FaultConfig::only(FaultClass::Io, 1.0, 0xF417)
+                }))
+            }),
+            ..ExecEnv::seed()
+        };
+        for plan in generate_plans(0xF417, 6) {
+            let oracle = plan.reference(&events);
+            for engine in ALL_ENGINES {
+                let ctx = format!("{} {}", plan.label(), engine.name());
+                match engine.run(&plan, &table, &env(Some(0))) {
+                    Err(e) => {
+                        let s = e.scan.unwrap_or_else(|| panic!("{ctx}: untyped error"));
+                        assert_eq!(s.class, FaultClass::Io, "{ctx}");
+                        assert!(!s.leaf.is_empty(), "{ctx}: leaf missing");
+                    }
+                    Ok(r) => panic!(
+                        "{ctx}: a persistent fault returned Ok with {} bytes scanned",
+                        r.stats.scan.bytes_scanned
+                    ),
+                }
+                let clean = engine.run(&plan, &table, &env(None)).unwrap();
+                let run = engine
+                    .run(&plan, &table, &env(Some(1)))
+                    .unwrap_or_else(|e| panic!("{ctx}: transient fault failed the run: {e}"));
+                assert!(run.histogram.counts_equal(&oracle), "{ctx}");
+                assert!(run.stats.reads_retried > 0, "{ctx}: no chunk re-read");
+                assert_eq!(run.stats.scan, clean.stats.scan, "{ctx}: re-reads billed");
+            }
+        }
+    }
 
     #[test]
     fn cancellation_sweep_is_all_or_nothing() {

@@ -7,8 +7,12 @@
 //! system under test**: the three SQL dialects (through their
 //! characteristic idioms: BigQuery correlated `UNNEST` subqueries, Presto
 //! full-column-list `CROSS JOIN UNNEST` + `FILTER` lambdas, Athena
-//! whole-struct aliases), JSONiq, and an `engine-rdf` dataframe chain.
-//! [`FuzzPlan::reference`] is the ground-truth interpreter over the
+//! whole-struct aliases), JSONiq, an `engine-rdf` dataframe chain, and
+//! the shared physical IR ([`FuzzPlan::physical`]). Every lowering runs
+//! on the one scan driver ([`exec_par::Driver`]): the text and dataframe
+//! ones through their engines, the IR one through
+//! [`FuzzPlan::run_compiled`], so every run is billed, pruned and faulted
+//! alike. [`FuzzPlan::reference`] is the ground-truth interpreter over the
 //! in-memory [`Event`]s — the same oracle role [`crate::reference`] plays
 //! for Q1–Q8. Any divergence between an engine and the oracle is a bug by
 //! construction: the float comparisons and the binning float path are
@@ -24,8 +28,9 @@ use std::sync::Arc;
 
 use engine_rdf::{ColValue, RDataFrame};
 use engine_sql::Dialect;
+use exec_par::Driver;
 use hep_model::{Event, Jet};
-use nf2_columnar::{SelCmp, SelValue, Table};
+use nf2_columnar::{Projection, PushdownCapability, ScalarPredicate, SelCmp, SelValue, Table};
 use physics::{HistSpec, Histogram};
 
 use crate::adapters::{run_frontend, AdapterError, EngineRun, ExecEnv, ExecOptions, Frontend};
@@ -531,15 +536,9 @@ impl FuzzPlan {
         use nested_value::Path;
         let jet_leaf = |f: JetField| Path::parse(&format!("Jet.{}", f.member()));
         let mut filters: Vec<physical_ir::FilterNode> = self
-            .scalar_preds
-            .iter()
-            .map(|p| {
-                physical_ir::FilterNode::Scalar(nf2_columnar::ScalarPredicate {
-                    leaf: Path::parse(p.leaf.sql()),
-                    cmp: p.cmp.sel(),
-                    value: SelValue::Float(p.lit),
-                })
-            })
+            .scalar_predicates()
+            .into_iter()
+            .map(physical_ir::FilterNode::Scalar)
             .collect();
         if let Some(cp) = &self.count_pred {
             filters.push(physical_ir::FilterNode::ListCount {
@@ -571,6 +570,19 @@ impl FuzzPlan {
             compute,
             spec: self.spec,
         }
+    }
+
+    /// The scalar conjuncts as kernel predicates: the plan's scalar
+    /// filters, and what its compiled run prunes and selects by.
+    fn scalar_predicates(&self) -> Vec<ScalarPredicate> {
+        self.scalar_preds
+            .iter()
+            .map(|p| ScalarPredicate {
+                leaf: nested_value::Path::parse(p.leaf.sql()),
+                cmp: p.cmp.sel(),
+                value: SelValue::Float(p.lit),
+            })
+            .collect()
     }
 
     /// Lowers the plan to an `engine-rdf` dataframe chain over `table`.
@@ -659,85 +671,40 @@ impl FuzzPlan {
         run_frontend(frontend, table, options, env, spec, system, &label)
     }
 
-    /// Executes the plan on the compiled physical-IR executor in an
-    /// [`ExecEnv`]. The executor reads decoded chunks directly (scan
-    /// accounting and the chunk-level fault path are engine concerns),
-    /// so only the environment's trace and cancel token apply, and the
-    /// run's [`EngineRun::stats`] are all zero.
+    /// Executes the plan's [`FuzzPlan::physical`] lowering in an
+    /// [`ExecEnv`] on the steps the engines' compiled paths take
+    /// ([`exec_par::Driver`]): a scan of [`physical_ir::PhysPlan::columns`]
+    /// pruned by the scalar filters and read through the environment's
+    /// buffer pool, fault injector, trace and cancel token, then the
+    /// compiled executor over the surviving row groups — serial, or on
+    /// `env.parallel_workers` morsel workers.
     pub fn run_compiled(
         &self,
         table: &Arc<Table>,
         env: &ExecEnv,
     ) -> Result<EngineRun, AdapterError> {
+        let err = |e: nf2_columnar::ColumnarError| {
+            AdapterError::from_engine("Compiled", self.label(), &e)
+        };
         let plan = self.physical();
-        let skip = compiled_skip_mask(&plan, table, env);
-        let bins = physical_ir::execute(&plan, table, skip.as_deref(), &env.trace, &env.cancel)
-            .map_err(|e| AdapterError::from_engine("Compiled", self.label(), &e))?;
-        Ok(self.bins_run(bins))
-    }
-
-    /// Executes the plan on the morsel-parallel compiled executor
-    /// ([`exec_par`]) with `workers` threads. Must produce exactly the
-    /// bins of [`FuzzPlan::run_compiled`] at any worker count — the
-    /// differential fuzzer holds it to that.
-    pub fn run_compiled_parallel(
-        &self,
-        table: &Arc<Table>,
-        env: &ExecEnv,
-        workers: usize,
-    ) -> Result<EngineRun, AdapterError> {
-        let plan = self.physical();
-        let skip = compiled_skip_mask(&plan, table, env);
-        let (bins, _stats) = exec_par::execute(
-            &plan,
-            table,
-            skip.as_deref(),
-            &env.trace,
-            &env.cancel,
-            None,
-            &exec_par::ParOptions::new(workers),
-        )
-        .map_err(|e| AdapterError::from_engine("Compiled-parallel", self.label(), &e))?;
-        Ok(self.bins_run(bins))
-    }
-
-    /// A bare executor's bin-index sequence as a run with no scan.
-    fn bins_run(&self, bins: Vec<i64>) -> EngineRun {
+        let preds = self.scalar_predicates();
+        let projection = Projection::of(plan.columns().iter().map(|p| p.to_string()));
+        let mut run = Driver::new(ExecOptions::default(), env);
+        let capability = PushdownCapability::IndividualLeaves;
+        let scan = run
+            .scan(table, &projection, capability, &preds)
+            .map_err(err)?;
+        let (bins, cpu_seconds, threads_used) = run.compiled(&plan, &scan).map_err(err)?;
         let mut histogram = Histogram::new(self.spec);
         for b in bins {
             histogram.add_bin_count(b, 1);
         }
-        EngineRun {
+        Ok(EngineRun {
             histogram,
-            stats: Default::default(),
+            stats: run.finish(cpu_seconds, threads_used),
             trace: Default::default(),
-        }
-    }
-}
-
-/// The zone-map skip mask the bare compiled executors run with: the
-/// plan's scalar filters, evaluated against per-chunk statistics — the
-/// same mask an engine's scan layer would hand them — when the
-/// environment explicitly enables pruning, `None` otherwise (the
-/// executors have no scan layer of their own, so the default stays the
-/// unpruned seed path).
-fn compiled_skip_mask(
-    plan: &physical_ir::PhysPlan,
-    table: &Table,
-    env: &ExecEnv,
-) -> Option<Vec<bool>> {
-    if env.zone_map_pruning != Some(true) {
-        return None;
-    }
-    let preds: Vec<nf2_columnar::ScalarPredicate> = plan
-        .filters
-        .iter()
-        .filter_map(|f| match f {
-            physical_ir::FilterNode::Scalar(p) => Some(p.clone()),
-            _ => None,
         })
-        .collect();
-    Some(nf2_columnar::stats::skip_mask(table, &preds))
+    }
 }
 
 #[cfg(test)]

@@ -63,10 +63,12 @@ pub struct ExecEnv {
     /// reproduces the paper's configuration, where every system reads
     /// every row group.
     pub zone_map_pruning: Option<bool>,
-    /// Chaos-layer fault injector on physical chunk reads, probed by the
-    /// engines' scan pre-pass, which re-reads a transiently faulted chunk
-    /// in place (`None`, the default, reproduces the fault-free path
-    /// byte-for-byte; see [`nf2_columnar::fault`]).
+    /// Chaos-layer fault injector on physical chunk reads, probed by
+    /// [`crate::Driver::scan`] — the scan every engine and every chaos
+    /// arm, interpreted or compiled, reads through — which re-reads a
+    /// transiently faulted chunk in place (`None`, the default,
+    /// reproduces the fault-free path byte-for-byte; see
+    /// [`nf2_columnar::fault`]).
     pub fault_injector: Option<Arc<FaultInjector>>,
     /// Tracing context. The default (disabled) context records nothing
     /// and costs near-zero.

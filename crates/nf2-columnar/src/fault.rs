@@ -12,11 +12,10 @@
 //!
 //! Fault classes ([`FaultClass`]):
 //!
-//! * `Io` — the storage read itself errors (transient in real systems);
-//! * `ChecksumMismatch` — the chunk arrives but its checksum does not
-//!   match (bit rot, partial overwrite);
-//! * `TruncatedRowGroup` — the row group ends early: a leaf chunk is
-//!   shorter than the group's row count;
+//! * `Io` — the chunk read fails: the storage errors, or the chunk
+//!   arrives truncated or with a checksum that does not match. A reader
+//!   handles all three the same way (re-read, then fail typed), so they
+//!   are one class;
 //! * `Latency` — the read succeeds but only after an injected delay
 //!   (exercises deadlines and watchdogs, never corrupts results);
 //! * `Panic` — the reader panics mid-scan (exercises worker-pool panic
@@ -24,8 +23,8 @@
 //!
 //! **Transient vs persistent.** `transient_attempts = k > 0` means a
 //! faulting chunk fails its first `k` reads and then recovers — the model
-//! of a retryable storage hiccup, which the scan absorbs by re-reading the
-//! chunk in place (up to [`crate::scan::READ_RETRIES`] times).
+//! of a storage hiccup, which the scan absorbs by re-reading the chunk in
+//! place (up to [`crate::scan::READ_RETRIES`] times).
 //! `transient_attempts = 0` means the fault is persistent (media
 //! corruption): every read fails, and the only correct behaviour
 //! is a typed error, never a wrong histogram.
@@ -41,12 +40,8 @@ use parking_lot::Mutex;
 /// The taxonomy of injectable scan faults.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FaultClass {
-    /// Storage read failed outright.
+    /// The chunk read failed (storage error, truncated or corrupt chunk).
     Io,
-    /// Chunk read back with a checksum mismatch.
-    ChecksumMismatch,
-    /// Row group shorter than its declared row count.
-    TruncatedRowGroup,
     /// Read succeeded after an injected delay (not an error).
     Latency,
     /// Reader panicked mid-scan (not an error value — it unwinds).
@@ -58,22 +53,9 @@ impl FaultClass {
     pub fn name(&self) -> &'static str {
         match self {
             FaultClass::Io => "io error",
-            FaultClass::ChecksumMismatch => "checksum mismatch",
-            FaultClass::TruncatedRowGroup => "truncated row group",
             FaultClass::Latency => "injected latency",
             FaultClass::Panic => "injected panic",
         }
-    }
-
-    /// Whether a re-read of the same chunk can plausibly succeed. All
-    /// injected storage faults are modeled as retryable at the error
-    /// level; whether a re-read *does* succeed is governed by
-    /// [`FaultConfig::transient_attempts`].
-    pub fn retryable(&self) -> bool {
-        matches!(
-            self,
-            FaultClass::Io | FaultClass::ChecksumMismatch | FaultClass::TruncatedRowGroup
-        )
     }
 }
 
@@ -116,10 +98,6 @@ pub struct FaultConfig {
     pub seed: u64,
     /// P(io error) per chunk read.
     pub p_io: f64,
-    /// P(checksum mismatch) per chunk read.
-    pub p_checksum: f64,
-    /// P(truncated row group) per chunk read.
-    pub p_truncated: f64,
     /// P(injected latency) per chunk read.
     pub p_latency: f64,
     /// P(panic) per chunk read. Keep 0 except in panic-safety tests.
@@ -137,8 +115,6 @@ impl FaultConfig {
         FaultConfig {
             seed,
             p_io: 0.0,
-            p_checksum: 0.0,
-            p_truncated: 0.0,
             p_latency: 0.0,
             p_panic: 0.0,
             latency: Duration::from_micros(50),
@@ -151,8 +127,6 @@ impl FaultConfig {
         let mut c = FaultConfig::off(seed);
         match class {
             FaultClass::Io => c.p_io = p,
-            FaultClass::ChecksumMismatch => c.p_checksum = p,
-            FaultClass::TruncatedRowGroup => c.p_truncated = p,
             FaultClass::Latency => c.p_latency = p,
             FaultClass::Panic => c.p_panic = p,
         }
@@ -163,23 +137,12 @@ impl FaultConfig {
 /// Monotonic counters of injected faults, by class.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultCounters {
-    /// Io faults injected.
+    /// Io faults injected (failed reads).
     pub io: u64,
-    /// Checksum faults injected.
-    pub checksum: u64,
-    /// Truncation faults injected.
-    pub truncated: u64,
     /// Latency delays injected.
     pub latency: u64,
     /// Reads that recovered because their transient budget was exhausted.
     pub recovered: u64,
-}
-
-impl FaultCounters {
-    /// Total hard faults (errors) injected.
-    pub fn errors(&self) -> u64 {
-        self.io + self.checksum + self.truncated
-    }
 }
 
 #[derive(Clone, PartialEq, Eq, Hash)]
@@ -198,8 +161,6 @@ pub struct FaultInjector {
     config: FaultConfig,
     attempts: Mutex<HashMap<FaultKey, u32>>,
     io: AtomicU64,
-    checksum: AtomicU64,
-    truncated: AtomicU64,
     latency: AtomicU64,
     recovered: AtomicU64,
 }
@@ -233,8 +194,6 @@ impl FaultInjector {
             config,
             attempts: Mutex::new(HashMap::new()),
             io: AtomicU64::new(0),
-            checksum: AtomicU64::new(0),
-            truncated: AtomicU64::new(0),
             latency: AtomicU64::new(0),
             recovered: AtomicU64::new(0),
         }
@@ -249,8 +208,6 @@ impl FaultInjector {
     pub fn counters(&self) -> FaultCounters {
         FaultCounters {
             io: self.io.load(Ordering::Relaxed),
-            checksum: self.checksum.load(Ordering::Relaxed),
-            truncated: self.truncated.load(Ordering::Relaxed),
             latency: self.latency.load(Ordering::Relaxed),
             recovered: self.recovered.load(Ordering::Relaxed),
         }
@@ -274,14 +231,6 @@ impl FaultInjector {
         let mut acc = c.p_io;
         if u < acc {
             return Some(FaultClass::Io);
-        }
-        acc += c.p_checksum;
-        if u < acc {
-            return Some(FaultClass::ChecksumMismatch);
-        }
-        acc += c.p_truncated;
-        if u < acc {
-            return Some(FaultClass::TruncatedRowGroup);
         }
         acc += c.p_latency;
         if u < acc {
@@ -338,8 +287,6 @@ impl FaultInjector {
         };
         match class {
             FaultClass::Io => self.io.fetch_add(1, Ordering::Relaxed),
-            FaultClass::ChecksumMismatch => self.checksum.fetch_add(1, Ordering::Relaxed),
-            FaultClass::TruncatedRowGroup => self.truncated.fetch_add(1, Ordering::Relaxed),
             FaultClass::Panic => panic!("injected panic fault: {err}"),
             FaultClass::Latency => unreachable!("handled above"),
         };
@@ -400,7 +347,6 @@ mod tests {
         let l = leaf("Jet.pt");
         let e1 = inj.on_chunk_read("events", 9, 0, &l).unwrap_err();
         assert_eq!((e1.class, e1.attempt), (FaultClass::Io, 1));
-        assert!(e1.class.retryable());
         let e2 = inj.on_chunk_read("events", 9, 0, &l).unwrap_err();
         assert_eq!(e2.attempt, 2);
         assert!(inj.on_chunk_read("events", 9, 0, &l).is_ok(), "recovered");
@@ -413,28 +359,29 @@ mod tests {
     fn persistent_faults_never_recover() {
         let inj = FaultInjector::new(FaultConfig {
             transient_attempts: 0,
-            ..FaultConfig::only(FaultClass::ChecksumMismatch, 1.0, 3)
+            ..FaultConfig::only(FaultClass::Io, 1.0, 3)
         });
-        for _ in 0..5 {
+        for attempt in 1..=5 {
             let e = inj
                 .on_chunk_read("events", 9, 3, &leaf("MET.phi"))
                 .unwrap_err();
-            assert_eq!(e.class, FaultClass::ChecksumMismatch);
+            assert_eq!((e.class, e.attempt), (FaultClass::Io, attempt));
         }
-        assert_eq!(inj.counters().checksum, 5);
+        assert_eq!(inj.counters().io, 5);
+        assert_eq!(inj.counters().recovered, 0);
     }
 
     #[test]
     fn error_display_carries_full_context() {
         let e = ScanError {
-            class: FaultClass::TruncatedRowGroup,
+            class: FaultClass::Io,
             table: "events".into(),
             row_group: 17,
             leaf: "Jet.eta".into(),
             attempt: 2,
         };
         let s = e.to_string();
-        assert!(s.contains("truncated row group"), "{s}");
+        assert!(s.contains("io error"), "{s}");
         assert!(s.contains("'events'"), "{s}");
         assert!(s.contains("row group 17"), "{s}");
         assert!(s.contains("Jet.eta"), "{s}");

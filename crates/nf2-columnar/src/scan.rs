@@ -121,10 +121,9 @@ struct ScanFaults<'f> {
 }
 
 impl ScanFaults<'_> {
-    /// One physical chunk read. A retryable fault
-    /// ([`crate::FaultClass::retryable`]) is re-read in place up to
-    /// [`READ_RETRIES`] times; any other fault, or one that outlives the
-    /// budget, is returned. Returns the re-reads it took.
+    /// One physical chunk read. A failed read is re-read in place up to
+    /// [`READ_RETRIES`] times; a fault that outlives the budget is
+    /// returned. Returns the re-reads it took.
     fn read(&self, group: u32, leaf: &nested_value::Path) -> Result<u64, ScanError> {
         let mut retried = 0;
         loop {
@@ -133,7 +132,7 @@ impl ScanFaults<'_> {
                     .on_chunk_read(self.table_name, self.table_fingerprint, group, leaf);
             match read {
                 Ok(()) => return Ok(retried),
-                Err(e) if e.class.retryable() && retried < u64::from(READ_RETRIES) => {
+                Err(e) if retried < u64::from(READ_RETRIES) => {
                     retried += 1;
                     let label =
                         || format!("re-read group {group} leaf {leaf} after {}", e.class.name());
@@ -647,12 +646,12 @@ mod tests {
     }
 
     #[test]
-    fn faults_past_the_budget_or_not_retryable_fail_typed() {
+    fn faults_past_the_budget_fail_typed_and_panics_unwind() {
         let t = table();
         let p = Projection::of(["MET.pt"]);
         for (class, transient_attempts, reads) in [
             (FaultClass::Io, READ_RETRIES + 1, READ_RETRIES + 1),
-            (FaultClass::ChecksumMismatch, 0, READ_RETRIES + 1),
+            (FaultClass::Io, 0, READ_RETRIES + 1),
             (FaultClass::Panic, 0, 1),
         ] {
             let inj = injector(class, 1.0, transient_attempts);
@@ -664,6 +663,7 @@ mod tests {
                 (_, Ok(Err(e))) => {
                     let s = e.scan_error().expect("typed scan fault");
                     assert_eq!((s.class, s.attempt), (class, reads));
+                    assert_eq!(inj.counters().io, u64::from(reads));
                 }
                 (_, other) => panic!("{class:?}: expected a failure, got {other:?}"),
             }

@@ -126,13 +126,13 @@ fn scan_errors_carry_system_query_row_group_and_leaf() {
     let (_, table) = small_dataset();
     let inj = injector(FaultConfig {
         transient_attempts: 0, // persistent: retries never help
-        ..FaultConfig::only(FaultClass::ChecksumMismatch, 1.0, 0xBAD)
+        ..FaultConfig::only(FaultClass::Io, 1.0, 0xBAD)
     });
     let env = env_with(&inj);
 
     fn fail(r: Result<adapters::EngineRun, adapters::AdapterError>) -> adapters::AdapterError {
         match r {
-            Ok(_) => panic!("persistent checksum fault must fail the query"),
+            Ok(_) => panic!("persistent io fault must fail the query"),
             Err(e) => e,
         }
     }
@@ -146,7 +146,7 @@ fn scan_errors_carry_system_query_row_group_and_leaf() {
             .scan
             .as_ref()
             .unwrap_or_else(|| panic!("{system}: injected fault must surface typed"));
-        assert_eq!(scan.class, FaultClass::ChecksumMismatch);
+        assert_eq!(scan.class, FaultClass::Io);
         assert!(!scan.leaf.to_string().is_empty(), "{system}: leaf missing");
 
         let msg = err.to_string();
@@ -155,7 +155,7 @@ fn scan_errors_carry_system_query_row_group_and_leaf() {
             "{system}: error must name query and system: {msg}"
         );
         assert!(
-            msg.contains("checksum mismatch")
+            msg.contains("io error")
                 && msg.contains("row group")
                 && msg.contains(&scan.leaf.to_string()),
             "{system}: error must carry class, row group and leaf: {msg}"
