@@ -550,7 +550,8 @@ impl ShardedSpec {
 }
 
 /// Builds the sharded table by streaming one event at a time into a
-/// [`TableBuilder`](nf2_columnar::TableBuilder): peak memory is one
+/// [`TableBuilder`](nf2_columnar::TableBuilder) through
+/// [`write_event`](crate::to_value::write_event): peak memory is one
 /// decoded event plus the open row group, never the whole decoded data
 /// set — which is what makes the benchmark-scale and paper-scale tables
 /// of the scaling study materializable at all.
@@ -565,7 +566,7 @@ pub fn build_sharded_table(spec: ShardedSpec) -> nf2_columnar::Table {
         let g =
             Generator::starting_at(GeneratorConfig::default(), spec.shard_seed(shard), first_id);
         for e in g.take(spec.events_per_shard) {
-            b.append(&crate::to_value::event_to_value(&e))
+            b.write_row(|w| crate::to_value::write_event(w, &e))
                 .expect("generated events fit schema");
         }
     }
@@ -746,6 +747,21 @@ mod tests {
             let part = full.shard(i, spec.shards);
             assert_eq!(part.row_groups().len(), groups_per_shard);
             assert_eq!(part.n_rows(), spec.events_per_shard);
+        }
+    }
+
+    #[test]
+    fn one_shard_table_is_events_to_table_of_the_same_events() {
+        let spec = sharded(1);
+        let events = Generator::starting_at(GeneratorConfig::default(), spec.shard_seed(0), 1)
+            .generate(spec.events_per_shard);
+        let want = crate::to_value::events_to_table(&events, spec.row_group_size).unwrap();
+        let got = build_sharded_table(spec);
+        assert_eq!(got.fingerprint(), want.fingerprint());
+        assert_eq!(got.row_groups().len(), want.row_groups().len());
+        for (a, b) in got.row_groups().iter().zip(want.row_groups()) {
+            assert_eq!(a.n_rows(), b.n_rows());
+            assert!(a.columns().eq(b.columns()));
         }
     }
 

@@ -1,7 +1,17 @@
 //! Bridging event structs ↔ dynamic values ↔ columnar tables.
+//!
+//! Two ways from an [`Event`] to a table row, one result:
+//!
+//! * [`write_event`] shreds the event straight into a
+//!   [`TableBuilder`]'s leaf buffers through a [`RowWriter`] — no
+//!   [`Value`] tree, no per-leaf path lookups. [`events_to_table`] and
+//!   [`crate::generator::build_sharded_table`] use it.
+//! * [`event_to_value`] builds the dynamic row that
+//!   [`TableBuilder::append`] takes: the generic row API, and the oracle
+//!   the typed shredder is tested against, chunk for chunk.
 
 use nested_value::Value;
-use nf2_columnar::{ColumnarError, Table, TableBuilder};
+use nf2_columnar::{ColumnarError, RowWriter, Table, TableBuilder};
 
 use crate::event::{Electron, Event, Jet, Met, Muon, Photon, Tau};
 use crate::schema::event_schema;
@@ -127,11 +137,73 @@ fn tau_to_value(t: &Tau) -> Value {
     ])
 }
 
-/// Materializes events into a columnar [`Table`].
+/// Shreds one event into a row of [`crate::schema::event_schema`]: its
+/// leaves in schema order, one [`RowWriter::list`] per particle
+/// collection. Measured quantities are stored as `Float32`, exactly as
+/// the [`event_to_value`] row is.
+pub fn write_event(w: &mut RowWriter<'_>, e: &Event) {
+    w.i64(e.run as i64);
+    w.i64(e.luminosity_block as i64);
+    w.i64(e.event as i64);
+    let m = &e.met;
+    floats(w, [m.pt, m.phi, m.sumet, m.significance]);
+    floats(w, [m.cov_xx, m.cov_xy, m.cov_yy]);
+    w.list(&e.jets, |w, j| {
+        floats(w, [j.pt, j.eta, j.phi, j.mass, j.btag]);
+        w.bool(j.pu_id);
+    });
+    w.list(&e.muons, |w, m| {
+        floats(w, [m.pt, m.eta, m.phi, m.mass]);
+        w.i32(m.charge);
+        floats(w, [m.pf_rel_iso03_all, m.pf_rel_iso04_all]);
+        w.bool(m.tight_id);
+        w.bool(m.soft_id);
+        floats(w, [m.dxy, m.dxy_err, m.dz, m.dz_err]);
+        w.i32(m.jet_idx);
+        w.i32(m.gen_part_idx);
+    });
+    w.list(&e.electrons, |w, el| {
+        floats(w, [el.pt, el.eta, el.phi, el.mass]);
+        w.i32(el.charge);
+        floats(
+            w,
+            [el.pf_rel_iso03_all, el.dxy, el.dxy_err, el.dz, el.dz_err],
+        );
+        w.i32(el.cut_based);
+        w.bool(el.pf_id);
+        w.i32(el.jet_idx);
+        w.i32(el.gen_part_idx);
+    });
+    w.list(&e.photons, |w, p| {
+        floats(w, [p.pt, p.eta, p.phi, p.mass]);
+        w.i32(p.charge);
+        w.f32(p.pf_rel_iso03_all as f32);
+        w.i32(p.jet_idx);
+        w.i32(p.gen_part_idx);
+    });
+    w.list(&e.taus, |w, t| {
+        floats(w, [t.pt, t.eta, t.phi, t.mass]);
+        w.i32(t.charge);
+        w.i32(t.decay_mode);
+        floats(w, [t.rel_iso_all, t.id_iso_raw]);
+        w.i32(t.jet_idx);
+        w.i32(t.gen_part_idx);
+    });
+}
+
+/// Consecutive `Float32` leaves.
+fn floats<const N: usize>(w: &mut RowWriter<'_>, xs: [f64; N]) {
+    for x in xs {
+        w.f32(x as f32);
+    }
+}
+
+/// Materializes events into a columnar [`Table`], shredding each one
+/// with [`write_event`].
 pub fn events_to_table(events: &[Event], row_group_size: usize) -> Result<Table, ColumnarError> {
     let mut b = TableBuilder::new(crate::schema::TABLE_NAME, event_schema()?, row_group_size);
     for e in events {
-        b.append(&event_to_value(e))?;
+        b.write_row(|w| write_event(w, e))?;
     }
     Ok(b.finish())
 }
@@ -166,5 +238,27 @@ mod tests {
         // The generator quantizes measured floats to f32, so storage must
         // round-trip values exactly.
         assert_eq!(got, expect);
+    }
+
+    #[test]
+    fn read_table_rejects_non_monotone_offsets() {
+        let events: Vec<Event> = Generator::new(GeneratorConfig::default(), 11)
+            .take(64)
+            .collect();
+        let t = events_to_table(&events, 64).unwrap();
+        let mut buf = Vec::new();
+        nf2_columnar::file::write_table(&t, &mut buf).unwrap();
+        // The first row group's `Jet.pt` column: path (len u32 + bytes),
+        // ptype and has-offsets tags, offsets count u64, then the offsets.
+        let key = [&6u32.to_le_bytes()[..], b"Jet.pt"].concat();
+        let at = buf.windows(key.len()).position(|w| w == key).unwrap();
+        let offsets = at + key.len() + 2 + 8;
+        let low = offsets + 4 * 5;
+        assert!(buf[low] < 0xff, "offsets[5] is a small entry count");
+        buf[low] = 0xff;
+        assert!(matches!(
+            nf2_columnar::file::read_table(&mut &buf[..]),
+            Err(ColumnarError::Format(_))
+        ));
     }
 }

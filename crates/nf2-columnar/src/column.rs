@@ -95,6 +95,17 @@ impl ColumnData {
         }
     }
 
+    /// Keeps the first `len` entries.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        match self {
+            ColumnData::Bool(v) => v.truncate(len),
+            ColumnData::I32(v) => v.truncate(len),
+            ColumnData::I64(v) => v.truncate(len),
+            ColumnData::F32(v) => v.truncate(len),
+            ColumnData::F64(v) => v.truncate(len),
+        }
+    }
+
     /// Uncompressed byte size of the buffer.
     pub fn uncompressed_bytes(&self) -> usize {
         self.len() * self.physical_type().width()
@@ -131,13 +142,8 @@ impl ColumnChunk {
         let (encoding, value_bytes) = compress::choose(&data);
         let compressed_bytes =
             value_bytes + offsets.as_ref().map_or(0, |o| compress::offsets_size(o));
-        let (mut min, mut max) = (None::<f64>, None::<f64>);
-        for i in 0..data.len() {
-            let x = data.get_f64(i);
-            min = Some(min.map_or(x, |m: f64| m.min(x)));
-            max = Some(max.map_or(x, |m: f64| m.max(x)));
-        }
         let zone = ZoneMap::build(&data);
+        let (min, max) = chunk_bounds(&data, &zone);
         ColumnChunk {
             data,
             offsets,
@@ -209,9 +215,78 @@ impl ColumnChunk {
     }
 }
 
+/// The chunk's `min`/`max` in the numeric view of
+/// [`ColumnData::get_f64`], read off the zone map's bounds, which skip
+/// NaN entries. An `f64::min`/`max` fold over the entries ignores NaN
+/// the same way, except that an all-NaN chunk folds to NaN: that case
+/// reports `NaN` for both. Booleans have no zone-map bounds, so they get
+/// their own pass.
+fn chunk_bounds(data: &ColumnData, zone: &ZoneMap) -> (Option<f64>, Option<f64>) {
+    match data {
+        _ if data.is_empty() => (None, None),
+        ColumnData::Bool(v) => {
+            let any = |b: bool| f64::from(u8::from(v.contains(&b)));
+            (Some(1.0 - any(false)), Some(any(true)))
+        }
+        _ if zone.min.is_some() => (zone.min, zone.max),
+        _ => (Some(f64::NAN), Some(f64::NAN)),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The per-entry fold `seal` ran before it read the zone map.
+    fn folded_bounds(data: &ColumnData) -> (Option<f64>, Option<f64>) {
+        let (mut min, mut max) = (None::<f64>, None::<f64>);
+        for i in 0..data.len() {
+            let x = data.get_f64(i);
+            min = Some(min.map_or(x, |m: f64| m.min(x)));
+            max = Some(max.map_or(x, |m: f64| m.max(x)));
+        }
+        (min, max)
+    }
+
+    #[test]
+    fn seal_bounds_match_the_per_entry_fold() {
+        let nan = f64::NAN;
+        let cases = [
+            ColumnData::F64(vec![nan, 2.0, -1.0]),
+            ColumnData::F64(vec![3.0, nan, -4.5, 7.0]),
+            ColumnData::F32(vec![1.5, f32::NAN, -2.0]),
+            ColumnData::F64(vec![0.0, -0.0, 0.0]),
+            ColumnData::F64(vec![-0.0, 0.0]),
+            ColumnData::F32(vec![-0.0, -0.0]),
+            ColumnData::I64(vec![(1 << 53) + 1, (1 << 53) + 3, i64::MAX, -5]),
+            ColumnData::I64(vec![i64::MAX, i64::MAX - 1]),
+            ColumnData::I32(vec![i32::MIN, 0, i32::MAX]),
+            ColumnData::Bool(vec![true, false, true]),
+            ColumnData::Bool(vec![true, true]),
+            ColumnData::Bool(vec![false]),
+            ColumnData::Bool(vec![]),
+            ColumnData::F64(vec![]),
+            ColumnData::I32(vec![]),
+        ];
+        let bits = |b: (Option<f64>, Option<f64>)| (b.0.map(f64::to_bits), b.1.map(f64::to_bits));
+        for data in cases {
+            let c = ColumnChunk::seal(data.clone(), None);
+            assert_eq!(bits((c.min, c.max)), bits(folded_bounds(&data)), "{data:?}");
+        }
+        // All NaN: the fold keeps some NaN; `seal` reports NaN too.
+        for data in [
+            ColumnData::F64(vec![nan, nan]),
+            ColumnData::F32(vec![f32::NAN]),
+        ] {
+            let c = ColumnChunk::seal(data.clone(), None);
+            let (lo, hi) = folded_bounds(&data);
+            assert!(lo.unwrap().is_nan() && hi.unwrap().is_nan());
+            assert!(
+                c.min.unwrap().is_nan() && c.max.unwrap().is_nan(),
+                "{data:?}"
+            );
+        }
+    }
 
     #[test]
     fn seal_computes_stats() {

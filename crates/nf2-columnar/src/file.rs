@@ -12,7 +12,16 @@
 //!
 //! Strings are `len u32 | utf8 bytes`. Chunk statistics and compressed
 //! sizes are recomputed on load (they are derived data).
+//!
+//! [`read_table`] checks every chunk against the schema before sealing
+//! it, so a structurally corrupt file fails to load with
+//! [`ColumnarError::Format`] instead of panicking a later read: each row
+//! group holds exactly one column per schema leaf, with the leaf's
+//! physical type; offsets are present exactly when the leaf is repeated,
+//! and then number `n_rows + 1`, start at 0, never decrease and end at
+//! the entry count; a flat leaf has one entry per row.
 
+use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 
 use nested_value::Path;
@@ -20,7 +29,7 @@ use nested_value::Path;
 use crate::column::{ColumnChunk, ColumnData};
 use crate::error::ColumnarError;
 use crate::rowgroup::RowGroup;
-use crate::schema::{DataType, Field, PhysicalType, Schema};
+use crate::schema::{DataType, Field, LeafInfo, PhysicalType, Schema};
 use crate::table::Table;
 
 const MAGIC: &[u8; 4] = b"NF2C";
@@ -69,17 +78,34 @@ pub fn read_table<R: Read>(r: &mut R) -> Result<Table, ColumnarError> {
     }
     let name = read_str(r)?;
     let schema = read_schema(r)?;
+    let leaves: BTreeMap<&Path, &LeafInfo> = schema.leaves().iter().map(|l| (&l.path, l)).collect();
     let n_groups = read_u32(r)? as usize;
     let mut groups = Vec::with_capacity(n_groups);
-    for _ in 0..n_groups {
+    for g in 0..n_groups {
+        let bad = |msg: String| ColumnarError::Format(format!("row group {g}: {msg}"));
         let n_rows = read_u64(r)? as usize;
         let n_cols = read_u32(r)? as usize;
-        let mut columns = std::collections::BTreeMap::new();
+        if n_cols != leaves.len() {
+            let n_leaves = leaves.len();
+            return Err(bad(format!(
+                "{n_cols} columns for {n_leaves} schema leaves"
+            )));
+        }
+        let mut columns = BTreeMap::new();
         for _ in 0..n_cols {
             let path = Path::parse(&read_str(r)?);
+            let leaf = *leaves
+                .get(&path)
+                .ok_or_else(|| bad(format!("column {path} is not a schema leaf")))?;
             let mut tag = [0u8; 2];
             r.read_exact(&mut tag)?;
             let ptype = tag_ptype(tag[0])?;
+            if ptype != leaf.ptype {
+                let want = leaf.ptype;
+                return Err(bad(format!(
+                    "column {path} is {ptype:?}, schema says {want:?}"
+                )));
+            }
             let offsets = if tag[1] == 1 {
                 let n = read_u64(r)? as usize;
                 Some(read_le(r, n, u32::from_le_bytes)?)
@@ -87,11 +113,49 @@ pub fn read_table<R: Read>(r: &mut R) -> Result<Table, ColumnarError> {
                 None
             };
             let data = read_data(r, ptype)?;
+            check_shape(leaf, n_rows, data.len(), offsets.as_deref())
+                .map_err(|msg| bad(format!("column {path}: {msg}")))?;
+            if columns.contains_key(&path) {
+                return Err(bad(format!("column {path} appears twice")));
+            }
             columns.insert(path, ColumnChunk::seal(data, offsets));
         }
         groups.push(RowGroup::new(n_rows, columns));
     }
     Ok(Table::new(name, schema, groups))
+}
+
+/// Checks a loaded chunk's shape against its leaf: offsets exactly when
+/// the leaf is repeated, `n_rows + 1` of them running monotonically from
+/// 0 to the entry count; otherwise one entry per row.
+fn check_shape(
+    leaf: &LeafInfo,
+    n_rows: usize,
+    n_entries: usize,
+    offsets: Option<&[u32]>,
+) -> Result<(), String> {
+    match (leaf.repeated, offsets) {
+        (false, None) if n_entries == n_rows => Ok(()),
+        (false, None) => Err(format!("{n_entries} entries for {n_rows} rows")),
+        (false, Some(_)) => Err("offsets on a flat leaf".into()),
+        (true, None) => Err("repeated leaf without offsets".into()),
+        (true, Some(off)) => {
+            if off.len().checked_sub(1) != Some(n_rows) {
+                Err(format!("{} offsets for {n_rows} rows", off.len()))
+            } else if off[0] != 0 {
+                Err(format!("first offset is {}", off[0]))
+            } else if let Some(i) = off.windows(2).position(|w| w[0] > w[1]) {
+                Err(format!("offsets[{}] > offsets[{}]", i, i + 1))
+            } else if off[n_rows] as usize != n_entries {
+                Err(format!(
+                    "last offset {} for {n_entries} entries",
+                    off[n_rows]
+                ))
+            } else {
+                Ok(())
+            }
+        }
+    }
 }
 
 /// Writes a table to a file path.
@@ -385,6 +449,85 @@ mod tests {
         assert_eq!(buf[at..at + 8], 4u64.to_le_bytes(), "3 rows + 1 offsets");
         buf[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(read_table(&mut &buf[..]).is_err());
+    }
+
+    /// The sample table serialized, and the position of the first row
+    /// group's column `path` (the byte after its name: the tags).
+    fn written_with_column(path: &str) -> (Vec<u8>, usize) {
+        let t = sample_table();
+        let mut buf = Vec::new();
+        write_table(&t, &mut buf).unwrap();
+        let mut header = Vec::new();
+        write_table(
+            &TableBuilder::new("t", t.schema().clone(), 3).finish(),
+            &mut header,
+        )
+        .unwrap();
+        let key = [&(path.len() as u32).to_le_bytes()[..], path.as_bytes()].concat();
+        let at = header.len()
+            + buf[header.len()..]
+                .windows(key.len())
+                .position(|w| w == key)
+                .unwrap();
+        (buf, at + key.len())
+    }
+
+    fn assert_format_error(buf: &[u8], what: &str) {
+        match read_table(&mut &buf[..]) {
+            Err(ColumnarError::Format(msg)) => assert!(msg.contains(what), "{msg}"),
+            other => panic!("expected a format error about {what}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rejects_chunks_that_do_not_fit_the_schema() {
+        // Group 0 holds rows 0..3 with 0, 1 and 2 particles: `P.pt` has
+        // offsets [0, 0, 1, 3] right after its tags and offsets count.
+        let offsets = |buf: &[u8], at: usize| {
+            assert_eq!(buf[at..at + 2], [3, 1], "Float32, has offsets");
+            at + 2 + 8
+        };
+        let (mut buf, at) = written_with_column("P.pt");
+        let o = offsets(&buf, at);
+        buf[o + 4 * 2] = 0xff;
+        assert_format_error(&buf, "offsets[2] > offsets[3]");
+
+        let (mut buf, at) = written_with_column("P.pt");
+        let o = offsets(&buf, at);
+        buf[o] = 1;
+        assert_format_error(&buf, "first offset is 1");
+
+        let (mut buf, at) = written_with_column("P.pt");
+        let o = offsets(&buf, at);
+        buf[o + 4 * 3] = 2;
+        assert_format_error(&buf, "last offset 2 for 3 entries");
+
+        let (mut buf, at) = written_with_column("id");
+        buf[at] = ptype_tag(PhysicalType::Float64);
+        assert_format_error(&buf, "column id is Float64, schema says Int64");
+
+        let (mut buf, at) = written_with_column("id");
+        buf[at - 1] = b'x';
+        assert_format_error(&buf, "column ix is not a schema leaf");
+
+        // One row fewer in the group header: too many entries and offsets.
+        let (mut buf, at) = written_with_column("P.pt");
+        let n_rows = at - 4 - 4 - 4 - 8;
+        assert_eq!(buf[n_rows..n_rows + 8], 3u64.to_le_bytes());
+        buf[n_rows] = 2;
+        assert_format_error(&buf, "4 offsets for 2 rows");
+        let (mut buf, at) = written_with_column("P.pt");
+        buf[at - 4 - 4 - 4] = 3;
+        assert_format_error(&buf, "3 columns for 4 schema leaves");
+
+        // Flat leaves come after `P.*` in path order; check them directly.
+        let flag = sample_table().schema().leaves()[1].clone();
+        assert_eq!(check_shape(&flag, 3, 3, None), Ok(()));
+        assert_eq!(
+            check_shape(&flag, 3, 2, None),
+            Err("2 entries for 3 rows".into())
+        );
+        assert!(check_shape(&flag, 3, 3, Some(&[0, 1, 2, 3])).is_err());
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub use scan::{ExecStats, ScanRequest, ScanRun, ScanStats, READ_RETRIES};
 pub use schema::{DataType, Field, LeafInfo, PhysicalType, Schema};
 pub use select::{apply_predicates, ScalarPredicate, SelCmp, SelValue, SelectionVector};
 pub use stats::ZoneMap;
-pub use table::{Table, TableBuilder};
+pub use table::{RowWriter, Table, TableBuilder};
 
 #[cfg(test)]
 mod proptests;

@@ -244,7 +244,16 @@ fn collect_leaves(
                     "list of lists at {path}"
                 )));
             }
-            collect_leaves(path, inner, true, out)
+            let before = out.len();
+            collect_leaves(path, inner, true, out)?;
+            if out.len() == before {
+                // A list's offsets live in its leaves: without one, the
+                // element counts would be lost.
+                return Err(ColumnarError::UnsupportedSchema(format!(
+                    "list at {path} has no leaf columns"
+                )));
+            }
+            Ok(())
         }
     }
 }
@@ -321,6 +330,12 @@ mod tests {
                 DataType::f32(),
             )]))),
         )]);
+        assert!(matches!(err, Err(ColumnarError::UnsupportedSchema(_))));
+    }
+
+    #[test]
+    fn rejects_lists_without_leaves() {
+        let err = Schema::new(vec![Field::new("a", DataType::particle_list(vec![]))]);
         assert!(matches!(err, Err(ColumnarError::UnsupportedSchema(_))));
     }
 

@@ -2,12 +2,12 @@
 
 use std::collections::BTreeMap;
 
-use nested_value::{Path, Value};
+use nested_value::Value;
 
 use crate::column::{ColumnChunk, ColumnData};
 use crate::error::ColumnarError;
 use crate::rowgroup::RowGroup;
-use crate::schema::{DataType, PhysicalType, Schema};
+use crate::schema::{DataType, Field, LeafInfo, PhysicalType, Schema};
 
 /// Default events per row group.
 ///
@@ -204,54 +204,84 @@ fn slice_data(data: &ColumnData, start: usize, end: usize) -> ColumnData {
     }
 }
 
-/// Incremental table builder that type-checks every appended row against the
+/// Incremental table builder that type-checks every row against the
 /// schema and seals a row group every `row_group_size` rows.
+///
+/// The open row group is one buffer per leaf, in [`Schema::leaves`]
+/// order. A row reaches them through a [`RowWriter`], either from typed
+/// code ([`TableBuilder::write_row`]) or from a dynamic [`Value`]
+/// ([`TableBuilder::append`]); both write the same buffers by leaf
+/// position. A row that does not match the schema is rolled back and
+/// reported as [`ColumnarError::SchemaMismatch`]; the builder stays
+/// usable.
 pub struct TableBuilder {
     name: String,
     schema: Schema,
     row_group_size: usize,
-    buffers: BTreeMap<Path, (ColumnData, Option<Vec<u32>>)>,
+    /// Per leaf: the end (exclusive leaf index) of the list the leaf sits
+    /// under, or 0 for a flat leaf. A list's leaves are contiguous in
+    /// schema order, so this is all a cursor needs to find list bounds.
+    list_end: Vec<usize>,
+    buffers: Vec<LeafBuffer>,
     rows_in_group: usize,
     groups: Vec<RowGroup>,
+}
+
+/// One leaf's share of the open row group.
+struct LeafBuffer {
+    data: ColumnData,
+    /// Repeated leaves: `rows_in_group + 1` offsets into `data`, starting
+    /// at 0. Flat leaves: empty.
+    offsets: Vec<u32>,
+}
+
+impl LeafBuffer {
+    fn new(leaf: &LeafInfo) -> LeafBuffer {
+        LeafBuffer {
+            data: ColumnData::empty(leaf.ptype),
+            offsets: if leaf.repeated { vec![0] } else { Vec::new() },
+        }
+    }
 }
 
 impl TableBuilder {
     /// Creates a builder.
     pub fn new(name: &str, schema: Schema, row_group_size: usize) -> TableBuilder {
         assert!(row_group_size > 0, "row groups must be non-empty");
-        let buffers = fresh_buffers(&schema);
+        let mut list_end = Vec::with_capacity(schema.n_leaves());
+        for f in schema.fields() {
+            collect_list_ends(&f.dtype, &mut list_end);
+        }
+        let buffers = schema.leaves().iter().map(LeafBuffer::new).collect();
         TableBuilder {
             name: name.to_string(),
             schema,
             row_group_size,
+            list_end,
             buffers,
             rows_in_group: 0,
             groups: Vec::new(),
         }
     }
 
-    /// Appends one row (a struct value matching the schema).
+    /// Appends one row written leaf by leaf: `shred` pushes every leaf in
+    /// schema order through the [`RowWriter`], a collection through
+    /// [`RowWriter::list`]. A wrong type, a missing or extra leaf, or a
+    /// list in the wrong place fails the row with
+    /// [`ColumnarError::SchemaMismatch`] and leaves the builder as it was
+    /// before the row.
+    pub fn write_row(
+        &mut self,
+        shred: impl FnOnce(&mut RowWriter<'_>),
+    ) -> Result<(), ColumnarError> {
+        self.shred_row(|w, _| shred(w))
+    }
+
+    /// Appends one row given as a struct value matching the schema: the
+    /// generic row API, written through the same [`RowWriter`] as
+    /// [`TableBuilder::write_row`].
     pub fn append(&mut self, row: &Value) -> Result<(), ColumnarError> {
-        let s = row
-            .as_struct()
-            .map_err(|e| ColumnarError::SchemaMismatch(e.to_string()))?;
-        // Two-phase append so a mismatch mid-row cannot corrupt buffers:
-        // validate first, then write.
-        for field in self.schema.fields() {
-            let v = s.get(&field.name).ok_or_else(|| {
-                ColumnarError::SchemaMismatch(format!("missing field {}", field.name))
-            })?;
-            validate_value(&field.dtype, &Path::root(&field.name), v)?;
-        }
-        for field in self.schema.fields() {
-            let v = s.get(&field.name).expect("validated");
-            append_value(&field.dtype, &Path::root(&field.name), v, &mut self.buffers);
-        }
-        self.rows_in_group += 1;
-        if self.rows_in_group == self.row_group_size {
-            self.seal_group();
-        }
-        Ok(())
+        self.shred_row(|w, schema| write_struct(w, schema.fields(), row))
     }
 
     /// Appends many rows.
@@ -273,164 +303,248 @@ impl TableBuilder {
         Table::new(self.name, self.schema, self.groups)
     }
 
+    fn shred_row(
+        &mut self,
+        shred: impl FnOnce(&mut RowWriter<'_>, &Schema),
+    ) -> Result<(), ColumnarError> {
+        let mut w = RowWriter {
+            leaves: self.schema.leaves(),
+            list_end: &self.list_end,
+            buffers: &mut self.buffers,
+            cursor: 0,
+            list: 0,
+            error: None,
+        };
+        shred(&mut w, &self.schema);
+        if w.error.is_none() && w.cursor < w.leaves.len() {
+            w.fail(format!("missing leaf {}", w.leaves[w.cursor].path));
+        }
+        if let Some(msg) = w.error {
+            self.rollback();
+            return Err(ColumnarError::SchemaMismatch(msg));
+        }
+        self.rows_in_group += 1;
+        if self.rows_in_group == self.row_group_size {
+            self.seal_group();
+        }
+        Ok(())
+    }
+
+    /// Drops whatever a failed row wrote: flat leaves keep
+    /// `rows_in_group` entries, repeated leaves `rows_in_group + 1`
+    /// offsets and the entries up to the last of them.
+    fn rollback(&mut self) {
+        let rows = self.rows_in_group;
+        for buf in &mut self.buffers {
+            let len = if buf.offsets.is_empty() {
+                rows
+            } else {
+                buf.offsets.truncate(rows + 1);
+                buf.offsets[rows] as usize
+            };
+            buf.data.truncate(len);
+        }
+    }
+
     fn seal_group(&mut self) {
-        let buffers = std::mem::replace(&mut self.buffers, fresh_buffers(&self.schema));
         let mut columns = BTreeMap::new();
-        for (path, (data, offsets)) in buffers {
-            columns.insert(path, ColumnChunk::seal(data, offsets));
+        for (leaf, buf) in self.schema.leaves().iter().zip(&mut self.buffers) {
+            let LeafBuffer { data, offsets } = std::mem::replace(buf, LeafBuffer::new(leaf));
+            let offsets = leaf.repeated.then_some(offsets);
+            columns.insert(leaf.path.clone(), ColumnChunk::seal(data, offsets));
         }
         self.groups.push(RowGroup::new(self.rows_in_group, columns));
         self.rows_in_group = 0;
     }
 }
 
-fn fresh_buffers(schema: &Schema) -> BTreeMap<Path, (ColumnData, Option<Vec<u32>>)> {
-    schema
-        .leaves()
-        .iter()
-        .map(|l| {
-            let offsets = l.repeated.then(|| vec![0u32]);
-            (l.path.clone(), (ColumnData::empty(l.ptype), offsets))
-        })
-        .collect()
-}
-
-fn validate_value(dtype: &DataType, path: &Path, v: &Value) -> Result<(), ColumnarError> {
+/// Appends `dtype`'s leaves to `list_end` (see [`TableBuilder`]), in
+/// schema order.
+fn collect_list_ends(dtype: &DataType, list_end: &mut Vec<usize>) {
     match dtype {
-        DataType::Scalar(pt) => {
-            let ok = match pt {
-                PhysicalType::Bool => matches!(v, Value::Bool(_)),
-                PhysicalType::Int32 | PhysicalType::Int64 => matches!(v, Value::Int(_)),
-                PhysicalType::Float32 | PhysicalType::Float64 => v.is_numeric(),
-            };
-            if ok {
-                Ok(())
-            } else {
-                Err(ColumnarError::SchemaMismatch(format!(
-                    "at {path}: expected {pt:?}, found {}",
-                    v.type_name()
-                )))
-            }
-        }
+        DataType::Scalar(_) => list_end.push(0),
         DataType::Struct(fields) => {
-            let s = v.as_struct().map_err(|_| {
-                ColumnarError::SchemaMismatch(format!(
-                    "at {path}: expected struct, found {}",
-                    v.type_name()
-                ))
-            })?;
             for f in fields {
-                let fv = s.get(&f.name).ok_or_else(|| {
-                    ColumnarError::SchemaMismatch(format!("missing field {path}.{}", f.name))
-                })?;
-                validate_value(&f.dtype, &path.child(&f.name), fv)?;
-            }
-            Ok(())
-        }
-        DataType::List(inner) => {
-            let items = v.as_array().map_err(|_| {
-                ColumnarError::SchemaMismatch(format!(
-                    "at {path}: expected array, found {}",
-                    v.type_name()
-                ))
-            })?;
-            for item in items {
-                validate_value(inner, path, item)?;
-            }
-            Ok(())
-        }
-    }
-}
-
-fn append_value(
-    dtype: &DataType,
-    path: &Path,
-    v: &Value,
-    buffers: &mut BTreeMap<Path, (ColumnData, Option<Vec<u32>>)>,
-) {
-    match dtype {
-        DataType::Scalar(_) => {
-            let (data, _) = buffers.get_mut(path).expect("leaf buffer");
-            push_scalar(data, v);
-        }
-        DataType::Struct(fields) => {
-            let s = v.as_struct().expect("validated");
-            for f in fields {
-                append_value(
-                    &f.dtype,
-                    &path.child(&f.name),
-                    s.get(&f.name).expect("validated"),
-                    buffers,
-                );
+                collect_list_ends(&f.dtype, list_end);
             }
         }
         DataType::List(inner) => {
-            let items = v.as_array().expect("validated");
-            for item in items {
-                append_list_element(inner, path, item, buffers);
-            }
-            bump_offsets(inner, path, items.len() as u32, buffers);
+            let start = list_end.len();
+            collect_list_ends(inner, list_end);
+            let end = list_end.len();
+            list_end[start..].fill(end);
         }
     }
 }
 
-/// Appends one list element's leaves (without touching offsets).
-fn append_list_element(
-    dtype: &DataType,
-    path: &Path,
-    v: &Value,
-    buffers: &mut BTreeMap<Path, (ColumnData, Option<Vec<u32>>)>,
-) {
-    match dtype {
-        DataType::Scalar(_) => {
-            let (data, _) = buffers.get_mut(path).expect("leaf buffer");
-            push_scalar(data, v);
+/// Writes one row into a [`TableBuilder`]'s leaf buffers by position.
+///
+/// A cursor walks the schema's leaves: each scalar call (`bool`, `i32`,
+/// `i64`, `f32`, `f64`) pushes onto the leaf under the cursor and moves
+/// it on, and [`RowWriter::list`] writes a collection's elements and
+/// closes the offsets of every leaf under it. The first mismatch (wrong
+/// physical type, a scalar on a list's leaf, a list on a flat leaf, too
+/// few or too many leaves) is recorded with the leaf's path; later calls
+/// do nothing, and the builder rolls the row back.
+pub struct RowWriter<'b> {
+    leaves: &'b [LeafInfo],
+    list_end: &'b [usize],
+    buffers: &'b mut [LeafBuffer],
+    cursor: usize,
+    /// The end of the list whose element is being written; 0 outside a
+    /// list, which is also the `list_end` of every flat leaf.
+    list: usize,
+    error: Option<String>,
+}
+
+macro_rules! scalar_writers {
+    ($($(#[$doc:meta])* $name:ident($t:ty) => $variant:ident, $pt:ident;)*) => {$(
+        $(#[$doc])*
+        #[inline]
+        pub fn $name(&mut self, x: $t) {
+            if self.error.is_none() && self.list_end.get(self.cursor) == Some(&self.list) {
+                if let ColumnData::$variant(buf) = &mut self.buffers[self.cursor].data {
+                    buf.push(x);
+                    self.cursor += 1;
+                    return;
+                }
+            }
+            self.misplaced(PhysicalType::$pt);
         }
-        DataType::Struct(fields) => {
-            let s = v.as_struct().expect("validated");
-            for f in fields {
-                append_list_element(
-                    &f.dtype,
-                    &path.child(&f.name),
-                    s.get(&f.name).expect("validated"),
-                    buffers,
-                );
+    )*};
+}
+
+impl RowWriter<'_> {
+    scalar_writers! {
+        /// Writes a `Bool` leaf.
+        bool(bool) => Bool, Bool;
+        /// Writes an `Int32` leaf.
+        i32(i32) => I32, Int32;
+        /// Writes an `Int64` leaf.
+        i64(i64) => I64, Int64;
+        /// Writes a `Float32` leaf.
+        f32(f32) => F32, Float32;
+        /// Writes a `Float64` leaf.
+        f64(f64) => F64, Float64;
+    }
+
+    /// Writes the collection whose leaves start at the cursor: for each
+    /// item, `each` writes that element's leaves in schema order; then
+    /// every leaf under the list gets its row's end offset.
+    pub fn list<I: IntoIterator>(&mut self, items: I, mut each: impl FnMut(&mut Self, I::Item)) {
+        let start = self.cursor;
+        let end = match self.list_end.get(start) {
+            Some(&end) if self.error.is_none() && self.list == 0 && end != 0 => end,
+            _ => return self.misplaced_list(),
+        };
+        self.list = end;
+        for item in items {
+            self.cursor = start;
+            each(self, item);
+            if self.error.is_some() {
+                return;
+            }
+            if self.cursor < end {
+                let path = &self.leaves[self.cursor].path;
+                return self.fail(format!("missing leaf {path} in a list element"));
             }
         }
-        DataType::List(_) => unreachable!("nested lists rejected by schema"),
+        self.list = 0;
+        self.cursor = end;
+        for buf in &mut self.buffers[start..end] {
+            let end = u32::try_from(buf.data.len()).expect("a row group leaf holds < 2^32 entries");
+            buf.offsets.push(end);
+        }
+    }
+
+    /// Records a mismatch at the cursor's leaf (the first one sticks).
+    fn fail_here(&mut self, what: std::fmt::Arguments<'_>) {
+        match self.leaves.get(self.cursor) {
+            Some(leaf) => self.fail(format!("at {}: {what}", leaf.path)),
+            None => self.fail(format!("after the last leaf: {what}")),
+        }
+    }
+
+    fn fail(&mut self, msg: String) {
+        self.error.get_or_insert(msg);
+    }
+
+    /// A scalar of type `found` did not fit the cursor's leaf.
+    #[cold]
+    fn misplaced(&mut self, found: PhysicalType) {
+        if self.error.is_some() {
+            return;
+        }
+        let c = self.cursor;
+        if self.list != 0 && c == self.list {
+            let path = &self.leaves[c - 1].path;
+            return self.fail(format!(
+                "extra {found:?} value in a list element after {path}"
+            ));
+        }
+        match self.leaves.get(c) {
+            None => self.fail_here(format_args!("extra {found:?} value")),
+            Some(leaf) if self.list == 0 && self.list_end[c] != 0 => {
+                let path = &leaf.path;
+                self.fail(format!(
+                    "at {path}: expected a list, found a {found:?} value"
+                ));
+            }
+            Some(leaf) => {
+                let (path, want) = (&leaf.path, leaf.ptype);
+                self.fail(format!("at {path}: expected {want:?}, found {found:?}"));
+            }
+        }
+    }
+
+    #[cold]
+    fn misplaced_list(&mut self) {
+        if self.error.is_some() {
+            return;
+        }
+        if self.list != 0 {
+            self.fail_here(format_args!("a list inside a list element"));
+        } else if let Some(leaf) = self.leaves.get(self.cursor) {
+            let want = leaf.ptype;
+            self.fail_here(format_args!("expected {want:?}, found a list"));
+        } else {
+            self.fail_here(format_args!("extra list"));
+        }
     }
 }
 
-/// After appending `n` elements to the list at `path`, closes the row by
-/// appending the new end offset to every leaf under the list.
-fn bump_offsets(
-    inner: &DataType,
-    path: &Path,
-    _n: u32,
-    buffers: &mut BTreeMap<Path, (ColumnData, Option<Vec<u32>>)>,
-) {
-    match inner {
-        DataType::Scalar(_) => {
-            let (data, offsets) = buffers.get_mut(path).expect("leaf buffer");
-            let end = data.len() as u32;
-            offsets.as_mut().expect("repeated leaf").push(end);
+/// Writes a struct value's fields in schema order.
+fn write_struct(w: &mut RowWriter<'_>, fields: &[Field], v: &Value) {
+    let Ok(s) = v.as_struct() else {
+        return w.fail_here(format_args!("expected a struct, found {}", v.type_name()));
+    };
+    for f in fields {
+        match s.get(&f.name) {
+            Some(fv) => write_value(w, &f.dtype, fv),
+            None => return w.fail_here(format_args!("missing field {}", f.name)),
         }
-        DataType::Struct(fields) => {
-            for f in fields {
-                bump_offsets(&f.dtype, &path.child(&f.name), _n, buffers);
-            }
-        }
-        DataType::List(_) => unreachable!(),
     }
 }
 
-fn push_scalar(data: &mut ColumnData, v: &Value) {
-    match data {
-        ColumnData::Bool(buf) => buf.push(v.as_bool().expect("validated")),
-        ColumnData::I32(buf) => buf.push(v.as_i64().expect("validated") as i32),
-        ColumnData::I64(buf) => buf.push(v.as_i64().expect("validated")),
-        ColumnData::F32(buf) => buf.push(v.as_f64().expect("validated") as f32),
-        ColumnData::F64(buf) => buf.push(v.as_f64().expect("validated")),
+fn write_value(w: &mut RowWriter<'_>, dtype: &DataType, v: &Value) {
+    match (dtype, v) {
+        (DataType::Scalar(PhysicalType::Bool), Value::Bool(b)) => w.bool(*b),
+        (DataType::Scalar(PhysicalType::Int32), Value::Int(i)) => w.i32(*i as i32),
+        (DataType::Scalar(PhysicalType::Int64), Value::Int(i)) => w.i64(*i),
+        (DataType::Scalar(PhysicalType::Float32), Value::Int(i)) => w.f32(*i as f64 as f32),
+        (DataType::Scalar(PhysicalType::Float32), Value::Float(x)) => w.f32(*x as f32),
+        (DataType::Scalar(PhysicalType::Float64), Value::Int(i)) => w.f64(*i as f64),
+        (DataType::Scalar(PhysicalType::Float64), Value::Float(x)) => w.f64(*x),
+        (DataType::Scalar(pt), _) => {
+            w.fail_here(format_args!("expected {pt:?}, found {}", v.type_name()))
+        }
+        (DataType::Struct(fields), _) => write_struct(w, fields, v),
+        (DataType::List(inner), Value::Array(items)) => {
+            w.list(items.iter(), |w, item| write_value(w, inner, item))
+        }
+        (DataType::List(_), _) => {
+            w.fail_here(format_args!("expected an array, found {}", v.type_name()))
+        }
     }
 }
 
@@ -526,6 +640,168 @@ mod tests {
         b.append(&row(5, 1.0, &[(2.0, 3.0)])).unwrap();
         let t = b.finish();
         assert_eq!(t.n_rows(), 1);
+    }
+
+    /// The typed shredder for [`schema`]'s rows.
+    fn write(w: &mut RowWriter<'_>, event: i64, met: f64, jets: &[(f64, f64)]) {
+        w.i64(event);
+        w.f64(met);
+        w.list(jets, |w, &(pt, eta)| {
+            w.f64(pt);
+            w.f64(eta);
+        });
+    }
+
+    fn assert_same_chunks(a: &Table, b: &Table) {
+        assert_eq!(a.row_groups().len(), b.row_groups().len());
+        for (ga, gb) in a.row_groups().iter().zip(b.row_groups()) {
+            assert_eq!(ga.n_rows(), gb.n_rows());
+            assert!(ga.columns().eq(gb.columns()));
+        }
+        assert_eq!(a.fingerprint(), b.fingerprint());
+    }
+
+    #[test]
+    fn typed_rows_build_the_appended_table() {
+        let rows = [
+            (1, 12.5, vec![(40.0, 1.0), (25.0, -0.5)]),
+            (2, 7.0, vec![]),
+            (3, 99.0, vec![(60.0, 2.2)]),
+        ];
+        let mut typed = TableBuilder::new("events", schema(), 2);
+        let mut values = TableBuilder::new("events", schema(), 2);
+        for (event, met, jets) in &rows {
+            typed.write_row(|w| write(w, *event, *met, jets)).unwrap();
+            values.append(&row(*event, *met, jets)).unwrap();
+        }
+        assert_same_chunks(&typed.finish(), &values.finish());
+    }
+
+    /// A shredder that gets the schema wrong, and the leaf its error names.
+    type BadShredder = (fn(&mut RowWriter<'_>), &'static str);
+
+    const BAD_SHREDDERS: [BadShredder; 9] = [
+        // Wrong type.
+        (|w| w.f64(1.0), "at event: expected Int64, found Float64"),
+        // Missing leaf: no jets.
+        (
+            |w| {
+                w.i64(1);
+                w.f64(2.0);
+            },
+            "missing leaf Jet.pt",
+        ),
+        // Extra leaf after the last one.
+        (
+            |w| {
+                write(w, 1, 2.0, &[(3.0, 4.0)]);
+                w.f64(5.0);
+            },
+            "after the last leaf",
+        ),
+        // A scalar where the list belongs.
+        (
+            |w| {
+                w.i64(1);
+                w.f64(2.0);
+                w.f64(3.0);
+            },
+            "at Jet.pt: expected a list",
+        ),
+        // A list on a flat leaf.
+        (
+            |w| w.list([1.0], |w, x| w.f64(x)),
+            "at event: expected Int64, found a list",
+        ),
+        // Bad list elements, after a good one was written: too short, too
+        // long, mistyped, nested.
+        (
+            |w| {
+                w.i64(1);
+                w.f64(2.0);
+                w.list([(3.0, true), (4.0, false)], |w, (pt, full)| {
+                    w.f64(pt);
+                    if full {
+                        w.f64(0.0);
+                    }
+                });
+            },
+            "missing leaf Jet.eta in a list element",
+        ),
+        (
+            |w| {
+                w.i64(1);
+                w.f64(2.0);
+                w.list([3.0], |w, pt| {
+                    w.f64(pt);
+                    w.f64(pt);
+                    w.f64(pt);
+                });
+            },
+            "in a list element after Jet.eta",
+        ),
+        (
+            |w| {
+                w.i64(1);
+                w.f64(2.0);
+                w.list([3.0], |w, pt| {
+                    w.f64(pt);
+                    w.bool(true);
+                });
+            },
+            "at Jet.eta: expected Float64, found Bool",
+        ),
+        (
+            |w| {
+                w.i64(1);
+                w.f64(2.0);
+                w.list([3.0], |w, pt| w.list([pt], |w, x| w.f64(x)));
+            },
+            "at Jet.pt: a list inside a list element",
+        ),
+    ];
+
+    #[test]
+    fn wrong_shredders_fail_and_leave_the_builder_as_it_was() {
+        let good = |i: i64| (i, i as f64 * 0.5, vec![(i as f64, -1.0); (i % 3) as usize]);
+        for rg in [1, 3, 100] {
+            let mut clean = TableBuilder::new("events", schema(), rg);
+            let mut dirty = TableBuilder::new("events", schema(), rg);
+            for i in 0..12 {
+                let (event, met, jets) = good(i);
+                clean.write_row(|w| write(w, event, met, &jets)).unwrap();
+                dirty.write_row(|w| write(w, event, met, &jets)).unwrap();
+                let (bad, names) = BAD_SHREDDERS[i as usize % BAD_SHREDDERS.len()];
+                match dirty.write_row(bad) {
+                    Err(ColumnarError::SchemaMismatch(msg)) => {
+                        assert!(msg.contains(names), "{msg:?} should name {names:?}")
+                    }
+                    other => panic!("{names}: expected SchemaMismatch, got {other:?}"),
+                }
+                // `append` rolls a row back the same way, here after the
+                // first jet of the row was written.
+                let jet =
+                    |eta: Value| Value::struct_from(vec![("pt", Value::Float(2.0)), ("eta", eta)]);
+                let bad_row = Value::struct_from(vec![
+                    ("event", Value::Int(event)),
+                    ("MET", Value::struct_from(vec![("pt", Value::Float(met))])),
+                    (
+                        "Jet",
+                        Value::array(vec![jet(Value::Float(3.0)), jet(Value::Bool(true))]),
+                    ),
+                ]);
+                match dirty.append(&bad_row) {
+                    Err(ColumnarError::SchemaMismatch(msg)) => {
+                        assert!(
+                            msg.contains("at Jet.eta: expected Float64, found bool"),
+                            "{msg}"
+                        )
+                    }
+                    other => panic!("expected SchemaMismatch, got {other:?}"),
+                }
+            }
+            assert_same_chunks(&clean.finish(), &dirty.finish());
+        }
     }
 
     #[test]
