@@ -5,11 +5,12 @@
 //! `BENCHMARK.json` (seeded workloads, bounded metrics, alternating
 //! parent/change pairs).
 //!
-//! * **Table/figure printers** (`table1_conciseness`, `table2_complexity`,
-//!   `fig1_tradeoff`, `fig2_scaling`, `fig3_multiplicity`,
-//!   `fig4_compute_io`, `fig4b_pruning`) regenerating the paper's tables
-//!   and figures (see DESIGN.md's per-experiment index), plus the
-//!   `ablations` Criterion bench comparing design alternatives.
+//! * **The paper's tables and figures** ([`paper`]): one `paper` binary
+//!   with a subcommand per artifact (`paper table2`, …, `paper all`)
+//!   writes `results/<artifact>.txt`, and `tests/paper.rs` keeps the
+//!   deterministic ones equal to the code (see DESIGN.md's
+//!   per-experiment index). The `ablations` Criterion bench compares
+//!   design alternatives.
 //! * **Two timing gates** (`serve_scale --check`, `trace_gate`): each
 //!   hands a body returning its violated invariants to [`run_gate`],
 //!   which owns the watchdog, the `FAIL:`/`OK:` lines and the exit code.
@@ -18,9 +19,10 @@
 //!
 //! Every binary reads its scale from the same environment variables:
 //!
-//! * `HEPQUERY_EVENTS` — events to generate (each binary has its own
-//!   default: 65 536 for the printers, a few thousand for the gates);
-//! * `HEPQUERY_ROW_GROUP` — events per row group (the printers default to
+//! * `HEPQUERY_EVENTS` — events to generate (each artifact and gate has
+//!   its own default: 16 384 or 65 536 for the artifacts, a few thousand
+//!   for the gates);
+//! * `HEPQUERY_ROW_GROUP` — events per row group (`paper` defaults to
 //!   `HEPQUERY_EVENTS / 128`, preserving the paper's 128-row-group
 //!   structure);
 //! * `HEPQUERY_SEED` — generator seed (default [`SEED`]).
@@ -28,6 +30,7 @@
 //! A value that does not parse is an error, not a silent fallback.
 
 pub mod loadgen;
+pub mod paper;
 pub mod windowed;
 
 use std::io::Write;
@@ -74,16 +77,22 @@ pub fn dataset_spec(default_events: usize, default_row_group: Option<usize>) -> 
     }
 }
 
-/// Builds the data set `spec` describes (harnesses run once; nothing is
-/// memoized).
-pub fn dataset(spec: DatasetSpec) -> (Vec<Event>, Arc<Table>) {
-    eprintln!(
-        "# data set: {} events, {} per row group ({} groups), seed {:#x}",
+/// Names the data set `spec` describes: events, row-group size (and
+/// group count) and seed.
+pub fn describe(spec: DatasetSpec) -> String {
+    format!(
+        "{} events, {} per row group ({} groups), seed {:#x}",
         spec.n_events,
         spec.row_group_size,
         spec.n_events.div_ceil(spec.row_group_size),
         spec.seed
-    );
+    )
+}
+
+/// Builds the data set `spec` describes (harnesses run once; nothing is
+/// memoized).
+pub fn dataset(spec: DatasetSpec) -> (Vec<Event>, Arc<Table>) {
+    eprintln!("# data set: {}", describe(spec));
     let (events, table) = build_dataset(spec);
     (events, Arc::new(table))
 }

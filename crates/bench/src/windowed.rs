@@ -1,7 +1,7 @@
 //! Windowed variants of Q1 and Q5: the benchmark physics with an added
 //! `event`-window cut over the monotone event-id column — the "good runs
-//! list" shape that zone maps skip whole row groups for. The
-//! `fig4b_pruning` printer and the pruning test in
+//! list" shape that zone maps skip whole row groups for. `paper fig4b`
+//! ([`crate::paper`]) and the pruning test in
 //! `tests/scan_stats_invariant.rs` run these texts.
 
 use exec_par::ExecOptions;

@@ -5,19 +5,63 @@
 use std::sync::Arc;
 
 use hepquery::bench::adapters::ExecEnv;
+use hepquery::bench::complexity;
 use hepquery::bench::runner::{run_one, System};
 use hepquery::bench::QueryId;
+use hepquery::model::generator::build_dataset;
 use hepquery::prelude::*;
 
+const SPEC: DatasetSpec = DatasetSpec {
+    n_events: 8_192,
+    row_group_size: 64, // 128 row groups like the paper's files
+    seed: 0xF16,
+};
+
 fn table() -> Arc<Table> {
-    Arc::new(
-        hepquery::model::generator::build_dataset(DatasetSpec {
-            n_events: 8_192,
-            row_group_size: 64, // 128 row groups like the paper's files
-            seed: 0xF16,
-        })
-        .1,
-    )
+    Arc::new(build_dataset(SPEC).1)
+}
+
+#[test]
+fn table2_shape() {
+    // The order `paper table2` prints: Q6 >> Q4 > Q2 = Q3 > Q1, with Q5,
+    // Q7 and Q8 below Q2 — for the analytic formulas and the
+    // instrumented reference alike.
+    let (events, _) = build_dataset(SPEC);
+    let rows: Vec<_> = [
+        QueryId::Q1,
+        QueryId::Q2,
+        QueryId::Q3,
+        QueryId::Q4,
+        QueryId::Q5,
+        QueryId::Q6a,
+        QueryId::Q7,
+        QueryId::Q8,
+    ]
+    .map(|q| complexity::row(q, &events))
+    .into();
+    for (kind, ops) in [
+        (
+            "analytic",
+            rows.iter()
+                .map(|r| r.analytic_ops_per_event)
+                .collect::<Vec<_>>(),
+        ),
+        (
+            "measured",
+            rows.iter().map(|r| r.measured_ops_per_event).collect(),
+        ),
+    ] {
+        let [q1, q2, q3, q4, q5, q6, q7, q8] = ops[..] else {
+            unreachable!("eight rows")
+        };
+        assert!(q6 > 5.0 * q4, "{kind}: Q6 {q6} is not >> Q4 {q4}");
+        assert!(q4 > q2, "{kind}: Q4 {q4} <= Q2 {q2}");
+        assert_eq!(q2, q3, "{kind}: Q2 and Q3 both explore every jet");
+        assert!(q2 > q1, "{kind}: Q2 {q2} <= Q1 {q1}");
+        for (name, below) in [("Q5", q5), ("Q7", q7), ("Q8", q8)] {
+            assert!(below < q2, "{kind}: {name} {below} >= Q2 {q2}");
+        }
+    }
 }
 
 #[test]

@@ -100,10 +100,9 @@ fn assert_pruning_sound<R: PartialEq + std::fmt::Debug>(
     );
 }
 
-/// Zone-map pruning is sound on the interpreters, at Figure 4b's scale
-/// and at any worker count:
+/// Zone-map pruning is sound on the interpreters, at any worker count:
 ///
-/// * the windowed Q1/Q5 texts of `fig4b_pruning` on Presto SQL and JSONiq
+/// * the windowed Q1/Q5 texts of `paper fig4b` on Presto SQL and JSONiq
 ///   (32 768 events in 128 row groups, the middle-quarter event window,
 ///   row-at-a-time interpretation);
 /// * a window `COUNT(*)` under all three SQL dialects at 1, 2 and 4
