@@ -139,19 +139,28 @@ impl ColumnChunk {
     /// Seals a buffer into a chunk: picks the cheapest encoding, computes
     /// the compressed size under it, and builds min/max statistics.
     pub fn seal(data: ColumnData, offsets: Option<Vec<u32>>) -> ColumnChunk {
-        let (encoding, value_bytes) = compress::choose(&data);
-        let compressed_bytes =
-            value_bytes + offsets.as_ref().map_or(0, |o| compress::offsets_size(o));
-        let zone = ZoneMap::build(&data);
-        let (min, max) = chunk_bounds(&data, &zone);
+        let offsets_bytes = offsets.as_deref().map_or(0, compress::offsets_size);
+        ColumnChunk::seal_priced(data, offsets, offsets_bytes)
+    }
+
+    /// [`ColumnChunk::seal`] with the offsets' compressed size already
+    /// known: the leaves under one list share their offsets, so their
+    /// size is priced once per row group.
+    pub(crate) fn seal_priced(
+        data: ColumnData,
+        offsets: Option<Vec<u32>>,
+        offsets_bytes: usize,
+    ) -> ColumnChunk {
+        let choice = compress::choose(&data);
+        let (min, max) = chunk_bounds(&data, &choice.zone);
         ColumnChunk {
             data,
             offsets,
-            compressed_bytes,
+            compressed_bytes: choice.bytes + offsets_bytes,
             min,
             max,
-            encoding,
-            zone,
+            encoding: choice.encoding,
+            zone: choice.zone,
         }
     }
 
@@ -306,7 +315,9 @@ mod tests {
         let constant = ColumnChunk::seal(ColumnData::F64(vec![9.81; 2000]), None);
         assert_eq!(constant.encoding, compress::Encoding::Dict);
         assert!(
-            constant.compressed_bytes <= compress::compressed_size(&constant.data),
+            constant.compressed_bytes
+                <= compress::encoded_size(&constant.data, compress::Encoding::ByteStreamSplit)
+                    .unwrap(),
             "adaptive choice must never exceed the type-default estimate"
         );
         let sequential = ColumnChunk::seal(ColumnData::I64((0..2000).collect()), None);

@@ -28,31 +28,55 @@
 //!   so an adaptive choice can never exceed raw size on pathological data.
 //!
 //! [`choose`] picks the smallest applicable candidate per chunk (ties go to
-//! the earlier, type-default candidate), so the chosen size is never larger
-//! than the single-encoding estimate [`compressed_size`] the earlier
-//! release used.
+//! the earlier, type-default candidate) and builds the chunk's zone map,
+//! without encoding any candidate and without allocating. Its passes
+//! over the typed buffer, each a tight loop over data in L1:
+//!
+//! * [`ZoneMap::build`]'s lane-wise min/max fold;
+//! * one walk over the XORs of neighbouring entries. An RLE stream's size
+//!   depends only on where equal neighbours are, and a zero byte of the
+//!   XOR is an equal neighbour in that byte plane. Sixty-four entries at a
+//!   time, the walk gathers every plane's equal-neighbour bits into a
+//!   mask and sizes the mask in a fixed number of bit operations, so the
+//!   byte planes and the dictionary's codes (equal exactly when their
+//!   entries' bits are) are priced without planes or codes existing;
+//! * only while the dictionary can still win: a count of the distinct
+//!   entries, first a lower bound from a 1024-bit map of hashes, then
+//!   exactly, in an on-stack table that gives up once the dictionary is
+//!   too big.
+//!
+//! [`encoded_size`] prices one candidate at a time from the encoder's own
+//! segmentation; it is the oracle the tests hold [`choose`] to, and
+//! [`encode_as`] is the oracle for `encoded_size`.
+
+use std::ops::{Add, BitAnd, BitOr, BitXor, Not, Shl, Shr};
 
 use crate::column::ColumnData;
 use crate::error::ColumnarError;
 use crate::schema::PhysicalType;
-
-/// Computes the compressed byte size of a buffer under the *type-default*
-/// encoding (BoolRle / DeltaVarint / ByteStreamSplit). This is the
-/// pre-adaptive baseline; [`choose`] never returns a larger size.
-pub fn compressed_size(data: &ColumnData) -> usize {
-    match data {
-        ColumnData::Bool(v) => bool_size(v),
-        ColumnData::I32(v) => varint_delta_size(v.iter().map(|&x| x as i64)),
-        ColumnData::I64(v) => varint_delta_size(v.iter().copied()),
-        ColumnData::F32(v) => byte_plane_size(v.len(), 4, |i, b| v[i].to_le_bytes()[b]),
-        ColumnData::F64(v) => byte_plane_size(v.len(), 8, |i, b| v[i].to_le_bytes()[b]),
-    }
-}
+use crate::stats::{self, Float, Int, ZoneMap};
 
 /// Compressed size of an offsets array (delta + varint: offsets are sorted,
 /// so deltas are the per-row list lengths, which are tiny).
 pub fn offsets_size(offsets: &[u32]) -> usize {
-    varint_delta_size(offsets.iter().map(|&x| x as i64))
+    // The zig-zagged difference `z` of two u32s takes one varint byte,
+    // plus one for each of z ≥ 2^7, 2^14, 2^21, 2^28 (it is below 2^33).
+    // For a difference `d ≥ 0`, z = 2d; for `d < 0`, z = 2|d| - 1: so
+    // the thresholds fall on |d|, less one when negative, at half of
+    // each, and the sizing stays in 32-bit lanes.
+    let len = |x: u32, prev: u32| {
+        let m = x.max(prev) - x.min(prev) - u32::from(x < prev);
+        1 + u32::from(m >= 1 << 6)
+            + u32::from(m >= 1 << 13)
+            + u32::from(m >= 1 << 20)
+            + u32::from(m >= 1 << 27)
+    };
+    let first = offsets.first().map_or(0, |&x| len(x, 0));
+    let pairs = offsets.iter().skip(1).zip(offsets);
+    first as usize
+        + pairs
+            .map(|(&x, &prev)| len(x, prev) as usize)
+            .sum::<usize>()
 }
 
 /// One physical chunk encoding.
@@ -104,7 +128,7 @@ pub fn candidates(pt: PhysicalType) -> &'static [Encoding] {
 pub fn encoded_size(data: &ColumnData, enc: Encoding) -> Option<usize> {
     match (enc, data) {
         (Encoding::Plain, _) => Some(data.len() * plain_width(data.physical_type())),
-        (Encoding::BoolRle, ColumnData::Bool(v)) => Some(bool_size(v)),
+        (Encoding::BoolRle, ColumnData::Bool(v)) => Some(rle_size(&bool_pack(v))),
         (Encoding::DeltaVarint, ColumnData::I32(v)) => {
             Some(varint_delta_size(v.iter().map(|&x| x as i64)))
         }
@@ -120,18 +144,37 @@ pub fn encoded_size(data: &ColumnData, enc: Encoding) -> Option<usize> {
     }
 }
 
+/// What [`choose`] finds in a value buffer.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Choice {
+    /// The smallest applicable candidate; ties go to the earlier one in
+    /// [`candidates`].
+    pub encoding: Encoding,
+    /// Its payload size: `encoded_size(data, encoding)`.
+    pub bytes: usize,
+    /// The buffer's zone map, as [`ZoneMap::build`] computes it.
+    pub zone: ZoneMap,
+}
+
 /// Picks the smallest applicable encoding for `data` (ties break toward
-/// the earlier candidate). Returns the encoding and its measured size.
-pub fn choose(data: &ColumnData) -> (Encoding, usize) {
-    let mut best: Option<(Encoding, usize)> = None;
-    for &enc in candidates(data.physical_type()) {
-        if let Some(size) = encoded_size(data, enc) {
-            if best.is_none_or(|(_, b)| size < b) {
-                best = Some((enc, size));
+/// the earlier candidate) and builds the zone map, without allocating
+/// (see the [module docs](self)). The encoding and size are those that
+/// pricing every candidate with [`encoded_size`] gives.
+pub fn choose(data: &ColumnData) -> Choice {
+    match data {
+        ColumnData::Bool(v) => {
+            let (encoding, bytes) = cheapest((Encoding::BoolRle, bool_size(v)), v.len(), |_| None);
+            Choice {
+                encoding,
+                bytes,
+                zone: ZoneMap::build(data),
             }
         }
+        ColumnData::I32(v) => choose_ints(v),
+        ColumnData::I64(v) => choose_ints(v),
+        ColumnData::F32(v) => choose_floats(v),
+        ColumnData::F64(v) => choose_floats(v),
     }
-    best.expect("Plain always applies")
 }
 
 /// Encodes `data` under `enc`. Returns `None` when the encoding does not
@@ -140,17 +183,7 @@ pub fn choose(data: &ColumnData) -> (Encoding, usize) {
 pub fn encode_as(data: &ColumnData, enc: Encoding) -> Option<Vec<u8>> {
     match (enc, data) {
         (Encoding::Plain, _) => Some(plain_encode(data)),
-        (Encoding::BoolRle, ColumnData::Bool(v)) => {
-            let mut packed = Vec::with_capacity(v.len() / 8 + 1);
-            for chunk in v.chunks(8) {
-                let mut b = 0u8;
-                for (i, &bit) in chunk.iter().enumerate() {
-                    b |= (bit as u8) << i;
-                }
-                packed.push(b);
-            }
-            Some(rle_encode(&packed))
-        }
+        (Encoding::BoolRle, ColumnData::Bool(v)) => Some(rle_encode(&bool_pack(v))),
         (Encoding::DeltaVarint, ColumnData::I32(v)) => {
             Some(varint_delta_encode(v.iter().map(|&x| x as i64)))
         }
@@ -295,17 +328,26 @@ fn from_le_values(
     })
 }
 
+/// [`Encoding::BoolRle`]'s size: the bit-packed bytes streamed through
+/// an [`RleSizer`], never stored.
 fn bool_size(v: &[bool]) -> usize {
-    // Bit-pack, then RLE the packed bytes.
-    let mut bytes = Vec::with_capacity(v.len() / 8 + 1);
-    for chunk in v.chunks(8) {
-        let mut b = 0u8;
-        for (i, &bit) in chunk.iter().enumerate() {
-            b |= (bit as u8) << i;
-        }
-        bytes.push(b);
+    let mut rle = RleSizer::default();
+    let mut prev = None;
+    for b in v.chunks(8).map(pack8) {
+        rle.push(prev == Some(b));
+        prev = Some(b);
     }
-    rle_size(&bytes)
+    rle.finish()
+}
+
+/// Bit-packs booleans, eight to a byte.
+fn bool_pack(v: &[bool]) -> Vec<u8> {
+    v.chunks(8).map(pack8).collect()
+}
+
+/// Up to eight booleans as one byte, the first in the lowest bit.
+fn pack8(bits: &[bool]) -> u8 {
+    bits.iter().rev().fold(0, |b, &bit| b << 1 | bit as u8)
 }
 
 /// Byte length of a PackBits-style RLE encoding of a byte stream: repeated
@@ -595,9 +637,344 @@ fn dict_decode(r: &mut Reader, pt: PhysicalType, n: usize) -> Result<ColumnData,
     from_le_values(pt, n, |i, b| (values[codes[i] as usize] >> (8 * b)) as u8)
 }
 
+// ------------------------------------------------------------ choose
+
+/// The cheapest of a type-default candidate, the dictionary and plain,
+/// ties to the earlier, as [`candidates`] orders them. `dict(limit)`
+/// prices the dictionary, or gives `None` when it does not apply or would
+/// cost `limit` or more: it wins only below the default and at most
+/// plain, so a dearer dictionary need not be priced to the end.
+fn cheapest(
+    default: (Encoding, usize),
+    plain: usize,
+    dict: impl FnOnce(usize) -> Option<usize>,
+) -> (Encoding, usize) {
+    let mut best = default;
+    if let Some(size) = dict(best.1.min(plain + 1)) {
+        best = (Encoding::Dict, size);
+    }
+    if plain < best.1 {
+        best = (Encoding::Plain, plain);
+    }
+    best
+}
+
+fn choose_floats<F: Float + Entry>(v: &[F]) -> Choice {
+    let (planes, codes) = rle_sizes(v, true);
+    let plain = v.len() * F::Bits::BYTES;
+    let (encoding, bytes) = cheapest((Encoding::ByteStreamSplit, planes), plain, |limit| {
+        dict_size_under(v, || codes, limit)
+    });
+    Choice {
+        encoding,
+        bytes,
+        zone: stats::float_zone(v),
+    }
+}
+
+fn choose_ints<I: Int + Entry>(v: &[I]) -> Choice {
+    let plain = v.len() * I::Bits::BYTES;
+    let (encoding, bytes) = cheapest((Encoding::DeltaVarint, delta_size(v)), plain, |limit| {
+        dict_size_under(v, || rle_sizes(v, false).1, limit)
+    });
+    Choice {
+        encoding,
+        bytes,
+        zone: stats::int_zone(v),
+    }
+}
+
+/// [`Encoding::Dict`]'s size if it is below `limit`, given the codes'
+/// RLE size. Codes are equal exactly when their entries' bits are, so
+/// that size is the entries' own, from [`rle_sizes`].
+///
+/// The distinct entries are counted twice. First, cheaply, one bit per
+/// entry in a 1024-bit map of hashes: the bits set are a lower bound on
+/// the distinct entries, which on noisy floats already rules the
+/// dictionary out. Then exactly, in an on-stack open-addressing table
+/// like [`dict_build`]'s, which gives up once the dictionary is too big.
+fn dict_size_under<E: Entry>(
+    v: &[E],
+    codes: impl FnOnce() -> usize,
+    limit: usize,
+) -> Option<usize> {
+    if v.is_empty() {
+        return None;
+    }
+    let hash = |x: E| x.bits().widen().wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let mut seen = [0u64; 16];
+    for &x in v {
+        let h = hash(x) >> (u64::BITS - 10);
+        seen[(h >> 6) as usize] |= 1 << (h & 63);
+    }
+    let at_least = seen.iter().map(|w| w.count_ones() as usize).sum();
+    if at_least > DICT_MAX {
+        return None;
+    }
+    let codes = codes();
+    let size = |k: usize| varint_len(k as u64) + k * E::Bits::BYTES + codes;
+    if size(at_least) >= limit {
+        return None;
+    }
+    let mut values = [0u64; DICT_MAX];
+    let mut slots = [0u16; 2 * DICT_MAX];
+    let shift = u64::BITS - slots.len().trailing_zeros();
+    let mut k = 0;
+    let mut prev = None;
+    for &x in v {
+        let bits = x.bits().widen();
+        if prev == Some(bits) {
+            continue;
+        }
+        prev = Some(bits);
+        let mut at = (hash(x) >> shift) as usize;
+        loop {
+            match slots[at] {
+                0 => {
+                    if k == DICT_MAX || size(k + 1) >= limit {
+                        return None;
+                    }
+                    values[k] = bits;
+                    k += 1;
+                    slots[at] = k as u16;
+                    break;
+                }
+                s if values[s as usize - 1] == bits => break,
+                _ => at = (at + 1) % slots.len(),
+            }
+        }
+    }
+    Some(size(k))
+}
+
+/// The RLE sizes, as [`rle_size`] gives them, of `v`'s byte planes
+/// summed (only when `planes`, else 0) and of its whole entries. One walk:
+/// eight entries at a time, the equal-neighbour flags of all planes (the
+/// zero bytes of the XOR with the entry before) gather into one word, a
+/// byte per plane; eight such words make a 64-entry mask per plane, which
+/// an [`RleSizer`] consumes a stretch at a time. A whole entry equals its
+/// neighbour when every plane does.
+fn rle_sizes<E: Entry>(v: &[E], planes: bool) -> (usize, usize) {
+    let width = E::Bits::BYTES;
+    let mut sizers: [RleSizer; 8] = Default::default();
+    let mut codes = RleSizer::default();
+    if v.is_empty() {
+        return (0, 0);
+    }
+    // Entry 0 has no neighbour before it.
+    sizers.iter_mut().for_each(|s| s.push(false));
+    codes.push(false);
+    let mut i = 1;
+    while i < v.len() {
+        let len = (v.len() - i).min(64);
+        let mut masks = [0u64; 8];
+        for (k, at) in (i..i + len).step_by(8).enumerate() {
+            let mut flags = E::Bits::ZERO;
+            if let (Some(cur), Some(prev)) = (v.get(at..at + 8), v.get(at - 1..at + 7)) {
+                let cur: &[E; 8] = cur.try_into().expect("8 entries");
+                let prev: &[E; 8] = prev.try_into().expect("8 entries");
+                for j in 0..8 {
+                    flags = flags | (zero_bytes(cur[j].bits() ^ prev[j].bits()) >> 7) << j as u32;
+                }
+            } else {
+                for (j, w) in v[at - 1..].windows(2).enumerate() {
+                    flags = flags | (zero_bytes(w[1].bits() ^ w[0].bits()) >> 7) << j as u32;
+                }
+            }
+            for (b, mask) in masks.iter_mut().enumerate().take(width) {
+                *mask |= u64::from(flags.byte(b)) << (8 * k);
+            }
+        }
+        if planes {
+            for (sizer, &mask) in sizers.iter_mut().zip(&masks).take(width) {
+                sizer.push_mask(mask, len as u32);
+            }
+        }
+        codes.push_mask(masks[..width].iter().fold(!0, |a, m| a & m), len as u32);
+        i += len;
+    }
+    let planes = match planes {
+        true => sizers.into_iter().take(width).map(RleSizer::finish).sum(),
+        false => 0,
+    };
+    (planes, codes.finish())
+}
+
+/// [`rle_size`] computed stretch by stretch: fed whether each byte equals
+/// the one before. A maximal stretch of `s` equal bytes is what the
+/// encoder cuts into `s / 130` full runs and a rest: a run token if it is
+/// at least 3 bytes, literals otherwise.
+#[derive(Default)]
+struct RleSizer {
+    size: usize,
+    /// Literals since the last run token.
+    literals: usize,
+    /// Length of the open stretch of equal bytes.
+    stretch: usize,
+}
+
+impl RleSizer {
+    fn push(&mut self, same: bool) {
+        if same {
+            self.stretch += 1;
+        } else {
+            self.close();
+            self.stretch = 1;
+        }
+    }
+
+    /// Pushes the low `len` bits of `mask` (the rest are 0), bit 0
+    /// first, in a fixed number of steps. The open stretch runs through
+    /// the mask's trailing ones and is closed at its first zero; the one
+    /// starting at its last zero stays open. Every stretch in between
+    /// starts at a zero bit, is shorter than 64 and so is either
+    /// literals or one run token: the bit counts below size them all.
+    fn push_mask(&mut self, mask: u64, len: u32) {
+        let fresh = !mask & low_bits(len);
+        if fresh == 0 {
+            self.stretch += len as usize;
+            return;
+        }
+        let (first, last) = (fresh.trailing_zeros(), 63 - fresh.leading_zeros());
+        self.stretch += first as usize;
+        self.close();
+        let inner = low_bits(last) & !low_bits(first);
+        // Bit i of `pairs`: entries i - 1, i and i + 1 are equal.
+        let pairs = mask & mask >> 1;
+        // Starts of the stretches in between of three or more entries,
+        // and the entries of the shorter ones.
+        let long = fresh & pairs >> 1 & inner;
+        let short = !(pairs | pairs << 1 | pairs >> 1) & inner;
+        if long == 0 {
+            self.literals += short.count_ones() as usize;
+        } else {
+            let (a, b) = (long.trailing_zeros(), 63 - long.leading_zeros());
+            let between = short & low_bits(b) & !low_bits(a);
+            // Literal segments between two runs are shorter than 127:
+            // each costs one control byte.
+            let segments = between & !short << 1;
+            self.size += literal_cost(self.literals + (a - first) as usize)
+                + 2 * long.count_ones() as usize
+                + (between.count_ones() + segments.count_ones()) as usize;
+            self.literals = (short & !low_bits(b)).count_ones() as usize;
+        }
+        self.stretch = (len - last) as usize;
+    }
+
+    fn close(&mut self) {
+        let s = self.stretch;
+        if s < 3 {
+            self.literals += s;
+            return;
+        }
+        let rest = s % 130;
+        let runs = s / 130 + usize::from(rest >= 3);
+        self.size += literal_cost(self.literals) + 2 * runs;
+        self.literals = if rest >= 3 { 0 } else { rest };
+    }
+
+    fn finish(mut self) -> usize {
+        self.close();
+        self.size + literal_cost(self.literals)
+    }
+}
+
+/// The low `n` bits set, `n ≤ 64`.
+fn low_bits(n: u32) -> u64 {
+    u64::MAX.checked_shr(64 - n).unwrap_or(0)
+}
+
+/// The little-endian bit pattern of one fixed-width entry, as the
+/// encoders see it: its bytes are the byte planes, its equality the
+/// dictionary codes'.
+trait Word:
+    Copy
+    + Eq
+    + Add<Output = Self>
+    + BitAnd<Output = Self>
+    + BitOr<Output = Self>
+    + BitXor<Output = Self>
+    + Not<Output = Self>
+    + Shl<u32, Output = Self>
+    + Shr<u32, Output = Self>
+{
+    const ZERO: Self;
+    /// `0x7f` in every byte.
+    const LOW7: Self;
+    /// Bytes per entry: the number of byte planes.
+    const BYTES: usize;
+    fn byte(self, plane: usize) -> u8;
+    fn widen(self) -> u64;
+}
+
+macro_rules! words {
+    ($($t:ty),*) => {$(
+        impl Word for $t {
+            const ZERO: $t = 0;
+            const LOW7: $t = <$t>::MAX / 0xff * 0x7f;
+            const BYTES: usize = std::mem::size_of::<$t>();
+            #[inline]
+            fn byte(self, plane: usize) -> u8 {
+                (self >> (8 * plane)) as u8
+            }
+            #[inline]
+            fn widen(self) -> u64 {
+                self as u64
+            }
+        }
+    )*};
+}
+words!(u32, u64);
+
+/// `0x80` in each byte of `x` that is zero, 0 in the others. Exact:
+/// adding `0x7f` to a byte's low seven bits never carries out of it.
+#[inline]
+fn zero_bytes<W: Word>(x: W) -> W {
+    !(((x & W::LOW7) + W::LOW7) | x | W::LOW7)
+}
+
+/// A value type a chunk holds, seen through its bit pattern.
+trait Entry: Copy {
+    type Bits: Word;
+    fn bits(self) -> Self::Bits;
+}
+
+macro_rules! entries {
+    ($($t:ty => $bits:ty, $to_bits:expr;)*) => {$(
+        impl Entry for $t {
+            type Bits = $bits;
+            #[inline]
+            fn bits(self) -> $bits {
+                $to_bits(self)
+            }
+        }
+    )*};
+}
+entries! {
+    f32 => u32, f32::to_bits;
+    f64 => u64, f64::to_bits;
+    i32 => u32, |x: i32| x as u32;
+    i64 => u64, |x: i64| x as u64;
+}
+
+/// [`Encoding::DeltaVarint`]'s size of an integer buffer.
+fn delta_size<I: Int + Entry>(v: &[I]) -> usize {
+    let first = v.first().map_or(0, |&x| varint_len(zigzag(x.into())));
+    let rest: usize = v
+        .windows(2)
+        .map(|w| varint_len(zigzag(w[1].into().wrapping_sub(w[0].into()))))
+        .sum();
+    first + rest
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Size under the type-default encoding, the first candidate.
+    fn compressed_size(data: &ColumnData) -> usize {
+        encoded_size(data, candidates(data.physical_type())[0]).unwrap()
+    }
 
     #[test]
     fn constant_bools_compress_heavily() {
@@ -728,7 +1105,12 @@ mod tests {
     #[test]
     fn chosen_encoding_never_exceeds_type_default_estimate() {
         for data in sample_buffers() {
-            let (enc, size) = choose(&data);
+            let Choice {
+                encoding: enc,
+                bytes: size,
+                zone,
+            } = choose(&data);
+            assert_eq!(zone, ZoneMap::build(&data));
             assert!(
                 size <= compressed_size(&data),
                 "{enc:?} chose {size} > baseline {} for {:?}",
@@ -746,7 +1128,11 @@ mod tests {
         // byte-stream-split still pays RLE overhead per plane, the
         // dictionary collapses to one value + constant codes.
         let constant = ColumnData::F32(vec![0.105_658_37; 4000]);
-        let (enc, size) = choose(&constant);
+        let Choice {
+            encoding: enc,
+            bytes: size,
+            ..
+        } = choose(&constant);
         assert_eq!(enc, Encoding::Dict);
         assert!(size < 100, "constant column should collapse, got {size}");
 
@@ -795,8 +1181,74 @@ mod tests {
             .collect();
         let data = ColumnData::I64(v);
         assert!(encoded_size(&data, Encoding::DeltaVarint).unwrap() > 500 * 8);
-        let (enc, size) = choose(&data);
-        assert_eq!(enc, Encoding::Plain);
-        assert_eq!(size, 500 * 8);
+        let choice = choose(&data);
+        assert_eq!(choice.encoding, Encoding::Plain);
+        assert_eq!(choice.bytes, 500 * 8);
+    }
+
+    #[test]
+    fn ties_go_to_the_earlier_candidate() {
+        // Three entries whose zig-zag delta takes five varint bytes: the
+        // deltas cost 5 + 1 + 1, the dictionary 1 + 4 + 2 (one run).
+        let data = ColumnData::I32(vec![1 << 27; 3]);
+        assert_eq!(encoded_size(&data, Encoding::DeltaVarint), Some(7));
+        assert_eq!(encoded_size(&data, Encoding::Dict), Some(7));
+        assert_eq!(choose(&data).encoding, Encoding::DeltaVarint);
+        // Two equal floats: dictionary 1 + 4 + 3 (two literal codes),
+        // plain 8, byte planes 4 × 3.
+        let data = ColumnData::F32(vec![1.5; 2]);
+        assert_eq!(encoded_size(&data, Encoding::Dict), Some(8));
+        assert_eq!(choose(&data).encoding, Encoding::Dict);
+        assert_eq!(choose(&data).bytes, 8);
+        // Two entries sharing a bit of the distinct count's hash map, so
+        // the exact count must see the tie: deltas 5 + 1 + 1 + 4 + 1 + 1,
+        // dictionary 1 + 2 × 4 + two runs.
+        let bit = |x: i32| (x as u32 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 54;
+        let a = 1 << 27;
+        let b = (a + (1 << 20)..).find(|&b| bit(b) == bit(a)).unwrap();
+        let data = ColumnData::I32(vec![a, a, a, b, b, b]);
+        assert_eq!(encoded_size(&data, Encoding::DeltaVarint), Some(13));
+        assert_eq!(encoded_size(&data, Encoding::Dict), Some(13));
+        assert_eq!(choose(&data).encoding, Encoding::DeltaVarint);
+    }
+
+    #[test]
+    fn rle_sizer_prices_like_the_encoder() {
+        // Stretches around the 130-byte run cap and the 127-literal
+        // control chunks, fed byte by byte and 64 at a time.
+        let mut x = 0x2545F4914F6CDD1Du64;
+        for case in 0..400 {
+            let mut bytes = Vec::new();
+            while bytes.len() < 40 + case * 3 {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                let len =
+                    [1, 2, 3, 4, 127, 128, 129, 130, 131, 132, 133, 260][(x >> 60) as usize % 12];
+                let b = (x >> 33) as u8 % 3;
+                match x >> 40 & 1 {
+                    0 => bytes.extend(std::iter::repeat_n(b, len)),
+                    _ => bytes.extend((0..len).map(|i| (i as u8).wrapping_mul(b + 1))),
+                }
+            }
+            let mut one = RleSizer::default();
+            let mut masks = RleSizer::default();
+            for (i, w) in std::iter::once(&[0u8, 1][..])
+                .chain(bytes.windows(2))
+                .enumerate()
+            {
+                let same = i > 0 && w[0] == w[1];
+                one.push(same);
+                if i % 64 == 0 {
+                    let block = &bytes[i..(i + 64).min(bytes.len())];
+                    let mask = (0..block.len())
+                        .filter(|&j| i + j > 0 && bytes[i + j] == bytes[i + j - 1])
+                        .fold(0u64, |m, j| m | 1 << j);
+                    masks.push_mask(mask, block.len() as u32);
+                }
+            }
+            let want = rle_size(&bytes);
+            assert_eq!(one.finish(), want, "case {case}");
+            assert_eq!(masks.finish(), want, "case {case}");
+            assert_eq!(rle_encode(&bytes).len(), want);
+        }
     }
 }

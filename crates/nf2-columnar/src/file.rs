@@ -11,7 +11,10 @@
 //! ```
 //!
 //! Strings are `len u32 | utf8 bytes`. Chunk statistics and compressed
-//! sizes are recomputed on load (they are derived data).
+//! sizes are recomputed on load (they are derived data). The leaves under
+//! one list are neighbouring columns with equal offsets, so a column
+//! whose offsets equal the previous repeated column's reuses their
+//! priced size.
 //!
 //! [`read_table`] checks every chunk against the schema before sealing
 //! it, so a structurally corrupt file fails to load with
@@ -19,7 +22,9 @@
 //! group holds exactly one column per schema leaf, with the leaf's
 //! physical type; offsets are present exactly when the leaf is repeated,
 //! and then number `n_rows + 1`, start at 0, never decrease and end at
-//! the entry count; a flat leaf has one entry per row.
+//! the entry count; a flat leaf has one entry per row. Counts read from
+//! the file reserve a bounded number of items up front, and input that
+//! ends before the data its header declares is a format error too.
 
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
@@ -27,6 +32,7 @@ use std::io::{self, Read, Write};
 use nested_value::Path;
 
 use crate::column::{ColumnChunk, ColumnData};
+use crate::compress;
 use crate::error::ColumnarError;
 use crate::rowgroup::RowGroup;
 use crate::schema::{DataType, Field, LeafInfo, PhysicalType, Schema};
@@ -47,7 +53,7 @@ pub fn write_table<W: Write>(table: &Table, w: &mut W) -> Result<(), ColumnarErr
         let cols: Vec<_> = g.columns().collect();
         w.write_all(&(cols.len() as u32).to_le_bytes())?;
         for (path, chunk) in cols {
-            write_str(w, &path.to_string())?;
+            write_path(w, path)?;
             w.write_all(&[ptype_tag(chunk.data.physical_type())])?;
             match &chunk.offsets {
                 Some(off) => {
@@ -63,8 +69,19 @@ pub fn write_table<W: Write>(table: &Table, w: &mut W) -> Result<(), ColumnarErr
     Ok(())
 }
 
-/// Reads a table from any reader.
+/// Reads a table from any reader. Input that ends before the data its
+/// header declares is a [`ColumnarError::Format`] error, as is a
+/// structurally corrupt file.
 pub fn read_table<R: Read>(r: &mut R) -> Result<Table, ColumnarError> {
+    read_table_body(r).map_err(|e| match e {
+        ColumnarError::Io(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
+            ColumnarError::Format(format!("truncated input: {e}"))
+        }
+        e => e,
+    })
+}
+
+fn read_table_body<R: Read>(r: &mut R) -> Result<Table, ColumnarError> {
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
     if &magic != MAGIC {
@@ -80,7 +97,10 @@ pub fn read_table<R: Read>(r: &mut R) -> Result<Table, ColumnarError> {
     let schema = read_schema(r)?;
     let leaves: BTreeMap<&Path, &LeafInfo> = schema.leaves().iter().map(|l| (&l.path, l)).collect();
     let n_groups = read_u32(r)? as usize;
-    let mut groups = Vec::with_capacity(n_groups);
+    let mut groups = with_file_capacity(n_groups);
+    // The offsets of the repeated column priced last, and their size:
+    // the leaves under one list share them, in neighbouring columns.
+    let mut priced: (Vec<u32>, usize) = (Vec::new(), 0);
     for g in 0..n_groups {
         let bad = |msg: String| ColumnarError::Format(format!("row group {g}: {msg}"));
         let n_rows = read_u64(r)? as usize;
@@ -118,7 +138,17 @@ pub fn read_table<R: Read>(r: &mut R) -> Result<Table, ColumnarError> {
             if columns.contains_key(&path) {
                 return Err(bad(format!("column {path} appears twice")));
             }
-            columns.insert(path, ColumnChunk::seal(data, offsets));
+            let offsets_bytes = match &offsets {
+                None => 0,
+                Some(off) if *off == priced.0 => priced.1,
+                Some(off) => {
+                    priced.0.clear();
+                    priced.0.extend_from_slice(off);
+                    priced.1 = compress::offsets_size(off);
+                    priced.1
+                }
+            };
+            columns.insert(path, ColumnChunk::seal_priced(data, offsets, offsets_bytes));
         }
         groups.push(RowGroup::new(n_rows, columns));
     }
@@ -230,7 +260,7 @@ fn read_schema<R: Read>(r: &mut R) -> Result<Schema, ColumnarError> {
 
 fn read_fields<R: Read>(r: &mut R) -> Result<Vec<Field>, ColumnarError> {
     let n = read_u32(r)? as usize;
-    let mut fields = Vec::with_capacity(n);
+    let mut fields = with_file_capacity(n);
     for _ in 0..n {
         let name = read_str(r)?;
         let dtype = read_dtype(r)?;
@@ -288,15 +318,21 @@ fn write_le<W: Write, T: Copy, const N: usize>(
     Ok(())
 }
 
-/// Reads `n` consecutive `N`-byte little-endian words. `n` comes from
-/// the file: only a bounded part of it is reserved up front, so a corrupt
-/// length runs into the end of the input instead of the allocator.
+/// An empty vector for `n` items, a count read from the file: only a
+/// bounded part of it is reserved up front, so a corrupt count runs into
+/// the end of the input instead of the allocator.
+fn with_file_capacity<T>(n: usize) -> Vec<T> {
+    Vec::with_capacity(n.min(1 << 16))
+}
+
+/// Reads `n` consecutive `N`-byte little-endian words; `n` comes from the
+/// file (see [`with_file_capacity`]).
 fn read_le<R: Read, T, const N: usize>(
     r: &mut R,
     n: usize,
     from_le: impl Fn([u8; N]) -> T,
 ) -> Result<Vec<T>, ColumnarError> {
-    let mut values = Vec::with_capacity(n.min(1 << 16));
+    let mut values = with_file_capacity(n);
     let mut block = [0u8; BLOCK_BYTES];
     while values.len() < n {
         let bytes = &mut block[..(n - values.len()).min(BLOCK_BYTES / N) * N];
@@ -324,6 +360,21 @@ fn read_data<R: Read>(r: &mut R, pt: PhysicalType) -> Result<ColumnData, Columna
 fn write_str<W: Write>(w: &mut W, s: &str) -> Result<(), ColumnarError> {
     w.write_all(&(s.len() as u32).to_le_bytes())?;
     w.write_all(s.as_bytes())?;
+    Ok(())
+}
+
+/// [`write_str`] of the path's dotted form, written segment by segment
+/// instead of joined into a `String`.
+fn write_path<W: Write>(w: &mut W, path: &Path) -> Result<(), ColumnarError> {
+    let segments = path.segments();
+    let len = segments.iter().map(String::len).sum::<usize>() + segments.len() - 1;
+    w.write_all(&(len as u32).to_le_bytes())?;
+    for (i, seg) in segments.iter().enumerate() {
+        if i > 0 {
+            w.write_all(b".")?;
+        }
+        w.write_all(seg.as_bytes())?;
+    }
     Ok(())
 }
 
@@ -449,6 +500,39 @@ mod tests {
         assert_eq!(buf[at..at + 8], 4u64.to_le_bytes(), "3 rows + 1 offsets");
         buf[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(read_table(&mut &buf[..]).is_err());
+    }
+
+    #[test]
+    fn rejects_corrupt_group_count_without_allocating_it() {
+        // A table without row groups ends with its group count.
+        let t = sample_table();
+        let mut buf = Vec::new();
+        write_table(
+            &TableBuilder::new("t", t.schema().clone(), 3).finish(),
+            &mut buf,
+        )
+        .unwrap();
+        let at = buf.len() - 4;
+        assert_eq!(buf[at..], 0u32.to_le_bytes());
+        buf[at..].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_format_error(&buf, "truncated input");
+    }
+
+    #[test]
+    fn rejects_corrupt_field_count_without_allocating_it() {
+        // magic | version | name "t" as len u32 + 1 byte | field count.
+        let mut buf = Vec::new();
+        write_table(&sample_table(), &mut buf).unwrap();
+        let at = 4 + 4 + 4 + 1;
+        assert_eq!(buf[at..at + 4], 3u32.to_le_bytes(), "id, flag, P");
+        buf[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            read_table(&mut &buf[..]),
+            Err(ColumnarError::Format(_))
+        ));
+        // The same count in a schema that ends right after it.
+        buf.truncate(at + 4);
+        assert_format_error(&buf, "truncated input");
     }
 
     /// The sample table serialized, and the position of the first row

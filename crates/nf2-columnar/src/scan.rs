@@ -374,14 +374,20 @@ impl<'a> ScanRequest<'a> {
             }
             None => (None, None),
         };
+        // The cache and the fault injector key chunks by the same
+        // fingerprint: compute it once, and only when one is attached.
+        let fingerprint = match self.cache.is_some() || self.faults.is_some() {
+            true => self.table.fingerprint(),
+            false => 0,
+        };
         let cache = self.cache.map(|cache| ScanCache {
             cache,
-            table_fingerprint: self.table.fingerprint(),
+            table_fingerprint: fingerprint,
         });
         let faults = self.faults.map(|injector| ScanFaults {
             injector,
             table_name: self.table.name(),
-            table_fingerprint: self.table.fingerprint(),
+            table_fingerprint: fingerprint,
             trace: span.ctx(),
             cancel,
         });

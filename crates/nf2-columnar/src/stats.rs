@@ -60,43 +60,20 @@ pub struct ZoneMap {
 }
 
 impl ZoneMap {
-    /// Computes the zone map of a value buffer.
+    /// Computes the zone map of a value buffer: the min/max fold that
+    /// [`compress::choose`](crate::compress::choose) runs when it seals
+    /// a chunk.
     pub fn build(data: &ColumnData) -> ZoneMap {
-        let mut zm = ZoneMap {
-            n_entries: data.len() as u64,
-            ..ZoneMap::default()
-        };
         match data {
             // Booleans are not comparable in the filter kernel: no bounds.
-            ColumnData::Bool(_) => {}
-            ColumnData::I32(v) => zm.set_int_bounds(v.iter().map(|&x| x as i64)),
-            ColumnData::I64(v) => zm.set_int_bounds(v.iter().copied()),
-            ColumnData::F32(v) => zm.set_float_bounds(v.iter().map(|&x| x as f64)),
-            ColumnData::F64(v) => zm.set_float_bounds(v.iter().copied()),
-        }
-        zm
-    }
-
-    fn set_int_bounds(&mut self, xs: impl Iterator<Item = i64>) {
-        for x in xs {
-            self.int_min = Some(self.int_min.map_or(x, |m| m.min(x)));
-            self.int_max = Some(self.int_max.map_or(x, |m| m.max(x)));
-        }
-        // `as f64` is monotone over i64, so the widened bounds are valid
-        // (if rounded) f64 bounds for mixed int-column/float-literal
-        // comparisons.
-        self.min = self.int_min.map(|x| x as f64);
-        self.max = self.int_max.map(|x| x as f64);
-    }
-
-    fn set_float_bounds(&mut self, xs: impl Iterator<Item = f64>) {
-        for x in xs {
-            if x.is_nan() {
-                self.has_nan = true;
-                continue;
-            }
-            self.min = Some(self.min.map_or(x, |m: f64| m.min(x)));
-            self.max = Some(self.max.map_or(x, |m: f64| m.max(x)));
+            ColumnData::Bool(v) => ZoneMap {
+                n_entries: v.len() as u64,
+                ..ZoneMap::default()
+            },
+            ColumnData::I32(v) => int_zone(v),
+            ColumnData::I64(v) => int_zone(v),
+            ColumnData::F32(v) => float_zone(v),
+            ColumnData::F64(v) => float_zone(v),
         }
     }
 
@@ -153,6 +130,140 @@ impl ZoneMap {
             SelCmp::Eq => lo <= y && y <= hi,
             SelCmp::Ne => self.has_nan || lo != hi || lo != y,
         }
+    }
+}
+
+/// A float type a chunk holds, as the zone-map fold sees it.
+pub(crate) trait Float: Copy + PartialOrd + Into<f64> {
+    const INFINITY: Self;
+    const NEG_INFINITY: Self;
+    fn is_nan(self) -> bool;
+}
+
+/// An integer type a chunk holds, as the zone-map fold sees it.
+pub(crate) trait Int: Copy + Ord + Into<i64> {
+    const MIN: Self;
+    const MAX: Self;
+}
+
+macro_rules! floats {
+    ($($t:ident),*) => {$(
+        impl Float for $t {
+            const INFINITY: $t = $t::INFINITY;
+            const NEG_INFINITY: $t = $t::NEG_INFINITY;
+            #[inline]
+            fn is_nan(self) -> bool {
+                $t::is_nan(self)
+            }
+        }
+    )*};
+}
+floats!(f32, f64);
+
+macro_rules! ints {
+    ($($t:ident),*) => {$(
+        impl Int for $t {
+            const MIN: $t = $t::MIN;
+            const MAX: $t = $t::MAX;
+        }
+    )*};
+}
+ints!(i32, i64);
+
+/// Lanes per fold: each keeps its own extrema, in two sets, so that a
+/// step over `2 * LANES` entries compiles to vector min/max over whole
+/// registers of 32-bit values.
+const LANES: usize = 4;
+
+/// The zone map of a float buffer. Each lane folds `x < lo ? x : lo`
+/// (and the same for `hi`), which passes NaN over.
+pub(crate) fn float_zone<F: Float>(v: &[F]) -> ZoneMap {
+    let mut lo = [[F::INFINITY; LANES]; 2];
+    let mut hi = [[F::NEG_INFINITY; LANES]; 2];
+    let mut nan = [0u32; LANES];
+    let fold = |lo: &mut [F; LANES], hi: &mut [F; LANES], nan: &mut [u32; LANES], x: &[F]| {
+        for j in 0..LANES {
+            lo[j] = if x[j] < lo[j] { x[j] } else { lo[j] };
+            hi[j] = if x[j] > hi[j] { x[j] } else { hi[j] };
+            nan[j] |= u32::from(x[j].is_nan());
+        }
+    };
+    let mut steps = v.chunks_exact(2 * LANES);
+    for step in &mut steps {
+        let [a, b] = &mut lo;
+        let [c, d] = &mut hi;
+        fold(a, c, &mut nan, &step[..LANES]);
+        fold(b, d, &mut nan, &step[LANES..]);
+    }
+    for &x in steps.remainder() {
+        let [lo, _] = &mut lo;
+        let [hi, _] = &mut hi;
+        fold(lo, hi, &mut nan, &[x; LANES]);
+    }
+    let (mut min, mut max) = (lo[0][0], hi[0][0]);
+    for (&l, &h) in lo.iter().flatten().zip(hi.iter().flatten()) {
+        min = if l < min { l } else { min };
+        max = if h > max { h } else { max };
+    }
+    // Both stay infinite, the wrong way round, when every entry is NaN.
+    let bounded = min <= max;
+    ZoneMap {
+        min: bounded.then(|| exact_zero(min.into(), v, f64::min)),
+        max: bounded.then(|| exact_zero(max.into(), v, f64::max)),
+        has_nan: nan.contains(&1),
+        n_entries: v.len() as u64,
+        ..ZoneMap::default()
+    }
+}
+
+/// A zone-map bound as the in-order fold of `f64::min` (or `max`) over
+/// the non-NaN entries gives it, from the numeric extremum `m`. The fold
+/// can differ from `m` only in the sign of a zero, as `-0.0 == 0.0`; so a
+/// zero extremum is refolded over the zero entries alone, in order.
+fn exact_zero<F: Float>(m: f64, v: &[F], fold: fn(f64, f64) -> f64) -> f64 {
+    if m != 0.0 {
+        return m;
+    }
+    v.iter()
+        .map(|&x| x.into())
+        .filter(|&x: &f64| x == 0.0)
+        .reduce(fold)
+        .expect("a zero extremum is an entry")
+}
+
+/// The zone map of an integer buffer, in lanes like [`float_zone`]'s.
+pub(crate) fn int_zone<I: Int>(v: &[I]) -> ZoneMap {
+    let mut lo = [[I::MAX; LANES]; 2];
+    let mut hi = [[I::MIN; LANES]; 2];
+    let fold = |lo: &mut [I; LANES], hi: &mut [I; LANES], x: &[I]| {
+        for j in 0..LANES {
+            lo[j] = lo[j].min(x[j]);
+            hi[j] = hi[j].max(x[j]);
+        }
+    };
+    let mut steps = v.chunks_exact(2 * LANES);
+    for step in &mut steps {
+        let [a, b] = &mut lo;
+        let [c, d] = &mut hi;
+        fold(a, c, &step[..LANES]);
+        fold(b, d, &step[LANES..]);
+    }
+    for &x in steps.remainder() {
+        fold(&mut lo[0], &mut hi[0], &[x; LANES]);
+    }
+    let non_empty = !v.is_empty();
+    let int_min = non_empty.then(|| lo.iter().flatten().min().copied().expect("lanes").into());
+    let int_max = non_empty.then(|| hi.iter().flatten().max().copied().expect("lanes").into());
+    ZoneMap {
+        // `as f64` is monotone over i64, so the widened bounds are valid
+        // (if rounded) f64 bounds for mixed int-column/float-literal
+        // comparisons.
+        min: int_min.map(|x| x as f64),
+        max: int_max.map(|x| x as f64),
+        int_min,
+        int_max,
+        n_entries: v.len() as u64,
+        ..ZoneMap::default()
     }
 }
 

@@ -2,9 +2,10 @@
 
 use std::collections::BTreeMap;
 
-use nested_value::Value;
+use nested_value::{Path, Value};
 
 use crate::column::{ColumnChunk, ColumnData};
+use crate::compress;
 use crate::error::ColumnarError;
 use crate::rowgroup::RowGroup;
 use crate::schema::{DataType, Field, LeafInfo, PhysicalType, Schema};
@@ -81,14 +82,14 @@ impl Table {
         let mut h = Fnv::new();
         h.write_str(&self.name);
         for leaf in self.schema.leaves() {
-            h.write_str(&leaf.path.to_string());
+            h.write_path(&leaf.path);
             h.write_u64(leaf.ptype as u64);
             h.write_u64(leaf.repeated as u64);
         }
         for g in &self.row_groups {
             h.write_u64(g.n_rows() as u64);
             for (path, chunk) in g.columns() {
-                h.write_str(&path.to_string());
+                h.write_path(path);
                 h.write_u64(chunk.n_entries() as u64);
                 h.write_u64(chunk.compressed_bytes as u64);
                 h.write_u64(chunk.min.map_or(0, f64::to_bits));
@@ -160,13 +161,31 @@ impl Fnv {
         }
     }
 
-    fn write_str(&mut self, s: &str) {
-        for b in s.as_bytes() {
+    fn write_bytes(&mut self, bytes: &[u8]) {
+        for b in bytes {
             self.0 ^= *b as u64;
             self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
         }
+    }
+
+    fn write_str(&mut self, s: &str) {
+        self.write_bytes(s.as_bytes());
         // Length terminator so "ab"+"c" ≠ "a"+"bc".
         self.write_u64(s.len() as u64);
+    }
+
+    /// [`Fnv::write_str`] of the path's dotted form, streamed segment by
+    /// segment instead of joined into a `String`.
+    fn write_path(&mut self, path: &Path) {
+        let mut len = 0;
+        for (i, seg) in path.segments().iter().enumerate() {
+            if i > 0 {
+                self.write_bytes(b".");
+            }
+            self.write_bytes(seg.as_bytes());
+            len += usize::from(i > 0) + seg.len();
+        }
+        self.write_u64(len as u64);
     }
 
     fn finish(&self) -> u64 {
@@ -346,12 +365,24 @@ impl TableBuilder {
         }
     }
 
+    /// Seals the open row group. Every leaf under a list holds the same
+    /// offsets, so they are priced once per list.
     fn seal_group(&mut self) {
         let mut columns = BTreeMap::new();
-        for (leaf, buf) in self.schema.leaves().iter().zip(&mut self.buffers) {
+        // (list end, compressed size) of the list priced last.
+        let mut priced = (0, 0);
+        let leaves = self.schema.leaves().iter().zip(&self.list_end);
+        for ((leaf, &list_end), buf) in leaves.zip(&mut self.buffers) {
             let LeafBuffer { data, offsets } = std::mem::replace(buf, LeafBuffer::new(leaf));
-            let offsets = leaf.repeated.then_some(offsets);
-            columns.insert(leaf.path.clone(), ColumnChunk::seal(data, offsets));
+            let chunk = if leaf.repeated {
+                if priced.0 != list_end {
+                    priced = (list_end, compress::offsets_size(&offsets));
+                }
+                ColumnChunk::seal_priced(data, Some(offsets), priced.1)
+            } else {
+                ColumnChunk::seal(data, None)
+            };
+            columns.insert(leaf.path.clone(), chunk);
         }
         self.groups.push(RowGroup::new(self.rows_in_group, columns));
         self.rows_in_group = 0;
