@@ -9,9 +9,9 @@
 //! ([`hepbench_bench::loadgen`]), so queue delay under overload is
 //! charged to latency instead of silently slowing the generator down
 //! (no coordinated omission). Each grid point runs twice: once with
-//! every overload knob off (no deadline, no shedding, no breakers, no
-//! hedging — the queue just grows) and once with the knobs on, which is
-//! exactly the contrast the gate asserts.
+//! both overload knobs off (no deadline, no shedding — the queue just
+//! grows) and once with deadlines and load shedding on, which is exactly
+//! the contrast the gate asserts.
 //!
 //! Modes:
 //!
@@ -41,44 +41,23 @@ use hepbench_bench::loadgen::{
 };
 use hepbench_bench::{dataset, dataset_spec, env, run_gate};
 use nf2_columnar::Table;
-use query_service::{
-    BreakerConfig, HedgeConfig, Outcome, QueryRequest, QueryService, ServiceConfig,
-};
+use query_service::{Outcome, QueryRequest, QueryService, ServiceConfig};
 
 /// The study's shared serving shape. The queue is effectively unbounded
 /// so that *overload behaviour is the knobs' job*: with everything off
 /// the backlog simply grows (the classic unprotected service), with the
-/// knobs on the deadline/shedding/breaker/hedge machinery from the
-/// overload-protection layer has to hold the SLO.
+/// knobs on deadlines and load shedding have to hold the SLO.
 fn service_config(n_workers: usize, knobs_on: bool, slo: Duration) -> ServiceConfig {
-    let base = ServiceConfig {
+    ServiceConfig {
         n_workers,
         queue_depth: 1 << 20,
+        default_deadline: knobs_on.then(|| slo.mul_f64(0.8)),
+        load_shedding: knobs_on,
         // Every request pays real execution: a result cache would make
         // the 45-entry grid free after one pass and hide the knee.
         result_cache: false,
         intra_query_threads: 1,
         ..ServiceConfig::default()
-    };
-    if knobs_on {
-        ServiceConfig {
-            default_deadline: Some(slo.mul_f64(0.8)),
-            load_shedding: true,
-            breaker: Some(BreakerConfig::default()),
-            hedge: Some(HedgeConfig {
-                percentile: 0.95,
-                min_delay: slo.mul_f64(0.5),
-            }),
-            ..base
-        }
-    } else {
-        ServiceConfig {
-            default_deadline: None,
-            load_shedding: false,
-            breaker: None,
-            hedge: None,
-            ..base
-        }
     }
 }
 
@@ -136,8 +115,6 @@ struct Point {
     /// Outcomes whose client-side count differs from the service's
     /// ledger (accounting cross-check; must be empty).
     ledger_mismatches: Vec<(Outcome, u64, u64)>,
-    hedges_launched: u64,
-    hedge_wins: u64,
     cost_per_1k_usd: f64,
 }
 
@@ -164,7 +141,6 @@ fn run_point(
     };
     let schedule = Schedule::generate(&cfg);
     let outcome = run_open_loop(&service, &schedule, n_submitters, cal.slo);
-    let metrics = service.metrics_snapshot();
     let completed = outcome.count(Outcome::Completed);
     let cost_per_1k_usd = cloud_sim::cost_per_1k_queries(outcome.total_cost_usd, completed);
     eprintln!(
@@ -192,8 +168,6 @@ fn run_point(
         schedule_digest: schedule.digest(),
         ledger_mismatches: outcome.ledger_mismatches(&service),
         outcome,
-        hedges_launched: metrics.counter("hedges_launched"),
-        hedge_wins: metrics.counter("hedge_wins"),
         cost_per_1k_usd,
     }
 }
@@ -203,10 +177,10 @@ fn point_json(p: &Point) -> String {
     format!(
         "{{ \"multiplier\": {:.2}, \"knobs\": \"{}\", \"offered_qps\": {:.2}, \
          \"schedule_digest\": \"{:#018x}\", \"submitted\": {}, \"completed\": {}, \
-         \"within_slo\": {}, \"shedded\": {}, \"rejected\": {}, \"breaker_rejected\": {}, \
+         \"within_slo\": {}, \"shedded\": {}, \"rejected\": {}, \
          \"timed_out\": {}, \"cancelled\": {}, \"failed\": {}, \"goodput_qps\": {:.2}, \
          \"p50_seconds\": {:.6}, \"p99_seconds\": {:.6}, \"p999_seconds\": {:.6}, \
-         \"hedges_launched\": {}, \"hedge_wins\": {}, \"total_cost_usd\": {:.6}, \
+         \"total_cost_usd\": {:.6}, \
          \"cost_per_1k_usd\": {:.6}, \"wall_seconds\": {:.3} }}",
         p.multiplier,
         if p.knobs_on { "on" } else { "off" },
@@ -217,7 +191,6 @@ fn point_json(p: &Point) -> String {
         o.within_slo,
         o.count(Outcome::Shedded),
         o.count(Outcome::Rejected),
-        o.count(Outcome::Breaker),
         o.count(Outcome::TimedOut),
         o.count(Outcome::Cancelled),
         o.count(Outcome::Failed),
@@ -225,8 +198,6 @@ fn point_json(p: &Point) -> String {
         o.latency.quantile(0.5),
         o.latency.quantile(0.99),
         o.latency.quantile(0.999),
-        p.hedges_launched,
-        p.hedge_wins,
         o.total_cost_usd,
         p.cost_per_1k_usd,
         o.wall_seconds,

@@ -675,7 +675,7 @@ impl FuzzPlan {
     /// [`ExecEnv`] on the steps the engines' compiled paths take
     /// ([`exec_par::Driver`]): a scan of [`physical_ir::PhysPlan::columns`]
     /// pruned by the scalar filters and read through the environment's
-    /// buffer pool, fault injector, trace and cancel token, then the
+    /// fault injector, trace and cancel token, then the
     /// compiled executor over the surviving row groups — serial, or on
     /// `env.parallel_workers` morsel workers.
     pub fn run_compiled(

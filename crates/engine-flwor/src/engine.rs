@@ -60,7 +60,7 @@ impl FlworEngine {
         self.tables.push(table);
     }
 
-    /// Attaches the run environment: its buffer pool, fault injector,
+    /// Attaches the run environment: its fault injector,
     /// trace context and cancel token (a tripped token aborts with
     /// [`FlworError::Cancelled`] within one row group), and its overrides
     /// of the engine's options. The default environment attaches and

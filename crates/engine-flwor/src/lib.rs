@@ -39,7 +39,7 @@
 //!
 //! [`FlworEngine::new`] takes the workspace's one
 //! [`exec_par::ExecOptions`]; [`FlworEngine::set_env`] attaches a run's
-//! [`exec_par::ExecEnv`] — its option overrides, buffer pool, fault
+//! [`exec_par::ExecEnv`] — its option overrides, fault
 //! injector, trace context and cancel token.
 
 pub mod ast;

@@ -128,7 +128,7 @@ impl RDataFrame {
         }
     }
 
-    /// Attaches the run environment: its buffer pool, fault injector,
+    /// Attaches the run environment: its fault injector,
     /// trace context and cancel token (a tripped token aborts the event
     /// loop within one row group, surfaced as [`RdfError::Columnar`]
     /// wrapping [`nf2_columnar::ColumnarError::Cancelled`]), and its

@@ -49,7 +49,7 @@ impl SqlEngine {
         self.tables.insert(table.name().to_ascii_lowercase(), table);
     }
 
-    /// Attaches the run environment: its buffer pool, fault injector,
+    /// Attaches the run environment: its fault injector,
     /// trace context and cancel token (a tripped token aborts with
     /// [`SqlError::Cancelled`] within one row group), and its overrides
     /// of the engine's options. The default environment attaches and

@@ -38,7 +38,7 @@
 //! [`SqlEngine::new`] takes the workspace's one [`exec_par::ExecOptions`]
 //! (threads, morsel workers, zone-map pruning, compile);
 //! [`SqlEngine::set_env`] attaches a run's [`exec_par::ExecEnv`] — its
-//! option overrides, buffer pool, fault injector, trace context and
+//! option overrides, fault injector, trace context and
 //! cancel token. Scan, pruning, row selection and the row-group fan-out
 //! run on the shared [`exec_par::Driver`].
 

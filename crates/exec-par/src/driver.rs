@@ -64,7 +64,7 @@ impl<'e> Driver<'e> {
     }
 
     /// Accounts a scan of `projection` over `table` through the
-    /// environment's buffer pool, fault injector, trace and cancel token,
+    /// environment's fault injector, trace and cancel token,
     /// and prunes by `preds` when zone-map pruning is on. `preds` must be
     /// top-level conjuncts of the query's row filter on `table`: its
     /// surviving rows are selected by them before materialisation.
@@ -82,7 +82,6 @@ impl<'e> Driver<'e> {
         };
         let run = ScanRequest::new(table, projection)
             .capability(capability)
-            .cache(self.env.chunk_cache.as_deref())
             .faults(self.env.fault_injector.as_deref())
             .trace(&self.env.trace)
             .cancel(&self.env.cancel)

@@ -34,7 +34,7 @@
 //! Every engine takes one [`ExecOptions`] and one [`ExecEnv`]. The
 //! options are a deployment's configuration; the environment is what a
 //! caller injects into one run — overrides of three knobs, applied by
-//! [`ExecEnv::resolve`] and nowhere else, plus the run's buffer pool,
+//! [`ExecEnv::resolve`] and nowhere else, plus the run's
 //! fault injector, trace context and cancel token.
 
 mod driver;

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use nf2_columnar::{ChunkCache, FaultInjector};
+use nf2_columnar::FaultInjector;
 
 /// How an engine executes a query. Every knob changes speed only: results are byte-identical at every setting, and scan
 /// accounting (and hence billing) depends on none of them except
@@ -43,16 +43,11 @@ impl Default for ExecOptions {
 }
 
 /// Everything a caller injects into one run that is not part of the
-/// query: overrides of three [`ExecOptions`] knobs, and the run's buffer
-/// pool, fault injector, trace context and cancel token. The default
+/// query: overrides of three [`ExecOptions`] knobs, and the run's fault
+/// injector, trace context and cancel token. The default
 /// overrides nothing and attaches nothing: the paper's configuration.
 #[derive(Clone, Default)]
 pub struct ExecEnv {
-    /// Shared buffer pool fronting physical chunk reads (accounting-only;
-    /// results and billing bytes are unchanged — see
-    /// [`nf2_columnar::ScanStats`]). `None` reproduces the seed path
-    /// byte-for-byte.
-    pub chunk_cache: Option<Arc<ChunkCache>>,
     /// Overrides [`ExecOptions::n_threads`]. A multi-tenant server sets
     /// this to 1 and parallelizes across queries instead.
     pub intra_query_threads: Option<usize>,
@@ -80,8 +75,8 @@ pub struct ExecEnv {
 }
 
 impl ExecEnv {
-    /// The environment the single-query benchmarks run in (no caches,
-    /// deployment-default options) — the paper's configuration.
+    /// The environment the single-query benchmarks run in (nothing
+    /// attached, deployment-default options) — the paper's configuration.
     pub fn seed() -> ExecEnv {
         ExecEnv::default()
     }

@@ -37,7 +37,6 @@
 //! The crate also provides a simple on-disk container format ([`mod@file`]) so
 //! data sets can be materialized and re-read, with real file sizes.
 
-pub mod cache;
 pub mod column;
 pub mod compress;
 pub mod error;
@@ -51,7 +50,6 @@ pub mod select;
 pub mod stats;
 pub mod table;
 
-pub use cache::{CacheCounters, ChunkCache, ChunkKey};
 pub use column::{ColumnChunk, ColumnData};
 pub use error::ColumnarError;
 pub use fault::{FaultClass, FaultConfig, FaultCounters, FaultInjector, ScanError};

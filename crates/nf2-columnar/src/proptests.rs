@@ -1,15 +1,11 @@
 //! Property tests: arbitrary NF² rows round-trip through the columnar
-//! representation and the file format, pushdown accounting is monotone,
-//! and the chunk cache is an exact byte-budgeted LRU.
-
-use std::sync::Arc;
+//! representation and the file format, and pushdown accounting is
+//! monotone.
 
 use proptest::prelude::*;
 
 use nested_value::Value;
 
-use crate::cache::{ChunkCache, ChunkKey};
-use crate::column::{ColumnChunk, ColumnData};
 use crate::project::{Projection, PushdownCapability};
 use crate::scan::ScanRequest;
 use crate::schema::{DataType, Field, Schema};
@@ -103,35 +99,6 @@ fn naive_matches(row: &Value, pred: &ScalarPredicate) -> bool {
     };
     pred.cmp
         .accepts(nested_value::ops::compare(cur, &lit).unwrap())
-}
-
-fn cache_key(k: usize) -> ChunkKey {
-    ChunkKey {
-        table: 7,
-        group: k as u32,
-        leaf: nested_value::Path::parse("MET.pt"),
-    }
-}
-
-/// Chunk size is a function of the key: in an immutable table one
-/// (group, leaf) always seals to the same chunk, and the cache relies on
-/// that (a re-put refreshes the value but cannot change the cost). Sizes
-/// straddle the proptest budgets so evictions and oversized rejections
-/// both occur.
-fn cache_chunk(k: usize) -> Arc<ColumnChunk> {
-    const ELEMS: [usize; 6] = [4, 12, 30, 64, 120, 220];
-    let n = ELEMS[k % ELEMS.len()];
-    Arc::new(ColumnChunk::seal(
-        ColumnData::F64((0..n).map(|i| (i * (k + 3)) as f64 * 0.37).collect()),
-        None,
-    ))
-}
-
-prop_compose! {
-    /// One cache operation: `(true, k)` = get key k, `(false, k)` = put key k.
-    fn arb_cache_op()(is_get in any::<bool>(), k in 0usize..6) -> (bool, usize) {
-        (is_get, k)
-    }
 }
 
 proptest! {
@@ -263,69 +230,6 @@ proptest! {
                         skip.iter().filter(|&&s| s).count());
     }
 
-    /// The chunk cache behaves as an exact byte-budgeted LRU: replayed
-    /// against a reference model, after **every** operation resident
-    /// bytes stay within budget and match the model, hits return the
-    /// identical chunk (same `Arc`, hence same bytes) without evicting,
-    /// and membership — including which victim each eviction chose —
-    /// agrees with the model.
-    #[test]
-    fn chunk_cache_is_an_exact_lru(
-        ops in proptest::collection::vec(arb_cache_op(), 1..80),
-        budget in 100usize..1500,
-    ) {
-        let cache = ChunkCache::new(budget);
-        // Reference model: key → chunk, plus LRU order (front = victim).
-        let mut resident: std::collections::HashMap<usize, Arc<ColumnChunk>> =
-            std::collections::HashMap::new();
-        let mut order: Vec<usize> = Vec::new();
-        for &(is_get, k) in &ops {
-            let key = cache_key(k);
-            if is_get {
-                let evictions_before = cache.counters().evictions;
-                let got = cache.get(&key);
-                match resident.get(&k) {
-                    Some(want) => {
-                        let got = got.expect("model says resident");
-                        prop_assert!(Arc::ptr_eq(&got, want), "hit returns the stored chunk");
-                        let pos = order.iter().position(|&o| o == k).expect("ordered");
-                        order.remove(pos);
-                        order.push(k);
-                    }
-                    None => prop_assert!(got.is_none(), "model says absent"),
-                }
-                // A lookup never evicts.
-                prop_assert_eq!(cache.counters().evictions, evictions_before);
-            } else {
-                let chunk = cache_chunk(k);
-                let cost = chunk.compressed_bytes;
-                cache.put(key, chunk.clone());
-                if let std::collections::hash_map::Entry::Occupied(mut e) = resident.entry(k) {
-                    // Refresh: value and recency, no size change (chunks
-                    // of one key are identical in an immutable table).
-                    e.insert(chunk);
-                    let pos = order.iter().position(|&o| o == k).expect("ordered");
-                    order.remove(pos);
-                    order.push(k);
-                } else if cost <= budget {
-                    let used = |r: &std::collections::HashMap<usize, Arc<ColumnChunk>>|
-                        r.values().map(|c| c.compressed_bytes).sum::<usize>();
-                    while used(&resident) + cost > budget {
-                        let victim = order.remove(0);
-                        resident.remove(&victim);
-                    }
-                    resident.insert(k, chunk);
-                    order.push(k);
-                }
-                // An oversized chunk is not admitted and evicts nothing.
-            }
-            prop_assert!(cache.resident_bytes() <= budget, "budget respected after every op");
-            let model_bytes: usize = resident.values().map(|c| c.compressed_bytes).sum();
-            prop_assert_eq!(cache.resident_bytes(), model_bytes);
-            prop_assert_eq!(cache.len(), resident.len());
-        }
-    }
-
     /// `head(n)` preserves row prefix and never exceeds n rows.
     #[test]
     fn head_is_prefix(rows in proptest::collection::vec(arb_row(), 0..25), n in 0usize..30, rg in 1usize..6) {
@@ -340,88 +244,5 @@ proptest! {
             .flat_map(|g| g.read_rows(h.schema(), &leaves).unwrap())
             .collect();
         prop_assert_eq!(&got[..], &rows[..expect]);
-    }
-}
-
-/// Concurrency: N threads hammering one small cache with a deterministic
-/// mixed scan/evict workload. Exact LRU order is interleaving-dependent,
-/// but the *invariants* are not:
-///
-/// * the byte budget holds after every single operation;
-/// * no lookup is lost or double-counted — at quiescence
-///   `hits + misses` equals exactly the lookups issued (`get` + `admit`);
-/// * entry accounting balances: `len == insertions − evictions`;
-/// * every hit returns a chunk whose cost matches its key (no torn or
-///   cross-keyed value).
-#[test]
-fn chunk_cache_invariants_hold_under_contention() {
-    const THREADS: u64 = 8;
-    const OPS: u64 = 600;
-    const KEYS: u64 = 12;
-    for seed in [1u64, 2, 3] {
-        let budget = 500 + (seed as usize) * 331;
-        let cache = ChunkCache::new(budget);
-        let lookups: u64 = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..THREADS)
-                .map(|t| {
-                    let cache = &cache;
-                    scope.spawn(move || {
-                        let mut state = seed ^ (t.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                        let mut rng = move || {
-                            state ^= state << 13;
-                            state ^= state >> 7;
-                            state ^= state << 17;
-                            state
-                        };
-                        let mut lookups = 0u64;
-                        for _ in 0..OPS {
-                            let k = (rng() % KEYS) as usize;
-                            match rng() % 3 {
-                                0 => {
-                                    if let Some(c) = cache.get(&cache_key(k)) {
-                                        assert_eq!(
-                                            c.compressed_bytes,
-                                            cache_chunk(k).compressed_bytes,
-                                            "hit returned a chunk of the wrong key"
-                                        );
-                                    }
-                                    lookups += 1;
-                                }
-                                1 => {
-                                    cache.admit(&cache_key(k), || cache_chunk(k));
-                                    lookups += 1;
-                                }
-                                _ => {
-                                    cache.put(cache_key(k), cache_chunk(k));
-                                }
-                            }
-                            assert!(
-                                cache.resident_bytes() <= budget,
-                                "budget exceeded mid-flight"
-                            );
-                        }
-                        lookups
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).sum()
-        });
-        let c = cache.counters();
-        assert_eq!(
-            c.hits + c.misses,
-            lookups,
-            "lost or duplicated hit/miss accounting (seed {seed})"
-        );
-        assert!(c.insertions >= c.evictions);
-        assert_eq!(
-            cache.len() as u64,
-            c.insertions - c.evictions,
-            "entry accounting out of balance (seed {seed})"
-        );
-        assert!(cache.resident_bytes() <= budget);
-        assert!(
-            c.hits > 0 && c.misses > 0 && c.evictions > 0,
-            "workload too tame"
-        );
     }
 }

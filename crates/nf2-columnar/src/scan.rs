@@ -1,7 +1,6 @@
 //! Scan statistics: the I/O accounting behind Figure 4b and the QaaS
 //! pricing models.
 
-use crate::cache::{ChunkCache, ChunkKey};
 use crate::error::ColumnarError;
 use crate::fault::{FaultInjector, ScanError};
 use crate::project::{Projection, PushdownCapability};
@@ -32,20 +31,6 @@ pub struct ScanStats {
     /// Ideal uncompressed bytes: entries × physical width of the logically
     /// needed leaves. Figure 4b's second ideal line.
     pub ideal_uncompressed_bytes: u64,
-    /// Of `bytes_scanned`, how many were served by the buffer pool
-    /// ([`crate::cache::ChunkCache`]) instead of storage. Billing metrics
-    /// (`bytes_scanned`, `logical_bytes`) are *not* reduced by pool hits —
-    /// QaaS providers bill the logical scan regardless of where the bytes
-    /// came from — so `bytes_from_cache` is a separate, subtractive view:
-    /// physical reads = `bytes_scanned - bytes_from_cache`. Zero when no
-    /// cache is attached, keeping the cache-off path byte-identical.
-    pub bytes_from_cache: u64,
-    /// Buffer-pool chunk hits during this scan.
-    pub cache_hits: u64,
-    /// Buffer-pool chunk misses (storage reads) during this scan.
-    pub cache_misses: u64,
-    /// Buffer-pool evictions this scan's admissions caused.
-    pub cache_evictions: u64,
     /// Row groups skipped by zone-map pruning before any byte was read.
     pub groups_pruned: u64,
     /// Compressed bytes the pruned groups would have cost under the same
@@ -68,18 +53,8 @@ impl ScanStats {
         self.logical_bytes += other.logical_bytes;
         self.ideal_compressed_bytes += other.ideal_compressed_bytes;
         self.ideal_uncompressed_bytes += other.ideal_uncompressed_bytes;
-        self.bytes_from_cache += other.bytes_from_cache;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.cache_evictions += other.cache_evictions;
         self.groups_pruned += other.groups_pruned;
         self.bytes_pruned += other.bytes_pruned;
-    }
-
-    /// Bytes physically read from storage: `bytes_scanned` minus the part
-    /// the buffer pool served.
-    pub fn bytes_from_storage(&self) -> u64 {
-        self.bytes_scanned - self.bytes_from_cache
     }
 
     /// Bytes scanned per row — the y-axis of Figure 4b.
@@ -90,14 +65,6 @@ impl ScanStats {
             self.bytes_scanned as f64 / self.rows as f64
         }
     }
-}
-
-/// A buffer pool attached to a scan: the cache plus the scanned table's
-/// [`Table::fingerprint`], which scopes the cache keys.
-#[derive(Clone, Copy)]
-struct ScanCache<'c> {
-    cache: &'c ChunkCache,
-    table_fingerprint: u64,
 }
 
 /// Retries a transient chunk read gets before its fault fails the scan.
@@ -145,16 +112,14 @@ impl ScanFaults<'_> {
 }
 
 /// Accounts one row group's scan into `stats`, routing each physically
-/// read chunk through the buffer pool when one is attached and through the
-/// fault injector when one is attached.
+/// read chunk through the fault injector when one is attached.
 ///
 /// This is the single accounting primitive every engine uses (via
-/// [`ScanRequest`]), so billing bytes are computed identically
-/// with and without a cache; only the `cache_*`/`bytes_from_cache` fields
-/// differ. A transient chunk fault is retried here, where the read
-/// happens ([`READ_RETRIES`] per chunk), and re-reads add no bytes; a
-/// fault that outlives the budget aborts the group's cache admissions and
-/// surfaces as [`ColumnarError::Fault`]. An injected read can be slow,
+/// [`ScanRequest`]), so billing bytes are computed identically with and
+/// without an injector. A transient chunk fault is retried here, where
+/// the read happens ([`READ_RETRIES`] per chunk), and re-reads add no
+/// bytes; a fault that outlives the budget surfaces as
+/// [`ColumnarError::Fault`]. An injected read can be slow,
 /// so the scan's cancel token is observed before each chunk read: a
 /// deadline stops a wide group partway through instead of after all of
 /// its reads. Returns the re-reads the group took; with `faults: None`
@@ -165,7 +130,6 @@ fn account_group_scan(
     group_idx: usize,
     read_leaves: &[&LeafInfo],
     logical_leaves: &[&LeafInfo],
-    cache: Option<ScanCache<'_>>,
     faults: Option<&ScanFaults<'_>>,
 ) -> Result<u64, ColumnarError> {
     let rows_done = stats.rows;
@@ -175,34 +139,13 @@ fn account_group_scan(
     stats.logical_bytes += group.logical_bytes(logical_leaves) as u64;
     stats.ideal_compressed_bytes += group.compressed_bytes(logical_leaves) as u64;
     stats.ideal_uncompressed_bytes += group.uncompressed_bytes(logical_leaves) as u64;
-    if cache.is_none() && faults.is_none() {
+    let Some(f) = faults else {
         return Ok(0);
-    }
+    };
     let mut retried = 0;
     for leaf in read_leaves {
-        if let Some(f) = faults {
-            f.cancel.check(obs::Stage::Scan, rows_done)?;
-            retried += f.read(group_idx as u32, &leaf.path)?;
-        }
-        let Some(sc) = cache else { continue };
-        let Ok(chunk) = group.column(&leaf.path) else {
-            continue;
-        };
-        let key = ChunkKey {
-            table: sc.table_fingerprint,
-            group: group_idx as u32,
-            leaf: leaf.path.clone(),
-        };
-        // Chunks are in-memory already; "loading" is sharing a clone of
-        // the sealed chunk, which stands in for the storage read.
-        let admission = sc.cache.admit(&key, || std::sync::Arc::new(chunk.clone()));
-        if admission.hit {
-            stats.cache_hits += 1;
-            stats.bytes_from_cache += chunk.compressed_bytes as u64;
-        } else {
-            stats.cache_misses += 1;
-            stats.cache_evictions += admission.evicted;
-        }
+        f.cancel.check(obs::Stage::Scan, rows_done)?;
+        retried += f.read(group_idx as u32, &leaf.path)?;
     }
     Ok(retried)
 }
@@ -210,7 +153,7 @@ fn account_group_scan(
 /// Accounts one *pruned* row group into `stats`: the group was proven
 /// empty by its zone maps and skipped before decode, so it contributes
 /// only `groups_pruned` and `bytes_pruned` — no rows, no billed bytes,
-/// no cache or fault-injector traffic (the bytes were never read).
+/// no fault-injector traffic (the bytes were never read).
 pub fn account_group_pruned(stats: &mut ScanStats, group: &RowGroup, read_leaves: &[&LeafInfo]) {
     stats.groups_pruned += 1;
     stats.bytes_pruned += group.compressed_bytes(read_leaves) as u64;
@@ -257,8 +200,8 @@ pub struct ScanRun {
 /// assert!(run.skip.is_none()); // no predicates, no pruning pass
 /// ```
 ///
-/// Optional attachments compose freely: a buffer pool ([`Self::cache`]),
-/// a fault injector ([`Self::faults`]), a tracing context
+/// Optional attachments compose freely: a fault injector
+/// ([`Self::faults`]), a tracing context
 /// ([`Self::trace`]), a cooperative cancel token ([`Self::cancel`]), and
 /// zone-map pruning predicates ([`Self::prune`]). Every attachment left
 /// off keeps the scan bit-identical to the bare form.
@@ -267,7 +210,6 @@ pub struct ScanRequest<'a> {
     table: &'a Table,
     projection: &'a Projection,
     capability: PushdownCapability,
-    cache: Option<&'a ChunkCache>,
     faults: Option<&'a FaultInjector>,
     trace: Option<&'a obs::TraceCtx>,
     cancel: Option<&'a obs::CancelToken>,
@@ -282,7 +224,6 @@ impl<'a> ScanRequest<'a> {
             table,
             projection,
             capability: PushdownCapability::IndividualLeaves,
-            cache: None,
             faults: None,
             trace: None,
             cancel: None,
@@ -293,14 +234,6 @@ impl<'a> ScanRequest<'a> {
     /// Sets the reader's pushdown capability (default: individual leaves).
     pub fn capability(mut self, cap: PushdownCapability) -> Self {
         self.capability = cap;
-        self
-    }
-
-    /// Attaches a buffer pool in front of the physical chunk reads. With
-    /// `None` the result is bit-identical to no pool (all cache counters
-    /// zero).
-    pub fn cache(mut self, cache: Option<&'a ChunkCache>) -> Self {
-        self.cache = cache;
         self
     }
 
@@ -374,20 +307,12 @@ impl<'a> ScanRequest<'a> {
             }
             None => (None, None),
         };
-        // The cache and the fault injector key chunks by the same
-        // fingerprint: compute it once, and only when one is attached.
-        let fingerprint = match self.cache.is_some() || self.faults.is_some() {
-            true => self.table.fingerprint(),
-            false => 0,
-        };
-        let cache = self.cache.map(|cache| ScanCache {
-            cache,
-            table_fingerprint: fingerprint,
-        });
+        // The injector keys its decisions on the table's fingerprint, a
+        // hash of the whole table: compute it only when one is attached.
         let faults = self.faults.map(|injector| ScanFaults {
             injector,
             table_name: self.table.name(),
-            table_fingerprint: fingerprint,
+            table_fingerprint: self.table.fingerprint(),
             trace: span.ctx(),
             cancel,
         });
@@ -404,7 +329,6 @@ impl<'a> ScanRequest<'a> {
                 idx,
                 &read_leaves,
                 &logical_leaves,
-                cache,
                 faults.as_ref(),
             )?;
         }
@@ -416,14 +340,6 @@ impl<'a> ScanRequest<'a> {
             span.add_rows_in(stats.rows);
             span.add_rows_out(stats.rows);
             span.add_bytes(stats.bytes_scanned);
-            if stats.cache_hits > 0 || stats.cache_misses > 0 {
-                span.set_label(format!(
-                    "{} cache_hits={} cache_misses={}",
-                    self.table.name(),
-                    stats.cache_hits,
-                    stats.cache_misses
-                ));
-            }
         }
         Ok(ScanRun {
             stats,

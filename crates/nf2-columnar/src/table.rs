@@ -73,9 +73,9 @@ impl Table {
 
     /// A stable content fingerprint of the table: schema shape plus
     /// per-chunk statistics (row counts, entry counts, compressed sizes,
-    /// min/max). Used to key the serving-layer caches — tables are
-    /// immutable, so an equal fingerprint means cached chunks and results
-    /// are valid, and any rebuild with different data changes the
+    /// min/max). Used to key the serving layer's result cache and the
+    /// fault injector's decisions — tables are immutable, so an equal
+    /// fingerprint means cached results are valid, and any rebuild with different data changes the
     /// statistics and hence the key space. FNV-1a, independent of process
     /// and platform.
     pub fn fingerprint(&self) -> u64 {

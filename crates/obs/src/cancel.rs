@@ -8,12 +8,6 @@
 //! deadline `Instant`; engines call [`CancelToken::check`] once per row
 //! group and bubble the typed [`Cancelled`] payload up through their
 //! error enums.
-//!
-//! [`CancelToken::child`] creates a token that trips when *either* its
-//! own flag or any ancestor's flag is set. Hedged execution uses this:
-//! the service cancels the losing attempt via its child token without
-//! affecting the winner, while a job-level `cancel()` on the parent
-//! stops both.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -24,8 +18,8 @@ use crate::span::Stage;
 /// Why a query was cancelled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CancelReason {
-    /// `CancelToken::cancel()` was called (client abandoned the query,
-    /// or a hedged sibling won the race).
+    /// `CancelToken::cancel()` was called (the client abandoned the
+    /// query).
     Explicit,
     /// The deadline carried by the token passed.
     DeadlineExceeded,
@@ -72,7 +66,6 @@ impl std::error::Error for Cancelled {}
 struct CancelInner {
     cancelled: AtomicBool,
     deadline: Option<Instant>,
-    parent: Option<Arc<CancelInner>>,
 }
 
 impl CancelInner {
@@ -80,14 +73,9 @@ impl CancelInner {
         if self.cancelled.load(Ordering::Relaxed) {
             return Some(CancelReason::Explicit);
         }
-        if let Some(d) = self.deadline {
-            if Instant::now() >= d {
-                return Some(CancelReason::DeadlineExceeded);
-            }
-        }
-        match &self.parent {
-            Some(p) => p.tripped(),
-            None => None,
+        match self.deadline {
+            Some(d) if Instant::now() >= d => Some(CancelReason::DeadlineExceeded),
+            _ => None,
         }
     }
 }
@@ -113,7 +101,6 @@ impl CancelToken {
             inner: Some(Arc::new(CancelInner {
                 cancelled: AtomicBool::new(false),
                 deadline: None,
-                parent: None,
             })),
         }
     }
@@ -124,20 +111,6 @@ impl CancelToken {
             inner: Some(Arc::new(CancelInner {
                 cancelled: AtomicBool::new(false),
                 deadline: Some(deadline),
-                parent: None,
-            })),
-        }
-    }
-
-    /// A child token: trips when its own flag is set *or* any ancestor
-    /// trips. Cancelling the child does not affect the parent. A child
-    /// of a disabled token is an independent enabled token.
-    pub fn child(&self) -> CancelToken {
-        CancelToken {
-            inner: Some(Arc::new(CancelInner {
-                cancelled: AtomicBool::new(false),
-                deadline: None,
-                parent: self.inner.clone(),
             })),
         }
     }
@@ -147,7 +120,7 @@ impl CancelToken {
         self.inner.is_some()
     }
 
-    /// The deadline carried by this token (not ancestors), if any.
+    /// The deadline carried by this token, if any.
     pub fn deadline(&self) -> Option<Instant> {
         self.inner.as_ref().and_then(|i| i.deadline)
     }
@@ -246,38 +219,6 @@ mod tests {
         let c = t.clone();
         c.cancel();
         assert!(t.is_cancelled());
-    }
-
-    #[test]
-    fn child_sees_parent_cancel_but_not_vice_versa() {
-        let parent = CancelToken::new();
-        let a = parent.child();
-        let b = parent.child();
-        // Cancelling one child (hedge loser) leaves the sibling alive.
-        a.cancel();
-        assert!(a.is_cancelled());
-        assert!(!b.is_cancelled());
-        assert!(!parent.is_cancelled());
-        // Cancelling the parent (job-level cancel) stops every child.
-        parent.cancel();
-        assert!(b.is_cancelled());
-    }
-
-    #[test]
-    fn child_inherits_parent_deadline() {
-        let parent = CancelToken::with_deadline(Instant::now() - Duration::from_millis(1));
-        let child = parent.child();
-        let e = child.check(Stage::Scan, 3).unwrap_err();
-        assert_eq!(e.reason, CancelReason::DeadlineExceeded);
-    }
-
-    #[test]
-    fn child_of_disabled_token_is_enabled() {
-        let child = CancelToken::none().child();
-        assert!(child.is_enabled());
-        assert!(child.check(Stage::Scan, 0).is_ok());
-        child.cancel();
-        assert!(child.is_cancelled());
     }
 
     #[test]

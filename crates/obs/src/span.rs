@@ -17,7 +17,7 @@ pub enum Stage {
     /// Planning: schema resolution, projection, predicate analysis,
     /// zone-map pruning decisions.
     Plan,
-    /// Scan accounting over row groups (bytes touched, cache traffic).
+    /// Scan accounting over row groups (bytes touched).
     Scan,
     /// Zone-map evaluation: row groups proven empty by min/max statistics
     /// and skipped before decode.
@@ -318,13 +318,6 @@ impl SpanGuard {
     pub fn add_bytes(&mut self, n: u64) {
         if let Some(a) = &mut self.active {
             a.bytes += n;
-        }
-    }
-
-    /// Replaces the label.
-    pub fn set_label(&mut self, label: impl Into<String>) {
-        if let Some(a) = &mut self.active {
-            a.label = label.into();
         }
     }
 

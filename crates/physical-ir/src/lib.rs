@@ -12,7 +12,7 @@
 //!
 //! * **Scan** is implicit: [`PhysPlan::columns`] lists the leaf columns the
 //!   plan touches; the caller remains responsible for scan accounting
-//!   (`ScanStats`, cache, fault injection) so compiled execution is
+//!   (`ScanStats`, fault injection) so compiled execution is
 //!   indistinguishable from interpretation in every ledger.
 //! * **Filter** nodes reuse the typed predicate kernels of
 //!   [`nf2_columnar::select`] ([`nf2_columnar::apply_predicates`]) to build

@@ -20,49 +20,39 @@
 //! execution) — the deployments the single-query benchmark runs, so a
 //! served result is the benchmark result.
 //!
-//! Two caches, both optional:
-//!
-//! * a **buffer pool** ([`nf2_columnar::ChunkCache`]) shared by all
-//!   workers, fronting physical chunk reads. Accounting-only: billed
-//!   bytes and results never change, hits show up as
-//!   `ScanStats::bytes_from_cache`.
-//! * a **result cache** ([`result_cache::ResultCache`]) keyed on
-//!   (dialect, normalized query text, table fingerprint) — BigQuery's
-//!   "cached results". A hit returns the stored histogram with **zero
-//!   bytes scanned** and zero QaaS cost.
-//!
-//! [`ServiceConfig::paper_fairness`] turns both off, reproducing the
+//! One cache, optional: a **result cache**
+//! ([`result_cache::ResultCache`]) keyed on (dialect, normalized query
+//! text, table fingerprint) — BigQuery's "cached results". A hit returns
+//! the stored histogram with **zero bytes scanned** and zero QaaS cost.
+//! [`ServiceConfig::paper_fairness`] turns it off, reproducing the
 //! paper's measured configuration byte-for-byte (verified by
 //! `tests/service_cache.rs`).
 //!
-//! The serving layer also carries the overload-protection machinery a
-//! real multi-tenant deployment needs, all off by default and off under
-//! [`ServiceConfig::paper_fairness`]:
+//! Overload is handled by deadlines and load shedding, both off by
+//! default and under [`ServiceConfig::paper_fairness`]:
 //!
-//! * **cooperative cancellation** — every request gets an
+//! * **deadlines with cooperative cancellation** — every request gets an
 //!   [`obs::CancelToken`] (deadline-armed when the request has one);
 //!   [`Ticket::cancel`] or deadline expiry stops a *running* query
 //!   within one row group, surfacing as [`ServiceError::Cancelled`]
 //!   with the stage and rows processed, never billed;
 //! * **load shedding** ([`ServiceConfig::load_shedding`]) — admission
 //!   rejects requests whose estimated queue wait already exceeds their
-//!   deadline;
-//! * **circuit breakers** ([`ServiceConfig::breaker`]) — per-system
-//!   sliding-window breakers reject requests to a failing system in
-//!   O(µs), with half-open probing after a cooldown;
-//! * **hedged execution** ([`ServiceConfig::hedge`]) — a straggling
-//!   query gets a second attempt after a percentile-based delay; the
-//!   first result wins and the loser is cancelled through its token.
+//!   deadline.
+//!
+//! `serve_scale --check` gates the pair: under 3× its capacity, the
+//! service with both on must serve at least the goodput of the service
+//! with both off, and below the knee ≥ 99 % of its completions must meet
+//! the SLO.
 //!
 //! The service does not re-run failed queries. A flaky storage read is
 //! retried where it happens, below the query: the scan re-reads a chunk
 //! whose read failed with a transient fault
 //! ([`nf2_columnar::READ_RETRIES`] times per chunk), so a request
-//! converges in one execution however many of its chunks fault, and the
-//! breakers see one success. A fault that outlives the re-reads — or a
-//! persistent one — fails the request with a typed
-//! [`ServiceError::Engine`]; a panicking query is caught per job and
-//! answered the same way, leaving the worker alive.
+//! converges in one execution however many of its chunks fault. A fault
+//! that outlives the re-reads — or a persistent one — fails the request
+//! with a typed [`ServiceError::Engine`]; a panicking query is caught per
+//! job and answered the same way, leaving the worker alive.
 //!
 //! Every submitted request ends in exactly one [`Outcome`], recorded
 //! once — where `submit` refuses it or where a worker replies — as one
@@ -72,7 +62,6 @@
 //! of outcomes: [`QueryService::stats`] and
 //! [`QueryService::latency_histogram`] are views of it.
 
-pub mod breaker;
 #[cfg(test)]
 mod queue_proptests;
 pub mod request;
@@ -86,12 +75,11 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cloud_sim::InstanceType;
-use hepbench_core::adapters::{AdapterError, EngineRun, ExecEnv};
+use hepbench_core::adapters::ExecEnv;
 use hepbench_core::engine_api::{engine_for, engine_for_compiled, QueryEngine, QuerySpec};
 use hepbench_core::runner::{System, ALL_SYSTEMS};
-use nf2_columnar::{CacheCounters, ChunkCache, ExecStats, FaultInjector, ScanStats, Table};
+use nf2_columnar::{ExecStats, FaultInjector, ScanStats, Table};
 
-pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use request::{Outcome, QueryRequest, QueryResponse, ServiceError, StatsSnapshot};
 pub use result_cache::{normalize_query_text, result_key, CachedResult, ResultCache, ResultKey};
 
@@ -108,7 +96,10 @@ pub struct ServiceConfig {
     /// Serve repeated identical queries from the result cache (the knob
     /// the paper turned *off* for its fair comparison).
     pub result_cache: bool,
-    /// Buffer-pool budget in bytes; `0` disables the chunk cache.
+    /// Retired: always 0, and [`QueryService::start`] panics on any other
+    /// value. It sized a chunk cache that copied chunks already held in
+    /// memory. Kept only so existing struct literals still compile;
+    /// ROADMAP item 1(B) deletes it.
     pub chunk_cache_bytes: usize,
     /// Threads *within* one query; `0` ⇒ engine default (all cores). A
     /// serving deployment typically pins this to 1 and gets its
@@ -146,53 +137,28 @@ pub struct ServiceConfig {
     /// never shed. Off by default and under
     /// [`ServiceConfig::paper_fairness`].
     pub load_shedding: bool,
-    /// Per-system circuit breakers over engine execution outcomes;
-    /// `None` (the default, and under
-    /// [`ServiceConfig::paper_fairness`]) disables them. When set, an
-    /// open breaker rejects the system's requests at admission with
-    /// [`ServiceError::CircuitOpen`]; states are visible as
-    /// `breaker_state_<system>` gauges in
-    /// [`QueryService::metrics_snapshot`].
-    pub breaker: Option<BreakerConfig>,
-    /// Opt-in hedged execution; `None` (the default, and under
-    /// [`ServiceConfig::paper_fairness`]) disables it. When set, an
-    /// engine attempt that outlives the hedge delay gets a second
-    /// identical attempt; the first reply wins and the loser is
-    /// cancelled through a child of the request's cancel token.
-    pub hedge: Option<HedgeConfig>,
+    /// Retired: always `None` ([`Retired`] has no values). Circuit
+    /// breakers were deleted. ROADMAP item 1(B) deletes the field.
+    pub breaker: Option<Retired>,
+    /// Retired: always `None` ([`Retired`] has no values). Hedged
+    /// execution was deleted. ROADMAP item 1(B) deletes the field.
+    pub hedge: Option<Retired>,
 }
 
-/// Tuning for hedged execution (see [`ServiceConfig::hedge`]).
-#[derive(Clone, Debug)]
-pub struct HedgeConfig {
-    /// Launch the hedge once the primary attempt has run longer than
-    /// this percentile of past execution times, read from the service's
-    /// `exec_seconds` histogram: a log₂-bucket estimate, within a factor
-    /// of √2 of the nearest-rank sample value.
-    pub percentile: f64,
-    /// Lower bound on the hedge delay; also the delay used before any
-    /// execution samples exist.
-    pub min_delay: Duration,
-}
-
-impl Default for HedgeConfig {
-    fn default() -> HedgeConfig {
-        HedgeConfig {
-            percentile: 0.95,
-            min_delay: Duration::from_millis(10),
-        }
-    }
-}
+/// The type of a retired [`ServiceConfig`] field. It has no values, so
+/// an `Option<Retired>` can only be `None` and cannot turn anything on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Retired {}
 
 impl Default for ServiceConfig {
-    /// A serving deployment: both caches on, one thread per query.
+    /// A serving deployment: the result cache on, one thread per query.
     fn default() -> ServiceConfig {
         ServiceConfig {
             n_workers: 0,
             queue_depth: 64,
             default_deadline: None,
             result_cache: true,
-            chunk_cache_bytes: 64 << 20,
+            chunk_cache_bytes: 0,
             intra_query_threads: 1,
             zone_map_pruning: true,
             pricing_instance: "m5d.4xlarge",
@@ -206,17 +172,16 @@ impl Default for ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// The paper's measured configuration: **both caches off** (§4.1
-    /// disabled BigQuery's cached results for fairness), engine-default
-    /// intra-query parallelism. With this config a served query is
-    /// byte-for-byte identical — histogram and `ScanStats` — to the
-    /// single-query benchmark path. The overload knobs (shedding,
-    /// breakers, hedging) inherit their off-defaults, so none of them
-    /// can perturb the measured configuration.
+    /// The paper's measured configuration: **the result cache off**
+    /// (§4.1 disabled BigQuery's cached results for fairness),
+    /// engine-default intra-query parallelism. With this config a served
+    /// query is byte-for-byte identical — histogram and `ScanStats` — to
+    /// the single-query benchmark path. The overload knobs (deadlines,
+    /// shedding) inherit their off-defaults, so neither can perturb the
+    /// measured configuration.
     pub fn paper_fairness() -> ServiceConfig {
         ServiceConfig {
             result_cache: false,
-            chunk_cache_bytes: 0,
             intra_query_threads: 0,
             zone_map_pruning: false,
             ..ServiceConfig::default()
@@ -296,7 +261,6 @@ struct Shared {
     queue: Mutex<QueueState>,
     available: Condvar,
     result_cache: Option<ResultCache>,
-    chunk_cache: Option<Arc<ChunkCache>>,
     /// One engine per servable system, built once at startup and shared
     /// by every worker — the service's only execution path.
     engines: HashMap<System, Box<dyn QueryEngine>>,
@@ -317,8 +281,6 @@ struct Shared {
     /// the read-modify-write race between workers is benign (the
     /// estimate is approximate by construction).
     exec_ewma_bits: std::sync::atomic::AtomicU64,
-    /// One breaker per servable system when breakers are configured.
-    breakers: Option<HashMap<System, CircuitBreaker>>,
 }
 
 impl Shared {
@@ -375,7 +337,16 @@ pub struct QueryService {
 
 impl QueryService {
     /// Starts the worker pool and returns the serving handle.
+    ///
+    /// # Panics
+    ///
+    /// On an unknown `pricing_instance`, and when the retired
+    /// `chunk_cache_bytes` is not 0.
     pub fn start(table: Arc<Table>, config: ServiceConfig) -> QueryService {
+        assert_eq!(
+            config.chunk_cache_bytes, 0,
+            "ServiceConfig::chunk_cache_bytes is retired and must be 0"
+        );
         let pricing_instance = cloud_sim::instances::by_name(config.pricing_instance)
             .unwrap_or_else(|| panic!("unknown pricing instance {:?}", config.pricing_instance));
         let n_workers = if config.n_workers == 0 {
@@ -399,19 +370,11 @@ impl QueryService {
             queue: Mutex::new(QueueState::default()),
             available: Condvar::new(),
             result_cache: config.result_cache.then(ResultCache::new),
-            chunk_cache: (config.chunk_cache_bytes > 0)
-                .then(|| Arc::new(ChunkCache::new(config.chunk_cache_bytes))),
             engines,
             engines_compiled,
             metrics: obs::MetricsRegistry::new(),
             n_workers,
             exec_ewma_bits: std::sync::atomic::AtomicU64::new(0),
-            breakers: config.breaker.as_ref().map(|cfg| {
-                ALL_SYSTEMS
-                    .iter()
-                    .map(|s| (*s, CircuitBreaker::new(cfg.clone())))
-                    .collect()
-            }),
             config,
         });
         let workers = (0..n_workers)
@@ -445,18 +408,8 @@ impl QueryService {
         admitted
     }
 
-    /// Admission: breaker, queue bound, load shedding, enqueue.
+    /// Admission: queue bound, load shedding, enqueue.
     fn admit(&self, req: QueryRequest, arrived: Instant) -> Result<Ticket, ServiceError> {
-        // Breaker admission: an open breaker answers in microseconds
-        // without taking the queue lock or touching any scan state.
-        if let Some(breakers) = &self.shared.breakers {
-            let b = breakers
-                .get(&req.system)
-                .expect("a breaker per system is built at startup");
-            if !b.try_admit() {
-                return Err(ServiceError::CircuitOpen { system: req.system });
-            }
-        }
         let (tx, rx) = mpsc::channel();
         let cancel;
         {
@@ -523,7 +476,7 @@ impl QueryService {
         StatsSnapshot {
             submitted: m.counter("queries_submitted"),
             completed: n(Outcome::Completed),
-            rejected: n(Outcome::Rejected) + n(Outcome::Breaker),
+            rejected: n(Outcome::Rejected),
             shedded: n(Outcome::Shedded),
             timed_out: n(Outcome::TimedOut),
             cancelled: n(Outcome::Cancelled),
@@ -533,21 +486,11 @@ impl QueryService {
 
     /// Point-in-time view of the service's [`obs::MetricsRegistry`]:
     /// the `queries_submitted` counter, one `latency_seconds_<outcome>`
-    /// histogram per [`Outcome`] reached, pruning and hedge counters,
-    /// and the queue-wait / execution-time histograms. Render with
+    /// histogram per [`Outcome`] reached, the pruning counters, and the
+    /// queue-wait / execution-time histograms. Render with
     /// [`obs::MetricsSnapshot::to_text`] or
-    /// [`obs::MetricsSnapshot::to_json`]. When circuit breakers are
-    /// configured the snapshot carries one `breaker_state_<system>`
-    /// gauge per system (0 = closed, 1 = half-open, 2 = open).
+    /// [`obs::MetricsSnapshot::to_json`].
     pub fn metrics_snapshot(&self) -> obs::MetricsSnapshot {
-        if let Some(breakers) = &self.shared.breakers {
-            for (system, b) in breakers {
-                self.shared.metrics.gauge_set(
-                    &format!("breaker_state_{}", system.name()),
-                    b.state().as_gauge(),
-                );
-            }
-        }
         self.shared.metrics.snapshot()
     }
 
@@ -563,24 +506,9 @@ impl QueryService {
             .unwrap_or_default()
     }
 
-    /// The current breaker state for one system, when breakers are
-    /// configured.
-    pub fn breaker_state(&self, system: System) -> Option<BreakerState> {
-        self.shared
-            .breakers
-            .as_ref()
-            .and_then(|b| b.get(&system))
-            .map(|b| b.state())
-    }
-
     /// Result-cache `(hits, misses)`, when the result cache is enabled.
     pub fn result_cache_counters(&self) -> Option<(u64, u64)> {
         self.shared.result_cache.as_ref().map(|c| c.counters())
-    }
-
-    /// Buffer-pool counters, when the chunk cache is enabled.
-    pub fn chunk_cache_counters(&self) -> Option<CacheCounters> {
-        self.shared.chunk_cache.as_ref().map(|c| c.counters())
     }
 
     /// Fingerprint of the served table (the result cache's version tag).
@@ -679,7 +607,7 @@ fn worker_loop(shared: &Shared) {
 }
 
 /// Serves one admitted request: result-cache lookup, engine execution on
-/// miss (cancellable, optionally hedged), cache fill, pricing.
+/// miss (cancellable), cache fill, pricing.
 fn serve(shared: &Shared, job: &Job, queue_seconds: f64) -> Result<QueryResponse, ServiceError> {
     let req = &job.req;
     let enqueued = job.enqueued;
@@ -734,7 +662,6 @@ fn serve(shared: &Shared, job: &Job, queue_seconds: f64) -> Result<QueryResponse
         });
     }
     let env = ExecEnv {
-        chunk_cache: shared.chunk_cache.clone(),
         intra_query_threads: (shared.config.intra_query_threads > 0)
             .then_some(shared.config.intra_query_threads),
         parallel_workers: req.parallel_workers,
@@ -754,11 +681,8 @@ fn serve(shared: &Shared, job: &Job, queue_seconds: f64) -> Result<QueryResponse
     let spec = QuerySpec::benchmark(req.query);
     // A transient fault that cleared within READ_RETRIES re-reads of its
     // chunk was absorbed by the scan; anything that reaches here is final.
-    let run = match execute_attempt(shared, engine.as_ref(), &spec, &env) {
-        Ok(run) => {
-            breaker_record(shared, req.system, true);
-            run
-        }
+    let run = match engine.execute(&spec, &env) {
+        Ok(run) => run,
         // A cancelled run is not a failure (the backend is healthy — the
         // client or its deadline stopped the work), and it is never
         // billed: no response, no cost computation. Record a zero-length
@@ -772,14 +696,11 @@ fn serve(shared: &Shared, job: &Job, queue_seconds: f64) -> Result<QueryResponse
                     reason: c.reason,
                 });
             }
-            None => {
-                breaker_record(shared, req.system, false);
-                return Err(ServiceError::Engine(e.to_string()));
-            }
+            None => return Err(ServiceError::Engine(e.to_string())),
         },
     };
     // Feed the load-shedding EWMA with the completed execution's wall
-    // time (`exec_seconds` below feeds the hedge delay).
+    // time.
     let sample = run.stats.wall_seconds;
     let old = f64::from_bits(shared.exec_ewma_bits.load(Ordering::Relaxed));
     let ewma = if old == 0.0 {
@@ -824,88 +745,6 @@ fn serve(shared: &Shared, job: &Job, queue_seconds: f64) -> Result<QueryResponse
         total_seconds: enqueued.elapsed().as_secs_f64(),
         trace: response_trace,
     })
-}
-
-/// One engine attempt — hedged when configured. The primary attempt runs
-/// with a child of the request's cancel token; if it has not replied
-/// within the hedge delay (a percentile of past execution times,
-/// floored at `min_delay`), a second identical attempt launches with a
-/// sibling child token. The first reply wins and the loser is cancelled
-/// through its own token, so it stops within one row group instead of
-/// running to completion. Child tokens still see the request token, so
-/// an explicit cancel or the deadline stops both attempts.
-fn execute_attempt(
-    shared: &Shared,
-    engine: &dyn QueryEngine,
-    spec: &QuerySpec,
-    env: &ExecEnv,
-) -> Result<EngineRun, AdapterError> {
-    let Some(hedge) = &shared.config.hedge else {
-        return engine.execute(spec, env);
-    };
-    let delay = hedge_delay(shared, hedge);
-    let primary_cancel = env.cancel.child();
-    let hedge_cancel = env.cancel.child();
-    std::thread::scope(|s| {
-        let (tx, rx) = mpsc::channel();
-        {
-            let tx = tx.clone();
-            let penv = ExecEnv {
-                cancel: primary_cancel.clone(),
-                ..env.clone()
-            };
-            s.spawn(move || {
-                let _ = tx.send((0u8, engine.execute(spec, &penv)));
-            });
-        }
-        let (winner, result) = match rx.recv_timeout(delay) {
-            Ok(reply) => reply,
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                shared.metrics.counter_inc("hedges_launched");
-                let henv = ExecEnv {
-                    cancel: hedge_cancel.clone(),
-                    ..env.clone()
-                };
-                s.spawn(move || {
-                    let _ = tx.send((1u8, engine.execute(spec, &henv)));
-                });
-                rx.recv().expect("a spawned attempt always replies")
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                unreachable!("primary sender is alive until it replies")
-            }
-        };
-        // First reply wins; cancel the other attempt (no-op if it never
-        // launched or already finished). The scope joins the loser, which
-        // stops within one row group of its token tripping.
-        if winner == 0 {
-            hedge_cancel.cancel();
-        } else {
-            shared.metrics.counter_inc("hedge_wins");
-            primary_cancel.cancel();
-        }
-        result
-    })
-}
-
-/// The hedge launch delay: the configured percentile of the
-/// `exec_seconds` histogram, floored at `min_delay` (an empty histogram
-/// estimates 0, so `min_delay` alone before any execution completed).
-fn hedge_delay(shared: &Shared, hedge: &HedgeConfig) -> Duration {
-    let p = shared
-        .metrics
-        .histogram_state("exec_seconds")
-        .map_or(0.0, |h| h.quantile(hedge.percentile));
-    Duration::from_secs_f64(p.max(0.0)).max(hedge.min_delay)
-}
-
-/// Feeds one execution outcome into the system's breaker, when breakers
-/// are configured. Cancellations must not be recorded — call sites skip
-/// them.
-fn breaker_record(shared: &Shared, system: System, success: bool) {
-    if let Some(b) = shared.breakers.as_ref().and_then(|m| m.get(&system)) {
-        b.record(success);
-    }
 }
 
 /// Best-effort text of a caught panic payload.
@@ -1037,6 +876,7 @@ mod tests {
         }
         let from_stats = [
             (Outcome::Completed, stats.completed),
+            (Outcome::Rejected, stats.rejected),
             (Outcome::Shedded, stats.shedded),
             (Outcome::TimedOut, stats.timed_out),
             (Outcome::Cancelled, stats.cancelled),
@@ -1045,11 +885,6 @@ mod tests {
         for (o, n) in from_stats {
             assert_eq!(n, count(o), "{o:?}: stats() vs histogram");
         }
-        assert_eq!(
-            stats.rejected,
-            count(Outcome::Rejected) + count(Outcome::Breaker),
-            "stats().rejected sums queue-full and breaker refusals"
-        );
         assert_eq!(metrics.counter("queries_submitted"), stats.submitted);
         let total: u64 = Outcome::ALL.into_iter().map(count).sum();
         assert_eq!(stats.submitted, total, "submitted vs the sum over outcomes");
@@ -1120,7 +955,6 @@ mod tests {
             ServiceConfig {
                 n_workers: 1,
                 result_cache: false,
-                chunk_cache_bytes: 0,
                 fault_injector: latency_storm(10),
                 ..ServiceConfig::default()
             },
@@ -1168,7 +1002,6 @@ mod tests {
             ServiceConfig {
                 n_workers: 1,
                 result_cache: false,
-                chunk_cache_bytes: 0,
                 fault_injector: latency_storm(20),
                 ..ServiceConfig::default()
             },
@@ -1238,100 +1071,17 @@ mod tests {
         assert_ledger_consistent(&service);
     }
 
+    /// The retired `chunk_cache_bytes` cannot be set and silently
+    /// ignored: any value but 0 stops the service at start.
     #[test]
-    fn breaker_opens_after_failure_storm_and_rejects_at_admission() {
-        let service = QueryService::start(
+    #[should_panic(expected = "chunk_cache_bytes is retired")]
+    fn start_panics_when_the_retired_chunk_cache_is_sized() {
+        QueryService::start(
             table(),
             ServiceConfig {
-                n_workers: 1,
-                result_cache: false,
-                chunk_cache_bytes: 0,
-                fault_injector: Some(Arc::new(FaultInjector::new(nf2_columnar::FaultConfig {
-                    transient_attempts: 0,
-                    ..nf2_columnar::FaultConfig::only(nf2_columnar::FaultClass::Io, 1.0, 3)
-                }))),
-                breaker: Some(BreakerConfig {
-                    window: 8,
-                    failure_threshold: 0.5,
-                    min_samples: 4,
-                    cooldown: Duration::from_secs(60),
-                    half_open_probes: 1,
-                }),
+                chunk_cache_bytes: 64 << 20,
                 ..ServiceConfig::default()
             },
-        );
-        for _ in 0..4 {
-            let err = service
-                .execute(QueryRequest::new("t0", System::BigQuery, QueryId::Q1))
-                .unwrap_err();
-            assert!(matches!(err, ServiceError::Engine(_)), "got {err}");
-        }
-        assert_eq!(
-            service.breaker_state(System::BigQuery),
-            Some(BreakerState::Open)
-        );
-        let err = service
-            .submit(QueryRequest::new("t0", System::BigQuery, QueryId::Q1))
-            .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                ServiceError::CircuitOpen {
-                    system: System::BigQuery
-                }
-            ),
-            "expected CircuitOpen, got {err}"
-        );
-        // Other systems' breakers are independent: Rumble is still
-        // admitted (its execution hits the same injected faults, but
-        // that is an engine error, not an admission rejection — and one
-        // sample is below min_samples, so its breaker stays closed).
-        let err = service
-            .execute(QueryRequest::new("t0", System::Rumble, QueryId::Q1))
-            .unwrap_err();
-        assert!(matches!(err, ServiceError::Engine(_)), "got {err}");
-        assert_eq!(
-            service.breaker_state(System::Rumble),
-            Some(BreakerState::Closed)
-        );
-        let metrics = service.metrics_snapshot();
-        assert_eq!(metrics.gauge("breaker_state_BigQuery"), Some(2.0));
-        assert_eq!(service.latency_histogram(Outcome::Breaker).count(), 1);
-        assert_ledger_consistent(&service);
-    }
-
-    #[test]
-    fn hedged_execution_matches_unhedged_result() {
-        let hedged = QueryService::start(
-            table(),
-            ServiceConfig {
-                n_workers: 1,
-                result_cache: false,
-                hedge: Some(HedgeConfig {
-                    percentile: 0.95,
-                    min_delay: Duration::ZERO,
-                }),
-                ..ServiceConfig::default()
-            },
-        );
-        let plain = QueryService::start(
-            table(),
-            ServiceConfig {
-                n_workers: 1,
-                result_cache: false,
-                ..ServiceConfig::default()
-            },
-        );
-        let a = hedged
-            .execute(QueryRequest::new("t0", System::Presto, QueryId::Q2))
-            .unwrap();
-        let b = plain
-            .execute(QueryRequest::new("t0", System::Presto, QueryId::Q2))
-            .unwrap();
-        assert_eq!(a.histogram, b.histogram, "hedging must not change results");
-        assert!(
-            hedged.metrics_snapshot().counter("hedges_launched") >= 1,
-            "a zero hedge delay always launches the hedge"
         );
     }
 

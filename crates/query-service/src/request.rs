@@ -11,7 +11,7 @@ use physics::Histogram;
 #[derive(Clone, Debug)]
 pub struct QueryRequest {
     /// Tenant identity — the unit of fair scheduling. Tenants share the
-    /// data and the caches (the table is immutable, so there is no
+    /// data and the result cache (the table is immutable, so there is no
     /// cross-tenant leakage to isolate), but queue capacity is dequeued
     /// round-robin across tenants so one flood cannot starve the rest.
     pub tenant: String,
@@ -129,14 +129,6 @@ pub enum ServiceError {
         /// The request's deadline budget in seconds.
         deadline_seconds: f64,
     },
-    /// The system's circuit breaker is open: recent executions on this
-    /// system failed at a rate past the configured threshold, and the
-    /// cooldown (or half-open probe budget) has not admitted this
-    /// request. Retry later or on another system.
-    CircuitOpen {
-        /// The system whose breaker rejected the request.
-        system: System,
-    },
     /// The deadline passed before a worker picked the request up.
     QueryTimedOut {
         /// Seconds the request spent queued before expiring.
@@ -179,9 +171,6 @@ impl std::fmt::Display for ServiceError {
                      deadline budget {deadline_seconds:.3}s"
                 )
             }
-            ServiceError::CircuitOpen { system } => {
-                write!(f, "circuit breaker open for {}", system.name())
-            }
             ServiceError::QueryTimedOut { waited_seconds } => {
                 write!(f, "timed out after {waited_seconds:.3}s in queue")
             }
@@ -219,8 +208,6 @@ pub enum Outcome {
     Rejected,
     /// Refused at submission by load shedding.
     Shedded,
-    /// Refused at submission: the system's circuit breaker was open.
-    Breaker,
     /// The deadline expired before execution started.
     TimedOut,
     /// Cancelled while queued or running (explicit cancel, or a deadline
@@ -233,11 +220,10 @@ pub enum Outcome {
 
 impl Outcome {
     /// Every outcome, in taxonomy order.
-    pub const ALL: [Outcome; 7] = [
+    pub const ALL: [Outcome; 6] = [
         Outcome::Completed,
         Outcome::Rejected,
         Outcome::Shedded,
-        Outcome::Breaker,
         Outcome::TimedOut,
         Outcome::Cancelled,
         Outcome::Failed,
@@ -250,7 +236,6 @@ impl Outcome {
             Ok(_) => Outcome::Completed,
             Err(ServiceError::QueryRejected { .. }) => Outcome::Rejected,
             Err(ServiceError::QueryShedded { .. }) => Outcome::Shedded,
-            Err(ServiceError::CircuitOpen { .. }) => Outcome::Breaker,
             Err(ServiceError::QueryTimedOut { .. }) => Outcome::TimedOut,
             Err(ServiceError::Cancelled { .. }) => Outcome::Cancelled,
             Err(ServiceError::Engine(_) | ServiceError::Shutdown) => Outcome::Failed,
@@ -264,7 +249,6 @@ impl Outcome {
             Outcome::Completed => "latency_seconds_completed",
             Outcome::Rejected => "latency_seconds_rejected",
             Outcome::Shedded => "latency_seconds_shedded",
-            Outcome::Breaker => "latency_seconds_breaker",
             Outcome::TimedOut => "latency_seconds_timed_out",
             Outcome::Cancelled => "latency_seconds_cancelled",
             Outcome::Failed => "latency_seconds_failed",
@@ -281,8 +265,7 @@ pub struct StatsSnapshot {
     pub submitted: u64,
     /// Requests answered with a result (cached or executed).
     pub completed: u64,
-    /// Requests refused at submission because the queue was full, or
-    /// because the system's circuit breaker was open.
+    /// Requests refused at submission because the queue was full.
     pub rejected: u64,
     /// Requests refused at submission by load shedding: the estimated
     /// queue wait already exceeded the deadline budget.

@@ -1,24 +1,24 @@
 //! A transient storage fault is retried at the chunk read, below the
 //! query: the service answers the first request with the fault-free
 //! histogram and byte-identical `ScanStats`, however many chunks of the
-//! projection faulted.
+//! projection faulted. A fault that outlives the re-reads fails the
+//! request once, with a typed error.
 
 use std::sync::Arc;
 
 use hep_model::generator::build_dataset;
 use hep_model::DatasetSpec;
-use hepbench_core::runner::System;
+use hepbench_core::runner::{System, ALL_SYSTEMS};
 use hepbench_core::{QueryId, ALL_QUERIES};
-use nf2_columnar::{FaultClass, FaultConfig, FaultInjector, Table};
+use nf2_columnar::{FaultClass, FaultConfig, FaultInjector, Table, READ_RETRIES};
 use query_service::{QueryRequest, QueryService, ServiceConfig};
 
 fn table(spec: DatasetSpec) -> Arc<Table> {
     Arc::new(build_dataset(spec).1)
 }
 
-/// The default deployment with the result cache off (so every request
-/// executes), optionally behind a fault injector. One worker, so the
-/// buffer pool sees the same request order in both services.
+/// The default deployment with one worker and the result cache off (so
+/// every request executes), optionally behind a fault injector.
 fn service(table: &Arc<Table>, faults: Option<Arc<FaultInjector>>) -> QueryService {
     QueryService::start(
         table.clone(),
@@ -108,4 +108,90 @@ fn transient_read_faults_are_served_on_the_first_request() {
         FaultConfig::only(FaultClass::Io, 0.08, 0x5EED),
         &full_grid,
     );
+}
+
+/// 1 024 events in 128-event row groups.
+fn small_table() -> Arc<Table> {
+    table(DatasetSpec {
+        n_events: 1_024,
+        row_group_size: 128,
+        seed: 41,
+    })
+}
+
+/// Q1 and Q5 interpreted, and Q6a through the compiled deployment on
+/// two morsel workers (Presto's and Athena's Q6 texts, and RDataFrame's
+/// programs, lower to compiled plans; the rest fall back to the
+/// interpreter — both paths share the scan that retries).
+fn requests(system: System) -> [QueryRequest; 3] {
+    [
+        QueryRequest::new("t", system, QueryId::Q1),
+        QueryRequest::new("t", system, QueryId::Q5),
+        QueryRequest::new("t", system, QueryId::Q6a)
+            .via_compiled()
+            .with_parallel_workers(2),
+    ]
+}
+
+/// A deterministic transient storm, in which almost a third of the
+/// chunks fail every read the per-chunk budget allows and then recover,
+/// is absorbed by the scan on every system, interpreted and compiled,
+/// serial and parallel.
+#[test]
+fn a_transient_storm_is_absorbed_on_every_system() {
+    let table = small_table();
+    let storm = Arc::new(FaultInjector::new(FaultConfig {
+        transient_attempts: READ_RETRIES,
+        ..FaultConfig::only(FaultClass::Io, 0.3, 0xB0_1DEA)
+    }));
+    let oracle = service(&table, None);
+    let stormy = service(&table, Some(storm.clone()));
+    let mut reads_retried = 0;
+    for &system in ALL_SYSTEMS {
+        // Systems share chunks: each one meets the whole storm afresh.
+        storm.reset_attempts();
+        let retried_before = reads_retried;
+        for (want, got) in requests(system).into_iter().zip(requests(system)) {
+            let ctx = format!(
+                "{} {} compiled={}",
+                system.name(),
+                got.query.name(),
+                got.compiled
+            );
+            let want = oracle.execute(want).unwrap();
+            let got = stormy
+                .execute(got)
+                .unwrap_or_else(|e| panic!("{ctx}: the storm cost the request: {e}"));
+            assert!(got.histogram.counts_equal(&want.histogram), "{ctx}");
+            assert_eq!(got.stats.scan, want.stats.scan, "{ctx}");
+            reads_retried += got.stats.reads_retried;
+        }
+        assert!(
+            reads_retried > retried_before,
+            "{}: storm never hit",
+            system.name()
+        );
+    }
+    assert_eq!(stormy.stats().failed, 0);
+}
+
+#[test]
+fn a_fault_that_outlives_the_read_budget_fails_the_request_once() {
+    // One failed read more than the budget: the scan gives up.
+    let service = service(
+        &small_table(),
+        Some(Arc::new(FaultInjector::new(FaultConfig {
+            transient_attempts: READ_RETRIES + 1,
+            ..FaultConfig::only(FaultClass::Io, 1.0, 7)
+        }))),
+    );
+    let err = service
+        .execute(QueryRequest::new("t", System::BigQuery, QueryId::Q1))
+        .unwrap_err();
+    let msg = err.to_string();
+    assert!(
+        msg.contains("io error") && msg.contains(&format!("attempt {}", READ_RETRIES + 1)),
+        "{msg}"
+    );
+    assert_eq!(service.stats().failed, 1);
 }

@@ -29,8 +29,8 @@
 //! * [`mod@bench`] — the ADL benchmark: queries, reference implementations,
 //!   validation, metrics, and the run orchestrator;
 //! * [`service`] — concurrent multi-tenant query serving over the same
-//!   engines: worker pool, admission control, buffer pool and a
-//!   BigQuery-style result cache (with the paper's caches-off knob);
+//!   engines: worker pool, admission control, deadlines, load shedding and a
+//!   BigQuery-style result cache (with the paper's cache-off knob);
 //! * [`chaos`] — deterministic fault injection and differential query
 //!   fuzzing: seeded random plans lowered to every system under test,
 //!   checked bin-for-bin against an interpreter oracle;

@@ -1,13 +1,13 @@
 //! Compile-time audit of the concurrency contract the query service
-//! relies on: the shared table, the caches, every engine entry point and
-//! the service itself must be safe to share across worker threads. Each
-//! assertion is checked by the type system — if a future change slips an
-//! `Rc`, a raw pointer or a non-`Sync` cell into one of these types, this
-//! file stops compiling, which is the point.
+//! relies on: the shared table, the result cache, every engine entry
+//! point and the service itself must be safe to share across worker
+//! threads. Each assertion is checked by the type system — if a future
+//! change slips an `Rc`, a raw pointer or a non-`Sync` cell into one of
+//! these types, this file stops compiling, which is the point.
 
 use std::sync::Arc;
 
-use hepquery::columnar::{ChunkCache, ExecStats, ScanStats, Table};
+use hepquery::columnar::{ExecStats, ScanStats, Table};
 use hepquery::jsoniq::FlworEngine;
 use hepquery::rdataframe::RDataFrame;
 use hepquery::service::{
@@ -23,9 +23,7 @@ fn shared_state_is_send_and_sync() {
     // The table is shared read-only by every worker.
     assert_send_sync::<Table>();
     assert_send_sync::<Arc<Table>>();
-    // Both caches are shared mutable state behind their own locks.
-    assert_send_sync::<ChunkCache>();
-    assert_send_sync::<Arc<ChunkCache>>();
+    // The result cache is shared mutable state behind its own lock.
     assert_send_sync::<ResultCache>();
     // Accounting values cross thread boundaries by value.
     assert_send_sync::<ScanStats>();
@@ -35,7 +33,7 @@ fn shared_state_is_send_and_sync() {
 #[test]
 fn engine_entry_points_are_send_and_sync() {
     // One engine instance is confined to one worker, but each holds an
-    // `Arc<Table>` and an optional `Arc<ChunkCache>` — engines must stay
+    // `Arc<Table>` — engines must stay
     // shareable so a worker can be handed a prebuilt one.
     assert_send_sync::<SqlEngine>();
     assert_send_sync::<FlworEngine>();

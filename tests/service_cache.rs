@@ -9,9 +9,6 @@
 //!    query is served from the result cache: same histogram, zero bytes
 //!    scanned, zero QaaS cost — also under a concurrent multi-tenant
 //!    workload, where every submitted request is accounted for.
-//! 3. **buffer pool ⇒ accounting only.** Chunk-cache hits show up in
-//!    `bytes_from_cache` but never change `bytes_scanned` (the billing
-//!    basis) or the results.
 
 use std::sync::Arc;
 
@@ -68,13 +65,9 @@ fn caches_off_is_byte_identical_to_the_seed_path() {
                 system.name(),
                 q.name()
             );
-            // No buffer pool ⇒ no cache traffic at all.
-            assert_eq!(served.stats.scan.cache_hits, 0);
-            assert_eq!(served.stats.scan.bytes_from_cache, 0);
         }
     }
     assert!(service.result_cache_counters().is_none());
-    assert!(service.chunk_cache_counters().is_none());
 }
 
 /// Per-outcome counts of one round of [`drive`].
@@ -140,7 +133,6 @@ fn result_cache_repeats_are_free() {
         table,
         ServiceConfig {
             n_workers: 2,
-            chunk_cache_bytes: 0,
             ..ServiceConfig::default()
         },
     );
@@ -206,52 +198,4 @@ fn result_cache_repeats_are_free() {
         "repeated workload hit no cached result"
     );
     assert_eq!(first.failed + second.failed, 0, "engine failures");
-}
-
-#[test]
-fn buffer_pool_changes_accounting_but_not_billing_or_results() {
-    let table = table();
-    let service = QueryService::start(
-        table.clone(),
-        ServiceConfig {
-            n_workers: 2,
-            result_cache: false, // force re-execution on repeat
-            chunk_cache_bytes: 256 << 20,
-            ..ServiceConfig::default()
-        },
-    );
-    let baseline = engine_for(System::Presto, table.clone())
-        .execute(&QuerySpec::benchmark(QueryId::Q4), &ExecEnv::seed())
-        .unwrap();
-    let cold = service
-        .execute(QueryRequest::new("t0", System::Presto, QueryId::Q4))
-        .unwrap();
-    let warm = service
-        .execute(QueryRequest::new("t0", System::Presto, QueryId::Q4))
-        .unwrap();
-    assert!(!warm.from_result_cache);
-    // Results identical with and without the pool.
-    assert_eq!(cold.histogram, baseline.histogram);
-    assert_eq!(warm.histogram, baseline.histogram);
-    // Billing basis unchanged; the pool is a separate, subtractive view.
-    assert_eq!(
-        cold.stats.scan.bytes_scanned,
-        baseline.stats.scan.bytes_scanned
-    );
-    assert_eq!(
-        warm.stats.scan.bytes_scanned,
-        baseline.stats.scan.bytes_scanned
-    );
-    // The cold run misses (and fills); the warm run hits.
-    assert_eq!(cold.stats.scan.cache_hits, 0);
-    assert!(cold.stats.scan.cache_misses > 0);
-    assert!(warm.stats.scan.cache_hits > 0, "warm run must hit the pool");
-    assert!(warm.stats.scan.bytes_from_cache > 0);
-    assert!(warm.stats.scan.bytes_from_cache <= warm.stats.scan.bytes_scanned);
-    assert_eq!(
-        warm.stats.scan.bytes_from_storage(),
-        warm.stats.scan.bytes_scanned - warm.stats.scan.bytes_from_cache
-    );
-    let counters = service.chunk_cache_counters().unwrap();
-    assert!(counters.hits > 0 && counters.insertions > 0);
 }
